@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,16 +43,13 @@ class BipartiteConfig:
     unmatched column (appearance); math.inf disables gating so the
     matching has maximum cardinality. gate_cost None selects quantile
     mode: T is the gate_quantile of forward nearest-neighbour squared
-    distances. Only squared Euclidean edge costs are supported.
+    distances. Edge costs are always squared Euclidean distances.
     """
 
     gate_cost: float | None = None
     gate_quantile: float = 0.99
-    cost_exponent: int = 2
 
     def __post_init__(self):
-        if self.cost_exponent != 2:
-            raise InvalidConfigError("only the squared Euclidean cost is supported")
         if self.gate_cost is not None:
             if not self.gate_cost >= 0:
                 raise InvalidConfigError("gate cost must be nonnegative")
@@ -257,18 +254,6 @@ def fixed_d_matchings(
     return {d: _vector_for_k(cost, sweep, n_a - d, n_b) for d in d_list}
 
 
-def solve_bmcf_fixed_d(
-    frame_a, frame_b, d: int, cfg: BipartiteConfig | None = None
-) -> MatchingVector:
-    """Minimum total squared distance matching with exactly d DISAPPEARs.
-
-    The gate cost is irrelevant here because the number of events is
-    fixed; cfg is accepted for interface symmetry only.
-    """
-    del cfg
-    return fixed_d_matchings(frame_a, frame_b, [d])[d]
-
-
 def solve_bmcf(
     frame_a, frame_b, cfg: BipartiteConfig | None = None
 ) -> MatchingVector:
@@ -305,11 +290,6 @@ def solve_bmcf(
     )
 
 
-def count_disappeared(m: MatchingVector) -> int:
-    """Number of DISAPPEAR entries of a matching vector."""
-    return m.n_disappeared
-
-
 def gate_cost_from_pair(frame_a, frame_b, quantile: float = 0.99) -> float:
     """Quantile of forward nearest-neighbour squared distances of one pair."""
     a = _as_frame(frame_a)
@@ -344,3 +324,19 @@ def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
     if cfg.gate_cost is not None:
         return float(cfg.gate_cost)
     return gate_cost_from_sequence(seq, cfg.gate_quantile)
+
+
+def solve_bmcf_sequence(
+    seq: FrameSequence, cfg: BipartiteConfig | None = None
+) -> tuple[float, list[MatchingVector]]:
+    """Gated bipartite matching of every frame pair of a video.
+
+    The gate cost is resolved once from the whole sequence and then
+    charged on every pair. Returns the gate cost and one matching vector
+    per consecutive frame pair.
+    """
+    gated = BipartiteConfig(gate_cost=resolve_gate_cost(seq, cfg or BipartiteConfig()))
+    matchings = [
+        solve_bmcf(seq.frames[k], seq.frames[k + 1], gated) for k in range(len(seq) - 1)
+    ]
+    return gated.gate_cost, matchings

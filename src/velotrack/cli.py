@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import statistics
 import sys
@@ -19,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import BipartiteConfig, resolve_gate_cost, solve_bmcf
+from .assignment import BipartiteConfig, solve_bmcf_sequence
 from .core import (
     FrameSequence,
     InvalidConfigError,
     InvalidInputError,
+    JsonConfig,
     ParseError,
     SpaceCapError,
     TrajectorySet,
@@ -44,11 +44,6 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 
-_EXPERIMENT_KEYS = (
-    "N0", "sigma", "f", "replicates", "methods", "deltas", "seed",
-    "W", "H", "w", "h", "dt", "sigma_mode", "lambda_event", "gate_quantile",
-)
-
 RESULT_COLUMNS = (
     "N0", "sigma", "f", "replicate", "seed", "method", "delta",
     "whole_path_precision", "whole_path_recall", "whole_path_f1",
@@ -66,7 +61,7 @@ TIMING_COLUMNS = ("N0", "sigma", "f", "replicate", "method", "delta", "wall_seco
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     """Grid of simulation settings and solver variants to sweep."""
 
     N0: tuple[int, ...] = (15,)
@@ -102,20 +97,19 @@ class ExperimentConfig:
             raise InvalidConfigError("deltas must be nonempty when running 'tri'")
         if any(d < 0 for d in self.deltas):
             raise InvalidConfigError("deltas must be nonnegative")
+        # build each derived config once, so bad values fail here and not in a worker
+        for n0 in self.N0:
+            for sig in self.sigma:
+                self.sim_config(n0, sig, self.seed)
+        if "tri" in self.methods:
+            for d in self.deltas:
+                self.tracker_config(d)
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidConfigError(f"config file is not valid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise InvalidConfigError("config file must hold a JSON object")
-        unknown = set(data) - set(_EXPERIMENT_KEYS)
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+    def sim_config(self, n0: int, sigma: float, seed: int) -> SimConfig:
+        return SimConfig(
+            W=self.W, H=self.H, w=self.w, h=self.h,
+            N0=n0, sigma=sigma, f=self.f, dt=self.dt, seed=seed,
+        )
 
     def tracker_config(self, delta: int) -> TrackerConfig:
         return TrackerConfig(
@@ -153,11 +147,9 @@ def cmd_track(args) -> int:
         cfg = replace(cfg, sigma_mode=args.sigma_mode)
 
     if args.method == "bmcf":
-        gate = resolve_gate_cost(seq, BipartiteConfig(gate_quantile=cfg.gate_quantile))
-        gated = BipartiteConfig(gate_cost=gate)
-        matchings = [
-            solve_bmcf(seq.frames[k], seq.frames[k + 1], gated) for k in range(len(seq) - 1)
-        ]
+        gate, matchings = solve_bmcf_sequence(
+            seq, BipartiteConfig(gate_quantile=cfg.gate_quantile)
+        )
         trajs = assemble_trajectories(seq, matchings)
         diag = {
             "method": "bmcf",
@@ -288,12 +280,9 @@ def _experiment_job(job):
     for method in grid.methods:
         if method == "bmcf":
             t0 = time.perf_counter()
-            gate = resolve_gate_cost(sim.seq, BipartiteConfig(gate_quantile=grid.gate_quantile))
-            gated = BipartiteConfig(gate_cost=gate)
-            pred = [
-                solve_bmcf(sim.seq.frames[k], sim.seq.frames[k + 1], gated)
-                for k in range(len(sim.seq) - 1)
-            ]
+            _, pred = solve_bmcf_sequence(
+                sim.seq, BipartiteConfig(gate_quantile=grid.gate_quantile)
+            )
             wall = time.perf_counter() - t0
             report = evaluate(sim.seq, pred, truth)
             mean_ident = sum(report.pair_identity) / len(report.pair_identity)
@@ -415,11 +404,7 @@ def cmd_experiment(args) -> int:
     jobs = []
     for si, (n0, sig) in enumerate(settings):
         for rep in range(grid.replicates):
-            sim_cfg = SimConfig(
-                W=grid.W, H=grid.H, w=grid.w, h=grid.h,
-                N0=n0, sigma=sig, f=grid.f, dt=grid.dt,
-                seed=grid.seed + 1000003 * si + rep,
-            )
+            sim_cfg = grid.sim_config(n0, sig, grid.seed + 1000003 * si + rep)
             jobs.append((si, rep, sim_cfg, grid))
 
     workers = min(len(jobs), args.jobs or (os.cpu_count() or 1))

@@ -13,10 +13,11 @@ Indices are 0-based in memory. External text formats are 1-based with
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,24 +44,36 @@ class SpaceCapError(RuntimeError):
     """A candidate-space construction would exceed its size cap."""
 
 
-class Position(NamedTuple):
-    x: float
-    y: float
+class JsonConfig:
+    """Flat JSON storage for frozen dataclass configs.
 
-
-class Velocity(NamedTuple):
-    """Displacement over one frame interval divided by dt.
-
-    Velocities are always derived from a pair of positions, never stored
-    on their own.
+    The admissible keys are the dataclass fields; unknown keys, malformed
+    JSON and values of the wrong type all raise InvalidConfigError.
     """
 
-    vx: float
-    vy: float
+    @classmethod
+    def from_json(cls, path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as e:
+            raise InvalidConfigError(f"config file is not valid JSON: {e}") from None
+        if not isinstance(data, dict):
+            raise InvalidConfigError("config file must hold a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**data)
+        except InvalidConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InvalidConfigError(f"bad config value: {e}") from None
 
-
-def velocity(p_from: Sequence[float], p_to: Sequence[float], dt: float = 1.0) -> Velocity:
-    return Velocity((p_to[0] - p_from[0]) / dt, (p_to[1] - p_from[1]) / dt)
+    def to_json(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 @dataclass(frozen=True)

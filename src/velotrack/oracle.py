@@ -1,11 +1,12 @@
-"""Brute-force reference solvers for testing.
+"""Brute-force and reference solvers for testing.
 
 Space enumeration here is built from itertools primitives (choose the
 disappearing subset, then an ordered arrangement of targets for the
 survivors) and must not share code with the production constructions,
 so a bug in one cannot confirm itself through the other. The likelihood
 functions are shared on purpose: they are the single source of truth
-for what is being maximized.
+for what is being maximized. reference_solve_dp is the production DP's
+plain-Python counterpart: it scores every stage cell one at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from .core import (
     MatchingVector,
     SpaceCapError,
 )
-from .tripartite import NoiseModel, pair_log_likelihood_first, triple_log_likelihood
+from .tripartite import (
+    NoiseModel,
+    _triple_term_fn,
+    pair_log_likelihood_first,
+    triple_log_likelihood,
+)
 
 
 def enumerate_space(n_k: int, n_next: int, cap: int = 100_000) -> CandidateSpace:
@@ -142,3 +148,104 @@ def exhaustive_bipartite_min(
     if best_m is None:
         raise InvalidInputError("no feasible matching under the given constraints")
     return best_m, best
+
+
+def incremental_triple_score(
+    frame_prev,
+    frame_mid,
+    frame_next,
+    m_prev: MatchingVector,
+    base: MatchingVector,
+    base_score: float,
+    swap: tuple[int, int],
+    noise: NoiseModel,
+    dt: float = 1.0,
+    pair_index: int = 1,
+) -> float:
+    """Stage score of base with entries swap=(i, j) exchanged.
+
+    The exchange keeps the matched-target set, so event penalties are
+    unchanged and only the two affected objects are rescored.
+    """
+    i, j = swap
+    ti, tj = base.entries[i], base.entries[j]
+    if ti == tj:
+        # injectivity forces both entries DISAPPEAR: identity exchange
+        return float(base_score)
+    prev_f = np.asarray(frame_prev, dtype=np.float64).reshape(-1, 2)
+    mid_f = np.asarray(frame_mid, dtype=np.float64).reshape(-1, 2)
+    next_f = np.asarray(frame_next, dtype=np.float64).reshape(-1, 2)
+    term = _triple_term_fn(prev_f, mid_f, next_f, m_prev, noise, dt, pair_index)
+    delta = term(i, tj) + term(j, ti) - term(i, ti) - term(j, tj)
+    return float(base_score + delta)
+
+
+def _stage_matrix(seq, sp_prev, sp_next, noise, t, incremental) -> np.ndarray:
+    """Dense stage matrix h_t by per-cell scoring.
+
+    With incremental=True, seed columns are scored in full and every
+    swap column as a delta on its seed, which needs swap provenance.
+    """
+    prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
+    dt = seq.dt
+    info = sp_next.swap_info
+    if incremental and info is None:
+        raise InvalidInputError("incremental evaluation needs swap provenance")
+    nexts = list(sp_next.vectors())
+    h = np.empty((len(sp_prev), len(sp_next)))
+    for r, m_prev in enumerate(sp_prev.vectors()):
+        if not incremental:
+            for c, m_next in enumerate(nexts):
+                h[r, c] = triple_log_likelihood(
+                    prev_f, mid_f, next_f, m_prev, m_next, noise, dt=dt, pair_index=t
+                )
+            continue
+        for c in np.flatnonzero(info[:, 1] == -1):
+            h[r, c] = triple_log_likelihood(
+                prev_f, mid_f, next_f, m_prev, nexts[c], noise, dt=dt, pair_index=t
+            )
+        for c in range(len(nexts)):
+            s, i, j = info[c]
+            if i == -1:
+                continue
+            h[r, c] = incremental_triple_score(
+                prev_f, mid_f, next_f, m_prev, nexts[s], h[r, s], (i, j),
+                noise, dt=dt, pair_index=t,
+            )
+    return h
+
+
+def reference_solve_dp(
+    seq: FrameSequence,
+    spaces: list[CandidateSpace],
+    noise: NoiseModel,
+    incremental: bool = False,
+) -> tuple[list[MatchingVector], float]:
+    """solve_dp over dense, cell-by-cell stage matrices.
+
+    Same backward pass, first-argmax tie rule and forward walk as the
+    production solver, so both must return identical matchings.
+    """
+    f = len(seq)
+    if f < 2:
+        raise InvalidInputError("need at least 2 frames")
+    if len(spaces) != f - 1:
+        raise InvalidInputError(f"need {f - 1} candidate spaces, got {len(spaces)}")
+    g = np.zeros(len(spaces[-1]))
+    backs = []
+    for t in range(f - 2, 0, -1):
+        vals = _stage_matrix(seq, spaces[t - 1], spaces[t], noise, t, incremental) + g[None, :]
+        bp = np.argmax(vals, axis=1)
+        g = vals[np.arange(vals.shape[0]), bp]
+        backs.insert(0, bp)
+    h1 = np.array(
+        [
+            pair_log_likelihood_first(seq.frames[0], seq.frames[1], m, noise, dt=seq.dt)
+            for m in spaces[0].vectors()
+        ]
+    )
+    totals = h1 + g
+    idxs = [int(np.argmax(totals))]
+    for bp in backs:
+        idxs.append(int(bp[idxs[-1]]))
+    return [spaces[t].vector_at(r) for t, r in enumerate(idxs)], float(totals[idxs[0]])

@@ -10,7 +10,6 @@ hidden cell identities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,16 +19,15 @@ from .core import (
     DISAPPEAR,
     FrameSequence,
     InvalidConfigError,
+    JsonConfig,
     MatchingVector,
     TrajectorySet,
     assemble_trajectories,
 )
 
-_SIM_KEYS = ("W", "H", "w", "h", "N0", "sigma", "f", "dt", "seed")
-
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(JsonConfig):
     """Closed-region dimensions, window dimensions, and motion model.
 
     N0 is the expected number of visible cells; the closed region is
@@ -66,26 +64,6 @@ class SimConfig:
     @property
     def n_cells(self) -> int:
         return round((self.W * self.H) / (self.w * self.h) * self.N0)
-
-    @classmethod
-    def from_json(cls, path) -> "SimConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidConfigError(f"config file is not valid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise InvalidConfigError("config file must hold a JSON object")
-        unknown = set(data) - set(_SIM_KEYS)
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_json(self, path) -> None:
-        data = {k: getattr(self, k) for k in _SIM_KEYS}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)

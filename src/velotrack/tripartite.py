@@ -19,7 +19,6 @@ smallest sequence of matching vectors.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,25 +26,19 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import (
-    BipartiteConfig,
-    fixed_d_matchings,
-    resolve_gate_cost,
-    solve_bmcf,
-)
+from .assignment import BipartiteConfig, fixed_d_matchings, solve_bmcf_sequence
 from .core import (
     DISAPPEAR,
     CandidateSpace,
     FrameSequence,
     InvalidConfigError,
     InvalidInputError,
+    JsonConfig,
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
     assemble_trajectories,
 )
-
-_EVALUATION_MODES = ("vectorized", "full", "incremental")
 
 
 @dataclass(frozen=True)
@@ -87,20 +80,6 @@ class NoiseModel:
         if len(self.sigmas) == 1:
             return self.sigmas[0]
         return self.sigmas[k]
-
-
-@dataclass(frozen=True)
-class ReducedSpaceConfig:
-    """delta bounds how far the candidate disappearance counts stray
-    from the bipartite solution's d*."""
-
-    delta: int = 1
-
-    def __post_init__(self):
-        d = self.delta
-        if int(d) != d or d < 0:
-            raise InvalidConfigError("delta must be a nonnegative integer")
-        object.__setattr__(self, "delta", int(d))
 
 
 def _log_gauss2(d2: float, scale2: float) -> float:
@@ -188,36 +167,6 @@ def triple_log_likelihood(
     return float(total)
 
 
-def incremental_triple_score(
-    frame_prev,
-    frame_mid,
-    frame_next,
-    m_prev: MatchingVector,
-    base: MatchingVector,
-    base_score: float,
-    swap: tuple[int, int],
-    noise: NoiseModel,
-    dt: float = 1.0,
-    pair_index: int = 1,
-) -> float:
-    """Stage score of base with entries swap=(i, j) exchanged.
-
-    The exchange keeps the matched-target set, so event penalties are
-    unchanged and only the two affected objects are rescored.
-    """
-    i, j = swap
-    ti, tj = base.entries[i], base.entries[j]
-    if ti == tj:
-        # injectivity forces both entries DISAPPEAR: identity exchange
-        return float(base_score)
-    prev_f = np.asarray(frame_prev, dtype=np.float64).reshape(-1, 2)
-    mid_f = np.asarray(frame_mid, dtype=np.float64).reshape(-1, 2)
-    next_f = np.asarray(frame_next, dtype=np.float64).reshape(-1, 2)
-    term = _triple_term_fn(prev_f, mid_f, next_f, m_prev, noise, dt, pair_index)
-    delta = term(i, tj) + term(j, ti) - term(i, ti) - term(j, tj)
-    return float(base_score + delta)
-
-
 # ---------------------------------------------------------------------------
 # Candidate spaces.
 # ---------------------------------------------------------------------------
@@ -276,13 +225,18 @@ def neighborhood(d_star: int, delta: int, n_a: int, n_b: int) -> range:
     return range(lo, hi + 1)
 
 
-def build_reduced_space(
-    frame_a,
-    frame_b,
-    d_star: int,
-    cfg: ReducedSpaceConfig | None = None,
-    bipartite_cfg: BipartiteConfig | None = None,
-) -> CandidateSpace:
+def reduced_space_size(n_a: int, n_b: int, d_star: int, delta: int = 1) -> int:
+    """Closed-form size of build_reduced_space's output.
+
+    Each d in the neighborhood contributes its seed plus one vector per
+    pair of entry positions, less the C(d, 2) pairs of two DISAPPEARs.
+    """
+    return sum(
+        1 + comb(n_a, 2) - comb(d, 2) for d in neighborhood(d_star, delta, n_a, n_b)
+    )
+
+
+def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> CandidateSpace:
     """Candidate space around the fixed-d bipartite optima.
 
     For each feasible d within delta of d_star: the cheapest matching
@@ -291,16 +245,14 @@ def build_reduced_space(
     entries is the identity and is skipped. Blocks for different d are
     disjoint because their disappearance counts differ.
     """
-    del bipartite_cfg  # fixed-d matchings need no gate
-    cfg = cfg or ReducedSpaceConfig()
+    if int(delta) != delta or delta < 0:
+        raise InvalidConfigError("delta must be a nonnegative integer")
     a = np.asarray(frame_a, dtype=np.float64).reshape(-1, 2)
     b = np.asarray(frame_b, dtype=np.float64).reshape(-1, 2)
     n_a, n_b = a.shape[0], b.shape[0]
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
-    ds = neighborhood(d_star, cfg.delta, n_a, n_b)
-    if len(ds) == 0:
-        raise InvalidConfigError(f"no feasible disappearance count near d*={d_star}")
+    ds = neighborhood(d_star, int(delta), n_a, n_b)
     seeds = fixed_d_matchings(a, b, ds)
     rows: list[np.ndarray] = []
     info: list[tuple[int, int, int]] = []
@@ -439,43 +391,10 @@ def _fold_stage_vectorized(
     return g_prev, back
 
 
-def _stage_matrix_loop(seq, sp_prev, sp_next, noise, t, evaluation) -> np.ndarray:
-    """Dense stage matrix via per-cell scoring, full or incremental."""
-    prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
-    dt = seq.dt
-    info = sp_next.swap_info
-    if evaluation == "incremental" and info is None:
-        raise InvalidInputError("incremental evaluation needs swap provenance")
-    nexts = list(sp_next.vectors())
-    h = np.empty((len(sp_prev), len(sp_next)))
-    for r, m_prev in enumerate(sp_prev.vectors()):
-        if evaluation == "full":
-            for c, m_next in enumerate(nexts):
-                h[r, c] = triple_log_likelihood(
-                    prev_f, mid_f, next_f, m_prev, m_next, noise, dt=dt, pair_index=t
-                )
-        else:
-            seed_cols = np.flatnonzero(info[:, 1] == -1)
-            for c in seed_cols:
-                h[r, c] = triple_log_likelihood(
-                    prev_f, mid_f, next_f, m_prev, nexts[c], noise, dt=dt, pair_index=t
-                )
-            for c in range(len(nexts)):
-                s, i, j = info[c]
-                if i == -1:
-                    continue
-                h[r, c] = incremental_triple_score(
-                    prev_f, mid_f, next_f, m_prev, nexts[s], h[r, s], (i, j),
-                    noise, dt=dt, pair_index=t,
-                )
-    return h
-
-
 def solve_dp(
     seq: FrameSequence,
     spaces: list[CandidateSpace],
     noise: NoiseModel,
-    evaluation: str = "vectorized",
 ) -> tuple[list[MatchingVector], float]:
     """Maximize the chain score over the product of candidate spaces.
 
@@ -485,8 +404,6 @@ def solve_dp(
     lexicographically sorted and np.argmax keeps the first maximizer, so
     the walk returns the lexicographically smallest optimal sequence.
     """
-    if evaluation not in _EVALUATION_MODES:
-        raise InvalidConfigError(f"unknown evaluation mode {evaluation!r}")
     f = len(seq)
     if f < 2:
         raise InvalidInputError("need at least 2 frames")
@@ -502,26 +419,9 @@ def solve_dp(
     g = np.zeros(len(spaces[-1]))
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)
     for t in range(n_pairs - 1, 0, -1):
-        if evaluation == "vectorized":
-            g, bp = _fold_stage_vectorized(seq, spaces[t - 1], spaces[t], g, noise, t)
-        else:
-            h = _stage_matrix_loop(seq, spaces[t - 1], spaces[t], noise, t, evaluation)
-            vals = h + g[None, :]
-            bp = np.argmax(vals, axis=1)
-            g = vals[np.arange(vals.shape[0]), bp]
-        backs[t - 1] = bp
+        g, backs[t - 1] = _fold_stage_vectorized(seq, spaces[t - 1], spaces[t], g, noise, t)
 
-    if evaluation == "vectorized":
-        h1 = _pair_scores_vectorized(
-            seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt
-        )
-    else:
-        h1 = np.array(
-            [
-                pair_log_likelihood_first(seq.frames[0], seq.frames[1], m, noise, dt=seq.dt)
-                for m in spaces[0].vectors()
-            ]
-        )
+    h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
     totals = h1 + g
     start = int(np.argmax(totals))
     score = float(totals[start])
@@ -609,11 +509,9 @@ def estimate_sigma(
 # Pipeline.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("delta", "sigma_mode", "sigma_floor", "lambda_event", "gate_quantile", "space_cap")
-
 
 @dataclass(frozen=True)
-class TrackerConfig:
+class TrackerConfig(JsonConfig):
     """End-to-end tracking knobs; serializable as a flat JSON object.
 
     sigma_mode is per-frame, pooled, or fixed:<value>. lambda_event is a
@@ -662,26 +560,6 @@ class TrackerConfig:
             return value
         return None
 
-    @classmethod
-    def from_json(cls, path) -> "TrackerConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidConfigError(f"config file is not valid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise InvalidConfigError("config file must hold a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_json(self, path) -> None:
-        data = {k: getattr(self, k) for k in _CONFIG_KEYS}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def auto_lambda(gate_cost: float, pooled_sigma: float, dt: float = 1.0) -> float:
     """Default event penalty: position-model log density at the gate
@@ -720,25 +598,27 @@ def evaluation_count(space_sizes) -> int:
 def track(
     seq: FrameSequence,
     cfg: TrackerConfig | None = None,
-    bipartite_cfg: BipartiteConfig | None = None,
-    evaluation: str = "vectorized",
 ) -> TrackResult:
     """Full pipeline: bipartite seeding, sigma estimation, reduced
     spaces, dynamic program, trajectory assembly.
 
     The bipartite pass fixes the gate cost and each pair's d*; its
     matchings also feed the sigma estimate (unless a fixed sigma mode
-    bypasses estimation).
+    bypasses estimation). Space sizes are checked against space_cap
+    from their closed form before any space is built.
     """
     cfg = cfg or TrackerConfig()
     if len(seq) < 2:
         raise InvalidInputError("need at least 2 frames")
     f = len(seq)
-    bip = bipartite_cfg or BipartiteConfig(gate_quantile=cfg.gate_quantile)
-    gate = resolve_gate_cost(seq, bip)
-    gated = BipartiteConfig(gate_cost=gate)
-    bmcf = [solve_bmcf(seq.frames[k], seq.frames[k + 1], gated) for k in range(f - 1)]
+    gate, bmcf = solve_bmcf_sequence(seq, BipartiteConfig(gate_quantile=cfg.gate_quantile))
     d_star = [m.n_disappeared for m in bmcf]
+    for k in range(f - 1):
+        size = reduced_space_size(seq.n_objects(k), seq.n_objects(k + 1), d_star[k], cfg.delta)
+        if size > cfg.space_cap:
+            raise SpaceCapError(
+                f"candidate space at pair {k} has {size} vectors, cap is {cfg.space_cap}"
+            )
 
     fixed = cfg.fixed_sigma()
     if fixed is not None:
@@ -752,17 +632,11 @@ def track(
         lam = auto_lambda(gate, sig.pooled, seq.dt)
     noise = NoiseModel(sigmas=sig.sigmas, lambda_event=lam, sigma_floor=cfg.sigma_floor)
 
-    rcfg = ReducedSpaceConfig(delta=cfg.delta)
-    spaces = []
-    for k in range(f - 1):
-        sp = build_reduced_space(seq.frames[k], seq.frames[k + 1], d_star[k], rcfg)
-        if len(sp) > cfg.space_cap:
-            raise SpaceCapError(
-                f"candidate space at pair {k} has {len(sp)} vectors, cap is {cfg.space_cap}"
-            )
-        spaces.append(sp)
-
-    matchings, score = solve_dp(seq, spaces, noise, evaluation=evaluation)
+    spaces = [
+        build_reduced_space(seq.frames[k], seq.frames[k + 1], d_star[k], cfg.delta)
+        for k in range(f - 1)
+    ]
+    matchings, score = solve_dp(seq, spaces, noise)
     trajs = assemble_trajectories(seq, matchings)
     sizes = tuple(len(s) for s in spaces)
     diags = TrackDiagnostics(

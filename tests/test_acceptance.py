@@ -18,7 +18,6 @@ from velotrack import (
     BipartiteConfig,
     MatchingVector,
     NoiseModel,
-    ReducedSpaceConfig,
     SimConfig,
     TrackerConfig,
     build_full_space,
@@ -27,7 +26,6 @@ from velotrack import (
     evaluate,
     full_space_size,
     gate_cost_from_sequence,
-    incremental_triple_score,
     simulate,
     solve_bmcf,
     solve_dp,
@@ -35,7 +33,12 @@ from velotrack import (
     triple_log_likelihood,
 )
 from velotrack.core import FrameSequence
-from velotrack.oracle import enumerate_space, exhaustive_chain_argmax
+from velotrack.oracle import (
+    enumerate_space,
+    exhaustive_chain_argmax,
+    incremental_triple_score,
+    reference_solve_dp,
+)
 
 N_REPLICATES = 20
 DELTAS = (0, 1, 2, 3)
@@ -221,12 +224,12 @@ def test_07_incremental_equals_full():
                 seq.frames[k],
                 seq.frames[k + 1],
                 max(0, seq.n_objects(k) - seq.n_objects(k + 1)),
-                ReducedSpaceConfig(delta=1),
+                delta=1,
             )
             for k in range(3)
         ]
-        if solve_dp(seq, spaces, nm, evaluation="incremental") != solve_dp(
-            seq, spaces, nm, evaluation="full"
+        if reference_solve_dp(seq, spaces, nm, incremental=True) != reference_solve_dp(
+            seq, spaces, nm
         ):
             ok = False
     _verdict(7, ok)
@@ -243,7 +246,7 @@ def test_08_sigma_scale_invariance():
                 seq.frames[k],
                 seq.frames[k + 1],
                 max(0, seq.n_objects(k) - seq.n_objects(k + 1)),
-                ReducedSpaceConfig(delta=0),  # one disappearance count per pair
+                delta=0,  # one disappearance count per pair
             )
             for k in range(3)
         ]

@@ -9,13 +9,10 @@ from velotrack import (
     DISAPPEAR,
     BipartiteConfig,
     InvalidConfigError,
-    MatchingVector,
-    count_disappeared,
     fixed_d_matchings,
     gate_cost_from_pair,
     gate_cost_from_sequence,
     solve_bmcf,
-    solve_bmcf_fixed_d,
 )
 from velotrack.core import FrameSequence
 from velotrack.oracle import exhaustive_bipartite_min
@@ -26,8 +23,6 @@ def test_config_validation():
         BipartiteConfig(gate_cost=-1.0)
     with pytest.raises(InvalidConfigError):
         BipartiteConfig(gate_quantile=1.0)
-    with pytest.raises(InvalidConfigError):
-        BipartiteConfig(cost_exponent=1)
     BipartiteConfig(gate_cost=math.inf)  # disabled gate is allowed
 
 
@@ -70,11 +65,11 @@ def test_empty_frames():
 def test_fixed_d_exact_costs():
     a = [(0.0, 0.0), (10.0, 0.0)]
     b = [(0.0, 1.0), (10.0, 1.0)]
-    assert solve_bmcf_fixed_d(a, b, 0).entries == (0, 1)
+    assert fixed_d_matchings(a, b, [0])[0].entries == (0, 1)
     # with one forced disappearance, dropping either row costs the same 1.0,
     # so the lexicographically smaller vector wins: (-1, 1)
-    assert solve_bmcf_fixed_d(a, b, 1).entries == (DISAPPEAR, 1)
-    assert solve_bmcf_fixed_d(a, b, 2).entries == (DISAPPEAR, DISAPPEAR)
+    assert fixed_d_matchings(a, b, [1])[1].entries == (DISAPPEAR, 1)
+    assert fixed_d_matchings(a, b, [2])[2].entries == (DISAPPEAR, DISAPPEAR)
 
 
 def test_fixed_d_infeasible():
@@ -82,9 +77,9 @@ def test_fixed_d_infeasible():
 
     a = [(0.0, 0.0), (1.0, 0.0)]
     with pytest.raises(InvalidInputError):
-        solve_bmcf_fixed_d(a, [(0.0, 1.0)], 0)  # needs 2 targets
+        fixed_d_matchings(a, [(0.0, 1.0)], [0])  # needs 2 targets
     with pytest.raises(InvalidInputError):
-        solve_bmcf_fixed_d(a, [(0.0, 1.0)], 3)
+        fixed_d_matchings(a, [(0.0, 1.0)], [3])
 
 
 def test_fixed_d_matchings_shares_one_sweep():
@@ -93,7 +88,7 @@ def test_fixed_d_matchings_shares_one_sweep():
     by_d = fixed_d_matchings(a, b, range(0, 4))
     for d, m in by_d.items():
         assert m.n_disappeared == d
-        assert m == solve_bmcf_fixed_d(a, b, d)
+        assert m == fixed_d_matchings(a, b, [d])[d]
 
 
 def test_lexicographic_tie_rule():
@@ -131,14 +126,9 @@ def test_matches_oracle_on_random_instances(rng):
             want, _ = exhaustive_bipartite_min(a, b, gate_cost=T)
             assert got == want, (trial, T)
         for d in range(max(0, n_a - n_b), n_a + 1):
-            got = solve_bmcf_fixed_d(a, b, d)
+            got = fixed_d_matchings(a, b, [d])[d]
             want, _ = exhaustive_bipartite_min(a, b, d=d)
             assert got == want, (trial, d)
-
-
-def test_count_disappeared():
-    m = MatchingVector((DISAPPEAR, 0, DISAPPEAR), n_next=1)
-    assert count_disappeared(m) == 2
 
 
 class TestGateSelection:
@@ -181,7 +171,7 @@ def test_min_cost_among_fixed_cardinality(rng):
         a = rng.normal(size=(n, 2))
         b = rng.normal(size=(n, 2))
         for d in range(0, n + 1):
-            m = solve_bmcf_fixed_d(a, b, d)
+            m = fixed_d_matchings(a, b, [d])[d]
             _, best = exhaustive_bipartite_min(a, b, d=d)
             cost = sum(
                 float(np.sum((np.asarray(a[i]) - np.asarray(b[j])) ** 2))

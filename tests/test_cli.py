@@ -186,6 +186,43 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            pytest.param("track", {"delta": "abc"}, id="track-delta-str"),
+            pytest.param("track", {"delta": None}, id="track-delta-null"),
+            pytest.param("track", {"gate_quantile": "x"}, id="track-quantile-str"),
+            pytest.param("simulate", {"N0": "x"}, id="simulate-N0-str"),
+            pytest.param("simulate", {"sigma": "a"}, id="simulate-sigma-str"),
+            pytest.param("experiment", {"N0": 5}, id="experiment-N0-scalar"),
+            pytest.param("experiment", {"W": "x"}, id="experiment-W-str"),
+        ],
+    )
+    def test_wrongly_typed_config_value(self, sim_dir, tmp_path, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        if command == "track":
+            argv = ["track", "--input", str(sim_dir / "detections.csv"), "--output", str(out)]
+        else:
+            argv = [command, "--output", str(out)]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_space_cap(self, sim_dir, tmp_path):
+        cfg = tmp_path / "tracker.json"
+        cfg.write_text(json.dumps({"space_cap": 1}))
+        out = tmp_path / "tracks.csv"
+        code = main(
+            [
+                "track",
+                "--input", str(sim_dir / "detections.csv"),
+                "--output", str(out),
+                "--config", str(cfg),
+            ]
+        )
+        assert code == EXIT_RUNTIME
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path):
         out = tmp_path / "tracks.csv"
         code = main(["track", "--input", str(tmp_path / "nope.csv"), "--output", str(out)])

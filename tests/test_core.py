@@ -20,7 +20,6 @@ from velotrack import (
     read_detections,
     read_matchings,
     read_tracks,
-    velocity,
     write_detections,
     write_matchings,
     write_tracks,
@@ -89,11 +88,6 @@ class TestMatchingVector:
             matrix_to_matching(np.array([[1, 1]]))
         with pytest.raises(InvalidInputError):
             matrix_to_matching(np.array([[1], [1]]))
-
-
-def test_velocity():
-    v = velocity((0.0, 0.0), (3.0, 4.0), dt=2.0)
-    assert v == (1.5, 2.0)
 
 
 class TestFrameSequence:

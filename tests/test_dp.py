@@ -8,11 +8,10 @@ import pytest
 from velotrack import (
     DISAPPEAR,
     FrameSequence,
-    InvalidConfigError,
     InvalidInputError,
     MatchingVector,
     NoiseModel,
-    ReducedSpaceConfig,
+    SpaceCapError,
     TrackerConfig,
     build_full_space,
     build_reduced_space,
@@ -20,7 +19,8 @@ from velotrack import (
     solve_dp,
     track,
 )
-from velotrack.oracle import exhaustive_chain_argmax
+from velotrack import tripartite
+from velotrack.oracle import exhaustive_chain_argmax, reference_solve_dp
 
 
 def random_seq(rng, f, max_n=3):
@@ -74,13 +74,14 @@ class TestEvaluationModes:
                     seq.frames[k],
                     seq.frames[k + 1],
                     max(0, seq.n_objects(k) - seq.n_objects(k + 1)),
-                    ReducedSpaceConfig(delta=1),
+                    delta=1,
                 )
                 for k in range(3)
             ]
             results = {
-                mode: solve_dp(seq, spaces, nm, evaluation=mode)
-                for mode in ("vectorized", "full", "incremental")
+                "vectorized": solve_dp(seq, spaces, nm),
+                "full": reference_solve_dp(seq, spaces, nm),
+                "incremental": reference_solve_dp(seq, spaces, nm, incremental=True),
             }
             ms0, score0 = results["vectorized"]
             for mode, (ms, score) in results.items():
@@ -95,16 +96,10 @@ class TestEvaluationModes:
         seq3 = FrameSequence((np.zeros((1, 2)), np.ones((1, 2)), 2 * np.ones((1, 2))))
         spaces3 = [build_full_space(1, 1), build_full_space(1, 1)]
         with pytest.raises(InvalidInputError):
-            solve_dp(seq3, spaces3, nm, evaluation="incremental")
+            reference_solve_dp(seq3, spaces3, nm, incremental=True)
         # vectorized and full accept plain spaces
-        solve_dp(seq3, spaces3, nm, evaluation="full")
-        solve_dp(seq, spaces, nm, evaluation="vectorized")
-
-    def test_unknown_mode_rejected(self):
-        seq = FrameSequence((np.zeros((1, 2)), np.ones((1, 2))))
-        nm = NoiseModel.pooled(1.0, -1.0)
-        with pytest.raises(InvalidConfigError):
-            solve_dp(seq, [build_full_space(1, 1)], nm, evaluation="eager")
+        reference_solve_dp(seq3, spaces3, nm)
+        solve_dp(seq, spaces, nm)
 
 
 class TestTieBreaking:
@@ -148,7 +143,7 @@ class TestScaleInvariance:
                     seq.frames[k],
                     seq.frames[k + 1],
                     max(0, seq.n_objects(k) - seq.n_objects(k + 1)),
-                    ReducedSpaceConfig(delta=0),
+                    delta=0,
                 )
                 for k in range(3)
             ]
@@ -199,6 +194,16 @@ class TestEndToEnd:
         assert res.diagnostics.eval_count == evaluation_count(
             res.diagnostics.space_sizes
         )
+
+    def test_space_cap_checked_before_building(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a space was built before the cap check")
+
+        monkeypatch.setattr(tripartite, "build_reduced_space", no_build)
+        seq = FrameSequence(tuple(np.arange(8.0).reshape(4, 2) + k for k in range(3)))
+        # 4 objects per frame: 1 + C(4, 2) = 7 vectors at d = 0
+        with pytest.raises(SpaceCapError):
+            track(seq, TrackerConfig(delta=0, space_cap=6))
 
     def test_empty_middle_frame(self):
         seq = FrameSequence(

@@ -9,15 +9,15 @@ from velotrack import (
     DISAPPEAR,
     InvalidInputError,
     MatchingVector,
-    ReducedSpaceConfig,
     SpaceCapError,
     build_full_space,
     build_reduced_space,
     full_space_size,
+    fixed_d_matchings,
     neighborhood,
-    solve_bmcf_fixed_d,
 )
 from velotrack.oracle import enumerate_space
+from velotrack.tripartite import reduced_space_size
 
 
 class TestFullSpace:
@@ -86,9 +86,9 @@ class TestReducedSpace:
             d_lo = max(0, n_a - n_b)
             d_star = int(rng.integers(d_lo, n_a + 1))
             delta = int(rng.integers(0, 3))
-            sp = build_reduced_space(a, b, d_star, ReducedSpaceConfig(delta=delta))
+            sp = build_reduced_space(a, b, d_star, delta=delta)
             for d in neighborhood(d_star, delta, n_a, n_b):
-                assert solve_bmcf_fixed_d(a, b, d) in sp
+                assert fixed_d_matchings(a, b, [d])[d] in sp
 
     def test_nesting_in_delta(self, rng):
         for _ in range(20):
@@ -96,29 +96,34 @@ class TestReducedSpace:
             a, b = _random_pair(rng, n_a, n_b)
             d_star = max(0, n_a - n_b)
             spaces = [
-                build_reduced_space(a, b, d_star, ReducedSpaceConfig(delta=d))
+                build_reduced_space(a, b, d_star, delta=d)
                 for d in range(4)
             ]
             for small, big in zip(spaces, spaces[1:]):
                 assert small.issubset(big)
 
     def test_size_bound(self, rng):
-        # each d contributes at most 1 seed plus n(n-1)/2 exchanges
+        # each d contributes 1 seed plus n(n-1)/2 exchanges, less the
+        # d(d-1)/2 exchanges of two DISAPPEAR entries
         for _ in range(20):
             n_a, n_b = (int(x) for x in rng.integers(1, 6, size=2))
             a, b = _random_pair(rng, n_a, n_b)
             d_star = max(0, n_a - n_b)
             delta = int(rng.integers(0, 3))
-            sp = build_reduced_space(a, b, d_star, ReducedSpaceConfig(delta=delta))
-            bound = (2 * delta + 1) * (1 + n_a * (n_a - 1) // 2)
-            assert len(sp) <= bound
+            sp = build_reduced_space(a, b, d_star, delta=delta)
+            size = sum(
+                1 + n_a * (n_a - 1) // 2 - d * (d - 1) // 2
+                for d in neighborhood(d_star, delta, n_a, n_b)
+            )
+            assert len(sp) == size
+            assert reduced_space_size(n_a, n_b, d_star, delta) == size
 
     def test_subset_of_full_space(self, rng):
         for _ in range(10):
             n_a, n_b = (int(x) for x in rng.integers(1, 5, size=2))
             a, b = _random_pair(rng, n_a, n_b)
             d_star = max(0, n_a - n_b)
-            sp = build_reduced_space(a, b, d_star, ReducedSpaceConfig(delta=2))
+            sp = build_reduced_space(a, b, d_star, delta=2)
             assert sp.issubset(build_full_space(n_a, n_b))
 
     def test_disappearance_counts_stay_near_d_star(self, rng):
@@ -128,13 +133,13 @@ class TestReducedSpace:
             d_lo = max(0, n_a - n_b)
             d_star = int(rng.integers(d_lo, n_a + 1))
             delta = int(rng.integers(0, 3))
-            sp = build_reduced_space(a, b, d_star, ReducedSpaceConfig(delta=delta))
+            sp = build_reduced_space(a, b, d_star, delta=delta)
             for m in sp.vectors():
                 assert abs(m.n_disappeared - d_star) <= delta
 
     def test_swap_provenance_reconstructs_rows(self, rng):
         a, b = _random_pair(rng, 4, 3)
-        sp = build_reduced_space(a, b, 1, ReducedSpaceConfig(delta=1))
+        sp = build_reduced_space(a, b, 1, delta=1)
         assert sp.swap_info is not None
         for r in range(len(sp)):
             seed_row, i, j = (int(v) for v in sp.swap_info[r])
@@ -148,14 +153,14 @@ class TestReducedSpace:
     def test_single_object_space(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[1.0, 0.0]])
-        sp = build_reduced_space(a, b, 0, ReducedSpaceConfig(delta=1))
+        sp = build_reduced_space(a, b, 0, delta=1)
         got = {m.entries for m in sp.vectors()}
         assert got == {(0,), (DISAPPEAR,)}
 
     def test_delta_zero_single_block(self):
         a = np.array([[0.0, 0.0], [5.0, 0.0]])
         b = np.array([[1.0, 0.0], [6.0, 0.0]])
-        sp = build_reduced_space(a, b, 0, ReducedSpaceConfig(delta=0))
+        sp = build_reduced_space(a, b, 0, delta=0)
         assert all(m.n_disappeared == 0 for m in sp.vectors())
         assert MatchingVector((0, 1), n_next=2) in sp
         assert MatchingVector((1, 0), n_next=2) in sp

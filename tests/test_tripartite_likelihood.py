@@ -16,10 +16,10 @@ from velotrack import (
     TrackerConfig,
     auto_lambda,
     estimate_sigma,
-    incremental_triple_score,
     pair_log_likelihood_first,
     triple_log_likelihood,
 )
+from velotrack.oracle import incremental_triple_score
 from velotrack.tripartite import build_full_space
 
 LOG_2PI = math.log(2.0 * math.pi)
