@@ -8,11 +8,24 @@ matching of cardinality k; one sweep therefore yields every fixed-d
 matching (d = n_a - k unmatched rows) and, by charging the gate cost T
 per unmatched row and column, the gated matching as well.
 
-Ties are broken by the lexicographically smallest matching vector. An
-alternative optimum can only exist when some unmatched edge has zero
-reduced cost under the final potentials (or when two cardinalities give
-the same gated total), so an exact lexicographic refinement runs only
-when that cheap test fires.
+Ties are broken by the lexicographically smallest matching vector. The
+potentials after k augmentations are an optimal dual of the fixed-k
+matching LP: every free row carries the same row potential U, every
+free column has v = 0, matched columns have v <= 0, so
+(alpha_i = u_i - U, beta_j = v_j, lambda = U) is feasible and
+complementary to the matching. Every other min-cost k-matching is
+complementary to that same dual, so it uses only tight edges (zero
+reduced cost) and leaves unmatched only vertices of zero dual. Its
+symmetric difference with the sweep's matching therefore lies in the
+tight subgraph and holds an alternating cycle, an even alternating path
+from an exposed vertex to a matched zero-dual vertex, or a tight
+augmenting path. _tie_possible searches for these in O(n^2); only when
+it finds one does the exact lexicographic refinement run. Ties between
+cardinalities of equal gated total are compared separately.
+
+track() holds one _PairSweep per frame pair, so the gated matching and
+the fixed-d seeds of its reduced space read one sweep and share each
+refinement.
 """
 
 from __future__ import annotations
@@ -135,25 +148,90 @@ def _sweep(cost: np.ndarray, k_stop: int) -> _SweepState:
     return out
 
 
-def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
-    """True when an alternative equal-cost matching may exist.
+def _reach(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Rows reachable from start (included) along the row graph adj."""
+    reach = start.copy()
+    frontier = start
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reach
+        reach |= frontier
+    return reach
 
-    Any alternative optimum uses only edges of zero reduced cost, so a
-    strictly positive minimum over unmatched edges certifies uniqueness.
-    The tolerance covers accumulated float error in the potentials (a
-    few n ulps of the cost scale); genuine crafted ties sit at exactly
-    zero, while near-ties on continuous data below this scale are
-    indistinguishable from ties anyway.
+
+def _has_cycle(adj: np.ndarray) -> bool:
+    """True when the directed graph adj has a cycle (Kahn's peeling)."""
+    alive = np.ones(adj.shape[0], dtype=bool)
+    indeg = adj.sum(axis=0)
+    while True:
+        drop = alive & (indeg == 0)
+        if not drop.any():
+            return bool(alive.any())
+        alive &= ~drop
+        indeg -= adj[drop].sum(axis=0)
+
+
+def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+    """True unless the tight subgraph certifies the k-matching unique.
+
+    (u, v) are the potentials of the sweep after k augmentations. With U
+    the common potential of the free rows, (alpha = u - U, beta = v,
+    lambda = U) is an optimal dual of the fixed-k LP, and any other
+    min-cost k-matching M' is complementary to it: M' uses only tight
+    edges and leaves unmatched only rows with u_i = U and columns with
+    v_j = 0. Each component of M' xor M is then, in the tight subgraph,
+    - an alternating cycle,
+    - an even alternating path from an exposed row (column) to a matched
+      row with u = U (a matched column with v = 0), or
+    - an augmenting or a reducing path; the two come in pairs, and
+      only the augmenting one is searched for, which fires
+      conservatively (the last augmentation is usually reducible).
+    Alternating paths are walks in the row graph i -> col_to[j] over the
+    tight non-matching edges (i, j), so all three checks are
+    reachability or cycle tests on an n_a x n_a graph, O(n^2).
+
+    The tolerance, a few n ulps of the cost scale, covers accumulated
+    float error in the potentials and applies both to tightness and to
+    the zero-dual tests; a dual infeasible beyond it also fires.
+    Genuine crafted ties sit at exactly zero, while near-ties on
+    continuous data below this scale are indistinguishable from ties.
     """
     if cost.size == 0:
         return False
-    rc = cost - u[:, None] - v[None, :]
-    matched = row_to >= 0
-    if matched.any():
-        rc[np.flatnonzero(matched), row_to[matched]] = np.inf
     n = max(cost.shape)
     tol = 64.0 * n * np.finfo(np.float64).eps * (1.0 + float(np.abs(cost).max()))
-    return bool(rc.min() <= tol)
+    rc = cost - u[:, None] - v[None, :]
+    matched = row_to >= 0
+    m_rows = np.flatnonzero(matched)
+    m_cols = row_to[m_rows]
+    rc[m_rows, m_cols] = np.inf
+    rc_min = float(rc.min())
+    if rc_min > tol:
+        return False
+    if rc_min < -tol:
+        return True
+    tight = rc <= tol
+    col_free = np.ones(cost.shape[1], dtype=bool)
+    col_free[m_cols] = False
+    adj = np.zeros((cost.shape[0], cost.shape[0]), dtype=bool)
+    adj[:, m_rows] = tight[:, m_cols]
+    to_free_col = tight[:, col_free].any(axis=1)
+    free = ~matched
+    if free.any():
+        # paths from exposed rows run forward: r -> col_to[j] for tight (r, j)
+        from_free_row = _reach(adj, free)
+        if to_free_col[from_free_row].any():
+            return True
+        top = float(u[free].min())
+        if (u[from_free_row & matched] >= top - tol).any():
+            return True
+    # paths from exposed columns enter a matched row i, leave by its column
+    # row_to[i] and continue to rows with a tight edge into it: backward
+    from_free_col = _reach(adj.T, to_free_col & matched)
+    zero_col = np.zeros(cost.shape[0], dtype=bool)
+    zero_col[m_rows] = v[m_cols] >= -tol
+    if (from_free_col & zero_col).any():
+        return True
+    return _has_cycle(adj)
 
 
 def _min_cost_of_cardinality(cost: np.ndarray, k: int) -> float:
@@ -217,17 +295,62 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
-def _vector_for_k(
-    cost: np.ndarray, sweep: _SweepState, k: int, n_b: int
-) -> MatchingVector:
-    """Matching vector for cardinality k with the lexicographic tie rule."""
-    n_a = cost.shape[0]
-    if k == 0:
-        return MatchingVector((DISAPPEAR,) * n_a, n_next=n_b)
-    row_to = sweep.row_to[k - 1]
-    if _tie_possible(cost, row_to, sweep.u[k - 1], sweep.v[k - 1]):
-        row_to = _lex_fixed_k(cost, k)
-    return MatchingVector(tuple(int(t) for t in row_to), n_next=n_b)
+class _PairSweep:
+    """One frame pair's cost matrix and SSP sweep, read at any cardinality.
+
+    Matching vectors are memoized per cardinality k, so the gated
+    matching and the fixed-d seeds of the pair's reduced space share one
+    sweep and each tie refinement runs at most once per k.
+    tie_refinements counts the cardinalities whose certificate fired.
+    """
+
+    def __init__(self, frame_a, frame_b, k_stop: int | None = None):
+        a = _as_frame(frame_a)
+        b = _as_frame(frame_b)
+        self.n_a, self.n_b = a.shape[0], b.shape[0]
+        self.kmax = min(self.n_a, self.n_b)
+        self.cost = _cost_matrix(a, b)
+        self.sweep = _sweep(self.cost, self.kmax if k_stop is None else k_stop)
+        self.tie_refinements = 0
+        self._vectors: dict[int, MatchingVector] = {}
+
+    def vector(self, k: int) -> MatchingVector:
+        """Min-cost matching of cardinality k with the lexicographic tie rule."""
+        if k not in self._vectors:
+            if k == 0:
+                row_to = np.full(self.n_a, DISAPPEAR)
+            else:
+                s = self.sweep
+                row_to = s.row_to[k - 1]
+                if _tie_possible(self.cost, row_to, s.u[k - 1], s.v[k - 1]):
+                    self.tie_refinements += 1
+                    row_to = _lex_fixed_k(self.cost, k)
+            self._vectors[k] = MatchingVector(tuple(int(t) for t in row_to), n_next=self.n_b)
+        return self._vectors[k]
+
+    def fixed_d(self, ds: Iterable[int]) -> dict[int, MatchingVector]:
+        """Cheapest matching with exactly d unmatched rows, for each d."""
+        return {d: self.vector(self.n_a - d) for d in ds}
+
+    def gated(self, gate: float) -> MatchingVector:
+        """Cheapest matching charging gate per unmatched row and column.
+
+        Cardinalities whose gated totals tie are compared by their
+        vectors, so the lexicographic rule holds across them too.
+        """
+        if np.isinf(gate):
+            ks = [self.kmax]
+        else:
+            card_costs = np.array([0.0] + self.sweep.cost)
+            events = np.array(
+                [(self.n_a - k) + (self.n_b - k) for k in range(self.kmax + 1)],
+                dtype=np.float64,
+            )
+            totals = card_costs + gate * events
+            best = float(totals.min())
+            tol = _TIE_RTOL * (1.0 + abs(best))
+            ks = [k for k in range(self.kmax + 1) if totals[k] <= best + tol]
+        return min((self.vector(k) for k in ks), key=lambda m: m.entries)
 
 
 def fixed_d_matchings(
@@ -235,8 +358,7 @@ def fixed_d_matchings(
 ) -> dict[int, MatchingVector]:
     """Cheapest matchings with exactly d unmatched rows, one SSP sweep.
 
-    Feeding several d values shares the sweep; this is what the reduced
-    space construction uses.
+    Feeding several d values shares the sweep.
     """
     a = _as_frame(frame_a)
     b = _as_frame(frame_b)
@@ -248,10 +370,8 @@ def fixed_d_matchings(
             raise InvalidInputError(
                 f"d={d} infeasible for frame sizes ({n_a}, {n_b})"
             )
-    cost = _cost_matrix(a, b)
     k_needed = max(n_a - d for d in d_list) if d_list else 0
-    sweep = _sweep(cost, k_needed)
-    return {d: _vector_for_k(cost, sweep, n_a - d, n_b) for d in d_list}
+    return _PairSweep(a, b, k_needed).fixed_d(d_list)
 
 
 def solve_bmcf(
@@ -267,27 +387,11 @@ def solve_bmcf(
     cfg = cfg or BipartiteConfig()
     a = _as_frame(frame_a)
     b = _as_frame(frame_b)
-    n_a, n_b = a.shape[0], b.shape[0]
     if cfg.gate_cost is not None:
         gate = float(cfg.gate_cost)
     else:
         gate = gate_cost_from_pair(a, b, cfg.gate_quantile)
-    cost = _cost_matrix(a, b)
-    kmax = min(n_a, n_b)
-    sweep = _sweep(cost, kmax)
-    card_costs = np.array([0.0] + sweep.cost)
-    events = np.array([(n_a - k) + (n_b - k) for k in range(kmax + 1)], dtype=np.float64)
-    if np.isinf(gate):
-        ks = [kmax]
-    else:
-        totals = card_costs + gate * events
-        best = float(totals.min())
-        tol = _TIE_RTOL * (1.0 + abs(best))
-        ks = [k for k in range(kmax + 1) if totals[k] <= best + tol]
-    return min(
-        (_vector_for_k(cost, sweep, k, n_b) for k in ks),
-        key=lambda m: m.entries,
-    )
+    return _PairSweep(a, b).gated(gate)
 
 
 def gate_cost_from_pair(frame_a, frame_b, quantile: float = 0.99) -> float:
@@ -326,6 +430,15 @@ def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
     return gate_cost_from_sequence(seq, cfg.gate_quantile)
 
 
+def _gated_pairs(
+    seq: FrameSequence, cfg: BipartiteConfig | None = None
+) -> tuple[float, list[_PairSweep], list[MatchingVector]]:
+    """Resolve the gate once, sweep every frame pair, read the gated matchings."""
+    gate = resolve_gate_cost(seq, cfg or BipartiteConfig())
+    pairs = [_PairSweep(seq.frames[k], seq.frames[k + 1]) for k in range(len(seq) - 1)]
+    return gate, pairs, [p.gated(gate) for p in pairs]
+
+
 def solve_bmcf_sequence(
     seq: FrameSequence, cfg: BipartiteConfig | None = None
 ) -> tuple[float, list[MatchingVector]]:
@@ -335,8 +448,5 @@ def solve_bmcf_sequence(
     charged on every pair. Returns the gate cost and one matching vector
     per consecutive frame pair.
     """
-    gated = BipartiteConfig(gate_cost=resolve_gate_cost(seq, cfg or BipartiteConfig()))
-    matchings = [
-        solve_bmcf(seq.frames[k], seq.frames[k + 1], gated) for k in range(len(seq) - 1)
-    ]
-    return gated.gate_cost, matchings
+    gate, _, matchings = _gated_pairs(seq, cfg)
+    return gate, matchings

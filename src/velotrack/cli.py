@@ -81,6 +81,8 @@ class ExperimentConfig(JsonConfig):
     gate_quantile: float = 0.99
 
     def __post_init__(self):
+        if any(int(v) != v for v in (*self.N0, *self.deltas)):
+            raise InvalidConfigError("N0 and deltas must hold integers")
         object.__setattr__(self, "N0", tuple(int(v) for v in self.N0))
         object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -172,6 +174,7 @@ def cmd_track(args) -> int:
             "lambda_event": d.lambda_event,
             "space_sizes": list(d.space_sizes),
             "eval_count": d.eval_count,
+            "tie_refinements": list(d.tie_refinements),
             "score": res.score,
         }
     write_tracks(args.output, trajs, seq)

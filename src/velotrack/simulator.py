@@ -57,6 +57,8 @@ class SimConfig(JsonConfig):
             raise InvalidConfigError("need at least 2 frames")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise InvalidConfigError("dt must be positive and finite")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise InvalidConfigError("seed must be a nonnegative integer")
         object.__setattr__(self, "N0", int(self.N0))
         object.__setattr__(self, "f", int(self.f))
         object.__setattr__(self, "seed", int(self.seed))

@@ -26,7 +26,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import BipartiteConfig, fixed_d_matchings, solve_bmcf_sequence
+from .assignment import BipartiteConfig, _gated_pairs, fixed_d_matchings
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -253,11 +253,15 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
     ds = neighborhood(d_star, int(delta), n_a, n_b)
-    seeds = fixed_d_matchings(a, b, ds)
+    return _seeded_space(fixed_d_matchings(a, b, ds).values(), n_a, n_b)
+
+
+def _seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
+    """Each seed vector followed by all its single-pair entry exchanges."""
     rows: list[np.ndarray] = []
     info: list[tuple[int, int, int]] = []
-    for d in ds:
-        seed = seeds[d].as_array()
+    for m in seeds:
+        seed = m.as_array()
         seed_row = len(rows)
         rows.append(seed)
         info.append((seed_row, -1, -1))
@@ -577,6 +581,8 @@ class TrackDiagnostics:
     space_sizes: tuple[int, ...]
     eval_count: int
     bmcf_matchings: tuple[MatchingVector, ...]
+    # per frame pair, the cardinalities whose exact tie refinement ran
+    tie_refinements: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -604,14 +610,16 @@ def track(
 
     The bipartite pass fixes the gate cost and each pair's d*; its
     matchings also feed the sigma estimate (unless a fixed sigma mode
-    bypasses estimation). Space sizes are checked against space_cap
-    from their closed form before any space is built.
+    bypasses estimation). Each pair is swept once: the fixed-d seeds of
+    its reduced space are read from the sweep of the bipartite pass.
+    Space sizes are checked against space_cap from their closed form
+    before any space is built.
     """
     cfg = cfg or TrackerConfig()
     if len(seq) < 2:
         raise InvalidInputError("need at least 2 frames")
     f = len(seq)
-    gate, bmcf = solve_bmcf_sequence(seq, BipartiteConfig(gate_quantile=cfg.gate_quantile))
+    gate, pairs, bmcf = _gated_pairs(seq, BipartiteConfig(gate_quantile=cfg.gate_quantile))
     d_star = [m.n_disappeared for m in bmcf]
     for k in range(f - 1):
         size = reduced_space_size(seq.n_objects(k), seq.n_objects(k + 1), d_star[k], cfg.delta)
@@ -633,8 +641,10 @@ def track(
     noise = NoiseModel(sigmas=sig.sigmas, lambda_event=lam, sigma_floor=cfg.sigma_floor)
 
     spaces = [
-        build_reduced_space(seq.frames[k], seq.frames[k + 1], d_star[k], cfg.delta)
-        for k in range(f - 1)
+        _seeded_space(
+            p.fixed_d(neighborhood(d_star[k], cfg.delta, p.n_a, p.n_b)).values(), p.n_a, p.n_b
+        )
+        for k, p in enumerate(pairs)
     ]
     matchings, score = solve_dp(seq, spaces, noise)
     trajs = assemble_trajectories(seq, matchings)
@@ -647,6 +657,7 @@ def track(
         space_sizes=sizes,
         eval_count=evaluation_count(sizes),
         bmcf_matchings=tuple(bmcf),
+        tie_refinements=tuple(p.tie_refinements for p in pairs),
     )
     return TrackResult(
         trajectories=trajs,

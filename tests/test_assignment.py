@@ -4,16 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velotrack import (
     DISAPPEAR,
     BipartiteConfig,
     InvalidConfigError,
+    SimConfig,
+    TrackerConfig,
     fixed_d_matchings,
     gate_cost_from_pair,
     gate_cost_from_sequence,
+    simulate,
     solve_bmcf,
+    track,
 )
+from velotrack import assignment
+from velotrack.assignment import _PairSweep
 from velotrack.core import FrameSequence
 from velotrack.oracle import exhaustive_bipartite_min
 
@@ -179,3 +187,93 @@ def test_min_cost_among_fixed_cardinality(rng):
                 if j != DISAPPEAR
             )
             assert cost == pytest.approx(best, abs=1e-9)
+
+
+class TestTieCertificate:
+    """The tight-subgraph certificate fires on every kind of alternative optimum."""
+
+    @pytest.mark.parametrize(
+        "a, b, d",
+        [
+            # both perfect matchings cost 4: an alternating cycle
+            pytest.param([(0.0, 0.0), (2.0, 0.0)], [(1.0, 1.0), (1.0, -1.0)], 0, id="cycle"),
+            # either row can drop at cost 1: an even path from the free row
+            pytest.param([(0.0, 0.0), (2.0, 0.0)], [(1.0, 0.0)], 1, id="free-row-path"),
+            # the row links to either column at cost 1: an even path from the free column
+            pytest.param([(1.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)], 0, id="free-column-path"),
+            # (0->3, 1->0) and (0->1, 1->3) both cost 6: a path of length 4
+            # from free column 1 through rows 0 and 1 to column 0
+            pytest.param(
+                [(0.0, 2.0), (1.0, 0.0)],
+                [(3.0, 1.0), (1.0, 3.0), (3.0, 3.0), (1.0, 2.0)],
+                0,
+                id="free-column-long-path",
+            ),
+            # both coincident pairs link at marginal cost 0: a tight augmenting path
+            pytest.param([(0.0, 0.0), (5.0, 0.0)], [(0.0, 0.0), (5.0, 0.0)], 1, id="augmenting-path"),
+        ],
+    )
+    def test_crafted_ties_refine(self, a, b, d):
+        pair = _PairSweep(a, b)
+        got = pair.vector(len(a) - d)
+        assert pair.tie_refinements == 1
+        want, _ = exhaustive_bipartite_min(a, b, d=d)
+        assert got == want
+
+    def test_track_counts_refinements_per_pair(self):
+        # pair 0 ties on which row drops; its gated pass and its d*=1 seed
+        # read the same cardinality, so the refinement runs and counts once
+        seq = FrameSequence(
+            (
+                np.array([[0.0, 0.0], [2.0, 0.0]]),
+                np.array([[1.0, 0.0]]),
+                np.array([[1.0, 1.0]]),
+            )
+        )
+        res = track(seq, TrackerConfig(sigma_mode="fixed:1.0"))
+        assert res.diagnostics.tie_refinements == (1, 0)
+
+    def test_silent_on_continuous_data(self, rng):
+        for _ in range(150):
+            n_a = int(rng.integers(1, 13))
+            n_b = int(rng.integers(1, 13))
+            pair = _PairSweep(rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)))
+            for k in range(min(n_a, n_b) + 1):
+                pair.vector(k)
+            assert pair.tie_refinements == 0, (n_a, n_b)
+
+
+grid_frame = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6)
+
+
+@settings(max_examples=150)
+@given(a=grid_frame, b=grid_frame)
+def test_grid_ties_match_oracle(a, b):
+    # integer grids are rich in exact ties of every structure
+    a = np.array(a, dtype=float).reshape(-1, 2)
+    b = np.array(b, dtype=float).reshape(-1, 2)
+    for T in (0.5, 1.0, 2.0, math.inf):
+        want, _ = exhaustive_bipartite_min(a, b, gate_cost=T)
+        assert solve_bmcf(a, b, BipartiteConfig(gate_cost=T)) == want, T
+    ds = range(max(0, len(a) - len(b)), len(a) + 1)
+    for d, got in fixed_d_matchings(a, b, ds).items():
+        want, _ = exhaustive_bipartite_min(a, b, d=d)
+        assert got == want, d
+
+
+def test_track_sweeps_each_pair_once(monkeypatch):
+    seq = simulate(SimConfig(W=300.0, H=240.0, w=300.0, h=240.0, N0=8, f=6, seed=3)).seq
+    calls = {"sweep": 0, "lex": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(assignment, "_sweep", counted("sweep", assignment._sweep))
+    monkeypatch.setattr(assignment, "_lex_fixed_k", counted("lex", assignment._lex_fixed_k))
+    res = track(seq)
+    assert calls == {"sweep": len(seq) - 1, "lex": 0}
+    assert res.diagnostics.tie_refinements == (0,) * (len(seq) - 1)

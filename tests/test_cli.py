@@ -64,6 +64,8 @@ class TestTrack:
         assert diag["delta"] == 1
         assert diag["eval_count"] > 0
         assert len(diag["space_sizes"]) == SIM_CFG["f"] - 1
+        # continuous coordinates leave no bipartite ties to refine
+        assert diag["tie_refinements"] == [0] * (SIM_CFG["f"] - 1)
 
     def test_bipartite_method(self, sim_dir, tmp_path):
         out = tmp_path / "baseline.csv"
@@ -196,6 +198,12 @@ class TestExitCodes:
             pytest.param("simulate", {"sigma": "a"}, id="simulate-sigma-str"),
             pytest.param("experiment", {"N0": 5}, id="experiment-N0-scalar"),
             pytest.param("experiment", {"W": "x"}, id="experiment-W-str"),
+            # non-integers where integers are expected are rejected, not truncated
+            pytest.param("simulate", {"seed": 1.5}, id="simulate-seed-fraction"),
+            pytest.param("experiment", {"N0": [2.7]}, id="experiment-N0-fraction"),
+            pytest.param("experiment", {"deltas": [1.5]}, id="experiment-deltas-fraction"),
+            pytest.param("experiment", {"seed": 1.5}, id="experiment-seed-fraction"),
+            pytest.param("simulate", {"seed": -1}, id="simulate-seed-negative"),
         ],
     )
     def test_wrongly_typed_config_value(self, sim_dir, tmp_path, command, values):
@@ -222,6 +230,9 @@ class TestExitCodes:
         )
         assert code == EXIT_RUNTIME
         assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path):
+        assert main(["simulate", "--seed", "-1", "--output", str(tmp_path / "v")]) == EXIT_CONFIG
 
     def test_missing_input(self, tmp_path):
         out = tmp_path / "tracks.csv"
