@@ -26,7 +26,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import BipartiteConfig, _gated_pairs, fixed_d_matchings
+from .assignment import BipartiteConfig, _gated_pairs, _PairSweep
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -252,8 +252,15 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     n_a, n_b = a.shape[0], b.shape[0]
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
-    ds = neighborhood(d_star, int(delta), n_a, n_b)
-    return _seeded_space(fixed_d_matchings(a, b, ds).values(), n_a, n_b)
+    # the sweep stops at the largest cardinality the neighborhood needs
+    d_lo = neighborhood(d_star, int(delta), n_a, n_b)[0]
+    return _reduced_space(_PairSweep(a, b, n_a - d_lo), d_star, int(delta))
+
+
+def _reduced_space(pair: _PairSweep, d_star: int, delta: int) -> CandidateSpace:
+    """build_reduced_space on a pair that is already swept."""
+    ds = neighborhood(d_star, delta, pair.n_a, pair.n_b)
+    return _seeded_space(pair.fixed_d(ds).values(), pair.n_a, pair.n_b)
 
 
 def _seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
@@ -640,12 +647,9 @@ def track(
         lam = auto_lambda(gate, sig.pooled, seq.dt)
     noise = NoiseModel(sigmas=sig.sigmas, lambda_event=lam, sigma_floor=cfg.sigma_floor)
 
-    spaces = [
-        _seeded_space(
-            p.fixed_d(neighborhood(d_star[k], cfg.delta, p.n_a, p.n_b)).values(), p.n_a, p.n_b
-        )
-        for k, p in enumerate(pairs)
-    ]
+    spaces = [_reduced_space(p, d_star[k], cfg.delta) for k, p in enumerate(pairs)]
+    tie_refinements = tuple(p.tie_refinements for p in pairs)
+    del pairs  # the DP needs no sweep; free the cost matrices and potentials
     matchings, score = solve_dp(seq, spaces, noise)
     trajs = assemble_trajectories(seq, matchings)
     sizes = tuple(len(s) for s in spaces)
@@ -657,7 +661,7 @@ def track(
         space_sizes=sizes,
         eval_count=evaluation_count(sizes),
         bmcf_matchings=tuple(bmcf),
-        tie_refinements=tuple(p.tie_refinements for p in pairs),
+        tie_refinements=tie_refinements,
     )
     return TrackResult(
         trajectories=trajs,

@@ -196,12 +196,18 @@ class TestEndToEnd:
         )
 
     def test_space_cap_checked_before_building(self, monkeypatch):
-        def no_build(*args, **kwargs):
-            raise AssertionError("a space was built before the cap check")
+        class Built(Exception):
+            pass
 
-        monkeypatch.setattr(tripartite, "build_reduced_space", no_build)
+        def no_build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(tripartite, "_reduced_space", no_build)
         seq = FrameSequence(tuple(np.arange(8.0).reshape(4, 2) + k for k in range(3)))
-        # 4 objects per frame: 1 + C(4, 2) = 7 vectors at d = 0
+        # the patched builder is the one track() calls ...
+        with pytest.raises(Built):
+            track(seq, TrackerConfig(delta=0, space_cap=7))
+        # ... and a cap below 1 + C(4, 2) = 7 vectors at d = 0 stops track() before it
         with pytest.raises(SpaceCapError):
             track(seq, TrackerConfig(delta=0, space_cap=6))
 
