@@ -175,6 +175,7 @@ def cmd_track(args) -> int:
             "space_sizes": list(d.space_sizes),
             "eval_count": d.eval_count,
             "tie_refinements": list(d.tie_refinements),
+            "dp_cells": list(d.dp_cells),
             "score": res.score,
         }
     write_tracks(args.output, trajs, seq)

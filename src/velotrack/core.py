@@ -380,7 +380,8 @@ class CandidateSpace:
     def __contains__(self, m: MatchingVector) -> bool:
         if len(m) != self.n_from or m.n_next != self.n_next:
             return False
-        return m.entries in self._index
+        # one comparison over the rows; _index would build a dict of them all
+        return bool((self.matrix == np.asarray(m.entries, dtype=np.int64)).all(axis=1).any())
 
     def index_of(self, m: MatchingVector) -> int:
         try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    DISAPPEAR,
     CandidateSpace,
     FrameSequence,
     InvalidInputError,
@@ -73,17 +74,44 @@ def cumulative_path_accuracy(
     """path_accuracy of every prefix sub-video, k = 2..f frames.
 
     Early mistakes keep whole prefixes wrong, so the series exposes how
-    association errors accumulate along the video.
+    association errors accumulate along the video. One forward pass,
+    O(f n): a predicted track is correct on prefix k iff the truth track
+    holding its first detection starts at that same detection and the
+    two first differ at a frame >= k. oracle.reference_cumulative_path_accuracy
+    rebuilds every prefix instead.
     """
     f = len(seq)
     if len(pred_matchings) != f - 1 or len(truth_matchings) != f - 1:
         raise InvalidInputError("matching sequences inconsistent with the video length")
+    for k in range(f - 1):
+        for m in (pred_matchings[k], truth_matchings[k]):
+            if len(m) != seq.n_objects(k) or m.n_next != seq.n_objects(k + 1):
+                raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
+    n_pred = n_truth = correct = seq.n_objects(0)
+    # current objects of the predicted tracks that still equal their truth twin
+    twins = list(range(n_pred))
     out = []
-    for k in range(2, f + 1):
-        sub = FrameSequence(seq.frames[:k], dt=seq.dt)
-        pred = assemble_trajectories(sub, pred_matchings[: k - 1])
-        truth = assemble_trajectories(sub, truth_matchings[: k - 1])
-        out.append(path_accuracy(pred, truth, beta))
+    for k in range(f - 1):
+        pred, truth = pred_matchings[k].entries, truth_matchings[k].entries
+        nxt = []
+        for i in twins:
+            if pred[i] != truth[i]:
+                correct -= 1  # they differ at frame k + 1
+            elif pred[i] != DISAPPEAR:
+                nxt.append(pred[i])
+        # detections no entry claims start a track on both sides
+        claimed = [False] * seq.n_objects(k + 1)
+        for j in pred + truth:
+            if j != DISAPPEAR:
+                claimed[j] = True
+        fresh = [j for j, c in enumerate(claimed) if not c]
+        twins = nxt + fresh
+        correct += len(fresh)
+        n_pred += pred_matchings[k].n_appeared
+        n_truth += truth_matchings[k].n_appeared
+        precision = correct / n_pred if n_pred else 0.0
+        recall = correct / n_truth if n_truth else 0.0
+        out.append((precision, recall, f_beta(precision, recall, beta)))
     return out
 
 

@@ -7,6 +7,10 @@ so a bug in one cannot confirm itself through the other. The likelihood
 functions are shared on purpose: they are the single source of truth
 for what is being maximized. reference_solve_dp is the production DP's
 plain-Python counterpart: it scores every stage cell one at a time.
+reference_fold_stage is the dense vectorized fold that the
+exchange-structured tripartite._fold_stage must reproduce bit for bit,
+and reference_cumulative_path_accuracy rebuilds every prefix that
+metrics.cumulative_path_accuracy scores in one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from .core import (
     InvalidInputError,
     MatchingVector,
     SpaceCapError,
+    assemble_trajectories,
 )
+from .metrics import path_accuracy
 from .tripartite import (
     NoiseModel,
     _triple_term_fn,
@@ -249,3 +255,117 @@ def reference_solve_dp(
     for bp in backs:
         idxs.append(int(bp[idxs[-1]]))
     return [spaces[t].vector_at(r) for t, r in enumerate(idxs)], float(totals[idxs[0]])
+
+
+def reference_fold_stage(
+    seq, sp_prev, sp_next, g_next, noise, t, chunk=256
+) -> tuple[np.ndarray, np.ndarray]:
+    """One backward DP step over every cell, g_prev(x) = max_y h_t(x, y) + g_next(y).
+
+    Stage terms are assembled per predecessor chunk from (mid, next)
+    lookup tables. When the successor space carries swap provenance,
+    each swap column is scored from its seed column plus the terms of
+    the two exchanged entries. Returns g_prev and the first argmax
+    successor row per predecessor row; tripartite._fold_stage must
+    return equal arrays.
+    """
+    prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
+    dt = seq.dt
+    sigma = noise.sigma_for_pair(t)
+    v_scale2 = sigma * sigma
+    p_scale2 = (dt * sigma) ** 2
+    v_const = -math.log(2.0 * math.pi * v_scale2)
+    p_const = -math.log(2.0 * math.pi * p_scale2)
+    lam = noise.lambda_event
+    n_mid, n_next = mid_f.shape[0], next_f.shape[0]
+
+    x = sp_next.matrix  # (C, n_mid)
+    y = sp_prev.matrix  # (R, n_prev)
+    n_rows, n_cols = y.shape[0], x.shape[0]
+    disp = next_f[None, :, :] - mid_f[:, None, :]  # (n_mid, n_next, 2)
+    v2 = disp / dt
+    q2 = np.einsum("jld,jld->jl", v2, v2)
+    pos_t = p_const - np.einsum("jld,jld->jl", disp, disp) / (2.0 * p_scale2)
+    xc = x + 1  # shift targets so column 0 is the DISAPPEAR penalty
+    appear = lam * (n_next - (x >= 0).sum(axis=1))  # (C,)
+
+    info = sp_next.swap_info
+    if info is not None:
+        seed_cols = np.flatnonzero(info[:, 1] == -1)
+        seed_pos = np.empty(n_cols, dtype=np.int64)
+        seed_pos[seed_cols] = np.arange(seed_cols.shape[0])
+        swap_cols = np.flatnonzero(info[:, 1] >= 0)
+        s_of = info[swap_cols, 0]
+        i_of = info[swap_cols, 1]
+        j_of = info[swap_cols, 2]
+        # exchanged targets, in the swapped vector and in its seed
+        xi_new = xc[swap_cols, i_of]
+        xj_new = xc[swap_cols, j_of]
+        xi_old = xc[s_of, i_of]
+        xj_old = xc[s_of, j_of]
+        base_of = seed_pos[s_of]
+
+    g_prev = np.empty(n_rows)
+    back = np.empty(n_rows, dtype=np.int64)
+    for r0 in range(0, n_rows, chunk):
+        yb = y[r0 : r0 + chunk]
+        nb = yb.shape[0]
+        has = np.zeros((nb, n_mid), dtype=bool)
+        pred = np.zeros((nb, n_mid), dtype=np.int64)
+        bi, pi = np.nonzero(yb >= 0)
+        has[bi, yb[bi, pi]] = True
+        pred[bi, yb[bi, pi]] = pi
+        if prev_f.shape[0] == 0:
+            # no predecessors exist; placeholder zeros, masked out below
+            prev_pos = np.zeros((nb, n_mid, 2))
+        else:
+            prev_pos = prev_f[pred]
+        v1 = (mid_f[None, :, :] - prev_pos) / dt  # (nb, n_mid, 2)
+        q1 = np.einsum("bjd,bjd->bj", v1, v1)
+        dot = np.einsum("bjd,jld->bjl", v1, v2)
+        t_vel = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
+        terms = np.where(has[:, :, None], t_vel, pos_t[None, :, :])
+        full = np.concatenate([np.full((nb, n_mid, 1), lam), terms], axis=2)
+        if info is not None:
+            seeds = np.zeros((nb, seed_cols.shape[0]))
+            for j in range(n_mid):
+                seeds += full[:, j, xc[seed_cols, j]]
+            acc = np.empty((nb, n_cols))
+            acc[:, seed_cols] = seeds
+            acc[:, swap_cols] = (
+                seeds[:, base_of]
+                + full[:, i_of, xi_new] + full[:, j_of, xj_new]
+                - full[:, i_of, xi_old] - full[:, j_of, xj_old]
+            )
+        else:
+            acc = np.zeros((nb, n_cols))
+            for j in range(n_mid):
+                acc += full[:, j, xc[:, j]]
+        vals = acc + appear[None, :] + g_next[None, :]
+        bp = np.argmax(vals, axis=1)
+        back[r0 : r0 + nb] = bp
+        g_prev[r0 : r0 + nb] = vals[np.arange(nb), bp]
+    return g_prev, back
+
+
+def reference_cumulative_path_accuracy(
+    seq: FrameSequence,
+    pred_matchings,
+    truth_matchings,
+    beta: float = 1.0,
+) -> list[tuple[float, float, float]]:
+    """metrics.cumulative_path_accuracy by rebuilding every prefix.
+
+    Assembles both trajectory sets of each prefix sub-video k = 2..f and
+    scores them with path_accuracy, O(f^2 n).
+    """
+    f = len(seq)
+    if len(pred_matchings) != f - 1 or len(truth_matchings) != f - 1:
+        raise InvalidInputError("matching sequences inconsistent with the video length")
+    out = []
+    for k in range(2, f + 1):
+        sub = FrameSequence(seq.frames[:k], dt=seq.dt)
+        pred = assemble_trajectories(sub, pred_matchings[: k - 1])
+        truth = assemble_trajectories(sub, truth_matchings[: k - 1])
+        out.append(path_accuracy(pred, truth, beta))
+    return out

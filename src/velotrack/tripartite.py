@@ -265,23 +265,27 @@ def _reduced_space(pair: _PairSweep, d_star: int, delta: int) -> CandidateSpace:
 
 def _seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
     """Each seed vector followed by all its single-pair entry exchanges."""
-    rows: list[np.ndarray] = []
-    info: list[tuple[int, int, int]] = []
-    for m in seeds:
-        seed = m.as_array()
-        seed_row = len(rows)
-        rows.append(seed)
-        info.append((seed_row, -1, -1))
-        for i in range(n_a):
-            for j in range(i + 1, n_a):
-                if seed[i] == DISAPPEAR and seed[j] == DISAPPEAR:
-                    continue
-                vec = seed.copy()
-                vec[i], vec[j] = vec[j], vec[i]
-                rows.append(vec)
-                info.append((seed_row, i, j))
-    mat = np.array(rows, dtype=np.int64).reshape(len(rows), n_a)
-    return CandidateSpace.build(mat, n_next=n_b, swap_info=np.array(info, dtype=np.int64))
+    idx = np.arange(n_a)
+    iu, ju = np.nonzero(idx[:, None] < idx)  # np.triu_indices(n_a, 1), without its cost
+    n_p = iu.shape[0]
+    # perm[p]: the entry order of exchange p; row 0 keeps the seed
+    perm = np.repeat(idx[None, :], n_p + 1, axis=0)
+    p = np.arange(1, n_p + 1)
+    perm[p, iu] = ju
+    perm[p, ju] = iu
+    rows = [m.entries for m in seeds]
+    s = np.array(rows, dtype=np.int64).reshape(len(rows), n_a)
+    mat = s[:, perm]
+    # exchanging two DISAPPEAR entries is the identity
+    keep = (mat != s[:, None, :]).any(axis=2)
+    keep[:, 0] = True
+    sizes = keep.sum(axis=1)
+    info = np.empty(keep.shape + (3,), dtype=np.int64)
+    info[:, :, 0] = (np.cumsum(sizes) - sizes)[:, None]
+    info[:, 0, 1:] = -1
+    info[:, 1:, 1] = iu
+    info[:, 1:, 2] = ju
+    return CandidateSpace.build(mat[keep], n_next=n_b, swap_info=info[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +315,19 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
     return terms.sum(axis=1) + noise.lambda_event * (n_dis + n_app)
 
 
-def _fold_stage_vectorized(
-    seq, sp_prev, sp_next, g_next, noise, t, chunk=256
-) -> tuple[np.ndarray, np.ndarray]:
-    """One backward DP step, g_prev(x) = max_y h_t(x, y) + g_next(y).
+# cells per row chunk of the fold: bounds its temporary arrays
+_FOLD_CELLS = 1 << 18
+# the exchange-structured fold's fixed cost, in dense cells (about 0.2 ms)
+_EXCHANGE_SETUP_CELLS = 4096
 
-    Stage terms are assembled per predecessor chunk from (mid, next)
-    lookup tables, so the full stage matrix is never materialized. When
-    the successor space carries swap provenance, each swap column is
-    scored from its seed column plus the terms of the two exchanged
-    entries, which drops the per-column cost from O(n_mid) to O(1).
-    Returns g_prev and the argmax successor row per predecessor row.
+
+def _stage_terms(seq, noise, t) -> np.ndarray:
+    """Per-object terms of stage t, one table for every predecessor.
+
+    tab[i + 1, j, k + 1] is mid object j's term when its predecessor is
+    previous object i and its target is next object k; i = -1 means j
+    appeared at the mid frame (position Gaussian), k = -1 is DISAPPEAR
+    (lambda_event).
     """
     prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
     dt = seq.dt
@@ -330,91 +336,277 @@ def _fold_stage_vectorized(
     p_scale2 = (dt * sigma) ** 2
     v_const = -math.log(2.0 * math.pi * v_scale2)
     p_const = -math.log(2.0 * math.pi * p_scale2)
-    lam = noise.lambda_event
-    n_mid, n_next = mid_f.shape[0], next_f.shape[0]
-
-    x = sp_next.matrix  # (C, n_mid)
-    y = sp_prev.matrix  # (R, n_prev)
-    n_rows, n_cols = y.shape[0], x.shape[0]
     disp = next_f[None, :, :] - mid_f[:, None, :]  # (n_mid, n_next, 2)
     v2 = disp / dt
     q2 = np.einsum("jld,jld->jl", v2, v2)
-    pos_t = p_const - np.einsum("jld,jld->jl", disp, disp) / (2.0 * p_scale2)
-    xc = x + 1  # shift targets so column 0 is the DISAPPEAR penalty
-    appear = lam * (n_next - (x >= 0).sum(axis=1))  # (C,)
+    v1 = (mid_f[None, :, :] - prev_f[:, None, :]) / dt  # (n_prev, n_mid, 2)
+    q1 = np.einsum("ijd,ijd->ij", v1, v1)
+    dot = np.einsum("ijd,jld->ijl", v1, v2)
+    tab = np.empty((prev_f.shape[0] + 1, mid_f.shape[0], next_f.shape[0] + 1))
+    tab[:, :, 0] = noise.lambda_event
+    tab[0, :, 1:] = p_const - np.einsum("jld,jld->jl", disp, disp) / (2.0 * p_scale2)
+    tab[1:, :, 1:] = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
+    return tab
 
-    info = sp_next.swap_info
-    if info is not None:
-        seed_cols = np.flatnonzero(info[:, 1] == -1)
-        seed_pos = np.empty(n_cols, dtype=np.int64)
-        seed_pos[seed_cols] = np.arange(seed_cols.shape[0])
-        swap_cols = np.flatnonzero(info[:, 1] >= 0)
-        s_of = info[swap_cols, 0]
-        i_of = info[swap_cols, 1]
-        j_of = info[swap_cols, 2]
-        # exchanged targets, in the swapped vector and in its seed
-        xi_new = xc[swap_cols, i_of]
-        xj_new = xc[swap_cols, j_of]
-        xi_old = xc[s_of, i_of]
-        xj_old = xc[s_of, j_of]
-        base_of = seed_pos[s_of]
 
+class _Stage:
+    """One fold stage: its term table, predecessor rows and successor columns.
+
+    Rows enter only through each mid object's predecessor: row r's term
+    for mid object j and shifted target k (0 is DISAPPEAR) is
+    tabf[rowbase[r, j] + k]. Column c is its seed seed_pos[c], or that
+    seed with entries i_of[c] and j_of[c] exchanged; t_new and t_old
+    hold the shifted targets of the two entries after and before.
+    """
+
+    def __init__(self, seq, sp_prev, sp_next, g_next, noise, t):
+        self.n_mid, self.n_next = seq.frames[t].shape[0], seq.frames[t + 1].shape[0]
+        self.tab = _stage_terms(seq, noise, t)
+        self.tabf = self.tab.reshape(-1)
+        rows = sp_prev.matrix
+        pred1 = np.zeros((rows.shape[0], self.n_mid), dtype=np.int64)
+        ri, pi = np.nonzero(rows >= 0)
+        pred1[ri, rows[ri, pi]] = pi + 1
+        self.rowbase = (pred1 * self.n_mid + np.arange(self.n_mid)) * (self.n_next + 1)
+        self.g_next = g_next
+
+        self.n_cols = len(sp_next)
+        cols = np.arange(self.n_cols)
+        info = sp_next.swap_info
+        if info is None:  # every column is its own seed
+            info = np.full((self.n_cols, 3), -1, dtype=np.int64)
+            info[:, 0] = cols
+        self.xc = sp_next.matrix + 1
+        self.seed_cols = np.flatnonzero(info[:, 1] == -1)
+        rank = np.empty(self.n_cols, dtype=np.int64)
+        rank[self.seed_cols] = np.arange(self.seed_cols.shape[0])
+        self.seed_pos = rank[info[:, 0]]
+        self.seed_xc = self.xc[self.seed_cols]
+        self.is_swap = info[:, 1] >= 0
+        self.any_swap = bool(self.is_swap.any())
+        self.i_of = np.where(self.is_swap, info[:, 1], 0)
+        self.j_of = np.where(self.is_swap, info[:, 2], 0)
+        if self.any_swap:
+            self.t_new = (self.xc[cols, self.i_of], self.xc[cols, self.j_of])
+            self.t_old = (self.xc[info[:, 0], self.i_of], self.xc[info[:, 0], self.j_of])
+        self.appear = noise.lambda_event * (self.n_next - (sp_next.matrix >= 0).sum(axis=1))
+
+    def _seed_sums(self, r, seed_t) -> np.ndarray:
+        """Sum of row r's terms for the targets seed_t[..., j], in j order.
+
+        r broadcasts against seed_t's leading axes: (nb, 1) against
+        (S, n_mid) gives (nb, S), (m,) against (m, n_mid) gives (m,).
+        """
+        if self.n_mid == 0:
+            return np.zeros(np.broadcast_shapes(r.shape, seed_t.shape[:-1]))
+        terms = self.tabf[self.rowbase[r] + seed_t]
+        # cumsum adds in j order; + 0.0 makes it a sum started at zero
+        return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+
+    def _score(self, seed_val, r, c) -> np.ndarray:
+        """h_t(row r, column c) + g_next[c] for the broadcast cells (r, c).
+
+        The fold's one cell scorer. seed_val is row r's seed sum for
+        column c's seed; an exchange column adds its two new terms and
+        subtracts its two old ones, then the appearances and g_next are
+        added, always in this order, so a cell's value does not depend
+        on which path of the fold scored it.
+        """
+        e = seed_val
+        if self.any_swap:
+            tabf = self.tabf
+            bi = self.rowbase[r, self.i_of[c]]
+            bj = self.rowbase[r, self.j_of[c]]
+            swapped = (
+                seed_val
+                + tabf[bi + self.t_new[0][c]] + tabf[bj + self.t_new[1][c]]
+                - tabf[bi + self.t_old[0][c]] - tabf[bj + self.t_old[1][c]]
+            )
+            e = np.where(self.is_swap[c], swapped, seed_val)
+        return e + self.appear[c] + self.g_next[c]
+
+    def dense(self, r) -> np.ndarray:
+        """Values of every column for the rows r, shape (len(r), n_cols)."""
+        r = r[:, None]
+        seed_val = self._seed_sums(r, self.seed_xc)[:, self.seed_pos]
+        return self._score(seed_val, r, slice(None))
+
+    def cells(self, r, c) -> np.ndarray:
+        """Values of the cells (r[k], c[k])."""
+        return self._score(self._seed_sums(r, self.seed_xc[self.seed_pos[c]]), r, c)
+
+    def fold_dense(self, r_all, g_prev, back) -> int:
+        """First argmax over all columns for the rows r_all; returns cells scored."""
+        step = max(1, _FOLD_CELLS // max(self.n_cols, 1))
+        for k0 in range(0, r_all.shape[0], step):
+            r = r_all[k0 : k0 + step]
+            vals = self.dense(r)
+            bp = np.argmax(vals, axis=1)
+            back[r] = bp
+            g_prev[r] = vals[np.arange(r.shape[0]), bp]
+        return r_all.shape[0] * self.n_cols
+
+    def margin(self) -> float:
+        """Shortlist margin: covers twice the rounding error of both sums.
+
+        An exact cell value (_score) and a decomposed one (base_s plus
+        two term changes) each add at most n_mid + 8 table terms, one
+        appearance term and one g_next value in at most n_mid + 16
+        roundings, so each lies within (n_mid + 16) eps B of the real
+        cell value, B the sum of those magnitudes. A row's exact
+        maximizers then lie within twice both bounds of its decomposed
+        maximum.
+        """
+        if self.tab.size == 0 or self.n_cols == 0:
+            return 0.0
+        bound = (
+            (self.n_mid + 8) * float(np.abs(self.tabf).max())
+            + float(np.abs(self.appear).max())
+            + float(np.abs(self.g_next).max())
+        )
+        return 4.0 * (self.n_mid + 16) * np.finfo(np.float64).eps * bound
+
+
+def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
+    """The exchange-structured fold of _fold_stage; returns cells scored."""
+    rinfo = sp_prev.swap_info
+    n_mid, n_cols = st.n_mid, st.n_cols
+    n_seed = st.seed_cols.shape[0]
+    seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
+    swap_rows = np.flatnonzero(rinfo[:, 1] >= 0)
+    # a row seed's own values are exact: they are base_s
+    base = st.dense(seed_rows)
+    bp = np.argmax(base, axis=1)
+    back[seed_rows] = bp
+    g_prev[seed_rows] = base[np.arange(seed_rows.shape[0]), bp]
+    cells = base.size
+    if swap_rows.shape[0] == 0:
+        return cells
+
+    # columns of each column seed in index order, padded with the seed column
+    sizes = np.bincount(st.seed_pos, minlength=n_seed)
+    by_seed = np.argsort(st.seed_pos, kind="stable")
+    within = np.arange(n_cols) - (np.cumsum(sizes) - sizes)[st.seed_pos[by_seed]]
+    block = np.repeat(st.seed_cols[:, None], sizes.max(), axis=1)
+    block[st.seed_pos[by_seed], within] = by_seed
+    # per (row seed, column seed): the first `cut` columns by (-base_s, index)
+    cut = min(2 * n_mid - 1, block.shape[1])
+    keys = np.where(np.arange(block.shape[1]) < sizes[:, None], -base[:, block], np.inf)
+    order = np.argsort(keys, axis=2, kind="stable")[:, :, :cut]
+    top = block[np.arange(n_seed)[:, None], order]  # (row seeds, n_seed, cut)
+    more = sizes > cut
+    last = top[:, :, -1]
+    # touch[u, s, v]: column seed s with entries u and v exchanged (else s itself)
+    touch = np.repeat(st.seed_cols[None, :, None], n_mid, axis=0).repeat(n_mid, axis=2)
+    sw = np.flatnonzero(st.is_swap)
+    touch[st.i_of[sw], st.seed_pos[sw], st.j_of[sw]] = sw
+    touch[st.j_of[sw], st.seed_pos[sw], st.i_of[sw]] = sw
+
+    rank = np.empty(rinfo.shape[0], dtype=np.int64)
+    rank[seed_rows] = np.arange(seed_rows.shape[0])
+    s_all = rinfo[swap_rows, 0]
+    a_all = sp_prev.matrix[s_all, rinfo[swap_rows, 1]]
+    b_all = sp_prev.matrix[s_all, rinfo[swap_rows, 2]]
+    basef = base.reshape(-1)
+    xcf = st.xc.reshape(-1)
+    n_t = st.n_next + 1
+    ks = np.arange(n_t)
+    width = n_seed * (2 * n_mid + cut)
+    step = max(1, _FOLD_CELLS // width)
+    for k0 in range(0, swap_rows.shape[0], step):
+        x = swap_rows[k0 : k0 + step]
+        s = s_all[k0 : k0 + step]
+        sr = rank[s][:, None]
+        nb = x.shape[0]
+        ar = np.arange(nb)[:, None]
+        # c_a, c_b: the change of a's and b's terms per target, 0 at DISAPPEAR
+        diffs = []
+        for m in (a_all[k0 : k0 + step], b_all[k0 : k0 + step]):
+            m0 = np.maximum(m, 0)
+            dv = (
+                st.tabf[st.rowbase[x, m0][:, None] + ks]
+                - st.tabf[st.rowbase[s, m0][:, None] + ks]
+            )
+            dv[m < 0] = 0.0
+            diffs.append((m0[:, None], dv.reshape(-1)))
+        (a0, ca), (b0, cb) = diffs
+        cand = np.concatenate(
+            [touch[a0[:, 0]], touch[b0[:, 0]], top[sr[:, 0]]], axis=2
+        ).reshape(nb, -1)
+        dec = (
+            basef[sr * n_cols + cand]
+            + ca[ar * n_t + xcf[cand * n_mid + a0]]
+            + cb[ar * n_t + xcf[cand * n_mid + b0]]
+        )
+        thr = dec.max(axis=1, keepdims=True) - margin
+        # a column past a cut list keeps its seed's targets at a and b
+        past = (
+            basef[sr * n_cols + last[sr[:, 0]]]
+            + ca[ar * n_t + st.seed_xc[:, a0[:, 0]].T]
+            + cb[ar * n_t + st.seed_xc[:, b0[:, 0]].T]
+        )
+        over = ((past >= thr) & more).any(axis=1)
+        key = np.unique((x[:, None] * n_cols + cand)[(dec >= thr) & ~over[:, None]])
+        cells += dec.size + key.shape[0] + st.fold_dense(x[over], g_prev, back)
+        if key.shape[0] == 0:
+            continue
+        r, c = np.divmod(key, n_cols)
+        vals = st.cells(r, c)
+        # cells run by row then column: keep each row's first maximum
+        start = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        best = np.maximum.reduceat(vals, start)
+        hit = np.flatnonzero(vals == np.repeat(best, np.diff(np.r_[start, r.shape[0]])))
+        first = hit[np.r_[True, r[hit][1:] != r[hit][:-1]]]
+        back[r[first]] = c[first]
+        g_prev[r[first]] = vals[first]
+    return cells
+
+
+def _fold_stage(seq, sp_prev, sp_next, g_next, noise, t, exchange=None):
+    """One backward DP step, g_prev(x) = max_y h_t(x, y) + g_next(y).
+
+    Returns g_prev, the first argmax successor of every predecessor row
+    and the number of cells scored. Every cell value comes from
+    _Stage._score, so both ways of folding return the same arrays:
+
+    - dense: every cell of every row;
+    - exchange-structured, when both spaces carry swap provenance. A
+      row x is its seed s with entries p and q exchanged, which moves
+      the predecessors of at most two mid objects a = s[p] and b = s[q],
+      so h(x, y) + g(y) = base_s(y) + c_a[y_a] + c_b[y_b], with base_s
+      scored densely once per row seed. Per column seed, a row's best
+      column is one of the < 2n exchanges touching a or b, or the best
+      of the rest, which a list of the seed's columns sorted by
+      (-base_s, index) and cut after 2n - 1 entries holds. Decomposed
+      values only shortlist the columns within a rounding margin of the
+      row's decomposed maximum (_Stage.margin); the shortlist is scored
+      exactly and its first argmax taken. A row whose cut list might
+      hide a shortlisted column is scored densely. Work per stage falls
+      from O(R C) to O(R delta n).
+
+    exchange=None picks the way with fewer closed-form cells; True or
+    False forces one (the exchange way needs provenance on both sides).
+    """
+    st = _Stage(seq, sp_prev, sp_next, g_next, noise, t)
+    n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
-    for r0 in range(0, n_rows, chunk):
-        yb = y[r0 : r0 + chunk]
-        nb = yb.shape[0]
-        has = np.zeros((nb, n_mid), dtype=bool)
-        pred = np.zeros((nb, n_mid), dtype=np.int64)
-        bi, pi = np.nonzero(yb >= 0)
-        has[bi, yb[bi, pi]] = True
-        pred[bi, yb[bi, pi]] = pi
-        if prev_f.shape[0] == 0:
-            # no predecessors exist; placeholder zeros, masked out below
-            prev_pos = np.zeros((nb, n_mid, 2))
-        else:
-            prev_pos = prev_f[pred]
-        v1 = (mid_f[None, :, :] - prev_pos) / dt  # (nb, n_mid, 2)
-        q1 = np.einsum("bjd,bjd->bj", v1, v1)
-        dot = np.einsum("bjd,jld->bjl", v1, v2)
-        t_vel = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
-        terms = np.where(has[:, :, None], t_vel, pos_t[None, :, :])
-        full = np.concatenate([np.full((nb, n_mid, 1), lam), terms], axis=2)
-        if info is not None:
-            seeds = np.zeros((nb, seed_cols.shape[0]))
-            for j in range(n_mid):
-                seeds += full[:, j, xc[seed_cols, j]]
-            acc = np.empty((nb, n_cols))
-            acc[:, seed_cols] = seeds
-            acc[:, swap_cols] = (
-                seeds[:, base_of]
-                + full[:, i_of, xi_new] + full[:, j_of, xj_new]
-                - full[:, i_of, xi_old] - full[:, j_of, xj_old]
-            )
-        else:
-            acc = np.zeros((nb, n_cols))
-            for j in range(n_mid):
-                acc += full[:, j, xc[:, j]]
-        vals = acc + appear[None, :] + g_next[None, :]
-        bp = np.argmax(vals, axis=1)
-        back[r0 : r0 + nb] = bp
-        g_prev[r0 : r0 + nb] = vals[np.arange(nb), bp]
-    return g_prev, back
+    rinfo = sp_prev.swap_info
+    if exchange is None and rinfo is not None and sp_next.swap_info is not None:
+        n_seed_rows = int((rinfo[:, 1] == -1).sum())
+        n_seed = st.seed_cols.shape[0]
+        width = n_seed * (4 * st.n_mid - 1) + st.n_mid
+        cells = n_seed_rows * st.n_cols + (n_rows - n_seed_rows) * width
+        exchange = cells + _EXCHANGE_SETUP_CELLS < n_rows * st.n_cols
+    if exchange and rinfo is not None and sp_next.swap_info is not None:
+        margin = st.margin()
+        if math.isfinite(margin):
+            return g_prev, back, _fold_exchange(st, sp_prev, margin, g_prev, back)
+    return g_prev, back, st.fold_dense(np.arange(n_rows), g_prev, back)
 
 
-def solve_dp(
-    seq: FrameSequence,
-    spaces: list[CandidateSpace],
-    noise: NoiseModel,
-) -> tuple[list[MatchingVector], float]:
-    """Maximize the chain score over the product of candidate spaces.
-
-    A backward value pass computes the best continuation of every
-    candidate, storing argmax successors; the forward walk from the best
-    first-pair candidate then reads off the optimal sequence. Spaces are
-    lexicographically sorted and np.argmax keeps the first maximizer, so
-    the walk returns the lexicographically smallest optimal sequence.
-    """
+def _solve_dp(seq, spaces, noise):
+    """solve_dp, plus the cells scored per stage (stage 0: first-pair scores)."""
     f = len(seq)
     if f < 2:
         raise InvalidInputError("need at least 2 frames")
@@ -429,8 +621,9 @@ def solve_dp(
     n_pairs = f - 1
     g = np.zeros(len(spaces[-1]))
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)
+    cells = [len(spaces[0])] + [0] * (n_pairs - 1)
     for t in range(n_pairs - 1, 0, -1):
-        g, backs[t - 1] = _fold_stage_vectorized(seq, spaces[t - 1], spaces[t], g, noise, t)
+        g, backs[t - 1], cells[t] = _fold_stage(seq, spaces[t - 1], spaces[t], g, noise, t)
 
     h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
     totals = h1 + g
@@ -440,6 +633,23 @@ def solve_dp(
     for t in range(1, n_pairs):
         idxs.append(int(backs[t - 1][idxs[-1]]))
     matchings = [spaces[t].vector_at(r) for t, r in enumerate(idxs)]
+    return matchings, score, tuple(cells)
+
+
+def solve_dp(
+    seq: FrameSequence,
+    spaces: list[CandidateSpace],
+    noise: NoiseModel,
+) -> tuple[list[MatchingVector], float]:
+    """Maximize the chain score over the product of candidate spaces.
+
+    A backward value pass computes the best continuation of every
+    candidate, storing argmax successors; the forward walk from the best
+    first-pair candidate then reads off the optimal sequence. Spaces are
+    lexicographically sorted and every stage keeps its first maximizer,
+    so the walk returns the lexicographically smallest optimal sequence.
+    """
+    matchings, score, _ = _solve_dp(seq, spaces, noise)
     return matchings, score
 
 
@@ -590,6 +800,10 @@ class TrackDiagnostics:
     bmcf_matchings: tuple[MatchingVector, ...]
     # per frame pair, the cardinalities whose exact tie refinement ran
     tie_refinements: tuple[int, ...]
+    # per stage, the cells the DP scored: first-pair scores at stage 0,
+    # then the fold's decomposed and exact cell scores (eval_count is
+    # the closed form for a dense DP)
+    dp_cells: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -650,7 +864,7 @@ def track(
     spaces = [_reduced_space(p, d_star[k], cfg.delta) for k, p in enumerate(pairs)]
     tie_refinements = tuple(p.tie_refinements for p in pairs)
     del pairs  # the DP needs no sweep; free the cost matrices and potentials
-    matchings, score = solve_dp(seq, spaces, noise)
+    matchings, score, dp_cells = _solve_dp(seq, spaces, noise)
     trajs = assemble_trajectories(seq, matchings)
     sizes = tuple(len(s) for s in spaces)
     diags = TrackDiagnostics(
@@ -662,6 +876,7 @@ def track(
         eval_count=evaluation_count(sizes),
         bmcf_matchings=tuple(bmcf),
         tie_refinements=tie_refinements,
+        dp_cells=dp_cells,
     )
     return TrackResult(
         trajectories=trajs,

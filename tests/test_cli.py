@@ -66,6 +66,8 @@ class TestTrack:
         assert len(diag["space_sizes"]) == SIM_CFG["f"] - 1
         # continuous coordinates leave no bipartite ties to refine
         assert diag["tie_refinements"] == [0] * (SIM_CFG["f"] - 1)
+        assert len(diag["dp_cells"]) == SIM_CFG["f"] - 1
+        assert diag["dp_cells"][0] == diag["space_sizes"][0]
 
     def test_bipartite_method(self, sim_dir, tmp_path):
         out = tmp_path / "baseline.csv"

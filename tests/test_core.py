@@ -186,6 +186,17 @@ class TestCandidateSpace:
         # wrong shape never matches
         assert MatchingVector((0,), n_next=2) not in sp
 
+    def test_membership_agrees_with_row_index(self, rng):
+        from velotrack.oracle import enumerate_space
+
+        for n_from in range(4):
+            for n_next in range(4):
+                full = list(enumerate_space(n_from, n_next).vectors())
+                keep = [m for m in full if rng.random() < 0.5]
+                sp = CandidateSpace.from_vectors(keep, n_from=n_from, n_next=n_next)
+                for m in full:
+                    assert (m in sp) == (m.entries in sp._index)
+
     def test_issubset(self):
         small = CandidateSpace.build(np.array([[0, 1]]), n_next=2)
         big = CandidateSpace.build(np.array([[0, 1], [1, 0]]), n_next=2)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from velotrack import (
     DISAPPEAR,
@@ -25,6 +27,7 @@ from velotrack import (
     write_report_json,
 )
 from velotrack.metrics import CSV_COLUMNS
+from velotrack.oracle import reference_cumulative_path_accuracy
 
 
 class TestFBeta:
@@ -188,3 +191,37 @@ def test_cumulative_prefix_lengths():
     cum = cumulative_path_accuracy(seq, ms, ms)
     assert len(cum) == 4
     assert all(c == (1.0, 1.0, 1.0) for c in cum)
+
+
+@st.composite
+def matching_pair(draw, n_a, n_b):
+    """A random matching vector, and either itself or another for truth."""
+
+    def vector():
+        # injective targets: slots past n_b mean DISAPPEAR
+        slots = draw(st.permutations(range(n_a + n_b)))
+        return MatchingVector(
+            tuple(t if t < n_b else DISAPPEAR for t in slots[:n_a]), n_next=n_b
+        )
+
+    pred = vector()
+    return pred, pred if draw(st.booleans()) else vector()
+
+
+@given(data=st.data())
+def test_cumulative_path_accuracy_matches_prefix_rebuild(data):
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=8))
+    seq = FrameSequence(tuple(np.zeros((n, 2)) for n in counts))
+    pairs = [data.draw(matching_pair(a, b)) for a, b in zip(counts, counts[1:])]
+    pred = [p for p, _ in pairs]
+    truth = [t for _, t in pairs]
+    beta = data.draw(st.sampled_from([1.0, 0.5, 2.0]))
+    got = cumulative_path_accuracy(seq, pred, truth, beta)
+    assert got == reference_cumulative_path_accuracy(seq, pred, truth, beta)
+
+
+def test_cumulative_rejects_inconsistent_matchings():
+    seq = two_object_seq(3)
+    ms = [MatchingVector((0, 1), n_next=2), MatchingVector((0,), n_next=2)]
+    with pytest.raises(InvalidInputError):
+        cumulative_path_accuracy(seq, ms, ms)

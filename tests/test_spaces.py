@@ -164,3 +164,47 @@ class TestReducedSpace:
         assert all(m.n_disappeared == 0 for m in sp.vectors())
         assert MatchingVector((0, 1), n_next=2) in sp
         assert MatchingVector((1, 0), n_next=2) in sp
+
+
+def _seeded_space_by_loops(seeds, n_a, n_b):
+    """Seeds and their exchanges listed one pair of positions at a time."""
+    rows, info = [], []
+    for m in seeds:
+        seed = list(m.entries)
+        seed_row = len(rows)
+        rows.append(seed)
+        info.append((seed_row, -1, -1))
+        for i in range(n_a):
+            for j in range(i + 1, n_a):
+                if seed[i] == DISAPPEAR and seed[j] == DISAPPEAR:
+                    continue
+                vec = list(seed)
+                vec[i], vec[j] = vec[j], vec[i]
+                rows.append(vec)
+                info.append((seed_row, i, j))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_a), np.array(info, dtype=np.int64)
+
+
+def test_seeded_space_matches_pairwise_exchanges(rng):
+    from velotrack.core import CandidateSpace
+    from velotrack.tripartite import _seeded_space
+
+    for trial in range(400):
+        n_a, n_b = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+        ds = list(range(max(0, n_a - n_b), n_a + 1))
+        if trial % 5 == 0:
+            ds = [n_a]  # one all-DISAPPEAR seed
+        ds = [d for d in ds if rng.random() < 0.6] or ds[-1:]
+        seeds = []
+        for d in ds:
+            entries = [DISAPPEAR] * n_a
+            live = rng.permutation(n_a)[: n_a - d]
+            for i, t in zip(live, rng.permutation(n_b)):
+                entries[int(i)] = int(t)
+            seeds.append(MatchingVector(tuple(entries), n_next=n_b))
+        got = _seeded_space(seeds, n_a, n_b)
+        mat, info = _seeded_space_by_loops(seeds, n_a, n_b)
+        want = CandidateSpace.build(mat, n_next=n_b, swap_info=info)
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+        np.testing.assert_array_equal(got.swap_info, want.swap_info)
+        assert (got.n_from, got.n_next) == (n_a, n_b)
