@@ -23,16 +23,19 @@ augmenting path. _tie_possible searches for these in O(n^2); only when
 it finds one does the exact lexicographic refinement run. Ties between
 cardinalities of equal gated total are compared separately.
 
-track() holds one _PairSweep per frame pair, so the gated matching and
-the fixed-d seeds of its reduced space read one sweep and share each
-refinement.
+_sweep runs the sweeps of many pairs in lockstep, one padded batch
+with a vectorized Dijkstra step, and returns each pair's snapshots bit
+for bit as a sweep of that pair alone would (oracle.reference_sweep).
+track() sweeps all frame pairs of a video in one batch and holds one
+_PairSweep view per pair, so the gated matching and the fixed-d seeds
+of its reduced space read one sweep and share each refinement.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +49,8 @@ from .core import (
 
 # relative slack for cost-tie detection and refinement comparisons
 _TIE_RTOL = 1e-9
+# padded cells per chunk of the batched sweep: bounds its temporary arrays
+_SWEEP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,63 +93,164 @@ def _cost_matrix(frame_a: np.ndarray, frame_b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _SweepState:
-    """Solver state after each augmentation of one SSP sweep."""
+    """Solver state of one SSP sweep, entry k - 1 after k augmentations.
 
-    row_to: list[np.ndarray]
-    cost: list[float]
-    u: list[np.ndarray]
-    v: list[np.ndarray]
+    steps counts the columns its Dijkstra searches settled, the free
+    column that ends each search included.
+    """
+
+    row_to: Sequence[np.ndarray]
+    cost: Sequence[float]
+    u: Sequence[np.ndarray]
+    v: Sequence[np.ndarray]
+    steps: int = 0
 
 
-def _sweep(cost: np.ndarray, k_stop: int) -> _SweepState:
-    """Successive shortest augmenting paths up to cardinality k_stop."""
-    n_a, n_b = cost.shape
-    u = np.zeros(n_a)
-    v = np.zeros(n_b)
-    row_to = np.full(n_a, -1, dtype=np.int64)
-    col_to = np.full(n_b, -1, dtype=np.int64)
-    out = _SweepState([], [], [], [])
-    for _ in range(k_stop):
-        free_rows = np.flatnonzero(row_to == -1)
+def _sweep(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepState]:
+    """Successive shortest augmenting paths for many pairs in lockstep.
+
+    Pair p is augmented up to cardinality k_stops[p]. The pairs are
+    padded into (pairs, rows, columns) chunks of at most _SWEEP_CELLS
+    cells (a larger pair goes alone) and each chunk is swept by
+    _sweep_chunk.
+    """
+    out: list[_SweepState] = []
+    p0 = 0
+    while p0 < len(costs):
+        p1 = p0 + 1
+        rows, cols = costs[p0].shape
+        while p1 < len(costs):
+            r, c = max(rows, costs[p1].shape[0]), max(cols, costs[p1].shape[1])
+            if (p1 - p0 + 1) * r * c > _SWEEP_CELLS:
+                break
+            rows, cols, p1 = r, c, p1 + 1
+        out.extend(_sweep_chunk(costs[p0:p1], k_stops[p0:p1]))
+        p0 = p1
+    return out
+
+
+def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepState]:
+    """_sweep on one padded chunk of pairs.
+
+    Padded cells cost +inf, so padded columns are never reached, and
+    padded rows hold row_to = -2, never free and never matched. The
+    pairs are ordered by k_stop, largest first, so the pairs augmenting
+    in round k are a prefix. Each round augments them in lockstep: one
+    Dijkstra step is one argmin and one relaxation over the pairs still
+    searching, and a pair drops out of the search when it reaches a
+    free column. Every element sees the float operations of a sweep of
+    its pair alone (oracle.reference_sweep), so every snapshot is bit
+    for bit the same; the matched costs of each pair are summed in row
+    order like a single pair's. Arrays are indexed flat, pair * width +
+    position.
+    """
+    n_p = len(costs)
+    order = np.argsort([-k for k in k_stops], kind="stable")
+    n_a = np.array([costs[p].shape[0] for p in order], dtype=np.int64)
+    n_b = np.array([costs[p].shape[1] for p in order], dtype=np.int64)
+    k_stop = np.array([k_stops[p] for p in order], dtype=np.int64)
+    rows, cols = int(n_a.max()), int(n_b.max())
+    n_k = int(k_stop[0])
+    cost = np.full((n_p, rows, cols), np.inf)
+    for q, p in enumerate(order):
+        cost[q, : n_a[q], : n_b[q]] = costs[p]
+    cost_rows = cost.reshape(n_p * rows, cols)
+    u = np.zeros((n_p, rows))
+    v = np.zeros((n_p, cols))
+    row_to = np.where(np.arange(rows) < n_a[:, None], -1, -2)
+    col_to = np.full((n_p, cols), -1, dtype=np.int64)
+    uf, row_tof, col_tof = u.reshape(-1), row_to.reshape(-1), col_to.reshape(-1)
+    pair = np.arange(n_p)
+    pair_c, pair_r = pair * cols, pair * rows
+    steps = np.zeros(n_p, dtype=np.int64)
+    # filled in per pair when its search ends
+    big = np.empty((n_p, 1))
+    row_dist = np.empty((n_p, rows))
+    preds = np.empty((n_p, cols), dtype=np.int64)
+    ends = np.empty(n_p, dtype=np.int64)
+    row_distf, predsf = row_dist.reshape(-1), preds.reshape(-1)
+    snap_row_to = np.empty((n_k, n_p, rows), dtype=np.int64)
+    snap_u = np.empty((n_k, n_p, rows))
+    snap_v = np.empty((n_k, n_p, cols))
+    snap_cost = np.empty((n_k, n_p))
+    # the pairs making augmentation k + 1
+    n_live = np.count_nonzero(k_stop > np.arange(n_k)[:, None], axis=1)
+    for k in range(n_k):
+        m = int(n_live[k])
+        um, vm = u[:m], v[:m]
+        free = row_to[:m] == -1
+        row_dist[:m] = np.inf
         # seed tentative column distances from every free row at distance 0
-        rc = cost[free_rows] - u[free_rows, None] - v[None, :]
-        src = np.argmin(rc, axis=0)
-        dist = rc[src, np.arange(n_b)]
-        pred = free_rows[src]
-        done = np.zeros(n_b, dtype=bool)
-        row_dist = np.full(n_a, np.inf)
+        rc = np.where(free[:, :, None], cost[:m] - um[:, :, None] - vm[:, None, :], np.inf)
+        pred = rc.argmin(axis=1)
+        dist = rc.min(axis=1)
+        open_ = np.ones((m, cols), dtype=bool)
+        # search state of the pairs at still searching
+        at, at_c, at_r, own_c, vc = pair[:m], pair_c[:m], pair_r[:m], pair_c[:m], vm
+        n_iter = 0
         while True:
-            dd = np.where(done, np.inf, dist)
-            j = int(np.argmin(dd))
-            if col_to[j] == -1:
-                break
-            done[j] = True
-            i = int(col_to[j])
-            row_dist[i] = dist[j]  # matched row settles with its column
-            nd = dist[j] + cost[i] - u[i] - v
-            better = ~done & (nd < dist)
-            dist[better] = nd[better]
-            pred[better] = i
-        big = dist[j]
-        # dual update keeps reduced costs nonnegative and path edges tight
-        u[free_rows] += big
-        settled_rows = np.isfinite(row_dist)
-        u[settled_rows] += big - row_dist[settled_rows]
-        v[done] += dist[done] - big
-        # flip matched edges along the augmenting path
+            n_iter += 1
+            j = dist.argmin(axis=1)
+            fj = own_c + j
+            dj = dist.reshape(-1)[fj]
+            i = col_tof[at_c + j]
+            reached = i < 0
+            if reached.any():
+                out = at[reached]
+                steps[out] += n_iter
+                big[out, 0] = dj[reached]
+                preds[out] = pred[reached]
+                ends[out] = j[reached]
+                if reached.all():
+                    break
+                keep = ~reached
+                at, dist, pred, open_, vc = at[keep], dist[keep], pred[keep], open_[keep], vc[keep]
+                at_c, at_r, own_c = at_c[keep], at_r[keep], own_c[: at.shape[0]]
+                j, i, dj = j[keep], i[keep], dj[keep]
+                fj = own_c + j
+            dist.reshape(-1)[fj] = np.inf
+            open_.reshape(-1)[fj] = False
+            fi = at_r + i
+            row_distf[fi] = dj  # the matched row settles with its column
+            nd = dj[:, None] + cost_rows[fi] - uf[fi][:, None] - vc
+            better = nd < dist
+            better &= open_
+            np.copyto(dist, nd, where=better)
+            np.copyto(pred, i[:, None], where=better)
+        # dual update keeps reduced costs nonnegative and path edges
+        # tight; a settled column's distance is its matched row's
+        bm, rd = big[:m], row_dist[:m]
+        col_dist = row_distf[pair_r[:m, None] + np.maximum(col_to[:m], 0)]
+        np.add(um, bm, out=um, where=free)
+        np.add(um, bm - rd, out=um, where=np.isfinite(rd))
+        np.add(vm, col_dist - bm, out=vm, where=(col_to[:m] >= 0) & np.isfinite(col_dist))
+        # flip matched edges along the augmenting paths
+        walk, j = pair[:m], ends[:m]
         while True:
-            i = int(pred[j])
-            prev = int(row_to[i])
-            row_to[i] = j
-            col_to[j] = i
-            if prev == -1:
+            i = predsf[walk * cols + j]
+            fi = walk * rows + i
+            prev = row_tof[fi]
+            row_tof[fi] = j
+            col_tof[walk * cols + j] = i
+            more = prev >= 0
+            if not more.any():
                 break
-            j = prev
-        matched = np.flatnonzero(row_to >= 0)
-        out.row_to.append(row_to.copy())
-        out.cost.append(float(cost[matched, row_to[matched]].sum()))
-        out.u.append(u.copy())
-        out.v.append(v.copy())
+            walk, j = walk[more], prev[more]
+        snap_row_to[k] = row_to
+        snap_u[k] = u
+        snap_v[k] = v
+        # each pair has k + 1 matched rows: one row-order sum per pair
+        lp, li = np.nonzero(row_to[:m] >= 0)
+        snap_cost[k, :m] = cost[lp, li, row_to[lp, li]].reshape(m, k + 1).sum(axis=1)
+    out = [None] * n_p
+    for q, p in enumerate(order):
+        out[p] = _SweepState(
+            snap_row_to[: k_stop[q], q, : n_a[q]],
+            snap_cost[: k_stop[q], q],
+            snap_u[: k_stop[q], q, : n_a[q]],
+            snap_v[: k_stop[q], q, : n_b[q]],
+            int(steps[q]),
+        )
     return out
 
 
@@ -234,17 +340,18 @@ def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.nda
     return _has_cycle(adj)
 
 
-def _min_cost_of_cardinality(cost: np.ndarray, k: int) -> float:
-    if k == 0:
-        return 0.0
-    return _sweep(cost, k).cost[k - 1]
+def _min_costs(costs: list[np.ndarray], ks: list[int]) -> list[float]:
+    """Min cost of a cardinality-k matching of each matrix, one batched sweep."""
+    return [float(s.cost[k - 1]) if k else 0.0 for s, k in zip(_sweep(costs, ks), ks)]
 
 
 def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
     """Lexicographically smallest min-cost matching of cardinality k.
 
     Fixes entries row by row, preferring -1 and then ascending columns,
-    keeping a choice iff its completion cost ties the row minimum.
+    keeping the first choice whose completion cost ties the row minimum.
+    Each row sweeps its minimum and every candidate's completion in one
+    batch.
     """
     n_a, n_b = cost.shape
     chosen = np.full(n_a, -1, dtype=np.int64)
@@ -260,33 +367,22 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
         if len(cands) == 1:
             pick = 0
         else:
-            # Min completion cost from this row on; candidates are scanned
-            # in lex order and the first one attaining it wins, so the
-            # remaining candidates never need their sub-sweeps.
-            row_min = _min_cost_of_cardinality(
-                cost[np.ix_(range(i, n_a), avail)], kr
-            )
+            rest = range(i + 1, n_a)
+            subs = [cost[np.ix_(range(i, n_a), avail)]]
+            needs = [kr]
+            for j in cands:
+                subs.append(cost[np.ix_(rest, [c for c in avail if c != j])])
+                needs.append(kr if j == -1 else kr - 1)
+            row_min, *completions = _min_costs(subs, needs)
             tol = _TIE_RTOL * (1.0 + abs(row_min))
-            vals = []
-            pick = -1
-            for idx, j in enumerate(cands):
-                if j == -1:
-                    rest_cols = avail
-                    need = kr
-                    base = 0.0
-                else:
-                    rest_cols = [c for c in avail if c != j]
-                    need = kr - 1
-                    base = float(cost[i, j])
-                sub = cost[np.ix_(range(i + 1, n_a), rest_cols)]
-                vals.append(base + _min_cost_of_cardinality(sub, need))
-                if vals[-1] <= row_min + tol:
-                    pick = idx
-                    break
-            if pick < 0:
-                # Summation-order drift pushed every candidate past the
-                # tolerance; fall back to the scanned minimum.
-                pick = int(np.argmin(vals))
+            vals = [
+                (0.0 if j == -1 else float(cost[i, j])) + m
+                for j, m in zip(cands, completions)
+            ]
+            hits = [idx for idx, val in enumerate(vals) if val <= row_min + tol]
+            # Summation-order drift can push every candidate past the
+            # tolerance; fall back to the minimum then.
+            pick = hits[0] if hits else int(np.argmin(vals))
         j = cands[pick]
         chosen[i] = j
         if j != -1:
@@ -296,7 +392,7 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
 
 
 class _PairSweep:
-    """One frame pair's cost matrix and SSP sweep, read at any cardinality.
+    """One frame pair's cost matrix and its share of a batched SSP sweep.
 
     Matching vectors are memoized per cardinality k, so the gated
     matching and the fixed-d seeds of the pair's reduced space share one
@@ -304,13 +400,11 @@ class _PairSweep:
     tie_refinements counts the cardinalities whose certificate fired.
     """
 
-    def __init__(self, frame_a, frame_b, k_stop: int | None = None):
-        a = _as_frame(frame_a)
-        b = _as_frame(frame_b)
-        self.n_a, self.n_b = a.shape[0], b.shape[0]
+    def __init__(self, cost: np.ndarray, sweep: _SweepState):
+        self.n_a, self.n_b = cost.shape
         self.kmax = min(self.n_a, self.n_b)
-        self.cost = _cost_matrix(a, b)
-        self.sweep = _sweep(self.cost, self.kmax if k_stop is None else k_stop)
+        self.cost = cost
+        self.sweep = sweep
         self.tie_refinements = 0
         self._vectors: dict[int, MatchingVector] = {}
 
@@ -341,16 +435,27 @@ class _PairSweep:
         if np.isinf(gate):
             ks = [self.kmax]
         else:
-            card_costs = np.array([0.0] + self.sweep.cost)
-            events = np.array(
-                [(self.n_a - k) + (self.n_b - k) for k in range(self.kmax + 1)],
-                dtype=np.float64,
-            )
+            card_costs = np.concatenate(([0.0], self.sweep.cost))
+            # unmatched rows plus unmatched columns at each cardinality
+            events = (self.n_a + self.n_b - 2 * np.arange(self.kmax + 1)).astype(np.float64)
             totals = card_costs + gate * events
             best = float(totals.min())
             tol = _TIE_RTOL * (1.0 + abs(best))
             ks = [k for k in range(self.kmax + 1) if totals[k] <= best + tol]
         return min((self.vector(k) for k in ks), key=lambda m: m.entries)
+
+
+def _sweep_pairs(costs: list[np.ndarray], k_stops: list[int] | None = None) -> list[_PairSweep]:
+    """One batched sweep over the cost matrices; k_stops default to each kmax."""
+    if k_stops is None:
+        k_stops = [min(c.shape) for c in costs]
+    return [_PairSweep(c, s) for c, s in zip(costs, _sweep(costs, k_stops))]
+
+
+def _pair_sweep(frame_a, frame_b, k_stop: int | None = None) -> _PairSweep:
+    """_sweep_pairs for one frame pair."""
+    cost = _cost_matrix(_as_frame(frame_a), _as_frame(frame_b))
+    return _sweep_pairs([cost], None if k_stop is None else [k_stop])[0]
 
 
 def fixed_d_matchings(
@@ -371,7 +476,7 @@ def fixed_d_matchings(
                 f"d={d} infeasible for frame sizes ({n_a}, {n_b})"
             )
     k_needed = max(n_a - d for d in d_list) if d_list else 0
-    return _PairSweep(a, b, k_needed).fixed_d(d_list)
+    return _pair_sweep(a, b, k_needed).fixed_d(d_list)
 
 
 def solve_bmcf(
@@ -385,24 +490,33 @@ def solve_bmcf(
     across tied cardinalities as well.
     """
     cfg = cfg or BipartiteConfig()
-    a = _as_frame(frame_a)
-    b = _as_frame(frame_b)
+    pair = _pair_sweep(frame_a, frame_b)
+    return pair.gated(_resolve_gate([pair.cost], cfg))
+
+
+def _gate_from_costs(costs: list[np.ndarray], quantile: float) -> float:
+    """Quantile of the row minima of the nonempty cost matrices."""
+    samples = [c.min(axis=1) for c in costs if c.size]
+    if not samples:
+        warnings.warn("no distance samples to set the gate cost, using 1.0")
+        return 1.0
+    return float(np.quantile(np.concatenate(samples), quantile))
+
+
+def _resolve_gate(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
+    """cfg's fixed gate cost, or the quantile of the matrices' row minima."""
     if cfg.gate_cost is not None:
-        gate = float(cfg.gate_cost)
-    else:
-        gate = gate_cost_from_pair(a, b, cfg.gate_quantile)
-    return _PairSweep(a, b).gated(gate)
+        return float(cfg.gate_cost)
+    return _gate_from_costs(costs, cfg.gate_quantile)
+
+
+def _pair_costs(seq: FrameSequence) -> list[np.ndarray]:
+    return [_cost_matrix(seq.frames[k], seq.frames[k + 1]) for k in range(len(seq) - 1)]
 
 
 def gate_cost_from_pair(frame_a, frame_b, quantile: float = 0.99) -> float:
     """Quantile of forward nearest-neighbour squared distances of one pair."""
-    a = _as_frame(frame_a)
-    b = _as_frame(frame_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        warnings.warn("no distance samples to set the gate cost, using 1.0")
-        return 1.0
-    d2 = _cost_matrix(a, b)
-    return float(np.quantile(d2.min(axis=1), quantile))
+    return _gate_from_costs([_cost_matrix(_as_frame(frame_a), _as_frame(frame_b))], quantile)
 
 
 def gate_cost_from_sequence(seq: FrameSequence, quantile: float = 0.99) -> float:
@@ -412,15 +526,7 @@ def gate_cost_from_sequence(seq: FrameSequence, quantile: float = 0.99) -> float
     neighbour in frame k+1 enters the pool; the returned gate cost is
     the requested quantile of that pool.
     """
-    samples = []
-    for t in range(len(seq) - 1):
-        a, b = seq.frames[t], seq.frames[t + 1]
-        if a.shape[0] and b.shape[0]:
-            samples.append(_cost_matrix(a, b).min(axis=1))
-    if not samples:
-        warnings.warn("no distance samples to set the gate cost, using 1.0")
-        return 1.0
-    return float(np.quantile(np.concatenate(samples), quantile))
+    return _gate_from_costs(_pair_costs(seq), quantile)
 
 
 def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
@@ -433,9 +539,11 @@ def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
 def _gated_pairs(
     seq: FrameSequence, cfg: BipartiteConfig | None = None
 ) -> tuple[float, list[_PairSweep], list[MatchingVector]]:
-    """Resolve the gate once, sweep every frame pair, read the gated matchings."""
-    gate = resolve_gate_cost(seq, cfg or BipartiteConfig())
-    pairs = [_PairSweep(seq.frames[k], seq.frames[k + 1]) for k in range(len(seq) - 1)]
+    """Build every pair's cost matrix once, take the gate from them,
+    sweep all pairs in one batch and read the gated matchings."""
+    costs = _pair_costs(seq)
+    gate = _resolve_gate(costs, cfg or BipartiteConfig())
+    pairs = _sweep_pairs(costs)
     return gate, pairs, [p.gated(gate) for p in pairs]
 
 

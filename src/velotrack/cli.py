@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys
@@ -141,7 +142,9 @@ def _diagnostics_path(output: str) -> str:
 
 
 def cmd_track(args) -> int:
-    seq = read_detections(args.input)
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise InvalidConfigError("--dt must be a positive finite number")
+    seq = read_detections(args.input, dt=args.dt)
     cfg = TrackerConfig.from_json(args.config) if args.config else TrackerConfig()
     if args.delta is not None:
         cfg = replace(cfg, delta=args.delta)
@@ -155,6 +158,7 @@ def cmd_track(args) -> int:
         trajs = assemble_trajectories(seq, matchings)
         diag = {
             "method": "bmcf",
+            "dt": seq.dt,
             "gate_cost": gate,
             "d_star": [m.n_disappeared for m in matchings],
         }
@@ -164,6 +168,7 @@ def cmd_track(args) -> int:
         d = res.diagnostics
         diag = {
             "method": "tri",
+            "dt": seq.dt,
             "delta": cfg.delta,
             "gate_cost": d.gate_cost,
             "d_star": list(d.d_star),
@@ -175,6 +180,7 @@ def cmd_track(args) -> int:
             "space_sizes": list(d.space_sizes),
             "eval_count": d.eval_count,
             "tie_refinements": list(d.tie_refinements),
+            "sweep_steps": list(d.sweep_steps),
             "dp_cells": list(d.dp_cells),
             "score": res.score,
         }
@@ -456,6 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="tracker config JSON")
     p.add_argument("--method", choices=("bmcf", "tri"), default="tri")
     p.add_argument("--delta", type=int, help="override the config's delta")
+    p.add_argument(
+        "--dt", type=float, default=1.0,
+        help="frame interval of the detections (default 1.0; simulate records it in metadata.json)",
+    )
     p.add_argument(
         "--sigma-mode", dest="sigma_mode",
         help="per-frame, pooled, or fixed:<value>",

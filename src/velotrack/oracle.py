@@ -9,8 +9,10 @@ for what is being maximized. reference_solve_dp is the production DP's
 plain-Python counterpart: it scores every stage cell one at a time.
 reference_fold_stage is the dense vectorized fold that the
 exchange-structured tripartite._fold_stage must reproduce bit for bit,
-and reference_cumulative_path_accuracy rebuilds every prefix that
-metrics.cumulative_path_accuracy scores in one pass.
+reference_cumulative_path_accuracy rebuilds every prefix that
+metrics.cumulative_path_accuracy scores in one pass, and
+reference_sweep is the one-pair SSP sweep that the batched
+assignment._sweep must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from .assignment import _SweepState
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -115,6 +118,64 @@ def exhaustive_chain_argmax(
             best_idx = idx
     assert best_idx is not None
     return [vectors[t][r] for t, r in enumerate(best_idx)], float(best)
+
+
+def reference_sweep(cost: np.ndarray, k_stop: int) -> _SweepState:
+    """Successive shortest augmenting paths up to cardinality k_stop.
+
+    One pair at a time with scalar Dijkstra steps; assignment._sweep
+    runs many pairs in lockstep and must return equal snapshots and
+    step counts for each.
+    """
+    n_a, n_b = cost.shape
+    u = np.zeros(n_a)
+    v = np.zeros(n_b)
+    row_to = np.full(n_a, -1, dtype=np.int64)
+    col_to = np.full(n_b, -1, dtype=np.int64)
+    out = _SweepState([], [], [], [])
+    for _ in range(k_stop):
+        free_rows = np.flatnonzero(row_to == -1)
+        # seed tentative column distances from every free row at distance 0
+        rc = cost[free_rows] - u[free_rows, None] - v[None, :]
+        src = np.argmin(rc, axis=0)
+        dist = rc[src, np.arange(n_b)]
+        pred = free_rows[src]
+        done = np.zeros(n_b, dtype=bool)
+        row_dist = np.full(n_a, np.inf)
+        while True:
+            dd = np.where(done, np.inf, dist)
+            j = int(np.argmin(dd))
+            out.steps += 1
+            if col_to[j] == -1:
+                break
+            done[j] = True
+            i = int(col_to[j])
+            row_dist[i] = dist[j]  # matched row settles with its column
+            nd = dist[j] + cost[i] - u[i] - v
+            better = ~done & (nd < dist)
+            dist[better] = nd[better]
+            pred[better] = i
+        big = dist[j]
+        # dual update keeps reduced costs nonnegative and path edges tight
+        u[free_rows] += big
+        settled_rows = np.isfinite(row_dist)
+        u[settled_rows] += big - row_dist[settled_rows]
+        v[done] += dist[done] - big
+        # flip matched edges along the augmenting path
+        while True:
+            i = int(pred[j])
+            prev = int(row_to[i])
+            row_to[i] = j
+            col_to[j] = i
+            if prev == -1:
+                break
+            j = prev
+        matched = np.flatnonzero(row_to >= 0)
+        out.row_to.append(row_to.copy())
+        out.cost.append(float(cost[matched, row_to[matched]].sum()))
+        out.u.append(u.copy())
+        out.v.append(v.copy())
+    return out
 
 
 def exhaustive_bipartite_min(

@@ -26,7 +26,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import BipartiteConfig, _gated_pairs, _PairSweep
+from .assignment import BipartiteConfig, _gated_pairs, _pair_sweep, _PairSweep
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -254,7 +254,7 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
     # the sweep stops at the largest cardinality the neighborhood needs
     d_lo = neighborhood(d_star, int(delta), n_a, n_b)[0]
-    return _reduced_space(_PairSweep(a, b, n_a - d_lo), d_star, int(delta))
+    return _reduced_space(_pair_sweep(a, b, n_a - d_lo), d_star, int(delta))
 
 
 def _reduced_space(pair: _PairSweep, d_star: int, delta: int) -> CandidateSpace:
@@ -545,11 +545,11 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
             + ca[ar * n_t + st.seed_xc[:, a0[:, 0]].T]
             + cb[ar * n_t + st.seed_xc[:, b0[:, 0]].T]
         )
-        over = ((past >= thr) & more).any(axis=1)
-        key = np.unique((x[:, None] * n_cols + cand)[(dec >= thr) & ~over[:, None]])
-        cells += dec.size + key.shape[0] + st.fold_dense(x[over], g_prev, back)
-        if key.shape[0] == 0:
-            continue
+        # a cut list that might hide a shortlisted column adds its whole block
+        ro, so = np.nonzero((past >= thr) & more)
+        short = (x[:, None] * n_cols + cand)[dec >= thr]
+        key = np.unique(np.concatenate([short, (x[ro, None] * n_cols + block[so]).ravel()]))
+        cells += dec.size + key.shape[0]
         r, c = np.divmod(key, n_cols)
         vals = st.cells(r, c)
         # cells run by row then column: keep each row's first maximum
@@ -580,9 +580,10 @@ def _fold_stage(seq, sp_prev, sp_next, g_next, noise, t, exchange=None):
       (-base_s, index) and cut after 2n - 1 entries holds. Decomposed
       values only shortlist the columns within a rounding margin of the
       row's decomposed maximum (_Stage.margin); the shortlist is scored
-      exactly and its first argmax taken. A row whose cut list might
-      hide a shortlisted column is scored densely. Work per stage falls
-      from O(R C) to O(R delta n).
+      exactly and its first argmax taken. Where a column seed's cut list
+      might hide a shortlisted column, the seed's whole block of columns
+      joins the row's shortlist. Work per stage falls from O(R C) to
+      O(R delta n).
 
     exchange=None picks the way with fewer closed-form cells; True or
     False forces one (the exchange way needs provenance on both sides).
@@ -800,6 +801,9 @@ class TrackDiagnostics:
     bmcf_matchings: tuple[MatchingVector, ...]
     # per frame pair, the cardinalities whose exact tie refinement ran
     tie_refinements: tuple[int, ...]
+    # per frame pair, the columns its SSP sweep's Dijkstra searches
+    # settled, the free column ending each search included
+    sweep_steps: tuple[int, ...]
     # per stage, the cells the DP scored: first-pair scores at stage 0,
     # then the fold's decomposed and exact cell scores (eval_count is
     # the closed form for a dense DP)
@@ -863,6 +867,7 @@ def track(
 
     spaces = [_reduced_space(p, d_star[k], cfg.delta) for k, p in enumerate(pairs)]
     tie_refinements = tuple(p.tie_refinements for p in pairs)
+    sweep_steps = tuple(p.sweep.steps for p in pairs)
     del pairs  # the DP needs no sweep; free the cost matrices and potentials
     matchings, score, dp_cells = _solve_dp(seq, spaces, noise)
     trajs = assemble_trajectories(seq, matchings)
@@ -876,6 +881,7 @@ def track(
         eval_count=evaluation_count(sizes),
         bmcf_matchings=tuple(bmcf),
         tie_refinements=tie_refinements,
+        sweep_steps=sweep_steps,
         dp_cells=dp_cells,
     )
     return TrackResult(

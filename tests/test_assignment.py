@@ -1,6 +1,7 @@
 """Bipartite min-cost matching: exactness, gating, tie handling."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from velotrack import (
     track,
 )
 from velotrack import assignment
-from velotrack.assignment import _PairSweep
+from velotrack.assignment import _pair_sweep
 from velotrack.core import FrameSequence
-from velotrack.oracle import exhaustive_bipartite_min
+from velotrack.oracle import exhaustive_bipartite_min, reference_sweep
 
 
 def test_config_validation():
@@ -214,7 +215,7 @@ class TestTieCertificate:
         ],
     )
     def test_crafted_ties_refine(self, a, b, d):
-        pair = _PairSweep(a, b)
+        pair = _pair_sweep(a, b)
         got = pair.vector(len(a) - d)
         assert pair.tie_refinements == 1
         want, _ = exhaustive_bipartite_min(a, b, d=d)
@@ -237,7 +238,7 @@ class TestTieCertificate:
         for _ in range(150):
             n_a = int(rng.integers(1, 13))
             n_b = int(rng.integers(1, 13))
-            pair = _PairSweep(rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)))
+            pair = _pair_sweep(rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)))
             for k in range(min(n_a, n_b) + 1):
                 pair.vector(k)
             assert pair.tie_refinements == 0, (n_a, n_b)
@@ -263,17 +264,78 @@ def test_grid_ties_match_oracle(a, b):
 
 def test_track_sweeps_each_pair_once(monkeypatch):
     seq = simulate(SimConfig(W=300.0, H=240.0, w=300.0, h=240.0, N0=8, f=6, seed=3)).seq
-    calls = {"sweep": 0, "lex": 0}
+    calls = {"sweep": [], "lex": 0}
+    real_sweep, real_lex = assignment._sweep, assignment._lex_fixed_k
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def sweep(costs, k_stops):
+        calls["sweep"].append(len(costs))
+        return real_sweep(costs, k_stops)
 
-        return wrapper
+    def lex(*args):
+        calls["lex"] += 1
+        return real_lex(*args)
 
-    monkeypatch.setattr(assignment, "_sweep", counted("sweep", assignment._sweep))
-    monkeypatch.setattr(assignment, "_lex_fixed_k", counted("lex", assignment._lex_fixed_k))
+    monkeypatch.setattr(assignment, "_sweep", sweep)
+    monkeypatch.setattr(assignment, "_lex_fixed_k", lex)
     res = track(seq)
-    assert calls == {"sweep": len(seq) - 1, "lex": 0}
+    # one batched sweep covers all f - 1 frame pairs
+    assert calls == {"sweep": [len(seq) - 1], "lex": 0}
     assert res.diagnostics.tie_refinements == (0,) * (len(seq) - 1)
+
+
+@st.composite
+def sweep_pair(draw):
+    n_a, n_b = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        # integer grids are rich in exact ties
+        values = st.integers(0, 3).map(float)
+    else:
+        values = st.floats(0.0, 100.0)
+    cells = draw(st.lists(values, min_size=n_a * n_b, max_size=n_a * n_b))
+    return np.array(cells, dtype=float).reshape(n_a, n_b), draw(st.integers(0, min(n_a, n_b)))
+
+
+def assert_sweeps_equal_reference(costs, k_stops, got):
+    assert len(got) == len(costs)
+    for c, k, g in zip(costs, k_stops, got):
+        want = reference_sweep(c, k)
+        assert len(g.row_to) == len(g.cost) == len(g.u) == len(g.v) == k
+        assert g.steps == want.steps
+        for t in range(k):
+            assert np.array_equal(g.row_to[t], want.row_to[t])
+            assert np.array_equal(g.u[t], want.u[t])
+            assert np.array_equal(g.v[t], want.v[t])
+            assert g.cost[t] == want.cost[t]
+
+
+@settings(max_examples=300)
+@given(batch=st.lists(sweep_pair(), max_size=8), chunk_cells=st.sampled_from([1, 60, 1 << 16]))
+def test_batched_sweep_equals_reference(batch, chunk_cells):
+    costs = [c for c, _ in batch]
+    k_stops = [k for _, k in batch]
+    # small chunk bounds split the batch, a pair larger than the bound goes alone
+    with mock.patch.object(assignment, "_SWEEP_CELLS", chunk_cells):
+        got = assignment._sweep(costs, k_stops)
+    assert_sweeps_equal_reference(costs, k_stops, got)
+
+
+def test_batched_sweep_equals_reference_on_large_pairs(rng):
+    # eight or more matched costs: numpy sums them pairwise, in blocks of eight
+    shapes = rng.integers(8, 21, size=(6, 2))
+    costs = [rng.uniform(0.0, 50.0, size=(int(r), int(c))) for r, c in shapes]
+    costs.append(rng.integers(0, 3, size=(12, 10)).astype(float))
+    k_stops = [min(c.shape) for c in costs]
+    assert_sweeps_equal_reference(costs, k_stops, assignment._sweep(costs, k_stops))
+
+
+def test_track_reports_sweep_steps():
+    seq = simulate(SimConfig(W=300.0, H=240.0, w=300.0, h=240.0, N0=8, f=6, seed=3)).seq
+    steps = track(seq).diagnostics.sweep_steps
+    want = []
+    for k in range(len(seq) - 1):
+        a, b = seq.frames[k], seq.frames[k + 1]
+        cost = assignment._cost_matrix(a, b)
+        want.append(reference_sweep(cost, min(cost.shape)).steps)
+    assert steps == tuple(want)
+    # every augmentation settles at least the free column that ends it
+    assert all(s >= min(seq.n_objects(k), seq.n_objects(k + 1)) for k, s in enumerate(steps))

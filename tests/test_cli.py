@@ -16,6 +16,7 @@ from velotrack.cli import (
     ExperimentConfig,
     main,
 )
+from velotrack import SimConfig, simulate, track, write_tracks
 
 SIM_CFG = {"W": 120.0, "H": 100.0, "w": 60.0, "h": 50.0, "N0": 5, "f": 8, "seed": 2}
 
@@ -68,6 +69,9 @@ class TestTrack:
         assert diag["tie_refinements"] == [0] * (SIM_CFG["f"] - 1)
         assert len(diag["dp_cells"]) == SIM_CFG["f"] - 1
         assert diag["dp_cells"][0] == diag["space_sizes"][0]
+        assert diag["dt"] == 1.0
+        assert len(diag["sweep_steps"]) == SIM_CFG["f"] - 1
+        assert sum(diag["sweep_steps"]) > 0
 
     def test_bipartite_method(self, sim_dir, tmp_path):
         out = tmp_path / "baseline.csv"
@@ -113,6 +117,38 @@ class TestTrack:
         diag = json.loads((tmp_path / "tracks.diagnostics.json").read_text())
         assert diag["delta"] == 2
         assert diag["lambda_event"] == -3.0
+
+
+    def test_dt_flag_matches_in_memory_track(self, tmp_path):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(SIM_CFG | {"dt": 0.5}))
+        video = tmp_path / "video"
+        assert main(["simulate", "--config", str(cfg), "--output", str(video)]) == EXIT_OK
+        assert json.loads((video / "metadata.json").read_text())["dt"] == 0.5
+        seq = simulate(SimConfig(**SIM_CFG, dt=0.5)).seq
+        res = track(seq)
+        want = tmp_path / "want.csv"
+        write_tracks(want, res.trajectories, seq)
+
+        scores = {}
+        for dt in ("0.5", "1.0"):
+            out = tmp_path / f"tracks_{dt}.csv"
+            args = ["track", "--input", str(video / "detections.csv"), "--output", str(out)]
+            assert main(args + ["--dt", dt]) == EXIT_OK
+            diag = json.loads((tmp_path / f"tracks_{dt}.diagnostics.json").read_text())
+            assert diag["dt"] == float(dt)
+            scores[dt] = diag["score"]
+        assert (tmp_path / "tracks_0.5.csv").read_text() == want.read_text()
+        assert scores["0.5"] == res.score
+        # the frame interval enters the likelihood
+        assert scores["1.0"] != res.score
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_bad_dt_exits_config(self, sim_dir, tmp_path, dt):
+        out = tmp_path / "tracks.csv"
+        args = ["track", "--input", str(sim_dir / "detections.csv"), "--output", str(out)]
+        assert main(args + ["--dt", dt]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
