@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from velotrack import BipartiteConfig, TrackerConfig, solve_bmcf, track
+from velotrack import BipartiteConfig, TrackerConfig, solve_bmcf_sequence, track
 from velotrack.core import FrameSequence
 
 
@@ -47,10 +47,7 @@ def main() -> int:
         frames = (p0 - v, p0, p0 + v)
         seq = FrameSequence(frames)
 
-        bmcf = [
-            solve_bmcf(frames[k], frames[k + 1], BipartiteConfig(gate_cost=math.inf))
-            for k in range(2)
-        ]
+        _, bmcf = solve_bmcf_sequence(seq, BipartiteConfig(gate_cost=math.inf))
         res = track(seq, TrackerConfig(delta=1))
         swapped += bmcf[1].entries == (1, 0)
         recovered += all(m.entries == (0, 1) for m in res.matchings)

@@ -489,51 +489,34 @@ def solve_bmcf(
     Ties are broken by the lexicographically smallest vector, comparing
     across tied cardinalities as well.
     """
-    cfg = cfg or BipartiteConfig()
     pair = _pair_sweep(frame_a, frame_b)
-    return pair.gated(_resolve_gate([pair.cost], cfg))
+    return pair.gated(_gate_from_costs([pair.cost], cfg or BipartiteConfig()))
 
 
-def _gate_from_costs(costs: list[np.ndarray], quantile: float) -> float:
-    """Quantile of the row minima of the nonempty cost matrices."""
+def _gate_from_costs(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
+    """cfg's fixed gate cost, or the quantile of the row minima of the
+    nonempty cost matrices (1.0, with a warning, when there are none)."""
+    if cfg.gate_cost is not None:
+        return float(cfg.gate_cost)
     samples = [c.min(axis=1) for c in costs if c.size]
     if not samples:
         warnings.warn("no distance samples to set the gate cost, using 1.0")
         return 1.0
-    return float(np.quantile(np.concatenate(samples), quantile))
-
-
-def _resolve_gate(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
-    """cfg's fixed gate cost, or the quantile of the matrices' row minima."""
-    if cfg.gate_cost is not None:
-        return float(cfg.gate_cost)
-    return _gate_from_costs(costs, cfg.gate_quantile)
+    return float(np.quantile(np.concatenate(samples), cfg.gate_quantile))
 
 
 def _pair_costs(seq: FrameSequence) -> list[np.ndarray]:
     return [_cost_matrix(seq.frames[k], seq.frames[k + 1]) for k in range(len(seq) - 1)]
 
 
-def gate_cost_from_pair(frame_a, frame_b, quantile: float = 0.99) -> float:
-    """Quantile of forward nearest-neighbour squared distances of one pair."""
-    return _gate_from_costs([_cost_matrix(_as_frame(frame_a), _as_frame(frame_b))], quantile)
-
-
-def gate_cost_from_sequence(seq: FrameSequence, quantile: float = 0.99) -> float:
-    """Quantile of forward nearest-neighbour squared distances of a video.
-
-    For each object of frame k the squared distance to its nearest
-    neighbour in frame k+1 enters the pool; the returned gate cost is
-    the requested quantile of that pool.
-    """
-    return _gate_from_costs(_pair_costs(seq), quantile)
-
-
 def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
-    """Concrete gate cost for a sequence under the given config."""
-    if cfg.gate_cost is not None:
-        return float(cfg.gate_cost)
-    return gate_cost_from_sequence(seq, cfg.gate_quantile)
+    """Concrete gate cost for a sequence under the given config.
+
+    In quantile mode, for each object of frame k the squared distance to
+    its nearest neighbour in frame k+1 enters the pool, and the gate
+    cost is the requested quantile of that pool.
+    """
+    return _gate_from_costs(_pair_costs(seq), cfg)
 
 
 def _gated_pairs(
@@ -542,7 +525,7 @@ def _gated_pairs(
     """Build every pair's cost matrix once, take the gate from them,
     sweep all pairs in one batch and read the gated matchings."""
     costs = _pair_costs(seq)
-    gate = _resolve_gate(costs, cfg or BipartiteConfig())
+    gate = _gate_from_costs(costs, cfg or BipartiteConfig())
     pairs = _sweep_pairs(costs)
     return gate, pairs, [p.gated(gate) for p in pairs]
 

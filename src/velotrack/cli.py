@@ -14,8 +14,10 @@ import os
 import statistics
 import sys
 import time
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,23 +65,29 @@ TIMING_COLUMNS = ("N0", "sigma", "f", "replicate", "method", "delta", "wall_seco
 
 @dataclass(frozen=True)
 class ExperimentConfig(JsonConfig):
-    """Grid of simulation settings and solver variants to sweep."""
+    """Grid of simulation settings and solver variants to sweep.
 
-    N0: tuple[int, ...] = (15,)
-    sigma: tuple[float, ...] = (1.0,)
-    f: int = 50
+    N0, sigma and seed span the grid of runs. W, H, w, h, f and dt
+    (SimConfig's fields) and sigma_mode, lambda_event and gate_quantile
+    (TrackerConfig's) pass to every run unchanged, with those configs'
+    defaults.
+    """
+
+    N0: tuple[int, ...] = (SimConfig.N0,)
+    sigma: tuple[float, ...] = (SimConfig.sigma,)
+    f: int = SimConfig.f
     replicates: int = 20
     methods: tuple[str, ...] = ("bmcf", "tri")
     deltas: tuple[int, ...] = (0, 1, 2, 3)
-    seed: int = 0
-    W: float = 3400.0
-    H: float = 2560.0
-    w: float = 680.0
-    h: float = 512.0
-    dt: float = 1.0
-    sigma_mode: str = "per-frame"
-    lambda_event: float | str = "auto"
-    gate_quantile: float = 0.99
+    seed: int = SimConfig.seed
+    W: float = SimConfig.W
+    H: float = SimConfig.H
+    w: float = SimConfig.w
+    h: float = SimConfig.h
+    dt: float = SimConfig.dt
+    sigma_mode: str = TrackerConfig.sigma_mode
+    lambda_event: float | str = TrackerConfig.lambda_event
+    gate_quantile: float = TrackerConfig.gate_quantile
 
     def __post_init__(self):
         if any(int(v) != v for v in (*self.N0, *self.deltas)):
@@ -108,19 +116,17 @@ class ExperimentConfig(JsonConfig):
             for d in self.deltas:
                 self.tracker_config(d)
 
+    def _derive(self, cls, **values):
+        """cls from this grid's fields of the same name, overridden by values."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in own}
+        return cls(**(shared | values))
+
     def sim_config(self, n0: int, sigma: float, seed: int) -> SimConfig:
-        return SimConfig(
-            W=self.W, H=self.H, w=self.w, h=self.h,
-            N0=n0, sigma=sigma, f=self.f, dt=self.dt, seed=seed,
-        )
+        return self._derive(SimConfig, N0=n0, sigma=sigma, seed=seed)
 
     def tracker_config(self, delta: int) -> TrackerConfig:
-        return TrackerConfig(
-            delta=delta,
-            sigma_mode=self.sigma_mode,
-            lambda_event=self.lambda_event,
-            gate_quantile=self.gate_quantile,
-        )
+        return self._derive(TrackerConfig, delta=delta)
 
 
 def _fmt(v) -> str:
@@ -222,9 +228,13 @@ def _tracks_to_trajectories(
 ) -> tuple[FrameSequence, TrajectorySet, TrajectorySet]:
     """Rebuild a common detection universe from two track files.
 
-    Detections are keyed by exact (frame, x, y); per frame the universe
-    is the sorted union of coordinates from both files, so identical
-    points get identical indices on both sides.
+    Detections are keyed by occurrence: frame k of the universe holds
+    each coordinate as many times as the file holding more copies of it
+    there, in sorted order. Each file hands out its copies in the order
+    of its tracks sorted by coordinate sequence, so identical points get
+    identical indices on both sides, also where a frame holds one point
+    twice, and a file scores perfectly against itself whatever its row
+    order and track ids.
     """
     all_rows = pred_rows + truth_rows
     if not all_rows:
@@ -235,23 +245,32 @@ def _tracks_to_trajectories(
     if missing:
         raise InvalidInputError(f"prediction has no detections at frames {missing}")
     f = max(max(k for tr in all_rows for k, _, _ in tr) + 1, 1)
-    coords: list[set[tuple[float, float]]] = [set() for _ in range(f)]
-    for tr in all_rows:
-        for k, x, y in tr:
-            coords[k].add((x, y))
-    ordered = [sorted(c) for c in coords]
-    index = [{xy: i for i, xy in enumerate(o)} for o in ordered]
+    copies: list[Counter] = [Counter() for _ in range(f)]
+    for rows in (pred_rows, truth_rows):
+        counts = Counter((k, x, y) for tr in rows for k, x, y in tr)
+        for (k, x, y), n in counts.items():
+            copies[k][x, y] = max(copies[k][x, y], n)
+    ordered = [sorted(c.elements()) for c in copies]
     seq = FrameSequence(tuple(np.array(o, dtype=np.float64).reshape(-1, 2) for o in ordered))
 
     def convert(rows) -> TrajectorySet:
-        return TrajectorySet(
-            tuple(tuple((k, index[k][(x, y)]) for k, x, y in tr) for tr in rows)
-        )
+        handed = Counter()
+        tracks = []
+        for tr in sorted(rows):
+            path = []
+            for k, x, y in tr:
+                # the coordinate's first copy, then the copies handed out
+                path.append((k, bisect_left(ordered[k], (x, y)) + handed[k, x, y]))
+                handed[k, x, y] += 1
+            tracks.append(tuple(path))
+        return TrajectorySet(tuple(tracks))
 
     return seq, convert(pred_rows), convert(truth_rows)
 
 
 def cmd_evaluate(args) -> int:
+    if not (math.isfinite(args.beta) and args.beta > 0):
+        raise InvalidConfigError("--beta must be a positive finite number")
     pred_rows = read_tracks(args.input)
     truth_rows = read_tracks(args.truth)
     seq, pred, truth = _tracks_to_trajectories(pred_rows, truth_rows)
@@ -273,6 +292,25 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _result_row(base: dict, report, eval_count: int) -> dict:
+    """One results.csv row from an evaluation report.
+
+    A report without candidate spaces (bmcf) scores a single-candidate
+    space, which covers truth iff it equals it, so its coverage is its
+    pair identity.
+    """
+    cov = report.pair_identity if report.coverage is None else report.coverage
+    return base | {
+        "whole_path_precision": report.whole_precision,
+        "whole_path_recall": report.whole_recall,
+        "whole_path_f1": report.whole_fbeta,
+        "mean_pair_identity": sum(report.pair_identity) / len(report.pair_identity),
+        "path_identity": report.path_identity,
+        "mean_coverage": sum(cov) / len(cov),
+        "eval_count": eval_count,
+    }
+
+
 def _experiment_job(job):
     """One (setting, replicate): simulate once, run every method on it."""
     setting_index, replicate, sim_cfg, grid = job
@@ -288,51 +326,21 @@ def _experiment_job(job):
     rows = []
     times = []
     for method in grid.methods:
-        if method == "bmcf":
+        for delta in (None,) if method == "bmcf" else grid.deltas:
             t0 = time.perf_counter()
-            _, pred = solve_bmcf_sequence(
-                sim.seq, BipartiteConfig(gate_quantile=grid.gate_quantile)
-            )
-            wall = time.perf_counter() - t0
-            report = evaluate(sim.seq, pred, truth)
-            mean_ident = sum(report.pair_identity) / len(report.pair_identity)
-            rows.append(
-                base | {
-                    "method": "bmcf",
-                    "delta": None,
-                    "whole_path_precision": report.whole_precision,
-                    "whole_path_recall": report.whole_recall,
-                    "whole_path_f1": report.whole_fbeta,
-                    "mean_pair_identity": mean_ident,
-                    "path_identity": report.path_identity,
-                    # a single-candidate space covers truth iff it equals it
-                    "mean_coverage": mean_ident,
-                    "eval_count": 0,
-                }
-            )
-            times.append(base | {"method": "bmcf", "delta": None, "wall_seconds": wall})
-        else:
-            for delta in grid.deltas:
-                t0 = time.perf_counter()
-                res = track(sim.seq, grid.tracker_config(delta))
-                wall = time.perf_counter() - t0
-                report = evaluate(sim.seq, res.matchings, truth, spaces=res.spaces)
-                rows.append(
-                    base | {
-                        "method": "tri",
-                        "delta": delta,
-                        "whole_path_precision": report.whole_precision,
-                        "whole_path_recall": report.whole_recall,
-                        "whole_path_f1": report.whole_fbeta,
-                        "mean_pair_identity": (
-                            sum(report.pair_identity) / len(report.pair_identity)
-                        ),
-                        "path_identity": report.path_identity,
-                        "mean_coverage": sum(report.coverage) / len(report.coverage),
-                        "eval_count": res.diagnostics.eval_count,
-                    }
+            if method == "bmcf":
+                _, pred = solve_bmcf_sequence(
+                    sim.seq, BipartiteConfig(gate_quantile=grid.gate_quantile)
                 )
-                times.append(base | {"method": "tri", "delta": delta, "wall_seconds": wall})
+                spaces, eval_count = None, 0
+            else:
+                res = track(sim.seq, grid.tracker_config(delta))
+                pred, spaces, eval_count = res.matchings, res.spaces, res.diagnostics.eval_count
+            wall = time.perf_counter() - t0
+            report = evaluate(sim.seq, pred, truth, spaces=spaces)
+            run = base | {"method": method, "delta": delta}
+            rows.append(_result_row(run, report, eval_count))
+            times.append(run | {"wall_seconds": wall})
     return (setting_index, replicate), rows, times
 
 
@@ -482,7 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="predicted track CSV")
     p.add_argument("--truth", required=True, help="ground-truth track CSV")
     p.add_argument("--output", required=True, help="report CSV to write")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument(
+        "--beta", type=float, default=1.0,
+        help="F-score weight of recall (default 1.0; must be positive and finite)",
+    )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run a seeded grid of simulations and methods")

@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,44 +120,9 @@ class MatchingVector:
         """Objects of frame k+1 that no entry claims."""
         return self.n_next - self.n_matched
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=np.int64)
-
     def inverse(self) -> dict[int, int]:
         """Map from claimed target index back to source index."""
         return {e: i for i, e in enumerate(self.entries) if e != DISAPPEAR}
-
-
-def matching_to_matrix(m: MatchingVector, n_next: int) -> np.ndarray:
-    """Binary matrix form of a matching vector.
-
-    Cell (i, j) is 1 iff entry i maps to target j. Row and column sums
-    are at most 1 by the injectivity of the vector.
-    """
-    out = np.zeros((len(m), int(n_next)), dtype=np.int64)
-    for i, e in enumerate(m.entries):
-        if e == DISAPPEAR:
-            continue
-        if not 0 <= e < n_next:
-            raise InvalidInputError(f"entry {e} out of range for n_next={n_next}")
-        out[i, e] = 1
-    return out
-
-
-def matrix_to_matching(mat: np.ndarray) -> MatchingVector:
-    """Inverse of matching_to_matrix."""
-    a = np.asarray(mat)
-    if a.ndim != 2:
-        raise InvalidInputError("expected a 2D binary matrix")
-    if not np.isin(a, (0, 1)).all():
-        raise InvalidInputError("matrix entries must be 0 or 1")
-    if (a.sum(axis=1) > 1).any() or (a.sum(axis=0) > 1).any():
-        raise InvalidInputError("row and column sums must be at most 1")
-    entries = []
-    for row in a:
-        hits = np.flatnonzero(row)
-        entries.append(int(hits[0]) if hits.size else DISAPPEAR)
-    return MatchingVector(tuple(entries), n_next=a.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +151,6 @@ class FrameSequence:
         object.__setattr__(self, "dt", dt)
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def n_frames(self) -> int:
         return len(self.frames)
 
     def n_objects(self, k: int) -> int:
@@ -240,13 +200,6 @@ class TrajectorySet:
     @property
     def total_length(self) -> int:
         return sum(len(t) for t in self.tracks)
-
-    def positions(self, seq: FrameSequence) -> list[np.ndarray]:
-        """Resolve each track to its (length, 2) coordinate array."""
-        out = []
-        for tr in self.tracks:
-            out.append(np.array([seq.frames[f][i] for f, i in tr]))
-        return out
 
 
 def assemble_trajectories(
@@ -315,56 +268,29 @@ class CandidateSpace:
 
     @classmethod
     def build(
-        cls,
-        matrix: np.ndarray,
-        n_next: int,
-        swap_info: np.ndarray | None = None,
-        dedupe: bool = False,
+        cls, matrix: np.ndarray, n_next: int, swap_info: np.ndarray | None = None
     ) -> "CandidateSpace":
-        """Sort rows lexicographically and wrap them up.
-
-        With dedupe=True duplicate rows are dropped (provenance is not
-        supported in that case). Otherwise rows must already be unique.
-        """
+        """Sort rows lexicographically and wrap them up; rows must be unique."""
         a = np.asarray(matrix, dtype=np.int64)
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
         n_from = a.shape[1]
-        if dedupe:
-            if swap_info is not None:
-                raise InvalidInputError("dedupe does not preserve swap provenance")
-            a = np.unique(a, axis=0) if a.shape[0] else a
+        if a.shape[0] == 0 or a.shape[1] == 0:
             order = np.arange(a.shape[0])
         else:
-            if a.shape[0] == 0 or a.shape[1] == 0:
-                order = np.arange(a.shape[0])
-            else:
-                # lexsort keys run last-to-first, so feed reversed columns
-                order = np.lexsort(a.T[::-1])
-            a = a[order]
+            # lexsort keys run last-to-first, so feed reversed columns
+            order = np.lexsort(a.T[::-1])
+        a = a[order]  # a copy, so freezing it leaves the caller's array alone
         info = None
         if swap_info is not None:
             new_pos = np.empty(order.shape[0], dtype=np.int64)
             new_pos[order] = np.arange(order.shape[0])
-            info = np.asarray(swap_info, dtype=np.int64)[order].copy()
+            info = np.asarray(swap_info, dtype=np.int64)[order]
             info[:, 0] = new_pos[info[:, 0]]
-        a = a.copy()
         a.flags.writeable = False
         if info is not None:
             info.flags.writeable = False
         return cls(n_from=n_from, n_next=int(n_next), matrix=a, swap_info=info)
-
-    @classmethod
-    def from_vectors(
-        cls, vectors: Iterable[MatchingVector], n_from: int, n_next: int
-    ) -> "CandidateSpace":
-        rows = []
-        for m in vectors:
-            if len(m) != n_from or m.n_next != n_next:
-                raise InvalidInputError("vector inconsistent with the frame pair")
-            rows.append(m.entries)
-        mat = np.array(rows, dtype=np.int64).reshape(len(rows), n_from)
-        return cls.build(mat, n_next=n_next, dedupe=True)
 
     def __post_init__(self):
         if self.matrix.shape[1] != self.n_from:
@@ -373,21 +299,10 @@ class CandidateSpace:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(int(v) for v in row): r for r, row in enumerate(self.matrix)}
-
     def __contains__(self, m: MatchingVector) -> bool:
         if len(m) != self.n_from or m.n_next != self.n_next:
             return False
-        # one comparison over the rows; _index would build a dict of them all
         return bool((self.matrix == np.asarray(m.entries, dtype=np.int64)).all(axis=1).any())
-
-    def index_of(self, m: MatchingVector) -> int:
-        try:
-            return self._index[m.entries]
-        except KeyError:
-            raise InvalidInputError("vector not in this candidate space") from None
 
     def vector_at(self, r: int) -> MatchingVector:
         return MatchingVector(tuple(int(v) for v in self.matrix[r]), n_next=self.n_next)
@@ -395,9 +310,6 @@ class CandidateSpace:
     def vectors(self) -> Iterator[MatchingVector]:
         for r in range(len(self)):
             yield self.vector_at(r)
-
-    def issubset(self, other: "CandidateSpace") -> bool:
-        return all(tuple(int(v) for v in row) in other._index for row in self.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     """Weighted harmonic mean of precision and recall; 0 when both are 0."""
     if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
         raise InvalidInputError("precision and recall must lie in [0, 1]")
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise InvalidInputError("beta must be positive and finite")
     den = beta * beta * precision + recall
     if den == 0.0:
         return 0.0

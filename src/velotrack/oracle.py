@@ -1,9 +1,11 @@
 """Brute-force and reference solvers for testing.
 
-Space enumeration here is built from itertools primitives (choose the
-disappearing subset, then an ordered arrangement of targets for the
-survivors) and must not share code with the production constructions,
-so a bug in one cannot confirm itself through the other. The likelihood
+enumerate_space is the package's one full-space builder. It is built
+from itertools primitives (choose the disappearing subset, then an
+ordered arrangement of targets for the survivors) and must not share
+code with the production constructions (the reduced spaces and the
+closed-form full_space_size), so a bug in one cannot confirm itself
+through the other. The likelihood
 functions are shared on purpose: they are the single source of truth
 for what is being maximized. reference_solve_dp is the production DP's
 plain-Python counterpart: it scores every stage cell one at a time.
@@ -45,7 +47,8 @@ def enumerate_space(n_k: int, n_next: int, cap: int = 100_000) -> CandidateSpace
     """All matching vectors for an (n_k, n_next) pair, by construction.
 
     For each disappearance count d, each d-subset of objects disappears
-    and the rest take an ordered selection of distinct targets.
+    and the rest take an ordered selection of distinct targets, so every
+    row is emitted once.
     """
     if n_k < 0 or n_next < 0:
         raise InvalidInputError("object counts must be nonnegative")
@@ -61,7 +64,7 @@ def enumerate_space(n_k: int, n_next: int, cap: int = 100_000) -> CandidateSpace
                 if len(rows) > cap:
                     raise SpaceCapError(f"space exceeds cap {cap}")
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n_k)
-    return CandidateSpace.build(mat, n_next=n_next, dedupe=True)
+    return CandidateSpace.build(mat, n_next=n_next)
 
 
 def exhaustive_chain_argmax(

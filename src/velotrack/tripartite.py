@@ -185,39 +185,6 @@ def full_space_size(n_k: int, n_next: int) -> int:
     return sum(comb(n_k, d) * perm(n_next, n_k - d) for d in range(lo, n_k + 1))
 
 
-def build_full_space(n_k: int, n_next: int, cap: int = 1_000_000) -> CandidateSpace:
-    """Every valid matching vector for an (n_k, n_next) frame pair.
-
-    Refuses with SpaceCapError when the closed-form size exceeds cap;
-    the space grows factorially.
-    """
-    size = full_space_size(n_k, n_next)
-    if size > cap:
-        raise SpaceCapError(f"full space has {size} candidates, cap is {cap}")
-    rows: list[list[int]] = []
-    cur: list[int] = []
-    used = [False] * n_next
-
-    def rec(i: int) -> None:
-        if i == n_k:
-            rows.append(list(cur))
-            return
-        cur.append(DISAPPEAR)
-        rec(i + 1)
-        cur.pop()
-        for t in range(n_next):
-            if not used[t]:
-                used[t] = True
-                cur.append(t)
-                rec(i + 1)
-                cur.pop()
-                used[t] = False
-
-    rec(0)
-    mat = np.array(rows, dtype=np.int64).reshape(len(rows), n_k)
-    return CandidateSpace.build(mat, n_next=n_next)
-
-
 def neighborhood(d_star: int, delta: int, n_a: int, n_b: int) -> range:
     """Feasible disappearance counts within delta of d_star."""
     lo = max(max(0, n_a - n_b), d_star - delta)
@@ -665,8 +632,8 @@ class SigmaEstimate:
 
     counts[k] is the number of 3-frame chained objects that informed
     pair k; pairs with no chains (always pair 0) inherit the pooled
-    value. used_fallback marks the no-chains-anywhere case where the
-    caller-supplied default was used.
+    value. used_fallback marks the no-chains-anywhere case where sigma
+    fell back to 1.0.
     """
 
     sigmas: tuple[float, ...]
@@ -680,7 +647,6 @@ def estimate_sigma(
     matchings,
     mode: str = "per-frame",
     sigma_floor: float = 1e-6,
-    default_sigma: float = 1.0,
 ) -> SigmaEstimate:
     """Velocity-difference noise scale from a matching sequence.
 
@@ -688,7 +654,7 @@ def estimate_sigma(
     difference contributes its x and y squares; sigma_hat_k is the root
     mean of those squares (zero-mean convention). Pooled mode, and any
     pair without chains, uses the pool over all stages. With no chains
-    anywhere the default is used and a warning is emitted.
+    anywhere sigma falls back to 1.0 and a warning is emitted.
     """
     f = len(seq)
     if len(matchings) != f - 1:
@@ -713,8 +679,8 @@ def estimate_sigma(
     total_cnt = sum(cnt)
     used_fallback = total_cnt == 0
     if used_fallback:
-        warnings.warn("no 3-frame chains to estimate sigma from; using the default")
-        pooled = max(float(default_sigma), sigma_floor)
+        warnings.warn("no 3-frame chains to estimate sigma from; using 1.0")
+        pooled = max(1.0, sigma_floor)
     else:
         pooled = max(math.sqrt(sum(ss) / (2.0 * total_cnt)), sigma_floor)
     if mode == "pooled" or used_fallback:

@@ -20,14 +20,13 @@ from velotrack import (
     NoiseModel,
     SimConfig,
     TrackerConfig,
-    build_full_space,
     build_reduced_space,
     estimate_sigma,
     evaluate,
     full_space_size,
-    gate_cost_from_sequence,
     simulate,
     solve_bmcf,
+    solve_bmcf_sequence,
     solve_dp,
     track,
     triple_log_likelihood,
@@ -62,12 +61,7 @@ def desk_runs():
         out = simulate(SimConfig(N0=15, sigma=1.0, f=50, seed=seed))
         seq = out.seq
         truth = list(out.matchings)
-        gate = gate_cost_from_sequence(seq)
-        gated = BipartiteConfig(gate_cost=gate)
-        bmcf_ms = [
-            solve_bmcf(seq.frames[k], seq.frames[k + 1], gated)
-            for k in range(len(seq) - 1)
-        ]
+        _, bmcf_ms = solve_bmcf_sequence(seq)
         tri = {}
         for delta in DELTAS:
             res = track(seq, TrackerConfig(delta=delta))
@@ -83,7 +77,7 @@ def test_01_dp_equals_exhaustive_search():
     for _ in range(50):
         seq = _random_seq(rng, f=int(rng.integers(2, 5)), max_n=3)
         spaces = [
-            build_full_space(seq.n_objects(k), seq.n_objects(k + 1))
+            enumerate_space(seq.n_objects(k), seq.n_objects(k + 1))
             for k in range(len(seq) - 1)
         ]
         want_ms, want_score = exhaustive_chain_argmax(seq, nm, spaces)
@@ -197,8 +191,8 @@ def test_07_incremental_equals_full():
         p = rng.normal(size=(n_p, 2))
         mid = rng.normal(size=(n_m, 2))
         nxt = rng.normal(size=(n_n, 2))
-        sp_prev = build_full_space(n_p, n_m)
-        sp_next = build_full_space(n_m, n_n)
+        sp_prev = enumerate_space(n_p, n_m)
+        sp_next = enumerate_space(n_m, n_n)
         m01 = sp_prev.vector_at(int(rng.integers(len(sp_prev))))
         base = sp_next.vector_at(int(rng.integers(len(sp_next))))
         base_score = triple_log_likelihood(p, mid, nxt, m01, base, nm, pair_index=1)
@@ -272,11 +266,7 @@ def test_09_sigma_estimation_sanity():
     for seed in range(3):
         out = simulate(SimConfig(N0=50, sigma=1.0, f=50, seed=100 + seed))
         seq = out.seq
-        gated = BipartiteConfig(gate_cost=gate_cost_from_sequence(seq))
-        ms = [
-            solve_bmcf(seq.frames[k], seq.frames[k + 1], gated)
-            for k in range(len(seq) - 1)
-        ]
+        _, ms = solve_bmcf_sequence(seq)
         series.append(estimate_sigma(seq, ms, mode="per-frame").sigmas)
     mean_series = np.mean(series, axis=0)
     # pair 0 inherits the pooled value rather than measuring anything

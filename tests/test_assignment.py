@@ -15,8 +15,7 @@ from velotrack import (
     SimConfig,
     TrackerConfig,
     fixed_d_matchings,
-    gate_cost_from_pair,
-    gate_cost_from_sequence,
+    resolve_gate_cost,
     simulate,
     solve_bmcf,
     track,
@@ -144,9 +143,12 @@ class TestGateSelection:
     def test_pair_quantile(self):
         a = [(0.0, 0.0), (10.0, 0.0)]
         b = [(1.0, 0.0), (12.0, 0.0)]
+        seq = FrameSequence((np.array(a), np.array(b)))
         # forward nearest-neighbour squared distances are 1 and 4
-        assert gate_cost_from_pair(a, b, quantile=1.0 - 1e-12) == pytest.approx(4.0)
-        assert gate_cost_from_pair(a, b, quantile=1e-12) == pytest.approx(1.0)
+        hi = BipartiteConfig(gate_quantile=1.0 - 1e-12)
+        lo = BipartiteConfig(gate_quantile=1e-12)
+        assert resolve_gate_cost(seq, hi) == pytest.approx(4.0)
+        assert resolve_gate_cost(seq, lo) == pytest.approx(1.0)
 
     def test_sequence_pools_pairs(self):
         seq = FrameSequence(
@@ -157,19 +159,18 @@ class TestGateSelection:
             )
         )
         # pooled squared distances are 4 and 9
-        assert gate_cost_from_sequence(seq, quantile=0.999999) == pytest.approx(9.0)
+        cfg = BipartiteConfig(gate_quantile=0.999999)
+        assert resolve_gate_cost(seq, cfg) == pytest.approx(9.0)
 
     def test_fallback_warns(self):
         seq = FrameSequence((np.empty((0, 2)), np.empty((0, 2))))
         with pytest.warns(UserWarning):
-            T = gate_cost_from_sequence(seq)
+            T = resolve_gate_cost(seq, BipartiteConfig())
         assert T == 1.0
 
     def test_gate_must_be_finite_sample(self):
         cfg = BipartiteConfig(gate_cost=7.5)
         seq = FrameSequence((np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])))
-        from velotrack import resolve_gate_cost
-
         assert resolve_gate_cost(seq, cfg) == 7.5
 
 

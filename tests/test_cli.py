@@ -16,7 +16,7 @@ from velotrack.cli import (
     ExperimentConfig,
     main,
 )
-from velotrack import SimConfig, simulate, track, write_tracks
+from velotrack import SimConfig, TrackerConfig, simulate, track, write_tracks
 
 SIM_CFG = {"W": 120.0, "H": 100.0, "w": 60.0, "h": 50.0, "N0": 5, "f": 8, "seed": 2}
 
@@ -189,6 +189,54 @@ class TestEvaluateCommand:
             ]
         )
         assert code == EXIT_OK
+
+    def _evaluate(self, pred, truth, tmp_path):
+        """Exit code and whole-path F score of evaluate on two track files."""
+        report = tmp_path / "report.csv"
+        code = main(
+            ["evaluate", "--input", str(pred), "--truth", str(truth), "--output", str(report)]
+        )
+        return code, json.loads((tmp_path / "report.json").read_text())["whole_path_fbeta"]
+
+    def test_coincident_detections_evaluate(self, tmp_path):
+        det = tmp_path / "det.csv"
+        det.write_text("frame_index,x,y\n0,0.0,0.0\n0,0.0,0.0\n1,1.0,0.0\n1,0.0,1.0\n2,2.0,0.0\n")
+        tracks = tmp_path / "tracks.csv"
+        assert main(["track", "--input", str(det), "--output", str(tracks)]) == EXIT_OK
+        assert self._evaluate(tracks, tracks, tmp_path) == (EXIT_OK, 1.0)
+
+    def test_permuted_copy_scores_perfectly(self, tmp_path):
+        # two tracks pass through the same point at frame 1
+        rows = [
+            "0,0,0.0,0.0", "0,1,1.0,1.0", "0,2,2.0,2.0",
+            "1,0,2.0,0.0", "1,1,1.0,1.0", "1,2,0.0,2.0",
+            "2,1,1.0,1.0",
+        ]
+        truth = tmp_path / "truth.csv"
+        truth.write_text("track_id,frame_index,x,y\n" + "\n".join(rows) + "\n")
+        # track ids renumbered and the tracks listed in another order
+        renamed = [r.replace("0,", "9,", 1) if r.startswith("0,") else r for r in rows]
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(renamed[3:] + renamed[:3]) + "\n")
+        assert self._evaluate(truth, truth, tmp_path) == (EXIT_OK, 1.0)
+        assert self._evaluate(pred, truth, tmp_path) == (EXIT_OK, 1.0)
+        # a different linking through the shared point is not perfect
+        swapped = [
+            "0,0,0.0,0.0", "0,1,1.0,1.0", "0,2,0.0,2.0",
+            "1,0,2.0,0.0", "1,1,1.0,1.0", "1,2,2.0,2.0",
+            "2,1,1.0,1.0",
+        ]
+        pred.write_text("\n".join(swapped) + "\n")
+        code, f1 = self._evaluate(pred, truth, tmp_path)
+        assert code == EXIT_OK and f1 < 1.0
+
+    @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
+    def test_bad_beta_exits_config(self, sim_dir, tmp_path, beta):
+        truth = str(sim_dir / "truth_tracks.csv")
+        report = tmp_path / "report.csv"
+        args = ["evaluate", "--input", truth, "--truth", truth, "--output", str(report)]
+        assert main(args + ["--beta", beta]) == EXIT_CONFIG
+        assert not report.exists()
 
 
 class TestExitCodes:
@@ -370,6 +418,11 @@ class TestExperiment:
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
+
+    def test_defaults_come_from_the_run_configs(self):
+        grid = ExperimentConfig()
+        assert grid.sim_config(15, 1.0, 0) == SimConfig()
+        assert grid.tracker_config(1) == TrackerConfig()
 
     def test_grid_validation(self):
         with pytest.raises(Exception):

@@ -13,14 +13,13 @@ from velotrack import (
     NoiseModel,
     SpaceCapError,
     TrackerConfig,
-    build_full_space,
     build_reduced_space,
     evaluation_count,
     solve_dp,
     track,
 )
 from velotrack import tripartite
-from velotrack.oracle import exhaustive_chain_argmax, reference_solve_dp
+from velotrack.oracle import enumerate_space, exhaustive_chain_argmax, reference_solve_dp
 
 
 def random_seq(rng, f, max_n=3):
@@ -30,7 +29,7 @@ def random_seq(rng, f, max_n=3):
 
 def full_spaces(seq):
     return [
-        build_full_space(seq.n_objects(k), seq.n_objects(k + 1))
+        enumerate_space(seq.n_objects(k), seq.n_objects(k + 1))
         for k in range(len(seq) - 1)
     ]
 
@@ -90,11 +89,11 @@ class TestEvaluationModes:
 
     def test_incremental_requires_provenance(self):
         seq = FrameSequence((np.zeros((1, 2)), np.ones((1, 2))))
-        spaces = [build_full_space(1, 1)]  # no swap provenance
+        spaces = [enumerate_space(1, 1)]  # no swap provenance
         nm = NoiseModel.pooled(1.0, -1.0)
         # one pair has no interior stage, so force two pairs
         seq3 = FrameSequence((np.zeros((1, 2)), np.ones((1, 2)), 2 * np.ones((1, 2))))
-        spaces3 = [build_full_space(1, 1), build_full_space(1, 1)]
+        spaces3 = [enumerate_space(1, 1), enumerate_space(1, 1)]
         with pytest.raises(InvalidInputError):
             reference_solve_dp(seq3, spaces3, nm, incremental=True)
         # vectorized and full accept plain spaces
@@ -164,7 +163,7 @@ class TestValidation:
         seq = FrameSequence((np.zeros((1, 2)), np.ones((2, 2))))
         nm = NoiseModel.pooled(1.0, -1.0)
         with pytest.raises(InvalidInputError):
-            solve_dp(seq, [build_full_space(1, 1)], nm)
+            solve_dp(seq, [enumerate_space(1, 1)], nm)
 
     def test_single_frame_rejected(self):
         seq = FrameSequence((np.zeros((1, 2)),))

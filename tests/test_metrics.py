@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -45,8 +46,9 @@ class TestFBeta:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             f_beta(1.5, 0.5)
-        with pytest.raises(InvalidInputError):
-            f_beta(0.5, 0.5, beta=0.0)
+        for beta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                f_beta(0.5, 0.5, beta=beta)
 
     def test_beta_swap_symmetry(self):
         assert f_beta(0.3, 0.8, beta=2.0) == pytest.approx(f_beta(0.8, 0.3, beta=0.5))

@@ -19,8 +19,7 @@ from velotrack import (
     pair_log_likelihood_first,
     triple_log_likelihood,
 )
-from velotrack.oracle import incremental_triple_score
-from velotrack.tripartite import build_full_space
+from velotrack.oracle import enumerate_space, incremental_triple_score
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -157,8 +156,8 @@ class TestIncrementalScore:
             p = rng.normal(size=(n_p, 2))
             mid = rng.normal(size=(n_m, 2))
             nxt = rng.normal(size=(n_n, 2))
-            sp_prev = build_full_space(n_p, n_m)
-            sp_next = build_full_space(n_m, n_n)
+            sp_prev = enumerate_space(n_p, n_m)
+            sp_next = enumerate_space(n_m, n_n)
             m01 = sp_prev.vector_at(int(rng.integers(len(sp_prev))))
             base = sp_next.vector_at(int(rng.integers(len(sp_next))))
             base_score = triple_log_likelihood(p, mid, nxt, m01, base, nm, pair_index=1)
@@ -222,8 +221,13 @@ class TestSigmaEstimation:
     def test_no_chains_falls_back(self):
         s = FrameSequence((np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])))
         with pytest.warns(UserWarning):
-            est = estimate_sigma(s, [MatchingVector((0,), n_next=1)], default_sigma=2.0)
+            est = estimate_sigma(s, [MatchingVector((0,), n_next=1)])
         assert est.used_fallback
+        assert est.pooled == 1.0
+        assert est.sigmas == (1.0,)
+        # the floor still applies to the fallback
+        with pytest.warns(UserWarning):
+            est = estimate_sigma(s, [MatchingVector((0,), n_next=1)], sigma_floor=2.0)
         assert est.pooled == 2.0
 
     def test_scale_equivariance(self, rng):
