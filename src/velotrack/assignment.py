@@ -24,11 +24,14 @@ it finds one does the exact lexicographic refinement run. Ties between
 cardinalities of equal gated total are compared separately.
 
 _sweep runs the sweeps of many pairs in lockstep, one padded batch
-with a vectorized Dijkstra step, and returns each pair's snapshots bit
+with a vectorized Dijkstra step, and keeps each pair's snapshots bit
 for bit as a sweep of that pair alone would (oracle.reference_sweep).
-track() sweeps all frame pairs of a video in one batch and holds one
-_PairSweep view per pair, so the gated matching and the fixed-d seeds
-of its reduced space read one sweep and share each refinement.
+track() sweeps all frame pairs of a video in one batch; the gated
+choice of every pair and the fixed-d seeds of every reduced space are
+then read from that one _Sweep, which shares each refinement between
+them. The certificate's first test, the smallest reduced cost off the
+matching, runs for all the matchings read in one batch, so
+_tie_possible runs only for those that test does not clear.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DISAPPEAR,
+    COORD_LIMIT,
     FrameSequence,
     InvalidConfigError,
     InvalidInputError,
     MatchingVector,
+    _coords_in_range,
 )
 
 # relative slack for cost-tie detection and refinement comparisons
@@ -81,8 +85,8 @@ def _as_frame(x) -> np.ndarray:
         a = a.reshape(0, 2)
     if a.ndim != 2 or a.shape[1] != 2:
         raise InvalidInputError("frame must be an (n, 2) array of positions")
-    if not np.isfinite(a).all():
-        raise InvalidInputError("non-finite coordinates")
+    if not _coords_in_range(a):
+        raise InvalidInputError(f"coordinates must be finite and within +-{COORD_LIMIT:g}")
     return a
 
 
@@ -106,15 +110,38 @@ class _SweepState:
     steps: int = 0
 
 
-def _sweep(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepState]:
+@dataclass
+class _Chunk:
+    """One padded chunk of a batched sweep and its snapshots.
+
+    Position q holds pair order[q] of the chunk; cost[q] is its cost
+    matrix padded with +inf and tol[q] its tolerance in _tie_possible.
+    row_to, u and v are indexed [k - 1, q, i] after k augmentations
+    (padded rows hold row_to = -2); card_cost is indexed [k - 1, q] and
+    is +inf past the pair's k_stop.
+    """
+
+    order: np.ndarray
+    cost: np.ndarray
+    tol: np.ndarray
+    row_to: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    card_cost: np.ndarray
+    steps: np.ndarray
+
+
+def _sweep(costs: list[np.ndarray], k_stops: list[int] | None = None) -> "_Sweep":
     """Successive shortest augmenting paths for many pairs in lockstep.
 
-    Pair p is augmented up to cardinality k_stops[p]. The pairs are
-    padded into (pairs, rows, columns) chunks of at most _SWEEP_CELLS
-    cells (a larger pair goes alone) and each chunk is swept by
-    _sweep_chunk.
+    Pair p is augmented up to cardinality k_stops[p] (default: its
+    kmax). The pairs are padded into (pairs, rows, columns) chunks of at
+    most _SWEEP_CELLS cells (a larger pair goes alone) and each chunk is
+    swept by _sweep_chunk.
     """
-    out: list[_SweepState] = []
+    if k_stops is None:
+        k_stops = [min(c.shape) for c in costs]
+    chunks: list[tuple[int, _Chunk]] = []
     p0 = 0
     while p0 < len(costs):
         p1 = p0 + 1
@@ -124,12 +151,12 @@ def _sweep(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepState]:
             if (p1 - p0 + 1) * r * c > _SWEEP_CELLS:
                 break
             rows, cols, p1 = r, c, p1 + 1
-        out.extend(_sweep_chunk(costs[p0:p1], k_stops[p0:p1]))
+        chunks.append((p0, _sweep_chunk(costs[p0:p1], k_stops[p0:p1])))
         p0 = p1
-    return out
+    return _Sweep(costs, k_stops, chunks)
 
 
-def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepState]:
+def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> _Chunk:
     """_sweep on one padded chunk of pairs.
 
     Padded cells cost +inf, so padded columns are never reached, and
@@ -154,6 +181,11 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepStat
     cost = np.full((n_p, rows, cols), np.inf)
     for q, p in enumerate(order):
         cost[q, : n_a[q], : n_b[q]] = costs[p]
+    # _tie_possible's tolerance: a few n ulps of each pair's cost scale
+    real = (np.arange(rows) < n_a[:, None])[:, :, None]
+    real = real & (np.arange(cols) < n_b[:, None])[:, None, :]
+    scale = np.where(real, np.abs(cost), 0.0).max(axis=(1, 2), initial=0.0)
+    tol = 64.0 * np.maximum(n_a, n_b) * np.finfo(np.float64).eps * (1.0 + scale)
     cost_rows = cost.reshape(n_p * rows, cols)
     u = np.zeros((n_p, rows))
     v = np.zeros((n_p, cols))
@@ -172,7 +204,7 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepStat
     snap_row_to = np.empty((n_k, n_p, rows), dtype=np.int64)
     snap_u = np.empty((n_k, n_p, rows))
     snap_v = np.empty((n_k, n_p, cols))
-    snap_cost = np.empty((n_k, n_p))
+    snap_cost = np.full((n_k, n_p), np.inf)
     # the pairs making augmentation k + 1
     n_live = np.count_nonzero(k_stop > np.arange(n_k)[:, None], axis=1)
     for k in range(n_k):
@@ -242,16 +274,7 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> list[_SweepStat
         # each pair has k + 1 matched rows: one row-order sum per pair
         lp, li = np.nonzero(row_to[:m] >= 0)
         snap_cost[k, :m] = cost[lp, li, row_to[lp, li]].reshape(m, k + 1).sum(axis=1)
-    out = [None] * n_p
-    for q, p in enumerate(order):
-        out[p] = _SweepState(
-            snap_row_to[: k_stop[q], q, : n_a[q]],
-            snap_cost[: k_stop[q], q],
-            snap_u[: k_stop[q], q, : n_a[q]],
-            snap_v[: k_stop[q], q, : n_b[q]],
-            int(steps[q]),
-        )
-    return out
+    return _Chunk(order, cost, tol, snap_row_to, snap_u, snap_v, snap_cost, steps)
 
 
 def _reach(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -342,7 +365,8 @@ def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.nda
 
 def _min_costs(costs: list[np.ndarray], ks: list[int]) -> list[float]:
     """Min cost of a cardinality-k matching of each matrix, one batched sweep."""
-    return [float(s.cost[k - 1]) if k else 0.0 for s, k in zip(_sweep(costs, ks), ks)]
+    sw = _sweep(costs, ks)
+    return [float(sw.card_cost[p, k]) for p, k in enumerate(ks)]
 
 
 def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
@@ -391,71 +415,137 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
-class _PairSweep:
-    """One frame pair's cost matrix and its share of a batched SSP sweep.
+class _Sweep:
+    """A batched SSP sweep of many pairs and the matchings read from it.
 
-    Matching vectors are memoized per cardinality k, so the gated
-    matching and the fixed-d seeds of the pair's reduced space share one
-    sweep and each tie refinement runs at most once per k.
-    tie_refinements counts the cardinalities whose certificate fired.
+    card_cost[p, k] is the min cost of a cardinality-k matching of pair
+    p (0 at k = 0, +inf past the pair's k_stop). rows() reads many
+    (pair, k) matchings at once and memoizes them, so the gated matching
+    and the fixed-d seeds of a pair share each tie refinement. It runs
+    the certificate's first test for all of them in one batch per chunk
+    (_pre_test) and calls _tie_possible only where that test does not
+    clear; tie_refinements[p] counts the cardinalities of pair p whose
+    certificate fired.
     """
 
-    def __init__(self, cost: np.ndarray, sweep: _SweepState):
-        self.n_a, self.n_b = cost.shape
-        self.kmax = min(self.n_a, self.n_b)
-        self.cost = cost
-        self.sweep = sweep
-        self.tie_refinements = 0
-        self._vectors: dict[int, MatchingVector] = {}
+    def __init__(
+        self, costs: list[np.ndarray], k_stops: list[int], chunks: list[tuple[int, _Chunk]]
+    ):
+        n_p = len(costs)
+        self.costs = costs
+        self.n_a = np.array([c.shape[0] for c in costs], dtype=np.int64)
+        self.n_b = np.array([c.shape[1] for c in costs], dtype=np.int64)
+        self.k_stop = np.array(k_stops, dtype=np.int64)
+        n_k = int(self.k_stop.max(initial=0))
+        self.card_cost = np.full((n_p, n_k + 1), np.inf)
+        self.card_cost[:, 0] = 0.0
+        self.steps = np.zeros(n_p, dtype=np.int64)
+        self.tie_refinements = np.zeros(n_p, dtype=np.int64)
+        self._chunks = [ch for _, ch in chunks]
+        self._chunk_of = np.empty(n_p, dtype=np.int64)
+        self._pos = np.empty(n_p, dtype=np.int64)
+        for c, (p0, ch) in enumerate(chunks):
+            p = p0 + ch.order
+            self._chunk_of[p] = c
+            self._pos[p] = np.arange(p.shape[0])
+            k = ch.card_cost.shape[0]
+            self.card_cost[p, 1 : k + 1] = ch.card_cost.T
+            self.steps[p] = ch.steps
+        # memo of rows(): _slot[p, k] indexes _rows, -1 when not read yet
+        self._slot = np.full((n_p, n_k + 1), -1, dtype=np.int64)
+        self._rows = np.empty((0, int(self.n_a.max(initial=0))), dtype=np.int64)
 
-    def vector(self, k: int) -> MatchingVector:
-        """Min-cost matching of cardinality k with the lexicographic tie rule."""
-        if k not in self._vectors:
-            if k == 0:
-                row_to = np.full(self.n_a, DISAPPEAR)
-            else:
-                s = self.sweep
-                row_to = s.row_to[k - 1]
-                if _tie_possible(self.cost, row_to, s.u[k - 1], s.v[k - 1]):
-                    self.tie_refinements += 1
-                    row_to = _lex_fixed_k(self.cost, k)
-            self._vectors[k] = MatchingVector(tuple(int(t) for t in row_to), n_next=self.n_b)
-        return self._vectors[k]
+    def state(self, p: int) -> _SweepState:
+        """Pair p's snapshots, as a sweep of that pair alone returns them."""
+        ch, q, k = self._chunks[self._chunk_of[p]], self._pos[p], self.k_stop[p]
+        n_a, n_b = self.n_a[p], self.n_b[p]
+        return _SweepState(
+            ch.row_to[:k, q, :n_a],
+            self.card_cost[p, 1 : k + 1],
+            ch.u[:k, q, :n_a],
+            ch.v[:k, q, :n_b],
+            int(self.steps[p]),
+        )
 
-    def fixed_d(self, ds: Iterable[int]) -> dict[int, MatchingVector]:
-        """Cheapest matching with exactly d unmatched rows, for each d."""
-        return {d: self.vector(self.n_a - d) for d in ds}
+    def _pre_test(self, pairs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """_tie_possible's first test for many (pair, k), one batch per
+        chunk: True where the smallest reduced cost off the sweep's
+        k-matching clears the pair's tolerance, so that no other min-cost
+        k-matching exists. k = 0 is never cleared (nothing to test)."""
+        out = np.zeros(pairs.shape, dtype=bool)
+        for c, ch in enumerate(self._chunks):
+            sel = np.flatnonzero((self._chunk_of[pairs] == c) & (ks > 0))
+            if sel.shape[0]:
+                q, k = self._pos[pairs[sel]], ks[sel] - 1
+                row_to = ch.row_to[k, q]
+                # padded cells stay +inf, matched cells are taken out
+                rc = ch.cost[q] - ch.u[k, q][:, :, None] - ch.v[k, q][:, None, :]
+                i, r = np.nonzero(row_to >= 0)
+                rc[i, r, row_to[i, r]] = np.inf
+                out[sel] = rc.min(axis=(1, 2), initial=np.inf) > ch.tol[q]
+        return out
 
-    def gated(self, gate: float) -> MatchingVector:
-        """Cheapest matching charging gate per unmatched row and column.
+    def rows(self, pairs, ks) -> np.ndarray:
+        """Min-cost matchings of cardinality ks[i] of pairs[i] with the
+        lexicographic tie rule, one row each, padded with -1 to the
+        widest pair."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1)
+        ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+        new = self._slot[pairs, ks] < 0
+        if new.any():
+            n_k1 = self._slot.shape[1]
+            key = np.unique(pairs[new] * n_k1 + ks[new])
+            p_new, k_new = np.divmod(key, n_k1)
+            block = np.full((key.shape[0], self._rows.shape[1]), -1, dtype=np.int64)
+            for c, ch in enumerate(self._chunks):
+                sel = np.flatnonzero((self._chunk_of[p_new] == c) & (k_new > 0))
+                if sel.shape[0]:
+                    q = self._pos[p_new[sel]]
+                    block[sel, : ch.row_to.shape[2]] = ch.row_to[k_new[sel] - 1, q]
+            np.maximum(block, -1, out=block)  # padded rows hold -2
+            for i in np.flatnonzero((k_new > 0) & ~self._pre_test(p_new, k_new)):
+                p, k = int(p_new[i]), int(k_new[i])
+                ch, q = self._chunks[self._chunk_of[p]], self._pos[p]
+                n_a, n_b = self.n_a[p], self.n_b[p]
+                cost, u, v = self.costs[p], ch.u[k - 1, q, :n_a], ch.v[k - 1, q, :n_b]
+                if _tie_possible(cost, block[i, :n_a], u, v):
+                    self.tie_refinements[p] += 1
+                    block[i, :n_a] = _lex_fixed_k(cost, k)
+            self._slot[p_new, k_new] = self._rows.shape[0] + np.arange(key.shape[0])
+            self._rows = np.concatenate([self._rows, block])
+        return self._rows[self._slot[pairs, ks]]
+
+    def vectors(self, pairs, ks) -> list[MatchingVector]:
+        """rows() as matching vectors."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1)
+        return [
+            MatchingVector(tuple(r[:n].tolist()), n_next=m)
+            for r, n, m in zip(self.rows(pairs, ks), self.n_a[pairs], self.n_b[pairs])
+        ]
+
+    def gated(self, gate: float) -> np.ndarray:
+        """Each pair's cardinality of the cheapest matching charging gate
+        per unmatched row and column; the sweep must reach every kmax.
 
         Cardinalities whose gated totals tie are compared by their
         vectors, so the lexicographic rule holds across them too.
         """
+        kmax = np.minimum(self.n_a, self.n_b)
         if np.isinf(gate):
-            ks = [self.kmax]
-        else:
-            card_costs = np.concatenate(([0.0], self.sweep.cost))
-            # unmatched rows plus unmatched columns at each cardinality
-            events = (self.n_a + self.n_b - 2 * np.arange(self.kmax + 1)).astype(np.float64)
-            totals = card_costs + gate * events
-            best = float(totals.min())
-            tol = _TIE_RTOL * (1.0 + abs(best))
-            ks = [k for k in range(self.kmax + 1) if totals[k] <= best + tol]
-        return min((self.vector(k) for k in ks), key=lambda m: m.entries)
-
-
-def _sweep_pairs(costs: list[np.ndarray], k_stops: list[int] | None = None) -> list[_PairSweep]:
-    """One batched sweep over the cost matrices; k_stops default to each kmax."""
-    if k_stops is None:
-        k_stops = [min(c.shape) for c in costs]
-    return [_PairSweep(c, s) for c, s in zip(costs, _sweep(costs, k_stops))]
-
-
-def _pair_sweep(frame_a, frame_b, k_stop: int | None = None) -> _PairSweep:
-    """_sweep_pairs for one frame pair."""
-    cost = _cost_matrix(_as_frame(frame_a), _as_frame(frame_b))
-    return _sweep_pairs([cost], None if k_stop is None else [k_stop])[0]
+            return kmax
+        ks = np.arange(self.card_cost.shape[1])
+        # unmatched rows plus unmatched columns at each cardinality
+        events = ((self.n_a + self.n_b)[:, None] - 2 * ks).astype(np.float64)
+        totals = self.card_cost + gate * events
+        best = totals.min(axis=1)
+        tied = totals <= (best + _TIE_RTOL * (1.0 + np.abs(best)))[:, None]
+        tied &= ks <= kmax[:, None]
+        k = tied.argmax(axis=1)
+        for p in np.flatnonzero(tied.sum(axis=1) > 1):
+            cands = np.flatnonzero(tied[p])
+            rows = self.rows(np.full(cands.shape, p), cands)[:, : self.n_a[p]]
+            k[p] = cands[min(range(cands.shape[0]), key=lambda i: tuple(rows[i]))]
+        return k
 
 
 def fixed_d_matchings(
@@ -476,7 +566,8 @@ def fixed_d_matchings(
                 f"d={d} infeasible for frame sizes ({n_a}, {n_b})"
             )
     k_needed = max(n_a - d for d in d_list) if d_list else 0
-    return _pair_sweep(a, b, k_needed).fixed_d(d_list)
+    sw = _sweep([_cost_matrix(a, b)], [k_needed])
+    return dict(zip(d_list, sw.vectors([0] * len(d_list), [n_a - d for d in d_list])))
 
 
 def solve_bmcf(
@@ -489,8 +580,9 @@ def solve_bmcf(
     Ties are broken by the lexicographically smallest vector, comparing
     across tied cardinalities as well.
     """
-    pair = _pair_sweep(frame_a, frame_b)
-    return pair.gated(_gate_from_costs([pair.cost], cfg or BipartiteConfig()))
+    cost = _cost_matrix(_as_frame(frame_a), _as_frame(frame_b))
+    sw = _sweep([cost])
+    return sw.vectors([0], sw.gated(_gate_from_costs([cost], cfg or BipartiteConfig())))[0]
 
 
 def _gate_from_costs(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
@@ -519,25 +611,17 @@ def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
     return _gate_from_costs(_pair_costs(seq), cfg)
 
 
-def _gated_pairs(
-    seq: FrameSequence, cfg: BipartiteConfig | None = None
-) -> tuple[float, list[_PairSweep], list[MatchingVector]]:
-    """Build every pair's cost matrix once, take the gate from them,
-    sweep all pairs in one batch and read the gated matchings."""
-    costs = _pair_costs(seq)
-    gate = _gate_from_costs(costs, cfg or BipartiteConfig())
-    pairs = _sweep_pairs(costs)
-    return gate, pairs, [p.gated(gate) for p in pairs]
-
-
 def solve_bmcf_sequence(
     seq: FrameSequence, cfg: BipartiteConfig | None = None
 ) -> tuple[float, list[MatchingVector]]:
     """Gated bipartite matching of every frame pair of a video.
 
     The gate cost is resolved once from the whole sequence and then
-    charged on every pair. Returns the gate cost and one matching vector
-    per consecutive frame pair.
+    charged on every pair, and all pairs are swept in one batch.
+    Returns the gate cost and one matching vector per consecutive frame
+    pair.
     """
-    gate, _, matchings = _gated_pairs(seq, cfg)
-    return gate, matchings
+    costs = _pair_costs(seq)
+    gate = _gate_from_costs(costs, cfg or BipartiteConfig())
+    sw = _sweep(costs)
+    return gate, sw.vectors(range(len(costs)), sw.gated(gate))

@@ -188,6 +188,7 @@ def cmd_track(args) -> int:
             "tie_refinements": list(d.tie_refinements),
             "sweep_steps": list(d.sweep_steps),
             "dp_cells": list(d.dp_cells),
+            "layer_seconds": d.layer_seconds,
             "score": res.score,
         }
     write_tracks(args.output, trajs, seq)

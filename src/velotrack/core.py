@@ -21,6 +21,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 DISAPPEAR = -1
+# largest coordinate magnitude accepted: squared distances, velocity
+# changes and gated totals stay far from float overflow
+COORD_LIMIT = 1e100
+
+
+def _coords_in_range(a: np.ndarray) -> bool:
+    """True when every coordinate is finite and within +-COORD_LIMIT
+    (the maximum of a NaN is NaN, which fails the comparison)."""
+    return bool(np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= COORD_LIMIT)
 
 
 class InvalidInputError(ValueError):
@@ -143,8 +152,10 @@ class FrameSequence:
                 a = a.reshape(0, 2)
             if a.ndim != 2 or a.shape[1] != 2:
                 raise InvalidInputError(f"frame {k} is not an (n, 2) array")
-            if not np.isfinite(a).all():
-                raise InvalidInputError(f"frame {k} contains non-finite coordinates")
+            if not _coords_in_range(a):
+                raise InvalidInputError(
+                    f"frame {k} has a coordinate that is not finite or beyond +-{COORD_LIMIT:g}"
+                )
             a.flags.writeable = False
             frames.append(a)
         object.__setattr__(self, "frames", tuple(frames))

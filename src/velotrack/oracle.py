@@ -14,12 +14,18 @@ exchange-structured tripartite._fold_stage must reproduce bit for bit,
 reference_cumulative_path_accuracy rebuilds every prefix that
 metrics.cumulative_path_accuracy scores in one pass, and
 reference_sweep is the one-pair SSP sweep that the batched
-assignment._sweep must reproduce bit for bit.
+assignment._sweep must reproduce bit for bit. track() does its per-pair
+set-up once per video; reference_seeded_space, reference_stage_terms
+and reference_estimate_sigma are the one-pair, one-stage and
+one-object-at-a-time forms that tripartite._assemble_spaces,
+tripartite._stages and tripartite.estimate_sigma must reproduce bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -37,6 +43,7 @@ from .core import (
 from .metrics import path_accuracy
 from .tripartite import (
     NoiseModel,
+    SigmaEstimate,
     _triple_term_fn,
     pair_log_likelihood_first,
     triple_log_likelihood,
@@ -433,3 +440,96 @@ def reference_cumulative_path_accuracy(
         truth = assemble_trajectories(sub, truth_matchings[: k - 1])
         out.append(path_accuracy(pred, truth, beta))
     return out
+
+
+def reference_seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
+    """Each seed vector followed by all its single-pair entry exchanges.
+
+    One space at a time through CandidateSpace.build; exchanging two
+    DISAPPEAR entries is the identity and is skipped.
+    """
+    idx = np.arange(n_a)
+    iu, ju = np.nonzero(idx[:, None] < idx)
+    n_p = iu.shape[0]
+    # perm[p]: the entry order of exchange p; row 0 keeps the seed
+    perm = np.repeat(idx[None, :], n_p + 1, axis=0)
+    p = np.arange(1, n_p + 1)
+    perm[p, iu] = ju
+    perm[p, ju] = iu
+    rows = [m.entries for m in seeds]
+    s = np.array(rows, dtype=np.int64).reshape(len(rows), n_a)
+    mat = s[:, perm]
+    keep = (mat != s[:, None, :]).any(axis=2)
+    keep[:, 0] = True
+    sizes = keep.sum(axis=1)
+    info = np.empty(keep.shape + (3,), dtype=np.int64)
+    info[:, :, 0] = (np.cumsum(sizes) - sizes)[:, None]
+    info[:, 0, 1:] = -1
+    info[:, 1:, 1] = iu
+    info[:, 1:, 2] = ju
+    return CandidateSpace.build(mat[keep], n_next=n_b, swap_info=info[keep])
+
+
+def reference_stage_terms(seq: FrameSequence, noise: NoiseModel, t: int) -> np.ndarray:
+    """Per-object terms of stage t, one table for every predecessor.
+
+    tab[i + 1, j, k + 1] is mid object j's term when its predecessor is
+    previous object i and its target is next object k; i = -1 means j
+    appeared at the mid frame (position Gaussian), k = -1 is DISAPPEAR
+    (lambda_event).
+    """
+    prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
+    dt = seq.dt
+    sigma = noise.sigma_for_pair(t)
+    v_scale2 = sigma * sigma
+    p_scale2 = (dt * sigma) ** 2
+    v_const = -math.log(2.0 * math.pi * v_scale2)
+    p_const = -math.log(2.0 * math.pi * p_scale2)
+    disp = next_f[None, :, :] - mid_f[:, None, :]  # (n_mid, n_next, 2)
+    v2 = disp / dt
+    q2 = np.einsum("jld,jld->jl", v2, v2)
+    v1 = (mid_f[None, :, :] - prev_f[:, None, :]) / dt  # (n_prev, n_mid, 2)
+    q1 = np.einsum("ijd,ijd->ij", v1, v1)
+    dot = np.einsum("ijd,jld->ijl", v1, v2)
+    tab = np.empty((prev_f.shape[0] + 1, mid_f.shape[0], next_f.shape[0] + 1))
+    tab[:, :, 0] = noise.lambda_event
+    tab[0, :, 1:] = p_const - np.einsum("jld,jld->jl", disp, disp) / (2.0 * p_scale2)
+    tab[1:, :, 1:] = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
+    return tab
+
+
+def reference_estimate_sigma(
+    seq: FrameSequence, matchings, mode: str = "per-frame", sigma_floor: float = 1e-6
+) -> SigmaEstimate:
+    """tripartite.estimate_sigma one chained object at a time."""
+    f = len(seq)
+    ss = [0.0] * (f - 1)
+    cnt = [0] * (f - 1)
+    for k in range(1, f - 1):
+        m_prev, m_next = matchings[k - 1], matchings[k]
+        prev_f, mid_f, next_f = seq.frames[k - 1], seq.frames[k], seq.frames[k + 1]
+        inv = m_prev.inverse()
+        for j, target in enumerate(m_next.entries):
+            if target == DISAPPEAR:
+                continue
+            i = inv.get(j)
+            if i is None:
+                continue
+            dv = (next_f[target] - mid_f[j]) / seq.dt - (mid_f[j] - prev_f[i]) / seq.dt
+            ss[k] += float(dv @ dv)
+            cnt[k] += 1
+    total_cnt = sum(cnt)
+    used_fallback = total_cnt == 0
+    if used_fallback:
+        warnings.warn("no 3-frame chains to estimate sigma from; using 1.0")
+        pooled = max(1.0, sigma_floor)
+    else:
+        pooled = max(math.sqrt(sum(ss) / (2.0 * total_cnt)), sigma_floor)
+    if mode == "pooled" or used_fallback:
+        sigmas = (pooled,) * (f - 1)
+    else:
+        sigmas = tuple(
+            max(math.sqrt(ss[k] / (2.0 * cnt[k])), sigma_floor) if cnt[k] else pooled
+            for k in range(f - 1)
+        )
+    return SigmaEstimate(sigmas=sigmas, pooled=pooled, counts=tuple(cnt), used_fallback=used_fallback)

@@ -20,13 +20,21 @@ smallest sequence of matching vectors.
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, perm
 
 import numpy as np
 
-from .assignment import BipartiteConfig, _gated_pairs, _pair_sweep, _PairSweep
+from .assignment import (
+    BipartiteConfig,
+    _as_frame,
+    _cost_matrix,
+    _gate_from_costs,
+    _pair_costs,
+    _sweep,
+)
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -214,45 +222,100 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     """
     if int(delta) != delta or delta < 0:
         raise InvalidConfigError("delta must be a nonnegative integer")
-    a = np.asarray(frame_a, dtype=np.float64).reshape(-1, 2)
-    b = np.asarray(frame_b, dtype=np.float64).reshape(-1, 2)
+    a, b = _as_frame(frame_a), _as_frame(frame_b)
     n_a, n_b = a.shape[0], b.shape[0]
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
     # the sweep stops at the largest cardinality the neighborhood needs
     d_lo = neighborhood(d_star, int(delta), n_a, n_b)[0]
-    return _reduced_space(_pair_sweep(a, b, n_a - d_lo), d_star, int(delta))
+    sw = _sweep([_cost_matrix(a, b)], [n_a - d_lo])
+    pair, ks = _seed_cardinalities(sw.n_a, sw.n_b, np.array([d_star]), int(delta))
+    return _assemble_spaces(pair, sw.rows(pair, ks), sw.n_a, sw.n_b)[0]
 
 
-def _reduced_space(pair: _PairSweep, d_star: int, delta: int) -> CandidateSpace:
-    """build_reduced_space on a pair that is already swept."""
-    ds = neighborhood(d_star, delta, pair.n_a, pair.n_b)
-    return _seeded_space(pair.fixed_d(ds).values(), pair.n_a, pair.n_b)
+def _seed_cardinalities(n_a, n_b, d_star, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair and cardinality n_a - d of every fixed-d seed, for each d in
+    each pair's neighborhood, pair by pair in ascending d."""
+    d_lo = np.maximum(np.maximum(n_a - n_b, 0), d_star - delta)
+    d_hi = np.minimum(n_a, d_star + delta)
+    counts = d_hi - d_lo + 1
+    pair = np.repeat(np.arange(n_a.shape[0]), counts)
+    d = d_lo[pair] + np.arange(pair.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    return pair, n_a[pair] - d
 
 
-def _seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
-    """Each seed vector followed by all its single-pair entry exchanges."""
-    idx = np.arange(n_a)
-    iu, ju = np.nonzero(idx[:, None] < idx)  # np.triu_indices(n_a, 1), without its cost
-    n_p = iu.shape[0]
-    # perm[p]: the entry order of exchange p; row 0 keeps the seed
-    perm = np.repeat(idx[None, :], n_p + 1, axis=0)
-    p = np.arange(1, n_p + 1)
-    perm[p, iu] = ju
-    perm[p, ju] = iu
-    rows = [m.entries for m in seeds]
-    s = np.array(rows, dtype=np.int64).reshape(len(rows), n_a)
-    mat = s[:, perm]
-    # exchanging two DISAPPEAR entries is the identity
-    keep = (mat != s[:, None, :]).any(axis=2)
-    keep[:, 0] = True
-    sizes = keep.sum(axis=1)
-    info = np.empty(keep.shape + (3,), dtype=np.int64)
-    info[:, :, 0] = (np.cumsum(sizes) - sizes)[:, None]
-    info[:, 0, 1:] = -1
-    info[:, 1:, 1] = iu
-    info[:, 1:, 2] = ju
-    return CandidateSpace.build(mat[keep], n_next=n_b, swap_info=info[keep])
+def _cuts(cells, cap: int) -> list[tuple[int, int]]:
+    """Consecutive ranges of items whose cells sum to at most cap; an
+    item larger than cap goes alone."""
+    bounds, total = [0], 0
+    for i, c in enumerate(cells):
+        if total + c > cap and i > bounds[-1]:
+            bounds.append(i)
+            total = 0
+        total += c
+    bounds.append(len(cells))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
+    """Reduced spaces of many pairs from their fixed-d seeds.
+
+    seeds[g] is a seed of pair seed_pair[g] (ascending), padded with -1;
+    the seeds of one pair differ in their disappearance counts. Each
+    space holds its seeds and all their single-pair entry exchanges,
+    skipping exchanges of two DISAPPEAR entries (the identity), with
+    rows sorted and swap_info as CandidateSpace.build gives them
+    (oracle.reference_seeded_space builds one space at a time). The
+    pairs of one n_a are gathered through one exchange permutation, in
+    runs of at most _FOLD_CELLS gathered cells, and lexsorted together
+    with the pair as the leading key, then cut into spaces.
+    """
+    spaces: list[CandidateSpace | None] = [None] * n_a.shape[0]
+    width = n_a[seed_pair]
+    for n in np.unique(width).tolist():
+        idx = np.arange(n)
+        iu, ju = np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), without its cost
+        n_ex = iu.shape[0]
+        # perm[e]: the entry order of exchange e; row 0 keeps the seed
+        perm = np.repeat(idx[None, :], n_ex + 1, axis=0)
+        e = np.arange(1, n_ex + 1)
+        perm[e, iu] = ju
+        perm[e, ju] = iu
+        ex_i, ex_j = np.r_[-1, iu], np.r_[-1, ju]
+        g_all = np.flatnonzero(width == n)
+        p_all = seed_pair[g_all]
+        first = np.flatnonzero(np.r_[True, p_all[1:] != p_all[:-1]])
+        n_seeds = np.diff(np.r_[first, g_all.shape[0]])
+        for c0, c1 in _cuts((n_seeds * (n_ex + 1) * max(n, 1)).tolist(), _FOLD_CELLS):
+            g = g_all[first[c0] : first[c1] if c1 < first.shape[0] else g_all.shape[0]]
+            s = seeds[g, :n]
+            mat = s[:, perm]
+            keep = (mat != s[:, None, :]).any(axis=2)
+            keep[:, 0] = True
+            sizes = keep.sum(axis=1)
+            rows = mat[keep]
+            row_pair = np.repeat(seed_pair[g], sizes)
+            ex = np.nonzero(keep)[1]
+            info = np.empty((rows.shape[0], 3), dtype=np.int64)
+            # seed rows numbered over the whole run until the sort
+            info[:, 0] = np.repeat(np.cumsum(sizes) - sizes, sizes)
+            info[:, 1] = ex_i[ex]
+            info[:, 2] = ex_j[ex]
+            # lexsort keys run last-to-first: pair, then columns 0, 1, ...
+            order = np.lexsort((*rows.T[::-1], row_pair))
+            new_pos = np.empty_like(order)
+            new_pos[order] = np.arange(order.shape[0])
+            rows, info, row_pair = rows[order], info[order], row_pair[order]
+            starts = np.flatnonzero(np.r_[True, row_pair[1:] != row_pair[:-1]])
+            ends = np.r_[starts[1:], rows.shape[0]]
+            info[:, 0] = new_pos[info[:, 0]] - np.repeat(starts, ends - starts)
+            rows.flags.writeable = False
+            info.flags.writeable = False
+            for r0, r1, p in zip(starts.tolist(), ends.tolist(), row_pair[starts].tolist()):
+                spaces[p] = CandidateSpace(
+                    n_from=n, n_next=int(n_b[p]), matrix=rows[r0:r1], swap_info=info[r0:r1]
+                )
+    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -282,81 +345,49 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
     return terms.sum(axis=1) + noise.lambda_event * (n_dis + n_app)
 
 
-# cells per row chunk of the fold: bounds its temporary arrays
+# cells per row chunk of the fold, per run of stage set-up and per run of
+# space assembly: bounds their temporary arrays
 _FOLD_CELLS = 1 << 18
 # the exchange-structured fold's fixed cost, in dense cells (about 0.2 ms)
 _EXCHANGE_SETUP_CELLS = 4096
 
 
-def _stage_terms(seq, noise, t) -> np.ndarray:
-    """Per-object terms of stage t, one table for every predecessor.
+@dataclass(eq=False)
+class _Stage:
+    """One fold stage: its term table, predecessor rows and successor columns.
 
     tab[i + 1, j, k + 1] is mid object j's term when its predecessor is
     previous object i and its target is next object k; i = -1 means j
     appeared at the mid frame (position Gaussian), k = -1 is DISAPPEAR
-    (lambda_event).
-    """
-    prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
-    dt = seq.dt
-    sigma = noise.sigma_for_pair(t)
-    v_scale2 = sigma * sigma
-    p_scale2 = (dt * sigma) ** 2
-    v_const = -math.log(2.0 * math.pi * v_scale2)
-    p_const = -math.log(2.0 * math.pi * p_scale2)
-    disp = next_f[None, :, :] - mid_f[:, None, :]  # (n_mid, n_next, 2)
-    v2 = disp / dt
-    q2 = np.einsum("jld,jld->jl", v2, v2)
-    v1 = (mid_f[None, :, :] - prev_f[:, None, :]) / dt  # (n_prev, n_mid, 2)
-    q1 = np.einsum("ijd,ijd->ij", v1, v1)
-    dot = np.einsum("ijd,jld->ijl", v1, v2)
-    tab = np.empty((prev_f.shape[0] + 1, mid_f.shape[0], next_f.shape[0] + 1))
-    tab[:, :, 0] = noise.lambda_event
-    tab[0, :, 1:] = p_const - np.einsum("jld,jld->jl", disp, disp) / (2.0 * p_scale2)
-    tab[1:, :, 1:] = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
-    return tab
-
-
-class _Stage:
-    """One fold stage: its term table, predecessor rows and successor columns.
-
-    Rows enter only through each mid object's predecessor: row r's term
-    for mid object j and shifted target k (0 is DISAPPEAR) is
-    tabf[rowbase[r, j] + k]. Column c is its seed seed_pos[c], or that
-    seed with entries i_of[c] and j_of[c] exchanged; t_new and t_old
-    hold the shifted targets of the two entries after and before.
+    (lambda_event). Rows enter only through each mid object's
+    predecessor: row r's term for mid object j and shifted target k (0
+    is DISAPPEAR) is tabf[rowbase[r, j] + k]. Column c is its seed
+    seed_pos[c], or that seed with entries i_of[c] and j_of[c]
+    exchanged; t_new and t_old hold the shifted targets of the two
+    entries after and before. _stages builds the stages; _fold_stage
+    sets g_next, the successor values, before folding.
     """
 
-    def __init__(self, seq, sp_prev, sp_next, g_next, noise, t):
-        self.n_mid, self.n_next = seq.frames[t].shape[0], seq.frames[t + 1].shape[0]
-        self.tab = _stage_terms(seq, noise, t)
-        self.tabf = self.tab.reshape(-1)
-        rows = sp_prev.matrix
-        pred1 = np.zeros((rows.shape[0], self.n_mid), dtype=np.int64)
-        ri, pi = np.nonzero(rows >= 0)
-        pred1[ri, rows[ri, pi]] = pi + 1
-        self.rowbase = (pred1 * self.n_mid + np.arange(self.n_mid)) * (self.n_next + 1)
-        self.g_next = g_next
-
-        self.n_cols = len(sp_next)
-        cols = np.arange(self.n_cols)
-        info = sp_next.swap_info
-        if info is None:  # every column is its own seed
-            info = np.full((self.n_cols, 3), -1, dtype=np.int64)
-            info[:, 0] = cols
-        self.xc = sp_next.matrix + 1
-        self.seed_cols = np.flatnonzero(info[:, 1] == -1)
-        rank = np.empty(self.n_cols, dtype=np.int64)
-        rank[self.seed_cols] = np.arange(self.seed_cols.shape[0])
-        self.seed_pos = rank[info[:, 0]]
-        self.seed_xc = self.xc[self.seed_cols]
-        self.is_swap = info[:, 1] >= 0
-        self.any_swap = bool(self.is_swap.any())
-        self.i_of = np.where(self.is_swap, info[:, 1], 0)
-        self.j_of = np.where(self.is_swap, info[:, 2], 0)
-        if self.any_swap:
-            self.t_new = (self.xc[cols, self.i_of], self.xc[cols, self.j_of])
-            self.t_old = (self.xc[info[:, 0], self.i_of], self.xc[info[:, 0], self.j_of])
-        self.appear = noise.lambda_event * (self.n_next - (sp_next.matrix >= 0).sum(axis=1))
+    n_mid: int
+    n_next: int
+    tab: np.ndarray
+    tabf: np.ndarray
+    rowbase: np.ndarray
+    n_cols: int
+    xc: np.ndarray
+    seed_cols: np.ndarray
+    seed_pos: np.ndarray
+    seed_xc: np.ndarray
+    is_swap: np.ndarray
+    any_swap: bool
+    i_of: np.ndarray
+    j_of: np.ndarray
+    appear: np.ndarray
+    # whether the successor space carries swap provenance
+    has_info: bool
+    t_new: tuple[np.ndarray, np.ndarray] | None = None
+    t_old: tuple[np.ndarray, np.ndarray] | None = None
+    g_next: np.ndarray | None = None
 
     def _seed_sums(self, r, seed_t) -> np.ndarray:
         """Sum of row r's terms for the targets seed_t[..., j], in j order.
@@ -529,7 +560,158 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
     return cells
 
 
-def _fold_stage(seq, sp_prev, sp_next, g_next, noise, t, exchange=None):
+def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
+    """Stages t0 .. t1 - 1 of the fold, set up together.
+
+    The term tables of the stages whose widest frame holds m objects
+    are computed at once over frames padded to m and then cut to each
+    stage's own shape; rowbase is built over the stacked predecessor
+    spaces and the column metadata over the stacked successor spaces.
+    Every table entry sees the float operations of
+    oracle.reference_stage_terms for its stage alone.
+    """
+    n_st = t1 - t0
+    counts = np.array(seq.counts[t0 - 1 : t1 + 1], dtype=np.int64)
+    n = int(counts.max())
+    n_prev, n_mid, n_next = counts[:-2], counts[1:-1], counts[2:]
+    dt, lam = seq.dt, noise.lambda_event
+    sig = [noise.sigma_for_pair(t) for t in range(t0, t1)]
+    v_scale2 = np.array([s * s for s in sig])
+    p_scale2 = np.array([(dt * s) ** 2 for s in sig])
+    v_const = np.array([-math.log(2.0 * math.pi * x) for x in v_scale2.tolist()])
+    p_const = np.array([-math.log(2.0 * math.pi * x) for x in p_scale2.tolist()])
+    frames = np.zeros((n_st + 2, n, 2))
+    for k, fr in enumerate(seq.frames[t0 - 1 : t1 + 1]):
+        frames[k, : fr.shape[0]] = fr
+    # the stages of one width (their widest frame) are padded to it together
+    counts_at = np.stack([n_prev, n_mid, n_next], axis=1)
+    width = counts_at.max(axis=1)
+    tabs: list[np.ndarray | None] = [None] * n_st
+    for m in np.unique(width).tolist():
+        g = np.flatnonzero(width == m)
+        prev_f, mid_f, next_f = frames[g, :m], frames[g + 1, :m], frames[g + 2, :m]
+        disp = next_f[:, None, :, :] - mid_f[:, :, None, :]  # (stage, mid, next, 2)
+        v2 = disp / dt
+        q2 = np.einsum("tjld,tjld->tjl", v2, v2)
+        v1 = (mid_f[:, None, :, :] - prev_f[:, :, None, :]) / dt  # (stage, prev, mid, 2)
+        q1 = np.einsum("tijd,tijd->tij", v1, v1)
+        dot = np.einsum("tijd,tjld->tijl", v1, v2)
+        padded = np.empty((g.shape[0], m + 1, m, m + 1))
+        padded[:, :, :, 0] = lam
+        padded[:, 0, :, 1:] = p_const[g, None, None] - np.einsum(
+            "tjld,tjld->tjl", disp, disp
+        ) / (2.0 * p_scale2[g, None, None])
+        padded[:, 1:, :, 1:] = v_const[g, None, None, None] - (
+            q2[:, None] - 2.0 * dot + q1[:, :, :, None]
+        ) / (2.0 * v_scale2[g, None, None, None])
+        # each stage's own table (a view when the stage fills the padding)
+        for i, (s, a, b, c) in enumerate(zip(g.tolist(), *counts_at[g].T.tolist())):
+            tabs[s] = np.ascontiguousarray(padded[i, : a + 1, :b, : c + 1])
+
+    # rows: the predecessor spaces t0 - 1 .. t1 - 2, stacked
+    sps = spaces[t0 - 1 : t1]
+    sizes = np.array([len(sp) for sp in sps], dtype=np.int64)
+    off = np.cumsum(sizes) - sizes
+    # pred1[r, j + 1] = 1 + the predecessor of mid object j in row r (0: none);
+    # DISAPPEAR entries all land in column 0, which is dropped
+    n_rows = int(off[-1])
+    pred1 = np.zeros((n_rows, n + 1), dtype=np.int64)
+    for sp, r0 in zip(sps[:-1], off.tolist()):
+        pred1[np.arange(r0, r0 + len(sp))[:, None], sp.matrix + 1] = np.arange(1, sp.n_from + 1)
+    row_mid = np.repeat(n_mid, sizes[:-1])[:, None]
+    row_next = np.repeat(n_next, sizes[:-1])[:, None]
+    rowbase = (pred1[:, 1:] * row_mid + np.arange(n)) * (row_next + 1)
+
+    # columns: the successor spaces t0 .. t1 - 1, stacked as shifted
+    # targets xc (0 is DISAPPEAR, and so is the padding)
+    c_sizes, c_off = sizes[1:], off[1:] - off[1]
+    xc = np.zeros((int(c_sizes.sum()), n), dtype=np.int64)
+    for sp, c0 in zip(sps[1:], c_off.tolist()):
+        np.add(sp.matrix, 1, out=xc[c0 : c0 + len(sp), : sp.n_from])
+    infos = []
+    for sp in sps[1:]:
+        if sp.swap_info is None:  # every column is its own seed
+            own_info = np.full((len(sp), 3), -1, dtype=np.int64)
+            own_info[:, 0] = np.arange(len(sp))
+            infos.append(own_info)
+        else:
+            infos.append(sp.swap_info)
+    info = np.concatenate(infos)
+    seed_of = info[:, 0] + np.repeat(c_off, c_sizes)
+    is_swap = info[:, 1] >= 0
+    seed_cols = np.flatnonzero(~is_swap)
+    seed_rank = np.cumsum(~is_swap) - 1
+    s_off = np.searchsorted(seed_cols, c_off)
+    s_end = np.r_[s_off[1:], seed_cols.shape[0]]
+    seed_pos = seed_rank[seed_of]
+    seed_xc = xc[seed_cols]
+    i_of = np.where(is_swap, info[:, 1], 0)
+    j_of = np.where(is_swap, info[:, 2], 0)
+    n_swap = np.r_[0, np.cumsum(is_swap)]
+    any_swap = n_swap[c_off + c_sizes] > n_swap[c_off]
+    if n:
+        ar_c = np.arange(xc.shape[0])
+        t_new = (xc[ar_c, i_of], xc[ar_c, j_of])
+        t_old = (xc[seed_of, i_of], xc[seed_of, j_of])
+    appear = noise.lambda_event * (np.repeat(n_next, c_sizes) - (xc > 0).sum(axis=1))
+
+    r_end, c_end = off + sizes, c_off + c_sizes
+    out = []
+    per_stage = zip(
+        n_mid.tolist(), n_next.tolist(),
+        off[:-1].tolist(), r_end[:-1].tolist(), c_off.tolist(), c_end.tolist(),
+        s_off.tolist(), s_end.tolist(), any_swap.tolist(), sps[1:], tabs,
+    )
+    for m, k, r0, r1, c0, c1, s0, s1, swaps, sp, tab in per_stage:
+        st = _Stage(
+            n_mid=m,
+            n_next=k,
+            tab=tab,
+            tabf=tab.reshape(-1),
+            rowbase=rowbase[r0:r1, :m],
+            n_cols=c1 - c0,
+            xc=xc[c0:c1, :m],
+            seed_cols=seed_cols[s0:s1] - c0,
+            seed_pos=seed_pos[c0:c1] - s0,
+            seed_xc=seed_xc[s0:s1, :m],
+            is_swap=is_swap[c0:c1],
+            any_swap=swaps,
+            i_of=i_of[c0:c1],
+            j_of=j_of[c0:c1],
+            appear=appear[c0:c1],
+            has_info=sp.swap_info is not None,
+        )
+        if swaps:
+            st.t_new = (t_new[0][c0:c1], t_new[1][c0:c1])
+            st.t_old = (t_old[0][c0:c1], t_old[1][c0:c1])
+        out.append(st)
+    return out
+
+
+def _stage_runs(counts, sizes) -> list[tuple[int, int]]:
+    """Stage ranges [t0, t1) for _stages, last stage first.
+
+    A run grows while its padded term tables plus its stacked space
+    cells stay within _FOLD_CELLS; a larger stage goes alone.
+    """
+    runs = []
+    t1 = len(sizes)
+    while t1 > 1:
+        t0 = t1 - 1
+        n = max(counts[t0 - 1 : t1 + 1])
+        rows = sizes[t0 - 1] + sizes[t0]
+        while t0 > 1:
+            n2 = max(n, counts[t0 - 2])
+            rows2 = rows + sizes[t0 - 2]
+            if (t1 - t0 + 1) * (n2 + 1) ** 2 * n2 + rows2 * n2 > _FOLD_CELLS:
+                break
+            t0, n, rows = t0 - 1, n2, rows2
+        runs.append((t0, t1))
+        t1 = t0
+    return runs
+
+
+def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
     """One backward DP step, g_prev(x) = max_y h_t(x, y) + g_next(y).
 
     Returns g_prev, the first argmax successor of every predecessor row
@@ -553,28 +735,63 @@ def _fold_stage(seq, sp_prev, sp_next, g_next, noise, t, exchange=None):
       O(R delta n).
 
     exchange=None picks the way with fewer closed-form cells; True or
-    False forces one (the exchange way needs provenance on both sides).
+    False forces one (the exchange way needs provenance on both sides,
+    which a stage from _stages has when its successor space does).
     """
-    st = _Stage(seq, sp_prev, sp_next, g_next, noise, t)
+    st.g_next = g_next
     n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
     rinfo = sp_prev.swap_info
-    if exchange is None and rinfo is not None and sp_next.swap_info is not None:
+    provenance = rinfo is not None and st.has_info
+    if exchange is None and provenance:
         n_seed_rows = int((rinfo[:, 1] == -1).sum())
         n_seed = st.seed_cols.shape[0]
         width = n_seed * (4 * st.n_mid - 1) + st.n_mid
         cells = n_seed_rows * st.n_cols + (n_rows - n_seed_rows) * width
         exchange = cells + _EXCHANGE_SETUP_CELLS < n_rows * st.n_cols
-    if exchange and rinfo is not None and sp_next.swap_info is not None:
+    if exchange and provenance:
         margin = st.margin()
         if math.isfinite(margin):
             return g_prev, back, _fold_exchange(st, sp_prev, margin, g_prev, back)
     return g_prev, back, st.fold_dense(np.arange(n_rows), g_prev, back)
 
 
-def _solve_dp(seq, spaces, noise):
-    """solve_dp, plus the cells scored per stage (stage 0: first-pair scores)."""
+# the layers of track(), in order, that TrackDiagnostics.layer_seconds times
+TRACK_LAYERS = (
+    "gate",
+    "sweep",
+    "tie_certificate",
+    "sigma",
+    "spaces",
+    "stage_setup",
+    "fold",
+    "walk",
+    "trajectories",
+)
+
+
+class _Laps:
+    """Wall-clock laps of track(): each call charges the time since the
+    previous call (or since construction) to one layer."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(TRACK_LAYERS, 0.0)
+        self._last = time.perf_counter()
+
+    def __call__(self, layer: str) -> None:
+        now = time.perf_counter()
+        self.seconds[layer] += now - self._last
+        self._last = now
+
+
+def _solve_dp(seq, spaces, noise, lap=None):
+    """solve_dp, plus the cells scored per stage (stage 0: first-pair scores).
+
+    Stages are set up a run at a time (_stage_runs), last run first, and
+    folded sequentially in t; lap, when given, is charged per layer.
+    """
+    lap = lap or _Laps()
     f = len(seq)
     if f < 2:
         raise InvalidInputError("need at least 2 frames")
@@ -590,8 +807,13 @@ def _solve_dp(seq, spaces, noise):
     g = np.zeros(len(spaces[-1]))
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)
     cells = [len(spaces[0])] + [0] * (n_pairs - 1)
-    for t in range(n_pairs - 1, 0, -1):
-        g, backs[t - 1], cells[t] = _fold_stage(seq, spaces[t - 1], spaces[t], g, noise, t)
+    for t0, t1 in _stage_runs(seq.counts, [len(sp) for sp in spaces]):
+        stages = _stages(seq, spaces, noise, t0, t1)
+        lap("stage_setup")
+        for t in range(t1 - 1, t0 - 1, -1):
+            g, backs[t - 1], cells[t] = _fold_stage(stages[t - t0], spaces[t - 1], g)
+        del stages
+        lap("fold")
 
     h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
     totals = h1 + g
@@ -601,6 +823,7 @@ def _solve_dp(seq, spaces, noise):
     for t in range(1, n_pairs):
         idxs.append(int(backs[t - 1][idxs[-1]]))
     matchings = [spaces[t].vector_at(r) for t, r in enumerate(idxs)]
+    lap("walk")
     return matchings, score, tuple(cells)
 
 
@@ -661,36 +884,62 @@ def estimate_sigma(
         raise InvalidInputError(f"need {f - 1} matching vectors, got {len(matchings)}")
     if mode not in ("per-frame", "pooled"):
         raise InvalidConfigError(f"unknown sigma mode {mode!r}")
-    ss = [0.0] * (f - 1)
-    cnt = [0] * (f - 1)
-    for k in range(1, f - 1):
-        m_prev, m_next = matchings[k - 1], matchings[k]
-        prev_f, mid_f, next_f = seq.frames[k - 1], seq.frames[k], seq.frames[k + 1]
-        inv = m_prev.inverse()
-        for j, target in enumerate(m_next.entries):
-            if target == DISAPPEAR:
-                continue
-            i = inv.get(j)
-            if i is None:
-                continue
-            dv = (next_f[target] - mid_f[j]) / seq.dt - (mid_f[j] - prev_f[i]) / seq.dt
-            ss[k] += float(dv @ dv)
-            cnt[k] += 1
-    total_cnt = sum(cnt)
+    rows = np.full((f - 1, max(seq.counts[:-1], default=0)), DISAPPEAR, dtype=np.int64)
+    for k, m in enumerate(matchings):
+        if len(m) != seq.n_objects(k) or m.n_next != seq.n_objects(k + 1):
+            raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
+        rows[k, : len(m)] = m.entries
+    return _sigma_from_rows(seq, rows, mode, sigma_floor)
+
+
+def _sigma_from_rows(
+    seq: FrameSequence, rows: np.ndarray, mode: str, sigma_floor: float
+) -> SigmaEstimate:
+    """estimate_sigma over matchings given as rows padded with DISAPPEAR.
+
+    Every chained object of every stage is scored at once; each stage's
+    squares are summed in object order from zero, and the pool over
+    stages with the builtin sum, as oracle.reference_estimate_sigma
+    does one object at a time.
+    """
+    f = len(seq)
+    counts = np.array(seq.counts, dtype=np.int64)
+    start = np.cumsum(counts) - counts  # each frame's first detection in pts
+    pts = np.concatenate(seq.frames)
+    kk, jj = np.nonzero(rows >= 0)
+    src = start[kk] + jj
+    dst = start[kk + 1] + rows[kk, jj]
+    # pred[x]: the detection linked into detection x, -1 when none
+    pred = np.full(pts.shape[0], -1, dtype=np.int64)
+    pred[dst] = src
+    chained = pred[src] >= 0
+    k, j = kk[chained], jj[chained]
+    prev, mid, nxt = pred[src[chained]], src[chained], dst[chained]
+    sq = np.zeros(rows.shape)
+    # an overflow shows as an infinite sigma, which track() rejects
+    with np.errstate(over="ignore"):
+        dv = (pts[nxt] - pts[mid]) / seq.dt - (pts[mid] - pts[prev]) / seq.dt
+        sq[k, j] = np.vecdot(dv, dv)
+    # cumsum adds in object order; the padding adds exact zeros
+    ss = np.cumsum(sq, axis=1)[:, -1] if rows.shape[1] else np.zeros(f - 1)
+    cnt = np.bincount(k, minlength=f - 1)
+    total_cnt = int(cnt.sum())
     used_fallback = total_cnt == 0
     if used_fallback:
         warnings.warn("no 3-frame chains to estimate sigma from; using 1.0")
         pooled = max(1.0, sigma_floor)
     else:
-        pooled = max(math.sqrt(sum(ss) / (2.0 * total_cnt)), sigma_floor)
+        pooled = max(math.sqrt(sum(ss.tolist()) / (2.0 * total_cnt)), sigma_floor)
     if mode == "pooled" or used_fallback:
         sigmas = (pooled,) * (f - 1)
     else:
-        sigmas = tuple(
-            max(math.sqrt(ss[k] / (2.0 * cnt[k])), sigma_floor) if cnt[k] else pooled
-            for k in range(f - 1)
-        )
-    return SigmaEstimate(sigmas=sigmas, pooled=pooled, counts=tuple(cnt), used_fallback=used_fallback)
+        per = np.full(f - 1, pooled)
+        has = cnt > 0
+        per[has] = np.maximum(np.sqrt(ss[has] / (2.0 * cnt[has])), sigma_floor)
+        sigmas = tuple(per.tolist())
+    return SigmaEstimate(
+        sigmas=sigmas, pooled=pooled, counts=tuple(cnt.tolist()), used_fallback=used_fallback
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +967,14 @@ class TrackerConfig(JsonConfig):
         if int(self.delta) != self.delta or self.delta < 0:
             raise InvalidConfigError("delta must be a nonnegative integer")
         object.__setattr__(self, "delta", int(self.delta))
-        if self.fixed_sigma() is None and self.sigma_mode not in ("per-frame", "pooled"):
+        fixed = self.fixed_sigma()
+        if fixed is None and self.sigma_mode not in ("per-frame", "pooled"):
             raise InvalidConfigError(f"unknown sigma mode {self.sigma_mode!r}")
         floor = float(self.sigma_floor)
         if not math.isfinite(floor) or floor <= 0:
             raise InvalidConfigError("sigma_floor must be positive and finite")
+        if fixed is not None and fixed < floor:
+            raise InvalidConfigError(f"fixed sigma {fixed} below the floor {floor}")
         object.__setattr__(self, "sigma_floor", floor)
         if self.lambda_event != "auto":
             lam = float(self.lambda_event)
@@ -749,9 +1001,21 @@ class TrackerConfig(JsonConfig):
         return None
 
 
+def _check_scales(dt: float, sigmas) -> None:
+    """Reject noise scales whose squares leave the float range: the
+    likelihoods take the log of sigma**2 and of (dt*sigma)**2."""
+    for s in (min(sigmas), max(sigmas)):
+        for scale in (s, dt * s):
+            if not 0.0 < scale * scale < math.inf:
+                raise InvalidConfigError(
+                    f"noise scale {scale!r} (sigma {s!r}, dt {dt!r}) has no finite positive square"
+                )
+
+
 def auto_lambda(gate_cost: float, pooled_sigma: float, dt: float = 1.0) -> float:
     """Default event penalty: position-model log density at the gate
     distance, clamped to be nonpositive."""
+    _check_scales(dt, (pooled_sigma,))
     scale2 = (dt * pooled_sigma) ** 2
     return min(0.0, -math.log(2.0 * math.pi * scale2) - gate_cost / (2.0 * scale2))
 
@@ -774,6 +1038,9 @@ class TrackDiagnostics:
     # then the fold's decomposed and exact cell scores (eval_count is
     # the closed form for a dense DP)
     dp_cells: tuple[int, ...]
+    # wall-clock seconds per layer of track(), keyed by TRACK_LAYERS;
+    # left out of equality, since timings differ from run to run
+    layer_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -801,23 +1068,41 @@ def track(
 
     The bipartite pass fixes the gate cost and each pair's d*; its
     matchings also feed the sigma estimate (unless a fixed sigma mode
-    bypasses estimation). Each pair is swept once: the fixed-d seeds of
-    its reduced space are read from the sweep of the bipartite pass.
-    Space sizes are checked against space_cap from their closed form
-    before any space is built.
+    bypasses estimation). Every job runs once per video over all frame
+    pairs: one batched sweep, from which the gated matchings and the
+    fixed-d seeds are read, one sigma pass, one space assembly, and
+    stage set-up in runs ahead of the sequential fold. Space sizes are
+    checked against space_cap from their closed form before any space
+    is built. The diagnostics carry one wall-clock lap per layer.
     """
     cfg = cfg or TrackerConfig()
     if len(seq) < 2:
         raise InvalidInputError("need at least 2 frames")
+    lap = _Laps()
     f = len(seq)
-    gate, pairs, bmcf = _gated_pairs(seq, BipartiteConfig(gate_quantile=cfg.gate_quantile))
-    d_star = [m.n_disappeared for m in bmcf]
+    costs = _pair_costs(seq)
+    gate = _gate_from_costs(costs, BipartiteConfig(gate_quantile=cfg.gate_quantile))
+    lap("gate")
+    sw = _sweep(costs)
+    lap("sweep")
+    pairs = np.arange(f - 1)
+    n_a, n_b = sw.n_a, sw.n_b
+    k_star = sw.gated(gate)
+    d_star = n_a - k_star
     for k in range(f - 1):
-        size = reduced_space_size(seq.n_objects(k), seq.n_objects(k + 1), d_star[k], cfg.delta)
+        size = reduced_space_size(int(n_a[k]), int(n_b[k]), int(d_star[k]), cfg.delta)
         if size > cfg.space_cap:
             raise SpaceCapError(
                 f"candidate space at pair {k} has {size} vectors, cap is {cfg.space_cap}"
             )
+    bmcf_rows = sw.rows(pairs, k_star)
+    bmcf = sw.vectors(pairs, k_star)
+    seed_pair, seed_k = _seed_cardinalities(n_a, n_b, d_star, cfg.delta)
+    seeds = sw.rows(seed_pair, seed_k)
+    tie_refinements = tuple(sw.tie_refinements.tolist())
+    sweep_steps = tuple(sw.steps.tolist())
+    del sw, costs  # the DP needs no sweep; free the cost matrices and snapshots
+    lap("tie_certificate")
 
     fixed = cfg.fixed_sigma()
     if fixed is not None:
@@ -825,22 +1110,23 @@ def track(
             sigmas=(fixed,) * (f - 1), pooled=fixed, counts=(0,) * (f - 1), used_fallback=False
         )
     else:
-        sig = estimate_sigma(seq, bmcf, mode=cfg.sigma_mode, sigma_floor=cfg.sigma_floor)
+        sig = _sigma_from_rows(seq, bmcf_rows, cfg.sigma_mode, cfg.sigma_floor)
+    _check_scales(seq.dt, sig.sigmas)
     lam = cfg.lambda_event
     if lam == "auto":
         lam = auto_lambda(gate, sig.pooled, seq.dt)
     noise = NoiseModel(sigmas=sig.sigmas, lambda_event=lam, sigma_floor=cfg.sigma_floor)
+    lap("sigma")
 
-    spaces = [_reduced_space(p, d_star[k], cfg.delta) for k, p in enumerate(pairs)]
-    tie_refinements = tuple(p.tie_refinements for p in pairs)
-    sweep_steps = tuple(p.sweep.steps for p in pairs)
-    del pairs  # the DP needs no sweep; free the cost matrices and potentials
-    matchings, score, dp_cells = _solve_dp(seq, spaces, noise)
+    spaces = _assemble_spaces(seed_pair, seeds, n_a, n_b)
+    lap("spaces")
+    matchings, score, dp_cells = _solve_dp(seq, spaces, noise, lap)
     trajs = assemble_trajectories(seq, matchings)
+    lap("trajectories")
     sizes = tuple(len(s) for s in spaces)
     diags = TrackDiagnostics(
         gate_cost=float(gate),
-        d_star=tuple(d_star),
+        d_star=tuple(d_star.tolist()),
         sigma=sig,
         lambda_event=float(lam),
         space_sizes=sizes,
@@ -849,6 +1135,7 @@ def track(
         tie_refinements=tie_refinements,
         sweep_steps=sweep_steps,
         dp_cells=dp_cells,
+        layer_seconds=lap.seconds,
     )
     return TrackResult(
         trajectories=trajs,

@@ -20,8 +20,7 @@ from velotrack import (
     solve_bmcf,
     track,
 )
-from velotrack import assignment
-from velotrack.assignment import _pair_sweep
+from velotrack import assignment, tripartite
 from velotrack.core import FrameSequence
 from velotrack.oracle import exhaustive_bipartite_min, reference_sweep
 
@@ -32,6 +31,16 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         BipartiteConfig(gate_quantile=1.0)
     BipartiteConfig(gate_cost=math.inf)  # disabled gate is allowed
+
+
+def test_overflowing_coordinates_rejected():
+    from velotrack import InvalidInputError
+
+    big = [(1e200, 0.0), (-1e200, 0.0)]
+    with pytest.raises(InvalidInputError, match=r"1e\+100"):
+        solve_bmcf(big, [(1e200, 1.0), (-1e200, 1.0)])
+    with pytest.raises(InvalidInputError, match=r"1e\+100"):
+        fixed_d_matchings([(0.0, 0.0)], [(0.0, float("inf"))], [0])
 
 
 def test_straight_pairing():
@@ -216,9 +225,9 @@ class TestTieCertificate:
         ],
     )
     def test_crafted_ties_refine(self, a, b, d):
-        pair = _pair_sweep(a, b)
-        got = pair.vector(len(a) - d)
-        assert pair.tie_refinements == 1
+        sw = assignment._sweep([assignment._cost_matrix(np.array(a), np.array(b))])
+        got = sw.vectors([0], [len(a) - d])[0]
+        assert sw.tie_refinements[0] == 1
         want, _ = exhaustive_bipartite_min(a, b, d=d)
         assert got == want
 
@@ -239,10 +248,11 @@ class TestTieCertificate:
         for _ in range(150):
             n_a = int(rng.integers(1, 13))
             n_b = int(rng.integers(1, 13))
-            pair = _pair_sweep(rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)))
-            for k in range(min(n_a, n_b) + 1):
-                pair.vector(k)
-            assert pair.tie_refinements == 0, (n_a, n_b)
+            cost = assignment._cost_matrix(rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)))
+            sw = assignment._sweep([cost])
+            ks = np.arange(min(n_a, n_b) + 1)
+            sw.rows(np.zeros_like(ks), ks)
+            assert sw.tie_refinements[0] == 0, (n_a, n_b)
 
 
 grid_frame = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6)
@@ -268,7 +278,7 @@ def test_track_sweeps_each_pair_once(monkeypatch):
     calls = {"sweep": [], "lex": 0}
     real_sweep, real_lex = assignment._sweep, assignment._lex_fixed_k
 
-    def sweep(costs, k_stops):
+    def sweep(costs, k_stops=None):
         calls["sweep"].append(len(costs))
         return real_sweep(costs, k_stops)
 
@@ -276,6 +286,9 @@ def test_track_sweeps_each_pair_once(monkeypatch):
         calls["lex"] += 1
         return real_lex(*args)
 
+    # track() calls the sweep through tripartite; any other sweep would
+    # go through assignment
+    monkeypatch.setattr(tripartite, "_sweep", sweep)
     monkeypatch.setattr(assignment, "_sweep", sweep)
     monkeypatch.setattr(assignment, "_lex_fixed_k", lex)
     res = track(seq)
@@ -296,8 +309,9 @@ def sweep_pair(draw):
     return np.array(cells, dtype=float).reshape(n_a, n_b), draw(st.integers(0, min(n_a, n_b)))
 
 
-def assert_sweeps_equal_reference(costs, k_stops, got):
-    assert len(got) == len(costs)
+def assert_sweeps_equal_reference(costs, k_stops, sw):
+    assert sw.steps.shape == (len(costs),)
+    got = [sw.state(p) for p in range(len(costs))]
     for c, k, g in zip(costs, k_stops, got):
         want = reference_sweep(c, k)
         assert len(g.row_to) == len(g.cost) == len(g.u) == len(g.v) == k

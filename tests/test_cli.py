@@ -17,6 +17,7 @@ from velotrack.cli import (
     main,
 )
 from velotrack import SimConfig, TrackerConfig, simulate, track, write_tracks
+from velotrack.tripartite import TRACK_LAYERS
 
 SIM_CFG = {"W": 120.0, "H": 100.0, "w": 60.0, "h": 50.0, "N0": 5, "f": 8, "seed": 2}
 
@@ -72,6 +73,8 @@ class TestTrack:
         assert diag["dt"] == 1.0
         assert len(diag["sweep_steps"]) == SIM_CFG["f"] - 1
         assert sum(diag["sweep_steps"]) > 0
+        assert sorted(diag["layer_seconds"]) == sorted(TRACK_LAYERS)
+        assert all(s >= 0.0 for s in diag["layer_seconds"].values())
 
     def test_bipartite_method(self, sim_dir, tmp_path):
         out = tmp_path / "baseline.csv"
@@ -315,6 +318,41 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_RUNTIME
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # (dt * sigma)**2 underflows to 0, with a fixed and an estimated sigma
+            pytest.param(["--dt", "1e-200", "--sigma-mode", "fixed:1.0"], id="dt-underflow-fixed"),
+            pytest.param(["--dt", "1e-200"], id="dt-underflow-estimated"),
+            pytest.param(["--dt", "1e200", "--sigma-mode", "fixed:1.0"], id="dt-overflow"),
+            pytest.param(["--sigma-mode", "fixed:1e-200"], id="fixed-sigma-below-floor"),
+        ],
+    )
+    def test_noise_scale_out_of_range_exits_config(self, sim_dir, tmp_path, flags):
+        out = tmp_path / "tracks.csv"
+        argv = ["track", "--input", str(sim_dir / "detections.csv"), "--output", str(out)]
+        assert main(argv + flags) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_fixed_sigma_whose_square_underflows_exits_config(self, sim_dir, tmp_path):
+        # the lowered floor admits sigma = 1e-200, but sigma**2 is 0
+        cfg = tmp_path / "tracker.json"
+        cfg.write_text(json.dumps({"sigma_floor": 1e-300, "sigma_mode": "fixed:1e-200"}))
+        out = tmp_path / "tracks.csv"
+        argv = ["track", "--input", str(sim_dir / "detections.csv"), "--output", str(out)]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["tri", "bmcf"])
+    def test_overflowing_coordinates_exit_runtime(self, tmp_path, capsys, method):
+        det = tmp_path / "det.csv"
+        det.write_text("frame_index,x,y\n0,1e200,0\n0,-1e200,0\n1,1e200,1\n1,-1e200,1\n2,0,0\n")
+        out = tmp_path / "tracks.csv"
+        argv = ["track", "--input", str(det), "--output", str(out), "--method", method]
+        assert main(argv) == EXIT_RUNTIME
+        assert "1e+100" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path):

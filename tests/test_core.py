@@ -87,6 +87,14 @@ class TestFrameSequence:
         with pytest.raises(ValueError):
             s.frames[0][0, 0] = 5.0
 
+    def test_rejects_overflowing_coordinates(self):
+        # squared distances of coordinates near 1e200 overflow to inf
+        for bad in (1e200, -1e101, float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match=r"1e\+100"):
+                seq_of([(0, 0)], [(bad, 0)])
+        s = seq_of([(1e100, -1e100)], [(-1e100, 1e100)])
+        assert s.counts == (1, 1)
+
     def test_rejects_bad_dt(self):
         with pytest.raises(InvalidInputError):
             seq_of([(0, 0)], dt=0.0)

@@ -1,6 +1,7 @@
 """Dynamic program over candidate spaces and the end-to-end tracker."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from velotrack import (
     InvalidInputError,
     MatchingVector,
     NoiseModel,
+    SimConfig,
     SpaceCapError,
     TrackerConfig,
     build_reduced_space,
     evaluation_count,
+    simulate,
     solve_dp,
     track,
 )
 from velotrack import tripartite
+from velotrack.tripartite import TRACK_LAYERS
 from velotrack.oracle import enumerate_space, exhaustive_chain_argmax, reference_solve_dp
 
 
@@ -201,7 +205,7 @@ class TestEndToEnd:
         def no_build(*args, **kwargs):
             raise Built
 
-        monkeypatch.setattr(tripartite, "_reduced_space", no_build)
+        monkeypatch.setattr(tripartite, "_assemble_spaces", no_build)
         seq = FrameSequence(tuple(np.arange(8.0).reshape(4, 2) + k for k in range(3)))
         # the patched builder is the one track() calls ...
         with pytest.raises(Built):
@@ -209,6 +213,18 @@ class TestEndToEnd:
         # ... and a cap below 1 + C(4, 2) = 7 vectors at d = 0 stops track() before it
         with pytest.raises(SpaceCapError):
             track(seq, TrackerConfig(delta=0, space_cap=6))
+
+    def test_layer_seconds_account_for_track(self):
+        seq = simulate(SimConfig(W=300.0, H=240.0, w=300.0, h=240.0, N0=8, f=12, seed=4)).seq
+        t0 = time.perf_counter()
+        res = track(seq)
+        wall = time.perf_counter() - t0
+        laps = res.diagnostics.layer_seconds
+        assert list(laps) == list(TRACK_LAYERS)
+        assert all(s >= 0.0 for s in laps.values())
+        assert sum(laps.values()) <= wall
+        # timings stay out of equality: a second run compares equal
+        assert track(seq).diagnostics == res.diagnostics
 
     def test_empty_middle_frame(self):
         seq = FrameSequence(

@@ -20,7 +20,8 @@ def reduced(frame_a, frame_b, d_pick, delta):
 
 def assert_same_fold(seq, sp_prev, sp_next, g_next, noise, exchange):
     want = reference_fold_stage(seq, sp_prev, sp_next, g_next, noise, 1)
-    got = tripartite._fold_stage(seq, sp_prev, sp_next, g_next, noise, 1, exchange=exchange)
+    (st,) = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
+    got = tripartite._fold_stage(st, sp_prev, g_next, exchange=exchange)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     return got[2]

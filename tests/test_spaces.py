@@ -181,9 +181,13 @@ def _seeded_space_by_loops(seeds, n_a, n_b):
 
 
 def test_seeded_space_matches_pairwise_exchanges(rng):
-    from velotrack.core import CandidateSpace
-    from velotrack.tripartite import _seeded_space
+    from unittest import mock
 
+    from velotrack import tripartite
+    from velotrack.core import CandidateSpace
+    from velotrack.oracle import reference_seeded_space
+
+    pairs = []
     for trial in range(400):
         n_a, n_b = int(rng.integers(0, 7)), int(rng.integers(0, 7))
         ds = list(range(max(0, n_a - n_b), n_a + 1))
@@ -197,9 +201,20 @@ def test_seeded_space_matches_pairwise_exchanges(rng):
             for i, t in zip(live, rng.permutation(n_b)):
                 entries[int(i)] = int(t)
             seeds.append(MatchingVector(tuple(entries), n_next=n_b))
-        got = _seeded_space(seeds, n_a, n_b)
         mat, info = _seeded_space_by_loops(seeds, n_a, n_b)
-        want = CandidateSpace.build(mat, n_next=n_b, swap_info=info)
-        np.testing.assert_array_equal(got.matrix, want.matrix)
-        np.testing.assert_array_equal(got.swap_info, want.swap_info)
-        assert (got.n_from, got.n_next) == (n_a, n_b)
+        pairs.append((seeds, n_a, n_b, CandidateSpace.build(mat, n_next=n_b, swap_info=info)))
+    # all 400 pairs in one batched assembly, in runs of at most `cells`
+    n_a = np.array([p[1] for p in pairs])
+    n_b = np.array([p[2] for p in pairs])
+    seed_pair = np.repeat(np.arange(len(pairs)), [len(p[0]) for p in pairs])
+    rows = np.full((seed_pair.shape[0], 6), DISAPPEAR)
+    for g, m in enumerate(m for p in pairs for m in p[0]):
+        rows[g, : len(m)] = m.entries
+    for cells in (40, 1 << 18):
+        with mock.patch.object(tripartite, "_FOLD_CELLS", cells):
+            batched = tripartite._assemble_spaces(seed_pair, rows, n_a, n_b)
+        for (seeds, n, m, want), got_batched in zip(pairs, batched):
+            for got in (reference_seeded_space(seeds, n, m), got_batched):
+                np.testing.assert_array_equal(got.matrix, want.matrix)
+                np.testing.assert_array_equal(got.swap_info, want.swap_info)
+                assert (got.n_from, got.n_next) == (n, m)

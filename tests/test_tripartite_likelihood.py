@@ -245,6 +245,18 @@ class TestSigmaEstimation:
             estimate_sigma(s, [])
         with pytest.raises(InvalidConfigError):
             estimate_sigma(s, [MatchingVector((0,), n_next=1)], mode="median")
+        # a matching that does not fit the frame sizes
+        with pytest.raises(InvalidInputError):
+            estimate_sigma(s, [MatchingVector((0,), n_next=2)])
+        with pytest.raises(InvalidInputError):
+            estimate_sigma(s, [MatchingVector((0, -1), n_next=1)])
+
+
+def test_auto_lambda_rejects_scales_outside_the_float_range():
+    with pytest.raises(InvalidConfigError):
+        auto_lambda(gate_cost=4.0, pooled_sigma=1.0, dt=1e-200)
+    with pytest.raises(InvalidConfigError):
+        auto_lambda(gate_cost=4.0, pooled_sigma=1e200)
 
 
 def test_auto_lambda_values():
@@ -273,6 +285,13 @@ class TestTrackerConfig:
             TrackerConfig(gate_quantile=0.0)
         with pytest.raises(InvalidConfigError):
             TrackerConfig(sigma_mode="mystery")
+
+    def test_fixed_sigma_below_the_floor_rejected(self):
+        with pytest.raises(InvalidConfigError, match="below the floor"):
+            TrackerConfig(sigma_mode="fixed:1e-200")
+        with pytest.raises(InvalidConfigError, match="below the floor"):
+            TrackerConfig(sigma_mode="fixed:0.5", sigma_floor=1.0)
+        assert TrackerConfig(sigma_mode="fixed:1.0", sigma_floor=1.0).fixed_sigma() == 1.0
 
     def test_json_roundtrip(self, tmp_path):
         cfg = TrackerConfig(delta=2, sigma_mode="pooled", lambda_event=-3.0)
