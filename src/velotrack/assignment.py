@@ -43,12 +43,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    COORD_LIMIT,
     FrameSequence,
     InvalidConfigError,
     InvalidInputError,
     MatchingVector,
-    _coords_in_range,
 )
 
 # relative slack for cost-tie detection and refinement comparisons
@@ -77,17 +75,6 @@ class BipartiteConfig:
                 raise InvalidConfigError("gate cost must be nonnegative")
         elif not 0.0 < self.gate_quantile < 1.0:
             raise InvalidConfigError("gate quantile must lie strictly between 0 and 1")
-
-
-def _as_frame(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.size == 0:
-        a = a.reshape(0, 2)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise InvalidInputError("frame must be an (n, 2) array of positions")
-    if not _coords_in_range(a):
-        raise InvalidInputError(f"coordinates must be finite and within +-{COORD_LIMIT:g}")
-    return a
 
 
 def _cost_matrix(frame_a: np.ndarray, frame_b: np.ndarray) -> np.ndarray:
@@ -555,9 +542,8 @@ def fixed_d_matchings(
 
     Feeding several d values shares the sweep.
     """
-    a = _as_frame(frame_a)
-    b = _as_frame(frame_b)
-    n_a, n_b = a.shape[0], b.shape[0]
+    (cost,) = _pair_costs(FrameSequence((frame_a, frame_b)))
+    n_a, n_b = cost.shape
     d_list = sorted(set(int(d) for d in ds))
     lo = max(0, n_a - n_b)
     for d in d_list:
@@ -566,7 +552,7 @@ def fixed_d_matchings(
                 f"d={d} infeasible for frame sizes ({n_a}, {n_b})"
             )
     k_needed = max(n_a - d for d in d_list) if d_list else 0
-    sw = _sweep([_cost_matrix(a, b)], [k_needed])
+    sw = _sweep([cost], [k_needed])
     return dict(zip(d_list, sw.vectors([0] * len(d_list), [n_a - d for d in d_list])))
 
 
@@ -580,9 +566,7 @@ def solve_bmcf(
     Ties are broken by the lexicographically smallest vector, comparing
     across tied cardinalities as well.
     """
-    cost = _cost_matrix(_as_frame(frame_a), _as_frame(frame_b))
-    sw = _sweep([cost])
-    return sw.vectors([0], sw.gated(_gate_from_costs([cost], cfg or BipartiteConfig())))[0]
+    return solve_bmcf_sequence(FrameSequence((frame_a, frame_b)), cfg)[1][0]
 
 
 def _gate_from_costs(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:

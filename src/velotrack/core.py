@@ -26,12 +26,6 @@ DISAPPEAR = -1
 COORD_LIMIT = 1e100
 
 
-def _coords_in_range(a: np.ndarray) -> bool:
-    """True when every coordinate is finite and within +-COORD_LIMIT
-    (the maximum of a NaN is NaN, which fails the comparison)."""
-    return bool(np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= COORD_LIMIT)
-
-
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
 
@@ -152,7 +146,8 @@ class FrameSequence:
                 a = a.reshape(0, 2)
             if a.ndim != 2 or a.shape[1] != 2:
                 raise InvalidInputError(f"frame {k} is not an (n, 2) array")
-            if not _coords_in_range(a):
+            # the maximum of a NaN is NaN, which fails the comparison
+            if not np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= COORD_LIMIT:
                 raise InvalidInputError(
                     f"frame {k} has a coordinate that is not finite or beyond +-{COORD_LIMIT:g}"
                 )
@@ -266,22 +261,25 @@ class CandidateSpace:
 
     matrix holds one vector per row (entries 0-based, -1 for DISAPPEAR),
     rows unique and sorted lexicographically, so the first argmax hit in
-    a scan is the lexicographically smallest. swap_info, when present,
-    records provenance inside a reduced space: row (seed_row, i, j)
-    means the vector equals matrix[seed_row] with entry positions i and
-    j exchanged; seed rows carry (own_row, -1, -1).
+    a scan is the lexicographically smallest. swap_info records each
+    row's provenance: row (seed_row, i, j) means the vector equals
+    matrix[seed_row] with entry positions i and j exchanged; seed rows
+    carry (own_row, -1, -1).
     """
 
     n_from: int
     n_next: int
     matrix: np.ndarray
-    swap_info: np.ndarray | None = None
+    swap_info: np.ndarray
 
     @classmethod
     def build(
         cls, matrix: np.ndarray, n_next: int, swap_info: np.ndarray | None = None
     ) -> "CandidateSpace":
-        """Sort rows lexicographically and wrap them up; rows must be unique."""
+        """Sort rows lexicographically and wrap them up; rows must be unique.
+
+        Without swap_info every row is its own seed.
+        """
         a = np.asarray(matrix, dtype=np.int64)
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
@@ -292,15 +290,16 @@ class CandidateSpace:
             # lexsort keys run last-to-first, so feed reversed columns
             order = np.lexsort(a.T[::-1])
         a = a[order]  # a copy, so freezing it leaves the caller's array alone
-        info = None
-        if swap_info is not None:
+        if swap_info is None:
+            info = np.full((order.shape[0], 3), -1, dtype=np.int64)
+            info[:, 0] = np.arange(order.shape[0])
+        else:
             new_pos = np.empty(order.shape[0], dtype=np.int64)
             new_pos[order] = np.arange(order.shape[0])
             info = np.asarray(swap_info, dtype=np.int64)[order]
             info[:, 0] = new_pos[info[:, 0]]
         a.flags.writeable = False
-        if info is not None:
-            info.flags.writeable = False
+        info.flags.writeable = False
         return cls(n_from=n_from, n_next=int(n_next), matrix=a, swap_info=info)
 
     def __post_init__(self):
@@ -316,7 +315,7 @@ class CandidateSpace:
         return bool((self.matrix == np.asarray(m.entries, dtype=np.int64)).all(axis=1).any())
 
     def vector_at(self, r: int) -> MatchingVector:
-        return MatchingVector(tuple(int(v) for v in self.matrix[r]), n_next=self.n_next)
+        return MatchingVector(tuple(self.matrix[r].tolist()), n_next=self.n_next)
 
     def vectors(self) -> Iterator[MatchingVector]:
         for r in range(len(self)):

@@ -22,7 +22,6 @@ from .core import (
     InvalidInputError,
     MatchingVector,
     TrajectorySet,
-    assemble_trajectories,
 )
 
 CSV_COLUMNS = (
@@ -51,6 +50,13 @@ def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     return (1.0 + beta * beta) * precision * recall / den
 
 
+def _scores(correct: int, n_pred: int, n_truth: int, beta: float) -> tuple[float, float, float]:
+    """Precision, recall and F score from path counts; empty sides score 0."""
+    precision = correct / n_pred if n_pred else 0.0
+    recall = correct / n_truth if n_truth else 0.0
+    return precision, recall, f_beta(precision, recall, beta)
+
+
 def path_accuracy(
     pred: TrajectorySet, truth: TrajectorySet, beta: float = 1.0
 ) -> tuple[float, float, float]:
@@ -60,9 +66,61 @@ def path_accuracy(
     Empty sides contribute zero rates rather than errors.
     """
     correct = len(set(pred.tracks) & set(truth.tracks))
-    precision = correct / len(pred.tracks) if pred.tracks else 0.0
-    recall = correct / len(truth.tracks) if truth.tracks else 0.0
-    return precision, recall, f_beta(precision, recall, beta)
+    return _scores(correct, len(pred.tracks), len(truth.tracks), beta)
+
+
+def _walk(
+    seq: FrameSequence,
+    pred_matchings: Sequence[MatchingVector],
+    truth_matchings: Sequence[MatchingVector],
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """(correct, predicted, true) track counts of every pair and prefix.
+
+    One forward pass, O(f n). Pair k is the two-frame sub-video of
+    frames k and k + 1: its track from detection i of frame k is correct
+    iff both sides send i to the same place, and a detection of frame
+    k + 1 that neither side claims is a correct one-detection track.
+    Prefix counts run over k = 1..f frames: a predicted track is correct
+    on a prefix iff the truth track holding its first detection starts
+    at that same detection and the two first differ past the prefix.
+    """
+    f = len(seq)
+    if len(pred_matchings) != f - 1 or len(truth_matchings) != f - 1:
+        raise InvalidInputError("matching sequences inconsistent with the video length")
+    for k in range(f - 1):
+        for m in (pred_matchings[k], truth_matchings[k]):
+            if len(m) != seq.n_objects(k) or m.n_next != seq.n_objects(k + 1):
+                raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
+    n_pred = n_truth = correct = seq.n_objects(0)
+    prefixes = [(correct, n_pred, n_truth)]
+    pairs = []
+    # current objects of the predicted tracks that still equal their truth twin
+    twins = list(range(n_pred))
+    for k in range(f - 1):
+        pred, truth = pred_matchings[k].entries, truth_matchings[k].entries
+        agree = [p == t for p, t in zip(pred, truth)]
+        nxt = []
+        for i in twins:
+            if not agree[i]:
+                correct -= 1  # they differ at frame k + 1
+            elif pred[i] != DISAPPEAR:
+                nxt.append(pred[i])
+        # detections no entry claims start a track on both sides
+        claimed = [False] * seq.n_objects(k + 1)
+        for j in pred + truth:
+            if j != DISAPPEAR:
+                claimed[j] = True
+        fresh = [j for j, c in enumerate(claimed) if not c]
+        twins = nxt + fresh
+        correct += len(fresh)
+        new_pred = pred_matchings[k].n_appeared
+        new_truth = truth_matchings[k].n_appeared
+        n_pred += new_pred
+        n_truth += new_truth
+        n_k = len(pred)
+        pairs.append((sum(agree) + len(fresh), n_k + new_pred, n_k + new_truth))
+        prefixes.append((correct, n_pred, n_truth))
+    return pairs, prefixes
 
 
 def cumulative_path_accuracy(
@@ -75,53 +133,15 @@ def cumulative_path_accuracy(
 
     Early mistakes keep whole prefixes wrong, so the series exposes how
     association errors accumulate along the video. One forward pass,
-    O(f n): a predicted track is correct on prefix k iff the truth track
-    holding its first detection starts at that same detection and the
-    two first differ at a frame >= k. oracle.reference_cumulative_path_accuracy
+    O(f n) (see _walk); oracle.reference_cumulative_path_accuracy
     rebuilds every prefix instead.
     """
-    f = len(seq)
-    if len(pred_matchings) != f - 1 or len(truth_matchings) != f - 1:
-        raise InvalidInputError("matching sequences inconsistent with the video length")
-    for k in range(f - 1):
-        for m in (pred_matchings[k], truth_matchings[k]):
-            if len(m) != seq.n_objects(k) or m.n_next != seq.n_objects(k + 1):
-                raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
-    n_pred = n_truth = correct = seq.n_objects(0)
-    # current objects of the predicted tracks that still equal their truth twin
-    twins = list(range(n_pred))
-    out = []
-    for k in range(f - 1):
-        pred, truth = pred_matchings[k].entries, truth_matchings[k].entries
-        nxt = []
-        for i in twins:
-            if pred[i] != truth[i]:
-                correct -= 1  # they differ at frame k + 1
-            elif pred[i] != DISAPPEAR:
-                nxt.append(pred[i])
-        # detections no entry claims start a track on both sides
-        claimed = [False] * seq.n_objects(k + 1)
-        for j in pred + truth:
-            if j != DISAPPEAR:
-                claimed[j] = True
-        fresh = [j for j, c in enumerate(claimed) if not c]
-        twins = nxt + fresh
-        correct += len(fresh)
-        n_pred += pred_matchings[k].n_appeared
-        n_truth += truth_matchings[k].n_appeared
-        precision = correct / n_pred if n_pred else 0.0
-        recall = correct / n_truth if n_truth else 0.0
-        out.append((precision, recall, f_beta(precision, recall, beta)))
-    return out
+    _, prefixes = _walk(seq, pred_matchings, truth_matchings)
+    return [_scores(*counts, beta) for counts in prefixes[1:]]
 
 
 def pair_identity(pred: MatchingVector, truth: MatchingVector) -> int:
     """1 iff the two matching vectors are exactly equal."""
-    return int(pred == truth)
-
-
-def path_identity(pred: TrajectorySet, truth: TrajectorySet) -> int:
-    """1 iff the two trajectory sets are exactly equal."""
     return int(pred == truth)
 
 
@@ -173,36 +193,31 @@ def evaluate(
     beta: float = 1.0,
     spaces: Sequence[CandidateSpace] | None = None,
 ) -> EvalReport:
-    """Full report for one video given predicted and truth matchings."""
+    """Full report for one video given predicted and truth matchings.
+
+    Every path score comes from the one forward walk of _walk: pair t
+    from its step started fresh at frame t, the whole video from the
+    last prefix. assemble_trajectories is a bijection, so the paths are
+    identical iff every pair is.
+    """
+    pairs, prefixes = _walk(seq, pred_matchings, truth_matchings)
     f = len(seq)
-    if len(pred_matchings) != f - 1 or len(truth_matchings) != f - 1:
-        raise InvalidInputError("matching sequences inconsistent with the video length")
     if spaces is not None and len(spaces) != f - 1:
         raise InvalidInputError("need one candidate space per frame pair")
-    pair_acc = []
-    identities = []
-    for t in range(f - 1):
-        sub = FrameSequence(seq.frames[t : t + 2], dt=seq.dt)
-        pred = assemble_trajectories(sub, [pred_matchings[t]])
-        truth = assemble_trajectories(sub, [truth_matchings[t]])
-        pair_acc.append(path_accuracy(pred, truth, beta))
-        identities.append(pair_identity(pred_matchings[t], truth_matchings[t]))
-    pred_all = assemble_trajectories(seq, pred_matchings)
-    truth_all = assemble_trajectories(seq, truth_matchings)
-    wp, wr, wf = path_accuracy(pred_all, truth_all, beta)
-    cum = cumulative_path_accuracy(seq, pred_matchings, truth_matchings, beta)
+    identities = tuple(pair_identity(p, t) for p, t in zip(pred_matchings, truth_matchings))
+    wp, wr, wf = _scores(*prefixes[-1], beta)
     cov = None
     if spaces is not None:
         cov = tuple(coverage(spaces[t], truth_matchings[t]) for t in range(f - 1))
     return EvalReport(
         beta=beta,
-        pair_accuracy=tuple(pair_acc),
+        pair_accuracy=tuple(_scores(*counts, beta) for counts in pairs),
         whole_precision=wp,
         whole_recall=wr,
         whole_fbeta=wf,
-        cumulative=tuple(cum),
-        pair_identity=tuple(identities),
-        path_identity=path_identity(pred_all, truth_all),
+        cumulative=tuple(_scores(*counts, beta) for counts in prefixes[1:]),
+        pair_identity=identities,
+        path_identity=int(all(identities)),
         coverage=cov,
     )
 

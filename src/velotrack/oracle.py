@@ -261,13 +261,11 @@ def _stage_matrix(seq, sp_prev, sp_next, noise, t, incremental) -> np.ndarray:
     """Dense stage matrix h_t by per-cell scoring.
 
     With incremental=True, seed columns are scored in full and every
-    swap column as a delta on its seed, which needs swap provenance.
+    swap column as a delta on its seed.
     """
     prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
     dt = seq.dt
     info = sp_next.swap_info
-    if incremental and info is None:
-        raise InvalidInputError("incremental evaluation needs swap provenance")
     nexts = list(sp_next.vectors())
     h = np.empty((len(sp_prev), len(sp_next)))
     for r, m_prev in enumerate(sp_prev.vectors()):
@@ -334,11 +332,10 @@ def reference_fold_stage(
     """One backward DP step over every cell, g_prev(x) = max_y h_t(x, y) + g_next(y).
 
     Stage terms are assembled per predecessor chunk from (mid, next)
-    lookup tables. When the successor space carries swap provenance,
-    each swap column is scored from its seed column plus the terms of
-    the two exchanged entries. Returns g_prev and the first argmax
-    successor row per predecessor row; tripartite._fold_stage must
-    return equal arrays.
+    lookup tables. Each swap column of the successor space is scored
+    from its seed column plus the terms of the two exchanged entries.
+    Returns g_prev and the first argmax successor row per predecessor
+    row; tripartite._fold_stage must return equal arrays.
     """
     prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
     dt = seq.dt
@@ -361,20 +358,19 @@ def reference_fold_stage(
     appear = lam * (n_next - (x >= 0).sum(axis=1))  # (C,)
 
     info = sp_next.swap_info
-    if info is not None:
-        seed_cols = np.flatnonzero(info[:, 1] == -1)
-        seed_pos = np.empty(n_cols, dtype=np.int64)
-        seed_pos[seed_cols] = np.arange(seed_cols.shape[0])
-        swap_cols = np.flatnonzero(info[:, 1] >= 0)
-        s_of = info[swap_cols, 0]
-        i_of = info[swap_cols, 1]
-        j_of = info[swap_cols, 2]
-        # exchanged targets, in the swapped vector and in its seed
-        xi_new = xc[swap_cols, i_of]
-        xj_new = xc[swap_cols, j_of]
-        xi_old = xc[s_of, i_of]
-        xj_old = xc[s_of, j_of]
-        base_of = seed_pos[s_of]
+    seed_cols = np.flatnonzero(info[:, 1] == -1)
+    seed_pos = np.empty(n_cols, dtype=np.int64)
+    seed_pos[seed_cols] = np.arange(seed_cols.shape[0])
+    swap_cols = np.flatnonzero(info[:, 1] >= 0)
+    s_of = info[swap_cols, 0]
+    i_of = info[swap_cols, 1]
+    j_of = info[swap_cols, 2]
+    # exchanged targets, in the swapped vector and in its seed
+    xi_new = xc[swap_cols, i_of]
+    xj_new = xc[swap_cols, j_of]
+    xi_old = xc[s_of, i_of]
+    xj_old = xc[s_of, j_of]
+    base_of = seed_pos[s_of]
 
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
@@ -397,21 +393,16 @@ def reference_fold_stage(
         t_vel = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
         terms = np.where(has[:, :, None], t_vel, pos_t[None, :, :])
         full = np.concatenate([np.full((nb, n_mid, 1), lam), terms], axis=2)
-        if info is not None:
-            seeds = np.zeros((nb, seed_cols.shape[0]))
-            for j in range(n_mid):
-                seeds += full[:, j, xc[seed_cols, j]]
-            acc = np.empty((nb, n_cols))
-            acc[:, seed_cols] = seeds
-            acc[:, swap_cols] = (
-                seeds[:, base_of]
-                + full[:, i_of, xi_new] + full[:, j_of, xj_new]
-                - full[:, i_of, xi_old] - full[:, j_of, xj_old]
-            )
-        else:
-            acc = np.zeros((nb, n_cols))
-            for j in range(n_mid):
-                acc += full[:, j, xc[:, j]]
+        seeds = np.zeros((nb, seed_cols.shape[0]))
+        for j in range(n_mid):
+            seeds += full[:, j, xc[seed_cols, j]]
+        acc = np.empty((nb, n_cols))
+        acc[:, seed_cols] = seeds
+        acc[:, swap_cols] = (
+            seeds[:, base_of]
+            + full[:, i_of, xi_new] + full[:, j_of, xj_new]
+            - full[:, i_of, xi_old] - full[:, j_of, xj_old]
+        )
         vals = acc + appear[None, :] + g_next[None, :]
         bp = np.argmax(vals, axis=1)
         back[r0 : r0 + nb] = bp

@@ -29,8 +29,6 @@ import numpy as np
 
 from .assignment import (
     BipartiteConfig,
-    _as_frame,
-    _cost_matrix,
     _gate_from_costs,
     _pair_costs,
     _sweep,
@@ -222,13 +220,13 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     """
     if int(delta) != delta or delta < 0:
         raise InvalidConfigError("delta must be a nonnegative integer")
-    a, b = _as_frame(frame_a), _as_frame(frame_b)
-    n_a, n_b = a.shape[0], b.shape[0]
+    (cost,) = _pair_costs(FrameSequence((frame_a, frame_b)))
+    n_a, n_b = cost.shape
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
     # the sweep stops at the largest cardinality the neighborhood needs
     d_lo = neighborhood(d_star, int(delta), n_a, n_b)[0]
-    sw = _sweep([_cost_matrix(a, b)], [n_a - d_lo])
+    sw = _sweep([cost], [n_a - d_lo])
     pair, ks = _seed_cardinalities(sw.n_a, sw.n_b, np.array([d_star]), int(delta))
     return _assemble_spaces(pair, sw.rows(pair, ks), sw.n_a, sw.n_b)[0]
 
@@ -383,8 +381,6 @@ class _Stage:
     i_of: np.ndarray
     j_of: np.ndarray
     appear: np.ndarray
-    # whether the successor space carries swap provenance
-    has_info: bool
     t_new: tuple[np.ndarray, np.ndarray] | None = None
     t_old: tuple[np.ndarray, np.ndarray] | None = None
     g_next: np.ndarray | None = None
@@ -628,15 +624,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
     xc = np.zeros((int(c_sizes.sum()), n), dtype=np.int64)
     for sp, c0 in zip(sps[1:], c_off.tolist()):
         np.add(sp.matrix, 1, out=xc[c0 : c0 + len(sp), : sp.n_from])
-    infos = []
-    for sp in sps[1:]:
-        if sp.swap_info is None:  # every column is its own seed
-            own_info = np.full((len(sp), 3), -1, dtype=np.int64)
-            own_info[:, 0] = np.arange(len(sp))
-            infos.append(own_info)
-        else:
-            infos.append(sp.swap_info)
-    info = np.concatenate(infos)
+    info = np.concatenate([sp.swap_info for sp in sps[1:]])
     seed_of = info[:, 0] + np.repeat(c_off, c_sizes)
     is_swap = info[:, 1] >= 0
     seed_cols = np.flatnonzero(~is_swap)
@@ -679,7 +667,6 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
             i_of=i_of[c0:c1],
             j_of=j_of[c0:c1],
             appear=appear[c0:c1],
-            has_info=sp.swap_info is not None,
         )
         if swaps:
             st.t_new = (t_new[0][c0:c1], t_new[1][c0:c1])
@@ -719,7 +706,7 @@ def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
     _Stage._score, so both ways of folding return the same arrays:
 
     - dense: every cell of every row;
-    - exchange-structured, when both spaces carry swap provenance. A
+    - exchange-structured, from both spaces' swap provenance. A
       row x is its seed s with entries p and q exchanged, which moves
       the predecessors of at most two mid objects a = s[p] and b = s[q],
       so h(x, y) + g(y) = base_s(y) + c_a[y_a] + c_b[y_b], with base_s
@@ -735,22 +722,20 @@ def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
       O(R delta n).
 
     exchange=None picks the way with fewer closed-form cells; True or
-    False forces one (the exchange way needs provenance on both sides,
-    which a stage from _stages has when its successor space does).
+    False forces one. Spaces whose rows are all seeds, such as full
+    spaces, always cost R C cells, so the closed form folds them densely.
     """
     st.g_next = g_next
     n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
-    rinfo = sp_prev.swap_info
-    provenance = rinfo is not None and st.has_info
-    if exchange is None and provenance:
-        n_seed_rows = int((rinfo[:, 1] == -1).sum())
+    if exchange is None:
+        n_seed_rows = int((sp_prev.swap_info[:, 1] == -1).sum())
         n_seed = st.seed_cols.shape[0]
         width = n_seed * (4 * st.n_mid - 1) + st.n_mid
         cells = n_seed_rows * st.n_cols + (n_rows - n_seed_rows) * width
         exchange = cells + _EXCHANGE_SETUP_CELLS < n_rows * st.n_cols
-    if exchange and provenance:
+    if exchange:
         margin = st.margin()
         if math.isfinite(margin):
             return g_prev, back, _fold_exchange(st, sp_prev, margin, g_prev, back)

@@ -91,18 +91,18 @@ class TestEvaluationModes:
                 assert ms == ms0, mode
                 assert score == pytest.approx(score0, abs=1e-9)
 
-    def test_incremental_requires_provenance(self):
-        seq = FrameSequence((np.zeros((1, 2)), np.ones((1, 2))))
-        spaces = [enumerate_space(1, 1)]  # no swap provenance
+    def test_modes_agree_on_full_spaces(self, rng):
+        # full spaces record every row as its own seed
         nm = NoiseModel.pooled(1.0, -1.0)
-        # one pair has no interior stage, so force two pairs
-        seq3 = FrameSequence((np.zeros((1, 2)), np.ones((1, 2)), 2 * np.ones((1, 2))))
-        spaces3 = [enumerate_space(1, 1), enumerate_space(1, 1)]
-        with pytest.raises(InvalidInputError):
-            reference_solve_dp(seq3, spaces3, nm, incremental=True)
-        # vectorized and full accept plain spaces
-        reference_solve_dp(seq3, spaces3, nm)
-        solve_dp(seq, spaces, nm)
+        for _ in range(5):
+            seq = random_seq(rng, 4)
+            spaces = full_spaces(seq)
+            assert all((sp.swap_info[:, 1] == -1).all() for sp in spaces)
+            ms0, score0 = solve_dp(seq, spaces, nm)
+            for incremental in (False, True):
+                ms, score = reference_solve_dp(seq, spaces, nm, incremental=incremental)
+                assert ms == ms0, incremental
+                assert score == pytest.approx(score0, abs=1e-9)
 
 
 class TestTieBreaking:

@@ -1,17 +1,22 @@
-"""Pinned track() outputs of six small fixed-seed videos.
+"""Pinned track(), evaluate() and experiment outputs.
 
-The values were recorded before the per-pair set-up was batched over
-whole videos; track() must keep returning them bit for bit. Each video
-pins the sha256 prefix of its matchings, the chain score in float.hex
-form and the per-pair sigmas in float.hex form.
+The track() values of six small fixed-seed videos were recorded before
+the per-pair set-up was batched over whole videos; track() must keep
+returning them bit for bit. Each video pins the sha256 prefix of its
+matchings, the chain score in float.hex form and the per-pair sigmas in
+float.hex form. The evaluate() reports of the five simulated videos and
+the sha256 of a tiny experiment grid's results.csv and aggregate.csv
+were recorded before evaluate() read every score from one forward walk.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from velotrack import FrameSequence, SimConfig, simulate, track
+from velotrack import FrameSequence, SimConfig, evaluate, simulate, track
+from velotrack.cli import main
 
 CLOSED = dict(W=300.0, H=240.0, w=300.0, h=240.0)
 OPEN = dict(W=420.0, H=336.0, w=300.0, h=240.0)
@@ -24,14 +29,16 @@ def _with_empty_frame():
     return FrameSequence(tuple(frames), dt=seq.dt)
 
 
-VIDEOS = {
-    "closed_sigma1": lambda: simulate(SimConfig(**CLOSED, N0=10, sigma=1.0, f=6, seed=11)).seq,
-    "closed_sigma6": lambda: simulate(SimConfig(**CLOSED, N0=10, sigma=6.0, f=8, seed=12)).seq,
-    "closed_sigma6_n16": lambda: simulate(SimConfig(**CLOSED, N0=16, sigma=6.0, f=5, seed=13)).seq,
-    "open_events": lambda: simulate(SimConfig(**OPEN, N0=8, sigma=2.0, f=14, seed=23)).seq,
-    "open_events_late": lambda: simulate(SimConfig(**OPEN, N0=8, sigma=2.0, f=14, seed=27)).seq,
-    "empty_frame": _with_empty_frame,
+SIMS = {
+    "closed_sigma1": SimConfig(**CLOSED, N0=10, sigma=1.0, f=6, seed=11),
+    "closed_sigma6": SimConfig(**CLOSED, N0=10, sigma=6.0, f=8, seed=12),
+    "closed_sigma6_n16": SimConfig(**CLOSED, N0=16, sigma=6.0, f=5, seed=13),
+    "open_events": SimConfig(**OPEN, N0=8, sigma=2.0, f=14, seed=23),
+    "open_events_late": SimConfig(**OPEN, N0=8, sigma=2.0, f=14, seed=27),
 }
+
+VIDEOS = {name: (lambda cfg=cfg: simulate(cfg).seq) for name, cfg in SIMS.items()}
+VIDEOS["empty_frame"] = _with_empty_frame
 
 GOLDEN = {
     "closed_sigma1": ('36c13ac5b7d86e3d', '-0x1.15fec0929d589p+7', ('0x1.018a67c01ba42p+0', '0x1.e3b4dc1979801p-1', '0x1.9b08bbbd7b73ap-1', '0x1.1a87de486a654p+0', '0x1.23207c27011dep+0')),
@@ -57,3 +64,61 @@ def test_track_output_is_pinned(name):
         tuple(s.hex() for s in res.diagnostics.sigma.sigmas),
     )
     assert got == GOLDEN[name]
+
+
+def _series_digest(series) -> str:
+    text = "|".join(" ".join(v.hex() for v in scores) for scores in series)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _report_pin(rep):
+    return (
+        _series_digest(rep.pair_accuracy),
+        _series_digest(rep.cumulative),
+        tuple(v.hex() for v in (rep.whole_precision, rep.whole_recall, rep.whole_fbeta)),
+        rep.pair_identity,
+        rep.path_identity,
+    )
+
+
+# evaluate(seq, track(seq).matchings, truth) of the simulated videos:
+# the pair and prefix series as sha256 prefixes of their float.hex text,
+# the whole-video scores in float.hex form and the identity indicators
+EVAL_GOLDEN = {
+    "closed_sigma1": ('d23da3c2c105139c', 'd23da3c2c105139c', ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'), (1, 1, 1, 1, 1), 1),
+    "closed_sigma6": ('2ffc71bdadd05c60', '2ffc71bdadd05c60', ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'), (1, 1, 1, 1, 1, 1, 1), 1),
+    "closed_sigma6_n16": ('09aad87c1fb358f7', '09aad87c1fb358f7', ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'), (1, 1, 1, 1), 1),
+    "open_events": ('97eda925cb31a4ac', 'c6a80c296da04d09', ('0x1.d1745d1745d17p-1', '0x1.aaaaaaaaaaaabp-1', '0x1.bd37a6f4de9bdp-1'), (1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1), 0),
+    "open_events_late": ('b418487037c7da99', 'b418487037c7da99', ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'), (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMS))
+def test_evaluate_output_is_pinned(name):
+    sim = simulate(SIMS[name])
+    rep = evaluate(sim.seq, track(sim.seq).matchings, sim.matchings)
+    assert _report_pin(rep) == EVAL_GOLDEN[name]
+
+
+EXPERIMENT_GRID = {
+    "W": 120.0, "H": 100.0, "w": 60.0, "h": 50.0, "N0": [4, 6], "sigma": [2.0], "f": 8,
+    "seed": 2, "replicates": 2, "methods": ["bmcf", "tri"], "deltas": [0, 1],
+}
+
+# sha256 of the byte-reproducible experiment tables of EXPERIMENT_GRID
+EXPERIMENT_GOLDEN = {
+    "results.csv": "07eb9dd394daf7e1b74ca2485c973e7af42cef379df9abed3b88b41afea6215f",
+    "aggregate.csv": "65675fe5b1f20406b2b82fe7f91be361338d8b4cee88f0218b520a0833d90753",
+}
+
+
+def test_experiment_tables_are_pinned(tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(EXPERIMENT_GRID))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg), "--output", str(out), "--jobs", "1"]) == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in EXPERIMENT_GOLDEN
+    }
+    assert got == EXPERIMENT_GOLDEN

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from velotrack import (
     DISAPPEAR,
     CandidateSpace,
+    EvalReport,
     FrameSequence,
     InvalidInputError,
     MatchingVector,
@@ -23,7 +24,6 @@ from velotrack import (
     improvement_ratio,
     pair_identity,
     path_accuracy,
-    path_identity,
     write_report_csv,
     write_report_json,
 )
@@ -99,10 +99,9 @@ def test_identity_indicators():
     assert pair_identity(a, a) == 1
     assert pair_identity(a, b) == 0
     seq = two_object_seq()
-    ta = assemble_trajectories(seq, [a, a])
-    tb = assemble_trajectories(seq, [a, b])
-    assert path_identity(ta, ta) == 1
-    assert path_identity(ta, tb) == 0
+    assert evaluate(seq, [a, a], [a, a]).path_identity == 1
+    assert evaluate(seq, [a, b], [a, a]).path_identity == 0
+    assert evaluate(FrameSequence(seq.frames[:1]), [], []).path_identity == 1
 
 
 def test_coverage_indicator():
@@ -227,3 +226,47 @@ def test_cumulative_rejects_inconsistent_matchings():
     ms = [MatchingVector((0, 1), n_next=2), MatchingVector((0,), n_next=2)]
     with pytest.raises(InvalidInputError):
         cumulative_path_accuracy(seq, ms, ms)
+
+
+@given(data=st.data())
+def test_evaluate_matches_rebuild_from_public_pieces(data):
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    seq = FrameSequence(tuple(np.zeros((n, 2)) for n in counts))
+    pairs = [data.draw(matching_pair(a, b)) for a, b in zip(counts, counts[1:])]
+    pred = [p for p, _ in pairs]
+    truth = [t for _, t in pairs]
+    beta = data.draw(st.sampled_from([1.0, 0.5, 2.0]))
+    spaces = None
+    if data.draw(st.booleans()):
+        # each space holds the prediction and one more draw
+        spaces = [
+            CandidateSpace.build(
+                np.array([p.entries, data.draw(matching_pair(len(p), p.n_next))[1].entries])
+                .reshape(2, len(p)),
+                n_next=p.n_next,
+            )
+            for p in pred
+        ]
+    pair_acc = []
+    for t in range(len(seq) - 1):
+        sub = FrameSequence(seq.frames[t : t + 2])
+        pair_acc.append(
+            path_accuracy(
+                assemble_trajectories(sub, [pred[t]]), assemble_trajectories(sub, [truth[t]]), beta
+            )
+        )
+    whole_pred = assemble_trajectories(seq, pred)
+    whole_truth = assemble_trajectories(seq, truth)
+    whole = path_accuracy(whole_pred, whole_truth, beta)
+    expected = EvalReport(
+        beta=beta,
+        pair_accuracy=tuple(pair_acc),
+        whole_precision=whole[0],
+        whole_recall=whole[1],
+        whole_fbeta=whole[2],
+        cumulative=tuple(cumulative_path_accuracy(seq, pred, truth, beta)),
+        pair_identity=tuple(int(p == t) for p, t in zip(pred, truth)),
+        path_identity=int(whole_pred == whole_truth),
+        coverage=None if spaces is None else tuple(int(t in sp) for sp, t in zip(spaces, truth)),
+    )
+    assert evaluate(seq, pred, truth, beta, spaces) == expected
