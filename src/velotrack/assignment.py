@@ -30,8 +30,8 @@ track() sweeps all frame pairs of a video in one batch; the gated
 choice of every pair and the fixed-d seeds of every reduced space are
 then read from that one _Sweep, which shares each refinement between
 them. The certificate's first test, the smallest reduced cost off the
-matching, runs for all the matchings read in one batch, so
-_tie_possible runs only for those that test does not clear.
+matching, runs for all the matchings read in one batch per chunk, and
+_tie_possible searches the tight subgraph of those it leaves open.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class _Chunk:
     """One padded chunk of a batched sweep and its snapshots.
 
     Position q holds pair order[q] of the chunk; cost[q] is its cost
-    matrix padded with +inf and tol[q] its tolerance in _tie_possible.
+    matrix padded with +inf and tol[q] its certificate tolerance.
     row_to, u and v are indexed [k - 1, q, i] after k augmentations
     (padded rows hold row_to = -2); card_cost is indexed [k - 1, q] and
     is +inf past the pair's k_stop.
@@ -157,6 +157,13 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> _Chunk:
     for bit the same; the matched costs of each pair are summed in row
     order like a single pair's. Arrays are indexed flat, pair * width +
     position.
+
+    tol is the tie certificate's tolerance, a few n ulps of each pair's
+    cost scale. It covers accumulated float error in the potentials and
+    applies to tightness, to the zero-dual tests and to dual
+    feasibility. Genuine crafted ties sit at exactly zero, while
+    near-ties on continuous data below this scale are indistinguishable
+    from ties.
     """
     n_p = len(costs)
     order = np.argsort([-k for k in k_stops], kind="stable")
@@ -168,7 +175,6 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> _Chunk:
     cost = np.full((n_p, rows, cols), np.inf)
     for q, p in enumerate(order):
         cost[q, : n_a[q], : n_b[q]] = costs[p]
-    # _tie_possible's tolerance: a few n ulps of each pair's cost scale
     real = (np.arange(rows) < n_a[:, None])[:, :, None]
     real = real & (np.arange(cols) < n_b[:, None])[:, None, :]
     scale = np.where(real, np.abs(cost), 0.0).max(axis=(1, 2), initial=0.0)
@@ -286,15 +292,18 @@ def _has_cycle(adj: np.ndarray) -> bool:
         indeg -= adj[drop].sum(axis=0)
 
 
-def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+def _tie_possible(
+    tight: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float
+) -> bool:
     """True unless the tight subgraph certifies the k-matching unique.
 
-    (u, v) are the potentials of the sweep after k augmentations. With U
-    the common potential of the free rows, (alpha = u - U, beta = v,
-    lambda = U) is an optimal dual of the fixed-k LP, and any other
-    min-cost k-matching M' is complementary to it: M' uses only tight
-    edges and leaves unmatched only rows with u_i = U and columns with
-    v_j = 0. Each component of M' xor M is then, in the tight subgraph,
+    tight marks the non-matching edges whose reduced cost is within tol
+    of zero; (u, v) are the potentials of the sweep after k
+    augmentations. With U the common potential of the free rows,
+    (alpha = u - U, beta = v, lambda = U) is an optimal dual of the
+    fixed-k LP, and any other min-cost k-matching M' is complementary to
+    it: M' uses only tight edges and leaves unmatched only rows with
+    u_i = U and columns with v_j = 0. Each component of M' xor M is then, in the tight subgraph,
     - an alternating cycle,
     - an even alternating path from an exposed row (column) to a matched
       row with u = U (a matched column with v = 0), or
@@ -304,31 +313,13 @@ def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.nda
     Alternating paths are walks in the row graph i -> col_to[j] over the
     tight non-matching edges (i, j), so all three checks are
     reachability or cycle tests on an n_a x n_a graph, O(n^2).
-
-    The tolerance, a few n ulps of the cost scale, covers accumulated
-    float error in the potentials and applies both to tightness and to
-    the zero-dual tests; a dual infeasible beyond it also fires.
-    Genuine crafted ties sit at exactly zero, while near-ties on
-    continuous data below this scale are indistinguishable from ties.
     """
-    if cost.size == 0:
-        return False
-    n = max(cost.shape)
-    tol = 64.0 * n * np.finfo(np.float64).eps * (1.0 + float(np.abs(cost).max()))
-    rc = cost - u[:, None] - v[None, :]
     matched = row_to >= 0
     m_rows = np.flatnonzero(matched)
     m_cols = row_to[m_rows]
-    rc[m_rows, m_cols] = np.inf
-    rc_min = float(rc.min())
-    if rc_min > tol:
-        return False
-    if rc_min < -tol:
-        return True
-    tight = rc <= tol
-    col_free = np.ones(cost.shape[1], dtype=bool)
+    col_free = np.ones(tight.shape[1], dtype=bool)
     col_free[m_cols] = False
-    adj = np.zeros((cost.shape[0], cost.shape[0]), dtype=bool)
+    adj = np.zeros((tight.shape[0], tight.shape[0]), dtype=bool)
     adj[:, m_rows] = tight[:, m_cols]
     to_free_col = tight[:, col_free].any(axis=1)
     free = ~matched
@@ -343,17 +334,11 @@ def _tie_possible(cost: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.nda
     # paths from exposed columns enter a matched row i, leave by its column
     # row_to[i] and continue to rows with a tight edge into it: backward
     from_free_col = _reach(adj.T, to_free_col & matched)
-    zero_col = np.zeros(cost.shape[0], dtype=bool)
+    zero_col = np.zeros(tight.shape[0], dtype=bool)
     zero_col[m_rows] = v[m_cols] >= -tol
     if (from_free_col & zero_col).any():
         return True
     return _has_cycle(adj)
-
-
-def _min_costs(costs: list[np.ndarray], ks: list[int]) -> list[float]:
-    """Min cost of a cardinality-k matching of each matrix, one batched sweep."""
-    sw = _sweep(costs, ks)
-    return [float(sw.card_cost[p, k]) for p, k in enumerate(ks)]
 
 
 def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
@@ -384,7 +369,8 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
             for j in cands:
                 subs.append(cost[np.ix_(rest, [c for c in avail if c != j])])
                 needs.append(kr if j == -1 else kr - 1)
-            row_min, *completions = _min_costs(subs, needs)
+            sw = _sweep(subs, needs)
+            row_min, *completions = sw.card_cost[np.arange(len(needs)), needs].tolist()
             tol = _TIE_RTOL * (1.0 + abs(row_min))
             vals = [
                 (0.0 if j == -1 else float(cost[i, j])) + m
@@ -408,11 +394,9 @@ class _Sweep:
     card_cost[p, k] is the min cost of a cardinality-k matching of pair
     p (0 at k = 0, +inf past the pair's k_stop). rows() reads many
     (pair, k) matchings at once and memoizes them, so the gated matching
-    and the fixed-d seeds of a pair share each tie refinement. It runs
-    the certificate's first test for all of them in one batch per chunk
-    (_pre_test) and calls _tie_possible only where that test does not
-    clear; tie_refinements[p] counts the cardinalities of pair p whose
-    certificate fired.
+    and the fixed-d seeds of a pair share each tie refinement, which
+    runs where _certify fires; tie_refinements[p] counts the
+    cardinalities of pair p whose certificate fired.
     """
 
     def __init__(
@@ -454,22 +438,31 @@ class _Sweep:
             int(self.steps[p]),
         )
 
-    def _pre_test(self, pairs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """_tie_possible's first test for many (pair, k), one batch per
-        chunk: True where the smallest reduced cost off the sweep's
-        k-matching clears the pair's tolerance, so that no other min-cost
-        k-matching exists. k = 0 is never cleared (nothing to test)."""
+    def _certify(self, pairs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """The tie certificate of the sweep's k-matching for many
+        (pair, k), one batch per chunk: True where it must be refined.
+
+        A matching whose smallest reduced cost off the matching clears
+        the pair's tolerance is unique; one below -tol fires, its dual
+        being infeasible; any other goes to _tie_possible on its tight
+        subgraph. k = 0 never fires (nothing to test).
+        """
         out = np.zeros(pairs.shape, dtype=bool)
         for c, ch in enumerate(self._chunks):
             sel = np.flatnonzero((self._chunk_of[pairs] == c) & (ks > 0))
             if sel.shape[0]:
                 q, k = self._pos[pairs[sel]], ks[sel] - 1
-                row_to = ch.row_to[k, q]
+                row_to, u, v, tol = ch.row_to[k, q], ch.u[k, q], ch.v[k, q], ch.tol[q]
                 # padded cells stay +inf, matched cells are taken out
-                rc = ch.cost[q] - ch.u[k, q][:, :, None] - ch.v[k, q][:, None, :]
+                rc = ch.cost[q] - u[:, :, None] - v[:, None, :]
                 i, r = np.nonzero(row_to >= 0)
                 rc[i, r, row_to[i, r]] = np.inf
-                out[sel] = rc.min(axis=(1, 2), initial=np.inf) > ch.tol[q]
+                rc_min = rc.min(axis=(1, 2), initial=np.inf)
+                out[sel] = rc_min < -tol
+                for s in np.flatnonzero(np.abs(rc_min) <= tol):
+                    n_a, n_b, t = self.n_a[pairs[sel[s]]], self.n_b[pairs[sel[s]]], tol[s]
+                    tight = rc[s, :n_a, :n_b] <= t
+                    out[sel[s]] = _tie_possible(tight, row_to[s, :n_a], u[s, :n_a], v[s, :n_b], t)
         return out
 
     def rows(self, pairs, ks) -> np.ndarray:
@@ -490,14 +483,10 @@ class _Sweep:
                     q = self._pos[p_new[sel]]
                     block[sel, : ch.row_to.shape[2]] = ch.row_to[k_new[sel] - 1, q]
             np.maximum(block, -1, out=block)  # padded rows hold -2
-            for i in np.flatnonzero((k_new > 0) & ~self._pre_test(p_new, k_new)):
+            for i in np.flatnonzero(self._certify(p_new, k_new)):
                 p, k = int(p_new[i]), int(k_new[i])
-                ch, q = self._chunks[self._chunk_of[p]], self._pos[p]
-                n_a, n_b = self.n_a[p], self.n_b[p]
-                cost, u, v = self.costs[p], ch.u[k - 1, q, :n_a], ch.v[k - 1, q, :n_b]
-                if _tie_possible(cost, block[i, :n_a], u, v):
-                    self.tie_refinements[p] += 1
-                    block[i, :n_a] = _lex_fixed_k(cost, k)
+                self.tie_refinements[p] += 1
+                block[i, : self.n_a[p]] = _lex_fixed_k(self.costs[p], k)
             self._slot[p_new, k_new] = self._rows.shape[0] + np.arange(key.shape[0])
             self._rows = np.concatenate([self._rows, block])
         return self._rows[self._slot[pairs, ks]]

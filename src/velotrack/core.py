@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
@@ -312,7 +313,10 @@ class CandidateSpace:
     def __contains__(self, m: MatchingVector) -> bool:
         if len(m) != self.n_from or m.n_next != self.n_next:
             return False
-        return bool((self.matrix == np.asarray(m.entries, dtype=np.int64)).all(axis=1).any())
+        # rows are unique and sorted lexicographically: binary search
+        key = list(m.entries)
+        i = bisect_left(self.matrix, key, key=np.ndarray.tolist)
+        return i < len(self) and self.matrix[i].tolist() == key
 
     def vector_at(self, r: int) -> MatchingVector:
         return MatchingVector(tuple(self.matrix[r].tolist()), n_next=self.n_next)

@@ -140,16 +140,6 @@ def cumulative_path_accuracy(
     return [_scores(*counts, beta) for counts in prefixes[1:]]
 
 
-def pair_identity(pred: MatchingVector, truth: MatchingVector) -> int:
-    """1 iff the two matching vectors are exactly equal."""
-    return int(pred == truth)
-
-
-def coverage(space: CandidateSpace, truth: MatchingVector) -> int:
-    """1 iff the truth matching vector lies inside the candidate space."""
-    return int(truth in space)
-
-
 def improvement_ratio(f1_by_delta: Sequence[float]) -> list[float | None]:
     """R(delta) = (F1(delta+1) - F1(delta)) / (F1(delta) - F1(delta-1)).
 
@@ -204,11 +194,11 @@ def evaluate(
     f = len(seq)
     if spaces is not None and len(spaces) != f - 1:
         raise InvalidInputError("need one candidate space per frame pair")
-    identities = tuple(pair_identity(p, t) for p, t in zip(pred_matchings, truth_matchings))
+    identities = tuple(int(p == t) for p, t in zip(pred_matchings, truth_matchings))
     wp, wr, wf = _scores(*prefixes[-1], beta)
     cov = None
     if spaces is not None:
-        cov = tuple(coverage(spaces[t], truth_matchings[t]) for t in range(f - 1))
+        cov = tuple(int(truth_matchings[t] in spaces[t]) for t in range(f - 1))
     return EvalReport(
         beta=beta,
         pair_accuracy=tuple(_scores(*counts, beta) for counts in pairs),

@@ -244,6 +244,17 @@ class TestTieCertificate:
         res = track(seq, TrackerConfig(sigma_mode="fixed:1.0"))
         assert res.diagnostics.tie_refinements == (1, 0)
 
+    def test_infeasible_dual_fires(self):
+        # unique optima at k = 1 and 2; a reduced cost far below -tol off
+        # the matching leaves no optimal dual to certify them with
+        a, b = np.array([[0.0, 0.0], [5.0, 0.0]]), np.array([[0.0, 1.0], [5.0, 2.0]])
+        cost = assignment._cost_matrix(a, b)
+        sw = assignment._sweep([cost])
+        pairs, ks = np.zeros(3, dtype=np.int64), np.arange(3)
+        assert sw._certify(pairs, ks).tolist() == [False, False, False]
+        sw._chunks[0].cost[0, 0, 1] = -1e3
+        assert sw._certify(pairs, ks).tolist() == [False, True, True]
+
     def test_silent_on_continuous_data(self, rng):
         for _ in range(150):
             n_a = int(rng.integers(1, 13))

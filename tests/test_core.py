@@ -196,6 +196,21 @@ class TestCandidateSpace:
                 for m in full:
                     assert (m in sp) == (m.entries in rows) == (m in keep)
 
+    @given(st.data())
+    def test_membership_equals_linear_scan(self, data):
+        from velotrack.oracle import enumerate_space
+
+        n_from, n_next = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        full = list(enumerate_space(n_from, n_next).vectors())
+        sp = _space_of(data.draw(st.lists(st.sampled_from(full), unique=True)), n_from, n_next)
+        # probes of the space's shape, and of any length and n_next
+        m = data.draw(st.one_of(st.sampled_from(full), matching_vectors(max_n=4)))
+        scan = any(
+            len(m) == sp.n_from and m.n_next == sp.n_next and tuple(r) == m.entries
+            for r in sp.matrix.tolist()
+        )
+        assert (m in sp) == scan
+
     def test_issubset(self):
         small = CandidateSpace.build(np.array([[0, 1]]), n_next=2)
         big = CandidateSpace.build(np.array([[0, 1], [1, 0]]), n_next=2)

@@ -7,15 +7,20 @@ matchings, the chain score in float.hex form and the per-pair sigmas in
 float.hex form. The evaluate() reports of the five simulated videos and
 the sha256 of a tiny experiment grid's results.csv and aggregate.csv
 were recorded before evaluate() read every score from one forward walk.
+The integer-grid videos, whose exact ties make the tie certificate
+fire, pin each pair's tie_refinements, the matchings and the score at
+delta 0, 1 and 2; they were recorded before the certificate's first
+test moved wholly into the batched sweep.
 """
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from velotrack import FrameSequence, SimConfig, evaluate, simulate, track
+from velotrack import FrameSequence, SimConfig, TrackerConfig, evaluate, simulate, track
 from velotrack.cli import main
 
 CLOSED = dict(W=300.0, H=240.0, w=300.0, h=240.0)
@@ -64,6 +69,52 @@ def test_track_output_is_pinned(name):
         tuple(s.hex() for s in res.diagnostics.sigma.sigmas),
     )
     assert got == GOLDEN[name]
+
+
+def _grid_video(seed):
+    """Three to five frames of two to six points on a 4 x 4 integer grid,
+    sometimes with two coincident extras, and one inner frame emptied
+    when there are four frames or more."""
+    rng = np.random.default_rng(seed)
+    f = int(rng.integers(3, 6))
+    frames = []
+    for _ in range(f):
+        pts = rng.integers(0, 4, size=(int(rng.integers(2, 7)), 2)).astype(float)
+        if rng.integers(0, 3) == 0:
+            pts = np.concatenate([pts, pts[:2]])
+        frames.append(pts)
+    if f >= 4:
+        frames[int(rng.integers(1, f - 1))] = np.empty((0, 2))
+    return FrameSequence(tuple(frames))
+
+
+# (seed, delta): (tie_refinements, matchings digest, score.hex())
+CERTIFICATE_GOLDEN = {
+    (2, 0): ((1, 0, 0, 1), 'dae90b4200a1df48', '-0x1.1bc0fc87fd635p+7'),
+    (2, 1): ((1, 0, 0, 2), 'dae90b4200a1df48', '-0x1.1bc0fc87fd635p+7'),
+    (2, 2): ((1, 0, 0, 3), 'dae90b4200a1df48', '-0x1.1bc0fc87fd635p+7'),
+    (5, 0): ((1, 1, 0, 0), '7ebc964ee52ac4c7', '-0x1.d0bdd52478412p+6'),
+    (5, 1): ((2, 2, 0, 0), '7ebc964ee52ac4c7', '-0x1.d0bdd52478412p+6'),
+    (5, 2): ((3, 3, 0, 0), '7ebc964ee52ac4c7', '-0x1.d0bdd52478412p+6'),
+    (8, 0): ((1, 0, 0, 2), 'b4d52526731bcc06', '-0x1.75c9a72475a7ep+6'),
+    (8, 1): ((2, 0, 0, 3), '01e2580a37cc1f42', '-0x1.6e6faab25c784p+6'),
+    (8, 2): ((2, 0, 0, 4), '01e2580a37cc1f42', '-0x1.6e6faab25c784p+6'),
+    (14, 0): ((1, 1), 'd025330787e232ed', '-0x1.5cd583208ded0p+5'),
+    (14, 1): ((2, 2), 'd025330787e232ed', '-0x1.5cd583208ded0p+5'),
+    (14, 2): ((3, 3), 'd025330787e232ed', '-0x1.5cd583208ded0p+5'),
+    (17, 0): ((2, 0, 0, 4), '93b4ce6f8984cbc0', '-0x1.b8df5564b8f06p+5'),
+    (17, 1): ((2, 0, 0, 4), 'ee788d8bbd39ec9c', '-0x1.aa2b5c8086912p+5'),
+    (17, 2): ((3, 0, 0, 4), '7036e68fd7d9a0c1', '-0x1.9b77639c5431cp+5'),
+}
+
+
+@pytest.mark.parametrize("seed,delta", sorted(CERTIFICATE_GOLDEN))
+def test_tie_certificate_output_is_pinned(seed, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some videos hold no 3-frame chain for sigma
+        res = track(_grid_video(seed), TrackerConfig(delta=delta))
+    got = (res.diagnostics.tie_refinements, _digest(res.matchings), res.score.hex())
+    assert got == CERTIFICATE_GOLDEN[seed, delta]
 
 
 def _series_digest(series) -> str:

@@ -17,12 +17,10 @@ from velotrack import (
     InvalidInputError,
     MatchingVector,
     assemble_trajectories,
-    coverage,
     cumulative_path_accuracy,
     evaluate,
     f_beta,
     improvement_ratio,
-    pair_identity,
     path_accuracy,
     write_report_csv,
     write_report_json,
@@ -96,9 +94,9 @@ class TestPathAccuracy:
 def test_identity_indicators():
     a = MatchingVector((0, 1), n_next=2)
     b = MatchingVector((1, 0), n_next=2)
-    assert pair_identity(a, a) == 1
-    assert pair_identity(a, b) == 0
     seq = two_object_seq()
+    assert evaluate(seq, [a, a], [a, a]).pair_identity == (1, 1)
+    assert evaluate(seq, [a, b], [a, a]).pair_identity == (1, 0)
     assert evaluate(seq, [a, a], [a, a]).path_identity == 1
     assert evaluate(seq, [a, b], [a, a]).path_identity == 0
     assert evaluate(FrameSequence(seq.frames[:1]), [], []).path_identity == 1
@@ -106,8 +104,11 @@ def test_identity_indicators():
 
 def test_coverage_indicator():
     sp = CandidateSpace.build(np.array([[0, 1], [1, 0]]), n_next=2)
-    assert coverage(sp, MatchingVector((0, 1), n_next=2)) == 1
-    assert coverage(sp, MatchingVector((0, DISAPPEAR), n_next=2)) == 0
+    seq = two_object_seq(2)
+    pred = [MatchingVector((0, 1), n_next=2)]
+    assert evaluate(seq, pred, pred, spaces=[sp]).coverage == (1,)
+    truth = [MatchingVector((0, DISAPPEAR), n_next=2)]
+    assert evaluate(seq, pred, truth, spaces=[sp]).coverage == (0,)
 
 
 def test_improvement_ratio():

@@ -1,9 +1,9 @@
 """The video-level set-up of track() against the per-pair references.
 
 track() does each per-pair job once per video over padded arrays: the
-certificate's pre-test inside the batched sweep, space assembly, stage
-set-up and the sigma estimate. Each must equal, bit for bit, its
-one-pair form in oracle.py.
+tie certificate of the matchings read from the batched sweep, space
+assembly, stage set-up and the sigma estimate. Each must equal, bit for
+bit, its one-pair form (in oracle.py, or here for the certificate).
 """
 
 import warnings
@@ -43,14 +43,20 @@ def videos(draw):
     return FrameSequence(tuple(frames), dt=dt)
 
 
-def reference_pre_test(cost, row_to, u, v):
-    """_tie_possible's first test: True when it clears the matching."""
+def reference_certificate(cost, row_to, u, v):
+    """The tie certificate of one k-matching from its sweep snapshot:
+    True when it must be refined. The smallest reduced cost off the
+    matching clears it above the tolerance and fires below -tol;
+    otherwise the tight-subgraph search decides."""
     n = max(cost.shape)
     tol = 64.0 * n * np.finfo(np.float64).eps * (1.0 + float(np.abs(cost).max()))
     rc = cost - u[:, None] - v[None, :]
     m = np.flatnonzero(row_to >= 0)
     rc[m, row_to[m]] = np.inf
-    return float(rc.min()) > tol
+    rc_min = float(rc.min())
+    if rc_min > tol:
+        return False
+    return rc_min < -tol or assignment._tie_possible(rc <= tol, row_to, u, v, tol)
 
 
 def reference_rowbase(sp_prev, n_mid, n_next):
@@ -75,20 +81,18 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
     costs = assignment._pair_costs(seq)
     sw = assignment._sweep(costs)
 
-    # the batched pre-test clears exactly what _tie_possible's first test
-    # clears, and never a matching whose certificate fires
+    # the batched certificate fires exactly where the one-matching
+    # certificate on the pair's own sweep does
     pairs = np.repeat(np.arange(f - 1), sw.k_stop + 1)
     ks = np.concatenate([np.arange(k + 1) for k in sw.k_stop])
-    cleared = sw._pre_test(pairs, ks)
-    for p, k, got in zip(pairs, ks, cleared):
+    refine = sw._certify(pairs, ks)
+    for p, k, got in zip(pairs, ks, refine):
         if k == 0:
             assert not got
             continue
         ref = reference_sweep(costs[p], k)
-        args = (costs[p], ref.row_to[k - 1], ref.u[k - 1], ref.v[k - 1])
-        assert got == reference_pre_test(*args), (p, k)
-        if got:
-            assert not assignment._tie_possible(*args), (p, k)
+        want = reference_certificate(costs[p], ref.row_to[k - 1], ref.u[k - 1], ref.v[k - 1])
+        assert got == want, (p, k)
 
     # spaces around the gated d*, in runs small enough to split the video
     with warnings.catch_warnings():
