@@ -36,6 +36,7 @@ _tie_possible searches the tight subgraph of those it leaves open.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -474,7 +475,7 @@ class _Sweep:
         new = self._slot[pairs, ks] < 0
         if new.any():
             n_k1 = self._slot.shape[1]
-            key = np.unique(pairs[new] * n_k1 + ks[new])
+            key = _sorted_unique(pairs[new] * n_k1 + ks[new])
             p_new, k_new = np.divmod(key, n_k1)
             block = np.full((key.shape[0], self._rows.shape[1]), -1, dtype=np.int64)
             for c, ch in enumerate(self._chunks):
@@ -558,6 +559,32 @@ def solve_bmcf(
     return solve_bmcf_sequence(FrameSequence((frame_a, frame_b)), cfg)[1][0]
 
 
+# np.quantile and plain np.unique import numpy.ma on their first call in
+# a process (NumPy 2.4), which costs more than tracking a small video;
+# the two helpers below stand in for them.
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) bit for bit, for finite nonempty 1-D values
+    and 0 <= q <= 1: numpy's default linear method, a lerp between the
+    two order statistics around (n - 1) q."""
+    v = np.sort(values)
+    n = v.shape[0]
+    h = (n - 1) * q
+    # past the last index numpy takes index -1 on both sides
+    lo = math.floor(h) if h < n - 1 else -1
+    a, b = v[lo], v[lo + 1 if lo >= 0 else -1]
+    t = h - lo
+    d = b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a nonempty 1-D array without NaN."""
+    v = np.sort(values)
+    return v[np.r_[True, v[1:] != v[:-1]]]
+
+
 def _gate_from_costs(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
     """cfg's fixed gate cost, or the quantile of the row minima of the
     nonempty cost matrices (1.0, with a warning, when there are none)."""
@@ -567,7 +594,7 @@ def _gate_from_costs(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
     if not samples:
         warnings.warn("no distance samples to set the gate cost, using 1.0")
         return 1.0
-    return float(np.quantile(np.concatenate(samples), cfg.gate_quantile))
+    return _quantile(np.concatenate(samples), cfg.gate_quantile)
 
 
 def _pair_costs(seq: FrameSequence) -> list[np.ndarray]:

@@ -277,9 +277,10 @@ class CandidateSpace:
     def build(
         cls, matrix: np.ndarray, n_next: int, swap_info: np.ndarray | None = None
     ) -> "CandidateSpace":
-        """Sort rows lexicographically and wrap them up; rows must be unique.
+        """Sort rows lexicographically and wrap them up.
 
-        Without swap_info every row is its own seed.
+        Without swap_info every row is its own seed. A repeated row raises
+        InvalidInputError.
         """
         a = np.asarray(matrix, dtype=np.int64)
         if a.ndim != 2:
@@ -291,6 +292,8 @@ class CandidateSpace:
             # lexsort keys run last-to-first, so feed reversed columns
             order = np.lexsort(a.T[::-1])
         a = a[order]  # a copy, so freezing it leaves the caller's array alone
+        if (a[1:] == a[:-1]).all(axis=1).any():
+            raise InvalidInputError("candidate rows must be unique")
         if swap_info is None:
             info = np.full((order.shape[0], 3), -1, dtype=np.int64)
             info[:, 0] = np.arange(order.shape[0])

@@ -31,6 +31,7 @@ from .assignment import (
     BipartiteConfig,
     _gate_from_costs,
     _pair_costs,
+    _sorted_unique,
     _sweep,
 )
 from .core import (
@@ -270,7 +271,7 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
     """
     spaces: list[CandidateSpace | None] = [None] * n_a.shape[0]
     width = n_a[seed_pair]
-    for n in np.unique(width).tolist():
+    for n in sorted(set(width.tolist())):
         idx = np.arange(n)
         iu, ju = np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), without its cost
         n_ex = iu.shape[0]
@@ -346,8 +347,8 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
 # cells per row chunk of the fold, per run of stage set-up and per run of
 # space assembly: bounds their temporary arrays
 _FOLD_CELLS = 1 << 18
-# the exchange-structured fold's fixed cost, in dense cells (about 0.2 ms)
-_EXCHANGE_SETUP_CELLS = 4096
+# the exchange-structured fold's fixed cost, in dense cells (about 0.5 ms)
+_EXCHANGE_SETUP_CELLS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -468,11 +469,12 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
     n_seed = st.seed_cols.shape[0]
     seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
     swap_rows = np.flatnonzero(rinfo[:, 1] >= 0)
+    n_row_seed = seed_rows.shape[0]
     # a row seed's own values are exact: they are base_s
     base = st.dense(seed_rows)
     bp = np.argmax(base, axis=1)
     back[seed_rows] = bp
-    g_prev[seed_rows] = base[np.arange(seed_rows.shape[0]), bp]
+    g_prev[seed_rows] = base[np.arange(n_row_seed), bp]
     cells = base.size
     if swap_rows.shape[0] == 0:
         return cells
@@ -483,76 +485,94 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
     within = np.arange(n_cols) - (np.cumsum(sizes) - sizes)[st.seed_pos[by_seed]]
     block = np.repeat(st.seed_cols[:, None], sizes.max(), axis=1)
     block[st.seed_pos[by_seed], within] = by_seed
-    # per (row seed, column seed): the first `cut` columns by (-base_s, index)
+    # cut lists, per (row seed, column seed): the first `cut` columns by
+    # (-base_s, index), their base_s (-inf past the block and in one
+    # extra slot) and exch[r, u, s, k], whether entry k exchanges object u
     cut = min(2 * n_mid - 1, block.shape[1])
     keys = np.where(np.arange(block.shape[1]) < sizes[:, None], -base[:, block], np.inf)
     order = np.argsort(keys, axis=2, kind="stable")[:, :, :cut]
     top = block[np.arange(n_seed)[:, None], order]  # (row seeds, n_seed, cut)
-    more = sizes > cut
-    last = top[:, :, -1]
-    # touch[u, s, v]: column seed s with entries u and v exchanged (else s itself)
+    top_base = np.full(top.shape[:2] + (cut + 1,), -np.inf)
+    top_base[:, :, :cut] = -np.take_along_axis(keys, order, axis=2)
+    exch = np.zeros((n_row_seed, n_mid, n_seed, cut), dtype=bool)
+    ri, si, ki = np.nonzero(st.is_swap[top])
+    exch[ri, st.i_of[top[ri, si, ki]], si, ki] = True
+    exch[ri, st.j_of[top[ri, si, ki]], si, ki] = True
+    # touch[u, s, v]: column seed s with entries u and v exchanged (else s
+    # itself), where u's target is seed s's target of v
     touch = np.repeat(st.seed_cols[None, :, None], n_mid, axis=0).repeat(n_mid, axis=2)
     sw = np.flatnonzero(st.is_swap)
     touch[st.i_of[sw], st.seed_pos[sw], st.j_of[sw]] = sw
     touch[st.j_of[sw], st.seed_pos[sw], st.i_of[sw]] = sw
+    base_touch = base[:, touch]  # (row seeds, n_mid, n_seed, n_mid)
 
-    rank = np.empty(rinfo.shape[0], dtype=np.int64)
-    rank[seed_rows] = np.arange(seed_rows.shape[0])
     s_all = rinfo[swap_rows, 0]
-    a_all = sp_prev.matrix[s_all, rinfo[swap_rows, 1]]
-    b_all = sp_prev.matrix[s_all, rinfo[swap_rows, 2]]
-    basef = base.reshape(-1)
-    xcf = st.xc.reshape(-1)
+    sr_all = np.searchsorted(seed_rows, s_all)  # row seed ranks
+    # the two moved mid objects; a DISAPPEAR side stands in as the other
+    m_all = sp_prev.matrix[s_all[:, None], rinfo[swap_rows, 1:]]
+    gone_all = m_all < 0
+    m_all = np.where(gone_all, m_all[:, ::-1], m_all)
     n_t = st.n_next + 1
-    ks = np.arange(n_t)
-    width = n_seed * (2 * n_mid + cut)
-    step = max(1, _FOLD_CELLS // width)
+    tab_rows = st.tabf.reshape(-1, n_t)
+    sides = np.arange(2)
+    sidx = np.arange(n_seed)
+    n_blk = 2 * n_seed * n_mid
+    step = max(1, _FOLD_CELLS // (n_blk + n_seed * (cut + 1)))
+    seed_terms = tab_rows[st.rowbase[seed_rows] // n_t]  # (row seeds, n_mid, n_t)
     for k0 in range(0, swap_rows.shape[0], step):
-        x = swap_rows[k0 : k0 + step]
-        s = s_all[k0 : k0 + step]
-        sr = rank[s][:, None]
+        k = slice(k0, k0 + step)
+        x, m, gone, r = swap_rows[k], m_all[k], gone_all[k], sr_all[k]
+        r1 = r[:, None]
         nb = x.shape[0]
-        ar = np.arange(nb)[:, None]
-        # c_a, c_b: the change of a's and b's terms per target, 0 at DISAPPEAR
-        diffs = []
-        for m in (a_all[k0 : k0 + step], b_all[k0 : k0 + step]):
-            m0 = np.maximum(m, 0)
-            dv = (
-                st.tabf[st.rowbase[x, m0][:, None] + ks]
-                - st.tabf[st.rowbase[s, m0][:, None] + ks]
-            )
-            dv[m < 0] = 0.0
-            diffs.append((m0[:, None], dv.reshape(-1)))
-        (a0, ca), (b0, cb) = diffs
-        cand = np.concatenate(
-            [touch[a0[:, 0]], touch[b0[:, 0]], top[sr[:, 0]]], axis=2
-        ).reshape(nb, -1)
-        dec = (
-            basef[sr * n_cols + cand]
-            + ca[ar * n_t + xcf[cand * n_mid + a0]]
-            + cb[ar * n_t + xcf[cand * n_mid + b0]]
+        ar = np.arange(nb)
+        # dc[:, side]: the change of that side's terms per target; c_at
+        # reads it at seed s's target of v, which column touch[m, s, v]
+        # gives m, and c_seed at m's own seed target
+        dc = tab_rows[st.rowbase[x[:, None], m] // n_t] - seed_terms[r1, m]
+        dc[gone] = 0.0
+        c_at = dc[:, :, st.seed_xc]  # (nb, 2, n_seed, n_mid)
+        c_seed = c_at[ar[:, None], sides, :, m]  # (nb, 2, n_seed)
+        seed_val = c_seed[:, 0] + c_seed[:, 1]
+        # touch blocks: each column keeps the other side's seed target,
+        # but for the a-b exchange itself
+        blk = base_touch[r1, m]  # (nb, 2, n_seed, n_mid)
+        blk += c_at
+        blk += c_seed[:, ::-1, :, None]
+        a, b = m[:, 0], m[:, 1]
+        blk[ar, 0, :, b] = blk[ar, 1, :, a] = (
+            base_touch[r, a, :, b] + c_at[ar, 0, :, b] + c_at[ar, 1, :, a]
         )
-        thr = dec.max(axis=1, keepdims=True) - margin
-        # a column past a cut list keeps its seed's targets at a and b
-        past = (
-            basef[sr * n_cols + last[sr[:, 0]]]
-            + ca[ar * n_t + st.seed_xc[:, a0[:, 0]].T]
-            + cb[ar * n_t + st.seed_xc[:, b0[:, 0]].T]
+        blk[gone] = -np.inf  # a stand-in's block is the other side's
+        blk = blk.reshape(nb, n_blk)
+        # untouched columns keep both seed targets: the first entry of
+        # each cut list that exchanges neither a nor b is their best (at
+        # most 2n - 3 columns of a block touch a or b)
+        first = np.argmin(exch[r, a] | exch[r, b], axis=2)  # (nb, n_seed)
+        free = top_base[r1, sidx, first] + seed_val
+        thr = np.maximum(blk.max(axis=1), free.max(axis=1))[:, None] - margin
+        # the next base_s in the list bounds every other untouched
+        # column; a list that might hide a shortlisted one adds its block
+        ro, so = np.nonzero(top_base[r1, sidx, first + 1] + seed_val >= thr)
+        br, bk = np.divmod(np.flatnonzero(blk >= thr), n_blk)
+        side, pos = np.divmod(bk, n_seed * n_mid)
+        fr, fs = np.nonzero(free >= thr)
+        key = _sorted_unique(
+            np.concatenate([
+                x[br] * n_cols + touch.reshape(n_mid, -1)[m[br, side], pos],
+                x[fr] * n_cols + top[r[fr], fs, first[fr, fs]],
+                (x[ro, None] * n_cols + block[so]).ravel(),
+            ])
         )
-        # a cut list that might hide a shortlisted column adds its whole block
-        ro, so = np.nonzero((past >= thr) & more)
-        short = (x[:, None] * n_cols + cand)[dec >= thr]
-        key = np.unique(np.concatenate([short, (x[ro, None] * n_cols + block[so]).ravel()]))
-        cells += dec.size + key.shape[0]
-        r, c = np.divmod(key, n_cols)
-        vals = st.cells(r, c)
+        cells += blk.size + free.size + key.shape[0]
+        rr, c = np.divmod(key, n_cols)
+        vals = st.cells(rr, c)
         # cells run by row then column: keep each row's first maximum
-        start = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        start = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
         best = np.maximum.reduceat(vals, start)
-        hit = np.flatnonzero(vals == np.repeat(best, np.diff(np.r_[start, r.shape[0]])))
-        first = hit[np.r_[True, r[hit][1:] != r[hit][:-1]]]
-        back[r[first]] = c[first]
-        g_prev[r[first]] = vals[first]
+        hit = np.flatnonzero(vals == np.repeat(best, np.diff(np.r_[start, rr.shape[0]])))
+        win = hit[np.r_[True, rr[hit][1:] != rr[hit][:-1]]]
+        back[rr[win]] = c[win]
+        g_prev[rr[win]] = vals[win]
     return cells
 
 
@@ -583,7 +603,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
     counts_at = np.stack([n_prev, n_mid, n_next], axis=1)
     width = counts_at.max(axis=1)
     tabs: list[np.ndarray | None] = [None] * n_st
-    for m in np.unique(width).tolist():
+    for m in sorted(set(width.tolist())):
         g = np.flatnonzero(width == m)
         prev_f, mid_f, next_f = frames[g, :m], frames[g + 1, :m], frames[g + 2, :m]
         disp = next_f[:, None, :, :] - mid_f[:, :, None, :]  # (stage, mid, next, 2)
@@ -710,20 +730,27 @@ def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
       row x is its seed s with entries p and q exchanged, which moves
       the predecessors of at most two mid objects a = s[p] and b = s[q],
       so h(x, y) + g(y) = base_s(y) + c_a[y_a] + c_b[y_b], with base_s
-      scored densely once per row seed. Per column seed, a row's best
-      column is one of the < 2n exchanges touching a or b, or the best
-      of the rest, which a list of the seed's columns sorted by
-      (-base_s, index) and cut after 2n - 1 entries holds. Decomposed
-      values only shortlist the columns within a rounding margin of the
-      row's decomposed maximum (_Stage.margin); the shortlist is scored
-      exactly and its first argmax taken. Where a column seed's cut list
-      might hide a shortlisted column, the seed's whole block of columns
-      joins the row's shortlist. Work per stage falls from O(R C) to
+      scored densely once per row seed. Per column seed, a row scores
+      2n + 1 columns. The 2n that exchange a or b with some entry
+      (touch blocks) come from per-stage tables of base_s. Every other
+      column keeps the seed's targets of a and b, so the best of them
+      is the first entry of the seed's cut list (its columns sorted by
+      (-base_s, index), cut after 2n - 1) that exchanges neither a nor
+      b: an integer test on the list's exchanged entries, no value
+      gathers. Decomposed values only shortlist the columns within a
+      rounding margin of the row's decomposed maximum (_Stage.margin);
+      the shortlist is scored exactly and its first argmax taken. The
+      list's next entry bounds every other untouched column; where that
+      bound reaches the margin, the seed's whole block of columns joins
+      the row's shortlist. Work per stage falls from O(R C) to
       O(R delta n).
 
-    exchange=None picks the way with fewer closed-form cells; True or
-    False forces one. Spaces whose rows are all seeds, such as full
-    spaces, always cost R C cells, so the closed form folds them densely.
+    exchange=None picks the way with fewer closed-form cells: a row
+    seed scores C cells, any other row S (2n + 1) decomposed ones plus
+    n for its exact rescoring (S column seeds, n mid objects), and the
+    exchange way adds _EXCHANGE_SETUP_CELLS; True or False forces one.
+    Spaces whose rows are all seeds, such as full spaces, always cost
+    R C cells, so the closed form folds them densely.
     """
     st.g_next = g_next
     n_rows = len(sp_prev)
@@ -732,7 +759,7 @@ def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
     if exchange is None:
         n_seed_rows = int((sp_prev.swap_info[:, 1] == -1).sum())
         n_seed = st.seed_cols.shape[0]
-        width = n_seed * (4 * st.n_mid - 1) + st.n_mid
+        width = n_seed * (2 * st.n_mid + 1) + st.n_mid
         cells = n_seed_rows * st.n_cols + (n_rows - n_seed_rows) * width
         exchange = cells + _EXCHANGE_SETUP_CELLS < n_rows * st.n_cols
     if exchange:

@@ -159,6 +159,24 @@ class TestGateSelection:
         assert resolve_gate_cost(seq, hi) == pytest.approx(4.0)
         assert resolve_gate_cost(seq, lo) == pytest.approx(1.0)
 
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 2.5, 4.0]), st.floats(-1e6, 1e6)),
+            min_size=1,
+            max_size=200,
+        ),
+        q=st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1e-9),
+            st.floats(1.0 - 1e-9, 1.0),
+            st.sampled_from([0.0, 5e-324, 0.5, 0.99, math.nextafter(1.0, 0.0), 1.0]),
+        ),
+    )
+    def test_quantile_equals_numpy(self, values, q):
+        # ties come from the sampled values, q near 0 and 1 from its strategies
+        x = np.array(values)
+        assert assignment._quantile(x, q).hex() == float(np.quantile(x, q)).hex()
+
     def test_sequence_pools_pairs(self):
         seq = FrameSequence(
             (

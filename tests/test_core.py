@@ -174,6 +174,13 @@ class TestCandidateSpace:
         sp = CandidateSpace.build(mat, n_next=2)
         assert [tuple(r) for r in sp.matrix] == [(-1, 0), (0, 1), (1, 0)]
 
+    def test_duplicate_rows_raise(self):
+        with pytest.raises(InvalidInputError, match="unique"):
+            CandidateSpace.build(np.array([[0, 1], [1, 0], [0, 1]]), n_next=2)
+        # every row of width 0 is the empty vector
+        with pytest.raises(InvalidInputError, match="unique"):
+            CandidateSpace.build(np.empty((2, 0), dtype=np.int64), n_next=2)
+
     def test_membership(self):
         sp = CandidateSpace.build(np.array([[0, 1], [1, 0]]), n_next=2)
         m = MatchingVector((1, 0), n_next=2)

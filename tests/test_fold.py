@@ -56,21 +56,39 @@ def test_exchange_fold_equals_reference(frames, d_picks, delta, sigmas, lam, dt,
 
 
 def test_mid_sized_stages_equal_reference(rng):
-    # cut lists are shorter than the column blocks from n = 5 on
+    # cut lists are shorter than the column blocks from n = 5 on; frames
+    # of n - 2 .. n + 2 objects put DISAPPEAR entries into the spaces
     for n in range(5, 15):
         for grid in (None, 3):
-            if grid is None:
-                frames = tuple(rng.normal(0.0, 3.0, size=(n, 2)) for _ in range(3))
-            else:
-                frames = tuple(rng.integers(0, grid, size=(n, 2)).astype(float) for _ in range(3))
-            seq = FrameSequence(frames)
-            sp_prev = reduced(seq.frames[0], seq.frames[1], int(rng.integers(0, 3)), 2)
-            sp_next = reduced(seq.frames[1], seq.frames[2], int(rng.integers(0, 3)), 2)
-            g_next = rng.normal(0.0, 5.0, size=len(sp_next))
-            if grid is not None:
-                g_next = np.round(g_next)
-            noise = NoiseModel(sigmas=(1.0, 0.7), lambda_event=-4.0)
-            assert_same_fold(seq, sp_prev, sp_next, g_next, noise, True)
+            for delta in (0, 1, 2):
+                counts = (n + rng.integers(-2, 3, size=3)).tolist()
+                if grid is None:
+                    frames = tuple(rng.normal(0.0, 3.0, size=(k, 2)) for k in counts)
+                else:
+                    frames = tuple(
+                        rng.integers(0, grid, size=(k, 2)).astype(float) for k in counts
+                    )
+                seq = FrameSequence(frames)
+                sp_prev = reduced(seq.frames[0], seq.frames[1], int(rng.integers(0, 3)), delta)
+                sp_next = reduced(seq.frames[1], seq.frames[2], int(rng.integers(0, 3)), delta)
+                g_next = rng.normal(0.0, 5.0, size=len(sp_next))
+                if grid is not None:
+                    g_next = np.round(g_next)
+                noise = NoiseModel(sigmas=(1.0, 0.7), lambda_event=-4.0)
+                assert_same_fold(seq, sp_prev, sp_next, g_next, noise, True)
+
+
+def test_row_moving_disappear_and_mid_object_0():
+    # predecessor row 5 is its seed [2, -1, 0, 1] with the DISAPPEAR entry
+    # and the entry of mid object 0 exchanged, so only object 0 moves
+    frames = ([[3, 2], [2, 3], [0, 3], [1, 3]], [[1, 1], [1, 1], [3, 0]], [[0, 3], [1, 0], [3, 2]])
+    seq = FrameSequence(tuple(np.array(f, dtype=float) for f in frames))
+    sp_prev = build_reduced_space(seq.frames[0], seq.frames[1], 1, delta=0)
+    sp_next = build_reduced_space(seq.frames[1], seq.frames[2], 0, delta=0)
+    seed, i, j = sp_prev.swap_info[5].tolist()
+    assert sp_prev.matrix[seed].tolist() == [2, -1, 0, 1] and (i, j) == (1, 2)
+    noise = NoiseModel(sigmas=(1.0, 1.0), lambda_event=-4.0)
+    assert_same_fold(seq, sp_prev, sp_next, np.zeros(len(sp_next)), noise, True)
 
 
 def test_crowded_stage_scores_o_n_cells_per_row():
@@ -92,9 +110,9 @@ def test_crowded_stage_scores_o_n_cells_per_row():
     seed_cols = int((sp_next.swap_info[:, 1] == -1).sum())
     assert (seed_rows, seed_cols) == (2, 2)
     # row seeds score every column; every other row scores, per column
-    # seed, 2n exchanges touching its two moved objects plus a cut list
-    # of 2n - 1, then rescores its one shortlisted cell exactly
-    per_row = seed_cols * (2 * n + 2 * n - 1) + 1
+    # seed, the 2n exchanges touching its two moved objects plus the best
+    # column touching neither, then rescores its one shortlisted cell
+    per_row = seed_cols * (2 * n + 1) + 1
     assert cells == seed_rows * n_cols + (n_rows - seed_rows) * per_row
     assert cells < n_rows * n_cols // 4
 
@@ -112,13 +130,20 @@ def test_track_reports_dp_cells(rng):
 
 def test_coincident_detections_fall_back_to_dense_rows():
     # every detection at one point: all cells of a column block tie, so
-    # no cut list can rule out the columns past it
+    # the next entry of a cut list cannot rule out the block's other
+    # untouched columns
     n = 6
     seq = FrameSequence(tuple(np.zeros((n, 2)) for _ in range(3)))
     sp_prev = build_reduced_space(seq.frames[0], seq.frames[1], 1, delta=1)
     sp_next = build_reduced_space(seq.frames[1], seq.frames[2], 1, delta=1)
     noise = NoiseModel.pooled(1.0, -2.0)
     cells = assert_same_fold(seq, sp_prev, sp_next, np.zeros(len(sp_next)), noise, True)
-    # each overflowing cut list adds only its own column block to the
-    # row's exact shortlist; rescoring the whole row densely took 5245
-    assert cells == 3881
+
+    n_rows, n_cols = len(sp_prev), len(sp_next)
+    seed_rows = int((sp_prev.swap_info[:, 1] == -1).sum())
+    seed_cols = int((sp_next.swap_info[:, 1] == -1).sum())
+    assert (n_rows, n_cols, seed_rows, seed_cols) == (47, 47, 3, 3)
+    # each swap row adds only the one column block holding its maximum
+    # (16 columns) to its exact shortlist, not the whole row of 47
+    per_row = seed_cols * (2 * n + 1) + 16
+    assert cells == seed_rows * n_cols + (n_rows - seed_rows) * per_row

@@ -239,15 +239,12 @@ def test_evaluate_matches_rebuild_from_public_pieces(data):
     beta = data.draw(st.sampled_from([1.0, 0.5, 2.0]))
     spaces = None
     if data.draw(st.booleans()):
-        # each space holds the prediction and one more draw
-        spaces = [
-            CandidateSpace.build(
-                np.array([p.entries, data.draw(matching_pair(len(p), p.n_next))[1].entries])
-                .reshape(2, len(p)),
-                n_next=p.n_next,
-            )
-            for p in pred
-        ]
+        # each space holds the prediction and one more draw, when they differ
+        spaces = []
+        for p in pred:
+            rows = sorted({p.entries, data.draw(matching_pair(len(p), p.n_next))[1].entries})
+            mat = np.array(rows, dtype=np.int64).reshape(len(rows), len(p))
+            spaces.append(CandidateSpace.build(mat, n_next=p.n_next))
     pair_acc = []
     for t in range(len(seq) - 1):
         sub = FrameSequence(seq.frames[t : t + 2])
