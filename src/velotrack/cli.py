@@ -412,6 +412,8 @@ def _write_csv(path, columns, rows: list[dict]) -> None:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise InvalidConfigError("--jobs must be a positive integer")
     grid = ExperimentConfig.from_json(args.config)
     if args.replicates is not None:
         grid = replace(grid, replicates=args.replicates)

@@ -229,23 +229,21 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    """Whole-video summary next to the per-pair CSV."""
-    mean_cov = None
-    if report.coverage is not None and len(report.coverage):
-        mean_cov = sum(report.coverage) / len(report.coverage)
+    """Whole-video summary next to the per-pair CSV; a mean over no frame
+    pairs, or over coverage without candidate spaces, is null."""
+
+    def mean(xs):
+        return sum(xs) / len(xs) if xs else None
+
     data = {
         "beta": report.beta,
         "whole_path_precision": report.whole_precision,
         "whole_path_recall": report.whole_recall,
         "whole_path_fbeta": report.whole_fbeta,
         "path_identity": report.path_identity,
-        "mean_pair_identity": (
-            sum(report.pair_identity) / len(report.pair_identity)
-            if report.pair_identity
-            else math.nan
-        ),
-        "mean_coverage": mean_cov,
+        "mean_pair_identity": mean(report.pair_identity),
+        "mean_coverage": mean(report.coverage),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

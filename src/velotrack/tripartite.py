@@ -295,6 +295,7 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             rows = mat[keep]
             row_pair = np.repeat(seed_pair[g], sizes)
             ex = np.nonzero(keep)[1]
+            del mat, keep  # free the gathered exchanges before the sort
             info = np.empty((rows.shape[0], 3), dtype=np.int64)
             # seed rows numbered over the whole run until the sort
             info[:, 0] = np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -323,25 +324,24 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
 
 
 def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
-    """pair_log_likelihood_first for every row of a candidate matrix."""
+    """pair_log_likelihood_first for every row of a candidate matrix.
+
+    terms[i, k + 1] is object i's position term when sent to object k of
+    frame_b, and terms[i, 0] = 0.0 its DISAPPEAR term; each row gathers
+    its entries' terms through matrix + 1 and sums them in object order.
+    """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
     n_b = b.shape[0]
     scale2 = (dt * noise.sigma_for_pair(0)) ** 2
     const = -math.log(2.0 * math.pi * scale2)
-    x = matrix
-    matched = x >= 0
-    if n_b == 0:
-        # nothing to match, every entry is DISAPPEAR
-        terms = np.zeros(x.shape)
-    else:
-        xc = np.where(matched, x, 0)
-        disp = b[xc] - a[None, :, :]
-        d2 = np.einsum("rjd,rjd->rj", disp, disp)
-        terms = np.where(matched, const - d2 / (2.0 * scale2), 0.0)
-    n_dis = (~matched).sum(axis=1)
+    disp = b[None, :, :] - a[:, None, :]
+    terms = np.zeros((a.shape[0], n_b + 1))
+    terms[:, 1:] = const - np.einsum("ikd,ikd->ik", disp, disp) / (2.0 * scale2)
+    n_dis = (matrix < 0).sum(axis=1)
     n_app = n_b - (matrix.shape[1] - n_dis)
-    return terms.sum(axis=1) + noise.lambda_event * (n_dis + n_app)
+    rows = terms[np.arange(a.shape[0]), matrix + 1]
+    return rows.sum(axis=1) + noise.lambda_event * (n_dis + n_app)
 
 
 # cells per row chunk of the fold, per run of stage set-up and per run of
@@ -361,10 +361,10 @@ class _Stage:
     (lambda_event). Rows enter only through each mid object's
     predecessor: row r's term for mid object j and shifted target k (0
     is DISAPPEAR) is tabf[rowbase[r, j] + k]. Column c is its seed
-    seed_pos[c], or that seed with entries i_of[c] and j_of[c]
-    exchanged; t_new and t_old hold the shifted targets of the two
-    entries after and before. _stages builds the stages; _fold_stage
-    sets g_next, the successor values, before folding.
+    seed_pos[c] (shifted targets seed_xc[seed_pos[c]]), or that seed
+    with entries i_of[c] and j_of[c] exchanged: t_old holds the seed's
+    shifted targets of the two, and the exchange swaps them. _stages
+    builds the stages; _fold_stage sets g_next before folding.
     """
 
     n_mid: int
@@ -373,7 +373,6 @@ class _Stage:
     tabf: np.ndarray
     rowbase: np.ndarray
     n_cols: int
-    xc: np.ndarray
     seed_cols: np.ndarray
     seed_pos: np.ndarray
     seed_xc: np.ndarray
@@ -382,7 +381,6 @@ class _Stage:
     i_of: np.ndarray
     j_of: np.ndarray
     appear: np.ndarray
-    t_new: tuple[np.ndarray, np.ndarray] | None = None
     t_old: tuple[np.ndarray, np.ndarray] | None = None
     g_next: np.ndarray | None = None
 
@@ -402,10 +400,10 @@ class _Stage:
         """h_t(row r, column c) + g_next[c] for the broadcast cells (r, c).
 
         The fold's one cell scorer. seed_val is row r's seed sum for
-        column c's seed; an exchange column adds its two new terms and
-        subtracts its two old ones, then the appearances and g_next are
-        added, always in this order, so a cell's value does not depend
-        on which path of the fold scored it.
+        column c's seed; an exchange column adds its two new terms (t_old
+        swapped) and subtracts its two old ones, then the appearances and
+        g_next are added, always in this order, so a cell's value does
+        not depend on which path of the fold scored it.
         """
         e = seed_val
         if self.any_swap:
@@ -414,7 +412,7 @@ class _Stage:
             bj = self.rowbase[r, self.j_of[c]]
             swapped = (
                 seed_val
-                + tabf[bi + self.t_new[0][c]] + tabf[bj + self.t_new[1][c]]
+                + tabf[bi + self.t_old[1][c]] + tabf[bj + self.t_old[0][c]]
                 - tabf[bi + self.t_old[0][c]] - tabf[bj + self.t_old[1][c]]
             )
             e = np.where(self.is_swap[c], swapped, seed_val)
@@ -582,7 +580,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
     The term tables of the stages whose widest frame holds m objects
     are computed at once over frames padded to m and then cut to each
     stage's own shape; rowbase is built over the stacked predecessor
-    spaces and the column metadata over the stacked successor spaces.
+    spaces and the columns from the successor spaces' seeds and swap_info.
     Every table entry sees the float operations of
     oracle.reference_stage_terms for its stage alone.
     """
@@ -624,26 +622,24 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
         for i, (s, a, b, c) in enumerate(zip(g.tolist(), *counts_at[g].T.tolist())):
             tabs[s] = np.ascontiguousarray(padded[i, : a + 1, :b, : c + 1])
 
-    # rows: the predecessor spaces t0 - 1 .. t1 - 2, stacked
+    # rows: the predecessor spaces t0 - 1 .. t1 - 2, stacked. rowbase[r, j]
+    # starts as (1 + the predecessor of mid object j in row r) * n_mid, 0
+    # when none; DISAPPEAR entries all land in column 0, which is dropped
     sps = spaces[t0 - 1 : t1]
     sizes = np.array([len(sp) for sp in sps], dtype=np.int64)
     off = np.cumsum(sizes) - sizes
-    # pred1[r, j + 1] = 1 + the predecessor of mid object j in row r (0: none);
-    # DISAPPEAR entries all land in column 0, which is dropped
-    n_rows = int(off[-1])
-    pred1 = np.zeros((n_rows, n + 1), dtype=np.int64)
+    rowbase = np.zeros((int(off[-1]), n + 1), dtype=np.int64)
     for sp, r0 in zip(sps[:-1], off.tolist()):
-        pred1[np.arange(r0, r0 + len(sp))[:, None], sp.matrix + 1] = np.arange(1, sp.n_from + 1)
-    row_mid = np.repeat(n_mid, sizes[:-1])[:, None]
-    row_next = np.repeat(n_next, sizes[:-1])[:, None]
-    rowbase = (pred1[:, 1:] * row_mid + np.arange(n)) * (row_next + 1)
+        rows = np.arange(r0, r0 + len(sp))[:, None]
+        rowbase[rows, sp.matrix + 1] = np.arange(1, sp.n_from + 1) * sp.n_next
+    rowbase = rowbase[:, 1:]
+    rowbase += np.arange(n)
+    rowbase *= np.repeat(n_next, sizes[:-1])[:, None] + 1
 
-    # columns: the successor spaces t0 .. t1 - 1, stacked as shifted
-    # targets xc (0 is DISAPPEAR, and so is the padding)
+    # columns: the successor spaces t0 .. t1 - 1, stacked; only their seeds
+    # are read, as shifted targets seed_xc (0 is DISAPPEAR, and so is the
+    # padding), since an exchange keeps its seed's matched set
     c_sizes, c_off = sizes[1:], off[1:] - off[1]
-    xc = np.zeros((int(c_sizes.sum()), n), dtype=np.int64)
-    for sp, c0 in zip(sps[1:], c_off.tolist()):
-        np.add(sp.matrix, 1, out=xc[c0 : c0 + len(sp), : sp.n_from])
     info = np.concatenate([sp.swap_info for sp in sps[1:]])
     seed_of = info[:, 0] + np.repeat(c_off, c_sizes)
     is_swap = info[:, 1] >= 0
@@ -652,16 +648,17 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
     s_off = np.searchsorted(seed_cols, c_off)
     s_end = np.r_[s_off[1:], seed_cols.shape[0]]
     seed_pos = seed_rank[seed_of]
-    seed_xc = xc[seed_cols]
+    seed_xc = np.zeros((seed_cols.shape[0], n), dtype=np.int64)
+    for sp, s0, s1 in zip(sps[1:], s_off.tolist(), s_end.tolist()):
+        np.add(sp.matrix[sp.swap_info[:, 1] < 0], 1, out=seed_xc[s0:s1, : sp.n_from])
     i_of = np.where(is_swap, info[:, 1], 0)
     j_of = np.where(is_swap, info[:, 2], 0)
     n_swap = np.r_[0, np.cumsum(is_swap)]
     any_swap = n_swap[c_off + c_sizes] > n_swap[c_off]
     if n:
-        ar_c = np.arange(xc.shape[0])
-        t_new = (xc[ar_c, i_of], xc[ar_c, j_of])
-        t_old = (xc[seed_of, i_of], xc[seed_of, j_of])
-    appear = noise.lambda_event * (np.repeat(n_next, c_sizes) - (xc > 0).sum(axis=1))
+        t_old = (seed_xc[seed_pos, i_of], seed_xc[seed_pos, j_of])
+    matched = (seed_xc > 0).sum(axis=1)
+    appear = noise.lambda_event * (np.repeat(n_next, c_sizes) - matched[seed_pos])
 
     r_end, c_end = off + sizes, c_off + c_sizes
     out = []
@@ -678,7 +675,6 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
             tabf=tab.reshape(-1),
             rowbase=rowbase[r0:r1, :m],
             n_cols=c1 - c0,
-            xc=xc[c0:c1, :m],
             seed_cols=seed_cols[s0:s1] - c0,
             seed_pos=seed_pos[c0:c1] - s0,
             seed_xc=seed_xc[s0:s1, :m],
@@ -689,7 +685,6 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
             appear=appear[c0:c1],
         )
         if swaps:
-            st.t_new = (t_new[0][c0:c1], t_new[1][c0:c1])
             st.t_old = (t_old[0][c0:c1], t_old[1][c0:c1])
         out.append(st)
     return out

@@ -233,6 +233,19 @@ class TestEvaluateCommand:
         code, f1 = self._evaluate(pred, truth, tmp_path)
         assert code == EXIT_OK and f1 < 1.0
 
+    def test_one_frame_video_writes_strict_json(self, tmp_path):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("track_id,frame_index,x,y\n0,0,1.0,2.0\n")
+        assert self._evaluate(tracks, tracks, tmp_path) == (EXIT_OK, 1.0)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        # no frame pairs: the per-pair means are null, not NaN
+        assert summary["mean_pair_identity"] is None
+        assert summary["mean_coverage"] is None
+
     @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
     def test_bad_beta_exits_config(self, sim_dir, tmp_path, beta):
         truth = str(sim_dir / "truth_tracks.csv")
@@ -456,6 +469,15 @@ class TestExperiment:
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_config(self, tmp_path, jobs):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**SIM_CFG, "N0": [4], "replicates": 1, "methods": ["bmcf"]}))
+        out = tmp_path / "exp"
+        argv = ["experiment", "--config", str(cfg), "--output", str(out), "--jobs", jobs]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_defaults_come_from_the_run_configs(self):
         grid = ExperimentConfig()

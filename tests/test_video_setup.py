@@ -143,6 +143,11 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         seed_cols = np.flatnonzero(info[:, 1] == -1)
         assert np.array_equal(stage.seed_cols, seed_cols)
         assert np.array_equal(seed_cols[stage.seed_pos], info[:, 0])
-        assert np.array_equal(stage.xc, spaces[t].matrix + 1)
+        # every column is its seed's shifted targets with i_of and j_of exchanged
+        cols = stage.seed_xc[stage.seed_pos]
+        sw = np.flatnonzero(stage.is_swap)
+        i, j = stage.i_of[sw], stage.j_of[sw]
+        cols[sw, i], cols[sw, j] = cols[sw, j], cols[sw, i]
+        assert np.array_equal(cols, spaces[t].matrix + 1)
         matched = (spaces[t].matrix >= 0).sum(axis=1)
         assert np.array_equal(stage.appear, lam * (counts[t + 1] - matched))
