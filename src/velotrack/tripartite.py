@@ -345,7 +345,10 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
 
 
 # cells per row chunk of the fold, per run of stage set-up and per run of
-# space assembly: bounds their temporary arrays
+# space assembly: bounds their temporary arrays. A dense chunk counts, per
+# row, its row table, seed terms, (4, C) exchange terms and C values; the
+# chunking changes no value, as both cell forms of _Stage read the same
+# entries in the same order
 _FOLD_CELLS = 1 << 18
 # the exchange-structured fold's fixed cost, in dense cells (about 0.5 ms)
 _EXCHANGE_SETUP_CELLS = 1 << 14
@@ -363,7 +366,15 @@ class _Stage:
     is DISAPPEAR) is tabf[rowbase[r, j] + k]. Column c is its seed
     seed_pos[c] (shifted targets seed_xc[seed_pos[c]]), or that seed
     with entries i_of[c] and j_of[c] exchanged: t_old holds the seed's
-    shifted targets of the two, and the exchange swaps them. _stages
+    shifted targets of the two, and the exchange swaps them.
+
+    dense scores whole rows from a table per row whose entry j * nt + k
+    (nt = n_next + 1) is that term and whose last entry, n_mid * nt, is
+    0.0 (the zero entry). seed_idx[s] lists seed s's entries in j order,
+    then the zero entry; swap_idx[:, c] lists column c's two new terms
+    and its two old ones, all four the zero entry for a seed column.
+    cells gathers the same entries from tabf, cell by cell, and both
+    forms add them in the same order, so they agree bit for bit. _stages
     builds the stages; _fold_stage sets g_next before folding.
     """
 
@@ -376,61 +387,80 @@ class _Stage:
     seed_cols: np.ndarray
     seed_pos: np.ndarray
     seed_xc: np.ndarray
+    seed_idx: np.ndarray
+    swap_idx: np.ndarray
     is_swap: np.ndarray
     any_swap: bool
     i_of: np.ndarray
     j_of: np.ndarray
+    t_old: tuple[np.ndarray, np.ndarray]
     appear: np.ndarray
-    t_old: tuple[np.ndarray, np.ndarray] | None = None
     g_next: np.ndarray | None = None
 
-    def _seed_sums(self, r, seed_t) -> np.ndarray:
-        """Sum of row r's terms for the targets seed_t[..., j], in j order.
+    def cells(self, r, c) -> np.ndarray:
+        """Values of the cells (r[k], c[k]): h_t(r, c) + g_next[c].
 
-        r broadcasts against seed_t's leading axes: (nb, 1) against
-        (S, n_mid) gives (nb, S), (m,) against (m, n_mid) gives (m,).
+        The sparse form, for the exchange fold's exact rescoring: it
+        gathers each cell's terms from tabf itself. It reads the entries
+        dense reads, in the same order: the seed sum of column c's seed;
+        for an exchange column plus its two new terms (t_old swapped) and
+        minus its two old ones; then the appearances and g_next. So a
+        cell's value does not depend on which form scored it.
         """
-        if self.n_mid == 0:
-            return np.zeros(np.broadcast_shapes(r.shape, seed_t.shape[:-1]))
-        terms = self.tabf[self.rowbase[r] + seed_t]
-        # cumsum adds in j order; + 0.0 makes it a sum started at zero
-        return np.cumsum(terms, axis=-1)[..., -1] + 0.0
-
-    def _score(self, seed_val, r, c) -> np.ndarray:
-        """h_t(row r, column c) + g_next[c] for the broadcast cells (r, c).
-
-        The fold's one cell scorer. seed_val is row r's seed sum for
-        column c's seed; an exchange column adds its two new terms (t_old
-        swapped) and subtracts its two old ones, then the appearances and
-        g_next are added, always in this order, so a cell's value does
-        not depend on which path of the fold scored it.
-        """
-        e = seed_val
+        if self.n_mid:
+            terms = self.tabf[self.rowbase[r] + self.seed_xc[self.seed_pos[c]]]
+            # cumsum adds in j order; + 0.0 makes it a sum started at zero
+            e = np.cumsum(terms, axis=1)[:, -1] + 0.0
+        else:
+            e = np.zeros(r.shape)
         if self.any_swap:
             tabf = self.tabf
             bi = self.rowbase[r, self.i_of[c]]
             bj = self.rowbase[r, self.j_of[c]]
             swapped = (
-                seed_val
+                e
                 + tabf[bi + self.t_old[1][c]] + tabf[bj + self.t_old[0][c]]
                 - tabf[bi + self.t_old[0][c]] - tabf[bj + self.t_old[1][c]]
             )
-            e = np.where(self.is_swap[c], swapped, seed_val)
+            e = np.where(self.is_swap[c], swapped, e)
         return e + self.appear[c] + self.g_next[c]
 
     def dense(self, r) -> np.ndarray:
-        """Values of every column for the rows r, shape (len(r), n_cols)."""
-        r = r[:, None]
-        seed_val = self._seed_sums(r, self.seed_xc)[:, self.seed_pos]
-        return self._score(seed_val, r, slice(None))
+        """Values of every column for the rows r, shape (len(r), n_cols).
 
-    def cells(self, r, c) -> np.ndarray:
-        """Values of the cells (r[k], c[k])."""
-        return self._score(self._seed_sums(r, self.seed_xc[self.seed_pos[c]]), r, c)
+        The dense form: takes from the rows' term tables. rt[:, q] is row
+        r[q]'s table: rt[j * nt + k, q] is tabf[rowbase[r[q], j] + k],
+        and the last entry is 0.0. A seed column's swap_idx entries all
+        read that zero entry, which adds +-0.0 to a seed sum that is never
+        -0.0. One table entry of all the rows is one contiguous array
+        row, so each take copies one run over all rows, however few rows
+        there are; the values come out column by column and are returned
+        transposed.
+        """
+        nt = self.n_next + 1
+        terms = self.tabf.reshape(-1, nt)[self.rowbase[r] // nt]
+        rt = np.empty((self.n_mid * nt + 1, r.shape[0]))
+        rt[:-1] = terms.reshape(r.shape[0], self.n_mid * nt).T
+        rt[-1] = 0.0
+        # each seed's list ends at the zero entry: the cumsum adds its
+        # terms in j order, then + 0.0, as cells does
+        seed_val = np.cumsum(np.take(rt, self.seed_idx, axis=0), axis=1)[:, -1]
+        e = np.take(seed_val, self.seed_pos, axis=0)
+        if self.any_swap:
+            d = np.take(rt, self.swap_idx, axis=0)
+            e += d[0]
+            e += d[1]
+            e -= d[2]
+            e -= d[3]
+        e += self.appear[:, None]
+        e += self.g_next[:, None]
+        return e.T
 
     def fold_dense(self, r_all, g_prev, back) -> int:
         """First argmax over all columns for the rows r_all; returns cells scored."""
-        step = max(1, _FOLD_CELLS // max(self.n_cols, 1))
+        # per row: rt, the seed terms, the exchange terms and the values
+        per_row = self.n_mid * (self.n_next + 1) + 1 + self.seed_idx.size + 5 * self.n_cols
+        step = max(1, _FOLD_CELLS // per_row)
         for k0 in range(0, r_all.shape[0], step):
             r = r_all[k0 : k0 + step]
             vals = self.dense(r)
@@ -442,8 +472,8 @@ class _Stage:
     def margin(self) -> float:
         """Shortlist margin: covers twice the rounding error of both sums.
 
-        An exact cell value (_score) and a decomposed one (base_s plus
-        two term changes) each add at most n_mid + 8 table terms, one
+        An exact cell value (cells or dense) and a decomposed one (base_s
+        plus two term changes) each add at most n_mid + 8 table terms, one
         appearance term and one g_next value in at most n_mid + 16
         roundings, so each lies within (n_mid + 16) eps B of the real
         cell value, B the sum of those magnitudes. A row's exact
@@ -648,15 +678,26 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
     s_off = np.searchsorted(seed_cols, c_off)
     s_end = np.r_[s_off[1:], seed_cols.shape[0]]
     seed_pos = seed_rank[seed_of]
-    seed_xc = np.zeros((seed_cols.shape[0], n), dtype=np.int64)
+    seed_xc = np.zeros((seed_cols.shape[0], n + 1), dtype=np.int64)
     for sp, s0, s1 in zip(sps[1:], s_off.tolist(), s_end.tolist()):
         np.add(sp.matrix[sp.swap_info[:, 1] < 0], 1, out=seed_xc[s0:s1, : sp.n_from])
     i_of = np.where(is_swap, info[:, 1], 0)
     j_of = np.where(is_swap, info[:, 2], 0)
     n_swap = np.r_[0, np.cumsum(is_swap)]
     any_swap = n_swap[c_off + c_sizes] > n_swap[c_off]
-    if n:
-        t_old = (seed_xc[seed_pos, i_of], seed_xc[seed_pos, j_of])
+    t_old = (seed_xc[seed_pos, i_of], seed_xc[seed_pos, j_of])
+    # row table entries (_Stage.dense): j * nt + k holds target k of mid
+    # object j, n_mid * nt is 0.0. A seed's padding target 0 at j = n_mid
+    # reads that zero entry, so each seed's list ends with it
+    nt = n_next + 1
+    seed_idx = seed_xc + np.arange(n + 1) * np.repeat(nt, s_end - s_off)[:, None]
+    nt_c = np.repeat(nt, c_sizes)
+    i_t, j_t = i_of * nt_c, j_of * nt_c
+    swap_idx = np.where(
+        is_swap,
+        np.stack([i_t + t_old[1], j_t + t_old[0], i_t + t_old[0], j_t + t_old[1]]),
+        np.repeat(n_mid * nt, c_sizes),
+    )
     matched = (seed_xc > 0).sum(axis=1)
     appear = noise.lambda_event * (np.repeat(n_next, c_sizes) - matched[seed_pos])
 
@@ -678,14 +719,15 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
             seed_cols=seed_cols[s0:s1] - c0,
             seed_pos=seed_pos[c0:c1] - s0,
             seed_xc=seed_xc[s0:s1, :m],
+            seed_idx=seed_idx[s0:s1, : m + 1],
+            swap_idx=swap_idx[:, c0:c1],
             is_swap=is_swap[c0:c1],
             any_swap=swaps,
             i_of=i_of[c0:c1],
             j_of=j_of[c0:c1],
+            t_old=(t_old[0][c0:c1], t_old[1][c0:c1]),
             appear=appear[c0:c1],
         )
-        if swaps:
-            st.t_old = (t_old[0][c0:c1], t_old[1][c0:c1])
         out.append(st)
     return out
 
@@ -718,7 +760,8 @@ def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
 
     Returns g_prev, the first argmax successor of every predecessor row
     and the number of cells scored. Every cell value comes from
-    _Stage._score, so both ways of folding return the same arrays:
+    _Stage.dense or _Stage.cells, which agree bit for bit, so both ways
+    of folding return the same arrays:
 
     - dense: every cell of every row;
     - exchange-structured, from both spaces' swap provenance. A

@@ -1,6 +1,9 @@
 """The exchange-structured DP fold against the dense reference fold."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,3 +150,78 @@ def test_coincident_detections_fall_back_to_dense_rows():
     # (16 columns) to its exact shortlist, not the whole row of 47
     per_row = seed_cols * (2 * n + 1) + 16
     assert cells == seed_rows * n_cols + (n_rows - seed_rows) * per_row
+
+
+def assert_cell_forms_agree(seq, sp_prev, sp_next, g_next, noise):
+    # dense (row table takes) and cells (tabf gathers) over every cell
+    (stg,) = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
+    stg.g_next = g_next
+    n_rows, n_cols = len(sp_prev), len(sp_next)
+    dense = stg.dense(np.arange(n_rows))
+    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    cells = stg.cells(r, c).reshape(n_rows, n_cols)
+    assert dense.shape == (n_rows, n_cols)
+    assert dense.tobytes() == cells.tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    frames=st.lists(frame_points, min_size=3, max_size=3),
+    d_picks=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    delta=st.integers(0, 2),
+    lam=st.floats(-8.0, 0.0),
+    g_kind=st.sampled_from(["zero", "grid", "normal"]),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_cells_equal_sparse_cells(frames, d_picks, delta, lam, g_kind, seed):
+    seq = FrameSequence(tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames))
+    sp_prev = reduced(seq.frames[0], seq.frames[1], d_picks[0], delta)
+    sp_next = reduced(seq.frames[1], seq.frames[2], d_picks[1], delta)
+    rng = np.random.default_rng(seed)
+    g_next = {
+        "zero": np.zeros(len(sp_next)),
+        "grid": rng.integers(0, 3, size=len(sp_next)).astype(float),
+        "normal": rng.normal(0.0, 5.0, size=len(sp_next)),
+    }[g_kind]
+    noise = NoiseModel(sigmas=(1.0, 0.7), lambda_event=lam)
+    assert_cell_forms_agree(seq, sp_prev, sp_next, g_next, noise)
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        # DISAPPEAR entries in both the rows (4 -> 3) and the columns (3 -> 2)
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 0], [1, 1], [1, 1]], [[1, 1], [2, 1]]),
+        # every detection at one point
+        ([[1, 1]] * 3, [[1, 1]] * 3, [[1, 1]] * 3),
+        # an empty mid frame, an empty next frame
+        ([[0, 0], [2, 1]], [], [[1, 1], [0, 2]]),
+        ([[0, 0], [2, 1]], [[1, 1], [0, 2], [2, 2]], []),
+    ],
+)
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_cell_forms_agree_on_edge_stages(frames, delta, rng):
+    seq = FrameSequence(tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames))
+    noise = NoiseModel(sigmas=(1.0, 0.5), lambda_event=-3.0)
+    for d_picks in ((0, 0), (1, 2), (2, 1)):
+        sp_prev = reduced(seq.frames[0], seq.frames[1], d_picks[0], delta)
+        sp_next = reduced(seq.frames[1], seq.frames[2], d_picks[1], delta)
+        g_next = np.round(rng.normal(0.0, 3.0, size=len(sp_next)))
+        assert_cell_forms_agree(seq, sp_prev, sp_next, g_next, noise)
+
+
+@pytest.mark.parametrize("fold_cells", [1, 600, 4000])
+def test_dense_fold_in_row_chunks_equals_reference(fold_cells, rng):
+    counts = (9, 8, 9)
+    frames = tuple(rng.normal(0.0, 3.0, size=(k, 2)) for k in counts)
+    seq = FrameSequence(frames)
+    sp_prev = build_reduced_space(seq.frames[0], seq.frames[1], 1, delta=1)
+    sp_next = build_reduced_space(seq.frames[1], seq.frames[2], 1, delta=1)
+    g_next = rng.normal(0.0, 5.0, size=len(sp_next))
+    noise = NoiseModel(sigmas=(1.0, 0.7), lambda_event=-4.0)
+    dense = mock.patch.object(
+        tripartite._Stage, "dense", autospec=True, side_effect=tripartite._Stage.dense
+    )
+    with dense as spy, mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells):
+        assert_same_fold(seq, sp_prev, sp_next, g_next, noise, False)
+    assert spy.call_count > 1
