@@ -256,6 +256,33 @@ def matchings_from_trajectories(seq: FrameSequence, trajs: TrajectorySet) -> lis
     ]
 
 
+def _lex_order(rows: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
+    """np.lexsort's order of the rows of an integer matrix: by lead when
+    given, then by column 0, 1, ...
+
+    Shifted to start at 0, the entries are digits in the radix of their
+    range, and as many columns as fit are packed into each int64 key;
+    packing keeps the order and the sort stays stable, so the order is
+    np.lexsort's, from fewer keys.
+    """
+    n_rows, width = rows.shape
+    keys = [] if lead is None else [lead]
+    if n_rows and width:
+        lo = int(rows.min())
+        radix = int(rows.max()) - lo + 1
+        per_key = 1 if radix > 1 else width
+        while per_key < width and radix ** (per_key + 1) <= 1 << 63:
+            per_key += 1
+        for a in range(0, width, per_key):
+            b = min(width, a + per_key)
+            digits = np.array([radix**p for p in range(b - a - 1, -1, -1)], dtype=np.int64)
+            keys.append((rows[:, a:b] - lo) @ digits)
+    if not keys:
+        return np.arange(n_rows)
+    # lexsort keys run last-to-first
+    return np.lexsort(keys[::-1])
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateSpace:
     """Deduplicated set of matching vectors for one frame pair.
@@ -286,11 +313,7 @@ class CandidateSpace:
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
         n_from = a.shape[1]
-        if a.shape[0] == 0 or a.shape[1] == 0:
-            order = np.arange(a.shape[0])
-        else:
-            # lexsort keys run last-to-first, so feed reversed columns
-            order = np.lexsort(a.T[::-1])
+        order = _lex_order(a)
         a = a[order]  # a copy, so freezing it leaves the caller's array alone
         if (a[1:] == a[:-1]).all(axis=1).any():
             raise InvalidInputError("candidate rows must be unique")

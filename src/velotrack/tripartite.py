@@ -44,6 +44,7 @@ from .core import (
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
+    _lex_order,
     assemble_trajectories,
 )
 
@@ -199,15 +200,20 @@ def neighborhood(d_star: int, delta: int, n_a: int, n_b: int) -> range:
     return range(lo, hi + 1)
 
 
-def reduced_space_size(n_a: int, n_b: int, d_star: int, delta: int = 1) -> int:
-    """Closed-form size of build_reduced_space's output.
+def reduced_space_size(n_a, n_b, d_star, delta: int = 1):
+    """Closed-form size of build_reduced_space's output, elementwise.
 
     Each d in the neighborhood contributes its seed plus one vector per
     pair of entry positions, less the C(d, 2) pairs of two DISAPPEARs.
+    The counts may be arrays of many pairs (int64 in, int64 out), so
+    track() checks every pair at once; plain ints give an int.
     """
-    return sum(
-        1 + comb(n_a, 2) - comb(d, 2) for d in neighborhood(d_star, delta, n_a, n_b)
-    )
+    n_a, n_b, d_star = (np.asarray(x, dtype=np.int64) for x in (n_a, n_b, d_star))
+    # d[s]: the s-th of the 2 delta + 1 counts around d_star, kept when feasible
+    d = d_star + np.arange(-delta, delta + 1).reshape((-1,) + (1,) * d_star.ndim)
+    keep = (d >= np.maximum(n_a - n_b, 0)) & (d <= n_a)
+    size = (keep * (1 + n_a * (n_a - 1) // 2 - d * (d - 1) // 2)).sum(axis=0)
+    return size if size.ndim else int(size)
 
 
 def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> CandidateSpace:
@@ -266,8 +272,8 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
     rows sorted and swap_info as CandidateSpace.build gives them
     (oracle.reference_seeded_space builds one space at a time). The
     pairs of one n_a are gathered through one exchange permutation, in
-    runs of at most _FOLD_CELLS gathered cells, and lexsorted together
-    with the pair as the leading key, then cut into spaces.
+    runs of at most _FOLD_CELLS gathered cells, and sorted together with
+    the pair as the leading key (_lex_order), then cut into spaces.
     """
     spaces: list[CandidateSpace | None] = [None] * n_a.shape[0]
     width = n_a[seed_pair]
@@ -301,8 +307,7 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             info[:, 0] = np.repeat(np.cumsum(sizes) - sizes, sizes)
             info[:, 1] = ex_i[ex]
             info[:, 2] = ex_j[ex]
-            # lexsort keys run last-to-first: pair, then columns 0, 1, ...
-            order = np.lexsort((*rows.T[::-1], row_pair))
+            order = _lex_order(rows, row_pair)
             new_pos = np.empty_like(order)
             new_pos[order] = np.arange(order.shape[0])
             rows, info, row_pair = rows[order], info[order], row_pair[order]
@@ -347,7 +352,7 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
 # cells per row chunk of the fold, per run of stage set-up and per run of
 # space assembly: bounds their temporary arrays. A dense chunk counts, per
 # row, its row table, seed terms, (4, C) exchange terms and C values; the
-# chunking changes no value, as both cell forms of _Stage read the same
+# chunking changes no value, as both cell forms of _Run read the same
 # entries in the same order
 _FOLD_CELLS = 1 << 18
 # the exchange-structured fold's fixed cost, in dense cells (about 0.5 ms)
@@ -355,122 +360,148 @@ _EXCHANGE_SETUP_CELLS = 1 << 14
 
 
 @dataclass(eq=False)
-class _Stage:
-    """One fold stage: its term table, predecessor rows and successor columns.
+class _Run:
+    """Stages t0 .. t1 - 1 of the fold, set up together; stage k is t0 + k.
 
-    tab[i + 1, j, k + 1] is mid object j's term when its predecessor is
-    previous object i and its target is next object k; i = -1 means j
-    appeared at the mid frame (position Gaussian), k = -1 is DISAPPEAR
-    (lambda_event). Rows enter only through each mid object's
-    predecessor: row r's term for mid object j and shifted target k (0
-    is DISAPPEAR) is tabf[rowbase[r, j] + k]. Column c is its seed
-    seed_pos[c] (shifted targets seed_xc[seed_pos[c]]), or that seed
-    with entries i_of[c] and j_of[c] exchanged: t_old holds the seed's
-    shifted targets of the two, and the exchange swaps them.
+    Term tables: the stages whose widest frame holds m objects share one
+    padded table of shape (stages, m + 1, m, m + 1), and tables[k] is
+    stage k's. Its entry [in_group[k], i + 1, j, x] is mid object j's term
+    when its predecessor is previous object i and its shifted target is
+    x (0 is DISAPPEAR, lambda_event; x = l + 1 is next object l); i = -1
+    means j appeared at the mid frame (position Gaussian). table(k)
+    views the stage's own entries. Viewed as rows of nt[k] = m + 1
+    entries, row rowtab[r, j] holds mid object j's terms in predecessor
+    row r: rows enter only through each mid object's predecessor.
 
-    dense scores whole rows from a table per row whose entry j * nt + k
-    (nt = n_next + 1) is that term and whose last entry, n_mid * nt, is
-    0.0 (the zero entry). seed_idx[s] lists seed s's entries in j order,
-    then the zero entry; swap_idx[:, c] lists column c's two new terms
-    and its two old ones, all four the zero entry for a seed column.
-    cells gathers the same entries from tabf, cell by cell, and both
-    forms add them in the same order, so they agree bit for bit. _stages
-    builds the stages; _fold_stage sets g_next before folding.
+    The arrays stack every stage: stage k owns rowtab rows r_off[k] ..
+    r_off[k + 1] (its predecessor space), columns c_off[k] .. c_off[k +
+    1] and seeds s_off[k] .. s_off[k + 1] (its successor space and that
+    space's seed rows); seed_pos counts seeds within the stage. Column
+    c is its seed seed_pos[c] (shifted targets seed_xc of that
+    seed), or that seed with entries i_of[c] and j_of[c] exchanged:
+    t_old holds the seed's shifted targets of the two, and the exchange
+    swaps them.
+
+    dense scores whole rows from a table per row whose entry j * nt + x
+    is that term and whose last entry, n_mid * nt, is 0.0 (the zero
+    entry). seed_idx lists each seed's entries in j order, then the zero
+    entry; swap_idx[:, c] lists column c's two new terms and its two old
+    ones, all four the zero entry for a seed column. cells gathers the
+    same entries, cell by cell, and both forms add them in the same
+    order, so they agree bit for bit. exchange[k] is the way
+    _fold_stage folds stage k unless told otherwise.
     """
 
-    n_mid: int
-    n_next: int
-    tab: np.ndarray
-    tabf: np.ndarray
-    rowbase: np.ndarray
-    n_cols: int
-    seed_cols: np.ndarray
+    n_prev: list[int]
+    n_mid: list[int]
+    n_next: list[int]
+    nt: list[int]
+    tables: list[np.ndarray]
+    in_group: list[int]
+    r_off: list[int]
+    c_off: list[int]
+    s_off: list[int]
+    rowtab: np.ndarray
     seed_pos: np.ndarray
     seed_xc: np.ndarray
     seed_idx: np.ndarray
     swap_idx: np.ndarray
     is_swap: np.ndarray
-    any_swap: bool
     i_of: np.ndarray
     j_of: np.ndarray
     t_old: tuple[np.ndarray, np.ndarray]
     appear: np.ndarray
-    g_next: np.ndarray | None = None
+    any_swap: list[bool]
+    exchange: list[bool]
 
-    def cells(self, r, c) -> np.ndarray:
-        """Values of the cells (r[k], c[k]): h_t(r, c) + g_next[c].
+    def table(self, k: int) -> np.ndarray:
+        """Stage k's own term table, tab[i + 1, j, x], as a view."""
+        tab = self.tables[k][self.in_group[k]]
+        return tab[: self.n_prev[k] + 1, : self.n_mid[k], : self.n_next[k] + 1]
+
+    def cells(self, k: int, r, c, g_next) -> np.ndarray:
+        """Values of the cells (r[q], c[q]) of stage k: h_t(r, c) + g_next[c].
 
         The sparse form, for the exchange fold's exact rescoring: it
-        gathers each cell's terms from tabf itself. It reads the entries
-        dense reads, in the same order: the seed sum of column c's seed;
-        for an exchange column plus its two new terms (t_old swapped) and
-        minus its two old ones; then the appearances and g_next. So a
-        cell's value does not depend on which form scored it.
+        gathers each cell's terms from the table itself. It reads the
+        entries dense reads, in the same order: the seed sum of column
+        c's seed; for an exchange column plus its two new terms (t_old
+        swapped) and minus its two old ones; then the appearances and
+        g_next. So a cell's value does not depend on which form scored it.
         """
-        if self.n_mid:
-            terms = self.tabf[self.rowbase[r] + self.seed_xc[self.seed_pos[c]]]
+        n_mid, nt = self.n_mid[k], self.nt[k]
+        tabf = self.tables[k].reshape(-1)
+        base = self.rowtab[self.r_off[k] : self.r_off[k + 1], :n_mid][r] * nt
+        cg = c + self.c_off[k]
+        s = self.seed_pos[cg] + self.s_off[k]
+        if n_mid:
+            terms = tabf[base + self.seed_xc[s, :n_mid]]
             # cumsum adds in j order; + 0.0 makes it a sum started at zero
             e = np.cumsum(terms, axis=1)[:, -1] + 0.0
         else:
             e = np.zeros(r.shape)
-        if self.any_swap:
-            tabf = self.tabf
-            bi = self.rowbase[r, self.i_of[c]]
-            bj = self.rowbase[r, self.j_of[c]]
-            swapped = (
-                e
-                + tabf[bi + self.t_old[1][c]] + tabf[bj + self.t_old[0][c]]
-                - tabf[bi + self.t_old[0][c]] - tabf[bj + self.t_old[1][c]]
-            )
-            e = np.where(self.is_swap[c], swapped, e)
-        return e + self.appear[c] + self.g_next[c]
+        if self.any_swap[k]:
+            ar = np.arange(r.shape[0])
+            bi = base[ar, self.i_of[cg]]
+            bj = base[ar, self.j_of[cg]]
+            t0, t1 = self.t_old[0][cg], self.t_old[1][cg]
+            swapped = e + tabf[bi + t1] + tabf[bj + t0] - tabf[bi + t0] - tabf[bj + t1]
+            e = np.where(self.is_swap[cg], swapped, e)
+        return e + self.appear[cg] + g_next[c]
 
-    def dense(self, r) -> np.ndarray:
-        """Values of every column for the rows r, shape (len(r), n_cols).
+    def dense(self, k: int, rows, g_next) -> np.ndarray:
+        """Values of every column of stage k for its predecessor rows
+        `rows` (indices or a slice), shape (rows, n_cols).
 
         The dense form: takes from the rows' term tables. rt[:, q] is row
-        r[q]'s table: rt[j * nt + k, q] is tabf[rowbase[r[q], j] + k],
-        and the last entry is 0.0. A seed column's swap_idx entries all
-        read that zero entry, which adds +-0.0 to a seed sum that is never
-        -0.0. One table entry of all the rows is one contiguous array
-        row, so each take copies one run over all rows, however few rows
-        there are; the values come out column by column and are returned
-        transposed.
+        q's table: rt[j * nt + x, q] is the term of mid object j and
+        shifted target x, and the last entry is 0.0. A seed column's
+        swap_idx entries all read that zero entry, which adds +-0.0 to a
+        seed sum that is never -0.0. One table entry of all the rows is
+        one contiguous array row, so each take copies one run over all
+        rows, however few rows there are; the values come out column by
+        column and are returned transposed.
         """
-        nt = self.n_next + 1
-        terms = self.tabf.reshape(-1, nt)[self.rowbase[r] // nt]
-        rt = np.empty((self.n_mid * nt + 1, r.shape[0]))
-        rt[:-1] = terms.reshape(r.shape[0], self.n_mid * nt).T
+        n_mid, nt = self.n_mid[k], self.nt[k]
+        c0, c1 = self.c_off[k], self.c_off[k + 1]
+        rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], :n_mid][rows]
+        terms = self.tables[k].reshape(-1, nt)[rowtab]
+        n_r = terms.shape[0]
+        rt = np.empty((n_mid * nt + 1, n_r))
+        rt[:-1] = terms.reshape(n_r, n_mid * nt).T
         rt[-1] = 0.0
         # each seed's list ends at the zero entry: the cumsum adds its
         # terms in j order, then + 0.0, as cells does
-        seed_val = np.cumsum(np.take(rt, self.seed_idx, axis=0), axis=1)[:, -1]
-        e = np.take(seed_val, self.seed_pos, axis=0)
-        if self.any_swap:
-            d = np.take(rt, self.swap_idx, axis=0)
+        seed_idx = self.seed_idx[self.s_off[k] : self.s_off[k + 1], : n_mid + 1]
+        seed_val = np.cumsum(np.take(rt, seed_idx, axis=0), axis=1)[:, -1]
+        e = np.take(seed_val, self.seed_pos[c0:c1], axis=0)
+        if self.any_swap[k]:
+            d = np.take(rt, self.swap_idx[:, c0:c1], axis=0)
             e += d[0]
             e += d[1]
             e -= d[2]
             e -= d[3]
-        e += self.appear[:, None]
-        e += self.g_next[:, None]
+        e += self.appear[c0:c1, None]
+        e += g_next[:, None]
         return e.T
 
-    def fold_dense(self, r_all, g_prev, back) -> int:
-        """First argmax over all columns for the rows r_all; returns cells scored."""
+    def fold_dense(self, k: int, g_next, g_prev, back) -> int:
+        """First argmax over all columns of stage k for every row; returns cells scored."""
+        n_mid, nt = self.n_mid[k], self.nt[k]
+        n_rows, n_cols = g_prev.shape[0], self.c_off[k + 1] - self.c_off[k]
         # per row: rt, the seed terms, the exchange terms and the values
-        per_row = self.n_mid * (self.n_next + 1) + 1 + self.seed_idx.size + 5 * self.n_cols
+        n_seed = self.s_off[k + 1] - self.s_off[k]
+        per_row = n_mid * nt + 1 + n_seed * (n_mid + 1) + 5 * n_cols
         step = max(1, _FOLD_CELLS // per_row)
-        for k0 in range(0, r_all.shape[0], step):
-            r = r_all[k0 : k0 + step]
-            vals = self.dense(r)
+        for k0 in range(0, n_rows, step):
+            vals = self.dense(k, slice(k0, k0 + step), g_next)
             bp = np.argmax(vals, axis=1)
-            back[r] = bp
-            g_prev[r] = vals[np.arange(r.shape[0]), bp]
-        return r_all.shape[0] * self.n_cols
+            back[k0 : k0 + step] = bp
+            g_prev[k0 : k0 + step] = vals[np.arange(bp.shape[0]), bp]
+        return n_rows * n_cols
 
-    def margin(self) -> float:
-        """Shortlist margin: covers twice the rounding error of both sums.
+    def margin(self, k: int, g_next) -> float:
+        """Shortlist margin of stage k: covers twice the rounding error of both sums.
 
         An exact cell value (cells or dense) and a decomposed one (base_s
         plus two term changes) each add at most n_mid + 8 table terms, one
@@ -478,28 +509,35 @@ class _Stage:
         roundings, so each lies within (n_mid + 16) eps B of the real
         cell value, B the sum of those magnitudes. A row's exact
         maximizers then lie within twice both bounds of its decomposed
-        maximum.
+        maximum. Only the stage's own table entries count, not the
+        padding of its group.
         """
-        if self.tab.size == 0 or self.n_cols == 0:
+        n_mid, c0, c1 = self.n_mid[k], self.c_off[k], self.c_off[k + 1]
+        if n_mid == 0 or c1 == c0:
             return 0.0
         bound = (
-            (self.n_mid + 8) * float(np.abs(self.tabf).max())
-            + float(np.abs(self.appear).max())
-            + float(np.abs(self.g_next).max())
+            (n_mid + 8) * float(np.abs(self.table(k)).max())
+            + float(np.abs(self.appear[c0:c1]).max())
+            + float(np.abs(g_next).max())
         )
-        return 4.0 * (self.n_mid + 16) * np.finfo(np.float64).eps * bound
+        return 4.0 * (n_mid + 16) * np.finfo(np.float64).eps * bound
 
 
-def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
+def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> int:
     """The exchange-structured fold of _fold_stage; returns cells scored."""
+    n_mid, nt = run.n_mid[k], run.nt[k]
+    c0, c1, s0, s1 = run.c_off[k], run.c_off[k + 1], run.s_off[k], run.s_off[k + 1]
+    n_cols, n_seed = c1 - c0, s1 - s0
+    seed_pos, is_swap = run.seed_pos[c0:c1], run.is_swap[c0:c1]
+    seed_cols, seed_xc = np.flatnonzero(~is_swap), run.seed_xc[s0:s1, :n_mid]
+    i_of, j_of = run.i_of[c0:c1], run.j_of[c0:c1]
+    rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
     rinfo = sp_prev.swap_info
-    n_mid, n_cols = st.n_mid, st.n_cols
-    n_seed = st.seed_cols.shape[0]
     seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
     swap_rows = np.flatnonzero(rinfo[:, 1] >= 0)
     n_row_seed = seed_rows.shape[0]
     # a row seed's own values are exact: they are base_s
-    base = st.dense(seed_rows)
+    base = run.dense(k, seed_rows, g_next)
     bp = np.argmax(base, axis=1)
     back[seed_rows] = bp
     g_prev[seed_rows] = base[np.arange(n_row_seed), bp]
@@ -508,11 +546,11 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
         return cells
 
     # columns of each column seed in index order, padded with the seed column
-    sizes = np.bincount(st.seed_pos, minlength=n_seed)
-    by_seed = np.argsort(st.seed_pos, kind="stable")
-    within = np.arange(n_cols) - (np.cumsum(sizes) - sizes)[st.seed_pos[by_seed]]
-    block = np.repeat(st.seed_cols[:, None], sizes.max(), axis=1)
-    block[st.seed_pos[by_seed], within] = by_seed
+    sizes = np.bincount(seed_pos, minlength=n_seed)
+    by_seed = np.argsort(seed_pos, kind="stable")
+    within = np.arange(n_cols) - (np.cumsum(sizes) - sizes)[seed_pos[by_seed]]
+    block = np.repeat(seed_cols[:, None], sizes.max(), axis=1)
+    block[seed_pos[by_seed], within] = by_seed
     # cut lists, per (row seed, column seed): the first `cut` columns by
     # (-base_s, index), their base_s (-inf past the block and in one
     # extra slot) and exch[r, u, s, k], whether entry k exchanges object u
@@ -523,15 +561,15 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
     top_base = np.full(top.shape[:2] + (cut + 1,), -np.inf)
     top_base[:, :, :cut] = -np.take_along_axis(keys, order, axis=2)
     exch = np.zeros((n_row_seed, n_mid, n_seed, cut), dtype=bool)
-    ri, si, ki = np.nonzero(st.is_swap[top])
-    exch[ri, st.i_of[top[ri, si, ki]], si, ki] = True
-    exch[ri, st.j_of[top[ri, si, ki]], si, ki] = True
+    ri, si, ki = np.nonzero(is_swap[top])
+    exch[ri, i_of[top[ri, si, ki]], si, ki] = True
+    exch[ri, j_of[top[ri, si, ki]], si, ki] = True
     # touch[u, s, v]: column seed s with entries u and v exchanged (else s
     # itself), where u's target is seed s's target of v
-    touch = np.repeat(st.seed_cols[None, :, None], n_mid, axis=0).repeat(n_mid, axis=2)
-    sw = np.flatnonzero(st.is_swap)
-    touch[st.i_of[sw], st.seed_pos[sw], st.j_of[sw]] = sw
-    touch[st.j_of[sw], st.seed_pos[sw], st.i_of[sw]] = sw
+    touch = np.repeat(seed_cols[None, :, None], n_mid, axis=0).repeat(n_mid, axis=2)
+    sw = np.flatnonzero(is_swap)
+    touch[i_of[sw], seed_pos[sw], j_of[sw]] = sw
+    touch[j_of[sw], seed_pos[sw], i_of[sw]] = sw
     base_touch = base[:, touch]  # (row seeds, n_mid, n_seed, n_mid)
 
     s_all = rinfo[swap_rows, 0]
@@ -540,25 +578,24 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
     m_all = sp_prev.matrix[s_all[:, None], rinfo[swap_rows, 1:]]
     gone_all = m_all < 0
     m_all = np.where(gone_all, m_all[:, ::-1], m_all)
-    n_t = st.n_next + 1
-    tab_rows = st.tabf.reshape(-1, n_t)
+    tab_rows = run.tables[k].reshape(-1, nt)
     sides = np.arange(2)
     sidx = np.arange(n_seed)
     n_blk = 2 * n_seed * n_mid
     step = max(1, _FOLD_CELLS // (n_blk + n_seed * (cut + 1)))
-    seed_terms = tab_rows[st.rowbase[seed_rows] // n_t]  # (row seeds, n_mid, n_t)
+    seed_terms = tab_rows[rowtab[seed_rows]]  # (row seeds, n_mid, nt)
     for k0 in range(0, swap_rows.shape[0], step):
-        k = slice(k0, k0 + step)
-        x, m, gone, r = swap_rows[k], m_all[k], gone_all[k], sr_all[k]
+        q = slice(k0, k0 + step)
+        x, m, gone, r = swap_rows[q], m_all[q], gone_all[q], sr_all[q]
         r1 = r[:, None]
         nb = x.shape[0]
         ar = np.arange(nb)
         # dc[:, side]: the change of that side's terms per target; c_at
         # reads it at seed s's target of v, which column touch[m, s, v]
         # gives m, and c_seed at m's own seed target
-        dc = tab_rows[st.rowbase[x[:, None], m] // n_t] - seed_terms[r1, m]
+        dc = tab_rows[rowtab[x[:, None], m]] - seed_terms[r1, m]
         dc[gone] = 0.0
-        c_at = dc[:, :, st.seed_xc]  # (nb, 2, n_seed, n_mid)
+        c_at = dc[:, :, seed_xc]  # (nb, 2, n_seed, n_mid)
         c_seed = c_at[ar[:, None], sides, :, m]  # (nb, 2, n_seed)
         seed_val = c_seed[:, 0] + c_seed[:, 1]
         # touch blocks: each column keeps the other side's seed target,
@@ -593,7 +630,7 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
         )
         cells += blk.size + free.size + key.shape[0]
         rr, c = np.divmod(key, n_cols)
-        vals = st.cells(rr, c)
+        vals = run.cells(k, rr, c, g_next)
         # cells run by row then column: keep each row's first maximum
         start = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
         best = np.maximum.reduceat(vals, start)
@@ -604,15 +641,19 @@ def _fold_exchange(st: _Stage, sp_prev, margin, g_prev, back) -> int:
     return cells
 
 
-def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
-    """Stages t0 .. t1 - 1 of the fold, set up together.
+def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
+    """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
 
-    The term tables of the stages whose widest frame holds m objects
-    are computed at once over frames padded to m and then cut to each
-    stage's own shape; rowbase is built over the stacked predecessor
-    spaces and the columns from the successor spaces' seeds and swap_info.
-    Every table entry sees the float operations of
-    oracle.reference_stage_terms for its stage alone.
+    Besides listing the spaces' arrays, the work is a fixed number of
+    array operations per run, plus a few per width group: the frames are
+    padded with one scatter, the term tables of the stages of one width
+    (their widest frame) are computed at once over frames padded to it,
+    and the run's spaces are stacked, padded with DISAPPEAR, so rowtab
+    is one scatter of the predecessor rows and seed_xc one take of the
+    successor seeds. Every table entry sees the float operations of
+    oracle.reference_stage_terms for its stage alone. Each stage's way
+    of folding (_fold_stage) is decided here from the closed-form cell
+    counts.
     """
     n_st = t1 - t0
     counts = np.array(seq.counts[t0 - 1 : t1 + 1], dtype=np.int64)
@@ -624,112 +665,140 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> list[_Stage]:
     p_scale2 = np.array([(dt * s) ** 2 for s in sig])
     v_const = np.array([-math.log(2.0 * math.pi * x) for x in v_scale2.tolist()])
     p_const = np.array([-math.log(2.0 * math.pi * x) for x in p_scale2.tolist()])
-    frames = np.zeros((n_st + 2, n, 2))
-    for k, fr in enumerate(seq.frames[t0 - 1 : t1 + 1]):
-        frames[k, : fr.shape[0]] = fr
-    # the stages of one width (their widest frame) are padded to it together
-    counts_at = np.stack([n_prev, n_mid, n_next], axis=1)
-    width = counts_at.max(axis=1)
-    tabs: list[np.ndarray | None] = [None] * n_st
+    # frames[axis, frame, object]; the mask runs frame by frame, so the
+    # points fill it in order
+    frames = np.zeros((2, n_st + 2, n))
+    frames.transpose(1, 2, 0)[np.arange(n) < counts[:, None]] = np.concatenate(
+        seq.frames[t0 - 1 : t1 + 1]
+    )
+    width = np.maximum(np.maximum(n_prev, n_mid), n_next)
+    in_group = np.empty(n_st, dtype=np.int64)
+    padded_of = {}
     for m in sorted(set(width.tolist())):
         g = np.flatnonzero(width == m)
-        prev_f, mid_f, next_f = frames[g, :m], frames[g + 1, :m], frames[g + 2, :m]
-        disp = next_f[:, None, :, :] - mid_f[:, :, None, :]  # (stage, mid, next, 2)
+        in_group[g] = np.arange(g.shape[0])
+        prev_f, mid_f, next_f = frames[:, g, :m], frames[:, g + 1, :m], frames[:, g + 2, :m]
+        # dot products and squared norms are written out: x term plus y
+        # term, the order in which oracle.reference_stage_terms's einsum
+        # adds them, with no fused multiply-add
+        disp = next_f[:, :, None, :] - mid_f[:, :, :, None]  # (axis, stage, mid, next)
         v2 = disp / dt
-        q2 = np.einsum("tjld,tjld->tjl", v2, v2)
-        v1 = (mid_f[:, None, :, :] - prev_f[:, :, None, :]) / dt  # (stage, prev, mid, 2)
-        q1 = np.einsum("tijd,tijd->tij", v1, v1)
-        dot = np.einsum("tijd,tjld->tijl", v1, v2)
+        v1 = (mid_f[:, :, None, :] - prev_f[:, :, :, None]) / dt  # (axis, stage, prev, mid)
         padded = np.empty((g.shape[0], m + 1, m, m + 1))
         padded[:, :, :, 0] = lam
-        padded[:, 0, :, 1:] = p_const[g, None, None] - np.einsum(
-            "tjld,tjld->tjl", disp, disp
+        padded[:, 0, :, 1:] = p_const[g, None, None] - (
+            disp[0] * disp[0] + disp[1] * disp[1]
         ) / (2.0 * p_scale2[g, None, None])
-        padded[:, 1:, :, 1:] = v_const[g, None, None, None] - (
-            q2[:, None] - 2.0 * dot + q1[:, :, :, None]
-        ) / (2.0 * v_scale2[g, None, None, None])
-        # each stage's own table (a view when the stage fills the padding)
-        for i, (s, a, b, c) in enumerate(zip(g.tolist(), *counts_at[g].T.tolist())):
-            tabs[s] = np.ascontiguousarray(padded[i, : a + 1, :b, : c + 1])
+        # v_const - (|v2|^2 - 2 v1.v2 + |v1|^2) / (2 v_scale2), in place
+        vel = v1[0][..., None] * v2[0][:, None]
+        vel += v1[1][..., None] * v2[1][:, None]
+        vel *= 2.0
+        np.subtract((v2[0] * v2[0] + v2[1] * v2[1])[:, None], vel, out=vel)
+        vel += (v1[0] * v1[0] + v1[1] * v1[1])[..., None]
+        vel /= 2.0 * v_scale2[g, None, None, None]
+        np.subtract(v_const[g, None, None, None], vel, out=padded[:, 1:, :, 1:])
+        padded_of[m] = padded
 
-    # rows: the predecessor spaces t0 - 1 .. t1 - 2, stacked. rowbase[r, j]
-    # starts as (1 + the predecessor of mid object j in row r) * n_mid, 0
-    # when none; DISAPPEAR entries all land in column 0, which is dropped
+    # the spaces t0 - 1 .. t1 - 1: rows [off[k], off[k + 1]) are space
+    # t0 - 1 + k. Only the seeds of the successor spaces are read, so
+    # stacked holds the predecessor spaces, then the last space's seeds,
+    # padded with DISAPPEAR
     sps = spaces[t0 - 1 : t1]
     sizes = np.array([len(sp) for sp in sps], dtype=np.int64)
-    off = np.cumsum(sizes) - sizes
-    rowbase = np.zeros((int(off[-1]), n + 1), dtype=np.int64)
-    for sp, r0 in zip(sps[:-1], off.tolist()):
-        rows = np.arange(r0, r0 + len(sp))[:, None]
-        rowbase[rows, sp.matrix + 1] = np.arange(1, sp.n_from + 1) * sp.n_next
-    rowbase = rowbase[:, 1:]
-    rowbase += np.arange(n)
-    rowbase *= np.repeat(n_next, sizes[:-1])[:, None] + 1
+    off = np.r_[0, np.cumsum(sizes)]
+    info = np.concatenate([sp.swap_info for sp in sps])
+    is_seed = info[:, 1] < 0
+    seed_cum = np.r_[0, np.cumsum(is_seed)]
+    n_seeds = np.diff(seed_cum[off])
+    n_rows = int(off[-2])
+    stacked = np.full((n_rows + int(n_seeds[-1]), n), DISAPPEAR, dtype=np.int64)
+    stacked[:n_rows][np.arange(n) < np.repeat(n_prev, sizes[:-1])[:, None]] = np.concatenate(
+        [sp.matrix.reshape(-1) for sp in sps[:-1]]
+    )
+    stacked[n_rows:, : sps[-1].n_from] = sps[-1].matrix[is_seed[n_rows:]]
 
-    # columns: the successor spaces t0 .. t1 - 1, stacked; only their seeds
-    # are read, as shifted targets seed_xc (0 is DISAPPEAR, and so is the
-    # padding), since an exchange keeps its seed's matched set
-    c_sizes, c_off = sizes[1:], off[1:] - off[1]
-    info = np.concatenate([sp.swap_info for sp in sps[1:]])
-    seed_of = info[:, 0] + np.repeat(c_off, c_sizes)
-    is_swap = info[:, 1] >= 0
-    seed_cols = np.flatnonzero(~is_swap)
-    seed_rank = np.cumsum(~is_swap) - 1
-    s_off = np.searchsorted(seed_cols, c_off)
-    s_end = np.r_[s_off[1:], seed_cols.shape[0]]
-    seed_pos = seed_rank[seed_of]
+    # columns: the successor spaces; only their seeds are read, as
+    # shifted targets seed_xc (0 is DISAPPEAR, and so is the padding,
+    # with one padding column more), since an exchange keeps its seed's
+    # matched set
+    c_off = off[1:] - off[1]
+    s_off = seed_cum[off[1:]] - seed_cum[off[1]]
+    c_sizes, s_sizes = sizes[1:], n_seeds[1:]
+    col_stage = np.repeat(np.arange(n_st), c_sizes)
+    cinfo = info[off[1] :]
+    is_swap = ~is_seed[off[1] :]
+    seed_cols = np.flatnonzero(is_seed[off[1] :])
     seed_xc = np.zeros((seed_cols.shape[0], n + 1), dtype=np.int64)
-    for sp, s0, s1 in zip(sps[1:], s_off.tolist(), s_end.tolist()):
-        np.add(sp.matrix[sp.swap_info[:, 1] < 0], 1, out=seed_xc[s0:s1, : sp.n_from])
-    i_of = np.where(is_swap, info[:, 1], 0)
-    j_of = np.where(is_swap, info[:, 2], 0)
-    n_swap = np.r_[0, np.cumsum(is_swap)]
-    any_swap = n_swap[c_off + c_sizes] > n_swap[c_off]
-    t_old = (seed_xc[seed_pos, i_of], seed_xc[seed_pos, j_of])
-    # row table entries (_Stage.dense): j * nt + k holds target k of mid
+    seed_rows = seed_cols + off[1]  # in stacked; the last space's come last
+    seed_rows[s_off[-2] :] = np.arange(n_rows, stacked.shape[0])
+    np.add(stacked[seed_rows], 1, out=seed_xc[:, :n])
+    # each column's seed, counted over the run and within its stage
+    seed_of = seed_cum[off[1] + c_off[col_stage] + cinfo[:, 0]] - seed_cum[off[1]]
+    seed_pos = seed_of - s_off[col_stage]
+    i_of = np.where(is_swap, cinfo[:, 1], 0)
+    j_of = np.where(is_swap, cinfo[:, 2], 0)
+    t_old = (seed_xc[seed_of, i_of], seed_xc[seed_of, j_of])
+    # row table entries (_Run.dense): j * nt + x holds target x of mid
     # object j, n_mid * nt is 0.0. A seed's padding target 0 at j = n_mid
     # reads that zero entry, so each seed's list ends with it
-    nt = n_next + 1
-    seed_idx = seed_xc + np.arange(n + 1) * np.repeat(nt, s_end - s_off)[:, None]
-    nt_c = np.repeat(nt, c_sizes)
+    nt = width + 1
+    seed_idx = seed_xc + np.arange(n + 1) * np.repeat(nt, s_sizes)[:, None]
+    nt_c = nt[col_stage]
     i_t, j_t = i_of * nt_c, j_of * nt_c
     swap_idx = np.where(
         is_swap,
         np.stack([i_t + t_old[1], j_t + t_old[0], i_t + t_old[0], j_t + t_old[1]]),
-        np.repeat(n_mid * nt, c_sizes),
+        (n_mid * nt)[col_stage],
     )
     matched = (seed_xc > 0).sum(axis=1)
-    appear = noise.lambda_event * (np.repeat(n_next, c_sizes) - matched[seed_pos])
+    appear = lam * (n_next[col_stage] - matched[seed_of])
 
-    r_end, c_end = off + sizes, c_off + c_sizes
-    out = []
-    per_stage = zip(
-        n_mid.tolist(), n_next.tolist(),
-        off[:-1].tolist(), r_end[:-1].tolist(), c_off.tolist(), c_end.tolist(),
-        s_off.tolist(), s_end.tolist(), any_swap.tolist(), sps[1:], tabs,
+    # rows: the predecessor spaces. rowtab[r, j] starts as 1 + the
+    # predecessor of mid object j in row r, 0 when none: entry i of row r
+    # goes to flat position r * (n + 1) + 1 + its target, computed in
+    # place in stacked, so DISAPPEAR entries and the padding all land in
+    # column 0, which is dropped. Then it becomes the table row
+    # ((in_group * (m + 1) + i + 1) * m + j)
+    rowtab = np.zeros((n_rows, n + 1), dtype=np.int64)
+    at = stacked[:n_rows]
+    at += np.arange(1, n_rows * (n + 1) + 1, n + 1)[:, None]
+    rowtab.reshape(-1)[at] = np.arange(1, n + 1)
+    rowtab *= np.repeat(width, sizes[:-1])[:, None]
+    rowtab += np.repeat(in_group * (width + 1) * width - 1, sizes[:-1])[:, None]
+    rowtab += np.arange(n + 1)
+    rowtab = rowtab[:, 1:]
+
+    # _fold_stage's closed form: a row seed scores C cells, any other row
+    # S (2n + 1) decomposed ones plus n for its exact rescoring (S column
+    # seeds, n mid objects), and the exchange way adds _EXCHANGE_SETUP_CELLS
+    r_sizes, r_seeds = sizes[:-1], n_seeds[:-1]
+    per_row = s_sizes * (2 * n_mid + 1) + n_mid
+    cells = r_seeds * c_sizes + (r_sizes - r_seeds) * per_row
+    exchange = cells + _EXCHANGE_SETUP_CELLS < r_sizes * c_sizes
+
+    return _Run(
+        n_prev=n_prev.tolist(),
+        n_mid=n_mid.tolist(),
+        n_next=n_next.tolist(),
+        nt=nt.tolist(),
+        tables=[padded_of[m] for m in width.tolist()],
+        in_group=in_group.tolist(),
+        r_off=off[:-1].tolist(),
+        c_off=c_off.tolist(),
+        s_off=s_off.tolist(),
+        rowtab=rowtab,
+        seed_pos=seed_pos,
+        seed_xc=seed_xc,
+        seed_idx=seed_idx,
+        swap_idx=swap_idx,
+        is_swap=is_swap,
+        i_of=i_of,
+        j_of=j_of,
+        t_old=t_old,
+        appear=appear,
+        any_swap=(c_sizes > s_sizes).tolist(),
+        exchange=exchange.tolist(),
     )
-    for m, k, r0, r1, c0, c1, s0, s1, swaps, sp, tab in per_stage:
-        st = _Stage(
-            n_mid=m,
-            n_next=k,
-            tab=tab,
-            tabf=tab.reshape(-1),
-            rowbase=rowbase[r0:r1, :m],
-            n_cols=c1 - c0,
-            seed_cols=seed_cols[s0:s1] - c0,
-            seed_pos=seed_pos[c0:c1] - s0,
-            seed_xc=seed_xc[s0:s1, :m],
-            seed_idx=seed_idx[s0:s1, : m + 1],
-            swap_idx=swap_idx[:, c0:c1],
-            is_swap=is_swap[c0:c1],
-            any_swap=swaps,
-            i_of=i_of[c0:c1],
-            j_of=j_of[c0:c1],
-            t_old=(t_old[0][c0:c1], t_old[1][c0:c1]),
-            appear=appear[c0:c1],
-        )
-        out.append(st)
-    return out
 
 
 def _stage_runs(counts, sizes) -> list[tuple[int, int]]:
@@ -755,13 +824,13 @@ def _stage_runs(counts, sizes) -> list[tuple[int, int]]:
     return runs
 
 
-def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
-    """One backward DP step, g_prev(x) = max_y h_t(x, y) + g_next(y).
+def _fold_stage(run: _Run, k: int, sp_prev, g_next, exchange=None):
+    """One backward DP step for stage k of a run, g_prev(x) = max_y h_t(x, y) + g_next(y).
 
-    Returns g_prev, the first argmax successor of every predecessor row
-    and the number of cells scored. Every cell value comes from
-    _Stage.dense or _Stage.cells, which agree bit for bit, so both ways
-    of folding return the same arrays:
+    sp_prev is the stage's predecessor space. Returns g_prev, the first
+    argmax successor of every predecessor row and the number of cells
+    scored. Every cell value comes from _Run.dense or _Run.cells, which
+    agree bit for bit, so both ways of folding return the same arrays:
 
     - dense: every cell of every row;
     - exchange-structured, from both spaces' swap provenance. A
@@ -776,35 +845,28 @@ def _fold_stage(st: _Stage, sp_prev, g_next, exchange=None):
       (-base_s, index), cut after 2n - 1) that exchanges neither a nor
       b: an integer test on the list's exchanged entries, no value
       gathers. Decomposed values only shortlist the columns within a
-      rounding margin of the row's decomposed maximum (_Stage.margin);
+      rounding margin of the row's decomposed maximum (_Run.margin);
       the shortlist is scored exactly and its first argmax taken. The
       list's next entry bounds every other untouched column; where that
       bound reaches the margin, the seed's whole block of columns joins
       the row's shortlist. Work per stage falls from O(R C) to
       O(R delta n).
 
-    exchange=None picks the way with fewer closed-form cells: a row
-    seed scores C cells, any other row S (2n + 1) decomposed ones plus
-    n for its exact rescoring (S column seeds, n mid objects), and the
-    exchange way adds _EXCHANGE_SETUP_CELLS; True or False forces one.
-    Spaces whose rows are all seeds, such as full spaces, always cost
-    R C cells, so the closed form folds them densely.
+    exchange=None takes the way _stages chose, the one with fewer
+    closed-form cells; True or False forces one. Spaces whose rows are
+    all seeds, such as full spaces, always cost R C cells, so the closed
+    form folds them densely.
     """
-    st.g_next = g_next
     n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
     if exchange is None:
-        n_seed_rows = int((sp_prev.swap_info[:, 1] == -1).sum())
-        n_seed = st.seed_cols.shape[0]
-        width = n_seed * (2 * st.n_mid + 1) + st.n_mid
-        cells = n_seed_rows * st.n_cols + (n_rows - n_seed_rows) * width
-        exchange = cells + _EXCHANGE_SETUP_CELLS < n_rows * st.n_cols
+        exchange = run.exchange[k]
     if exchange:
-        margin = st.margin()
+        margin = run.margin(k, g_next)
         if math.isfinite(margin):
-            return g_prev, back, _fold_exchange(st, sp_prev, margin, g_prev, back)
-    return g_prev, back, st.fold_dense(np.arange(n_rows), g_prev, back)
+            return g_prev, back, _fold_exchange(run, k, sp_prev, margin, g_next, g_prev, back)
+    return g_prev, back, run.fold_dense(k, g_next, g_prev, back)
 
 
 # the layers of track(), in order, that TrackDiagnostics.layer_seconds times
@@ -836,7 +898,8 @@ class _Laps:
 
 
 def _solve_dp(seq, spaces, noise, lap=None):
-    """solve_dp, plus the cells scored per stage (stage 0: first-pair scores).
+    """solve_dp, plus the cells scored per stage (stage 0: first-pair
+    scores) and the stage runs in set-up order.
 
     Stages are set up a run at a time (_stage_runs), last run first, and
     folded sequentially in t; lap, when given, is charged per layer.
@@ -857,12 +920,13 @@ def _solve_dp(seq, spaces, noise, lap=None):
     g = np.zeros(len(spaces[-1]))
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)
     cells = [len(spaces[0])] + [0] * (n_pairs - 1)
-    for t0, t1 in _stage_runs(seq.counts, [len(sp) for sp in spaces]):
-        stages = _stages(seq, spaces, noise, t0, t1)
+    runs = _stage_runs(seq.counts, [len(sp) for sp in spaces])
+    for t0, t1 in runs:
+        run = _stages(seq, spaces, noise, t0, t1)
         lap("stage_setup")
         for t in range(t1 - 1, t0 - 1, -1):
-            g, backs[t - 1], cells[t] = _fold_stage(stages[t - t0], spaces[t - 1], g)
-        del stages
+            g, backs[t - 1], cells[t] = _fold_stage(run, t - t0, spaces[t - 1], g)
+        del run
         lap("fold")
 
     h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
@@ -874,7 +938,7 @@ def _solve_dp(seq, spaces, noise, lap=None):
         idxs.append(int(backs[t - 1][idxs[-1]]))
     matchings = [spaces[t].vector_at(r) for t, r in enumerate(idxs)]
     lap("walk")
-    return matchings, score, tuple(cells)
+    return matchings, score, tuple(cells), tuple(runs)
 
 
 def solve_dp(
@@ -890,7 +954,7 @@ def solve_dp(
     lexicographically sorted and every stage keeps its first maximizer,
     so the walk returns the lexicographically smallest optimal sequence.
     """
-    matchings, score, _ = _solve_dp(seq, spaces, noise)
+    matchings, score, _, _ = _solve_dp(seq, spaces, noise)
     return matchings, score
 
 
@@ -1088,6 +1152,9 @@ class TrackDiagnostics:
     # then the fold's decomposed and exact cell scores (eval_count is
     # the closed form for a dense DP)
     dp_cells: tuple[int, ...]
+    # the stage ranges [t0, t1) set up together ahead of the fold, in
+    # set-up order (last run first); stage t scores frames t - 1, t, t + 1
+    stage_runs: tuple[tuple[int, int], ...]
     # wall-clock seconds per layer of track(), keyed by TRACK_LAYERS;
     # left out of equality, since timings differ from run to run
     layer_seconds: dict[str, float] = field(default_factory=dict, compare=False)
@@ -1139,12 +1206,13 @@ def track(
     n_a, n_b = sw.n_a, sw.n_b
     k_star = sw.gated(gate)
     d_star = n_a - k_star
-    for k in range(f - 1):
-        size = reduced_space_size(int(n_a[k]), int(n_b[k]), int(d_star[k]), cfg.delta)
-        if size > cfg.space_cap:
-            raise SpaceCapError(
-                f"candidate space at pair {k} has {size} vectors, cap is {cfg.space_cap}"
-            )
+    space_sizes = reduced_space_size(n_a, n_b, d_star, cfg.delta)
+    over = np.flatnonzero(space_sizes > cfg.space_cap)
+    if over.shape[0]:
+        k = int(over[0])
+        raise SpaceCapError(
+            f"candidate space at pair {k} has {space_sizes[k]} vectors, cap is {cfg.space_cap}"
+        )
     bmcf_rows = sw.rows(pairs, k_star)
     bmcf = sw.vectors(pairs, k_star)
     seed_pair, seed_k = _seed_cardinalities(n_a, n_b, d_star, cfg.delta)
@@ -1170,7 +1238,7 @@ def track(
 
     spaces = _assemble_spaces(seed_pair, seeds, n_a, n_b)
     lap("spaces")
-    matchings, score, dp_cells = _solve_dp(seq, spaces, noise, lap)
+    matchings, score, dp_cells, stage_runs = _solve_dp(seq, spaces, noise, lap)
     trajs = assemble_trajectories(seq, matchings)
     lap("trajectories")
     sizes = tuple(len(s) for s in spaces)
@@ -1185,6 +1253,7 @@ def track(
         tie_refinements=tie_refinements,
         sweep_steps=sweep_steps,
         dp_cells=dp_cells,
+        stage_runs=stage_runs,
         layer_seconds=lap.seconds,
     )
     return TrackResult(

@@ -72,6 +72,9 @@ class TestTrack:
         assert diag["dp_cells"][0] == diag["space_sizes"][0]
         assert diag["dt"] == 1.0
         assert len(diag["sweep_steps"]) == SIM_CFG["f"] - 1
+        # the stage runs cover stages 1 .. f - 2 once, last run first
+        stages = [t for t0, t1 in diag["stage_runs"][::-1] for t in range(t0, t1)]
+        assert stages == list(range(1, SIM_CFG["f"] - 1))
         assert sum(diag["sweep_steps"]) > 0
         assert sorted(diag["layer_seconds"]) == sorted(TRACK_LAYERS)
         assert all(s >= 0.0 for s in diag["layer_seconds"].values())

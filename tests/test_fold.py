@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from velotrack import FrameSequence, NoiseModel, TrackerConfig, build_reduced_space, track
+from velotrack import (
+    FrameSequence,
+    NoiseModel,
+    SimConfig,
+    TrackerConfig,
+    build_reduced_space,
+    simulate,
+    track,
+)
 from velotrack import tripartite
 from velotrack.oracle import reference_fold_stage
 
@@ -23,8 +31,8 @@ def reduced(frame_a, frame_b, d_pick, delta):
 
 def assert_same_fold(seq, sp_prev, sp_next, g_next, noise, exchange):
     want = reference_fold_stage(seq, sp_prev, sp_next, g_next, noise, 1)
-    (st,) = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
-    got = tripartite._fold_stage(st, sp_prev, g_next, exchange=exchange)
+    run = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
+    got = tripartite._fold_stage(run, 0, sp_prev, g_next, exchange=exchange)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     return got[2]
@@ -131,6 +139,15 @@ def test_track_reports_dp_cells(rng):
     assert d.dp_cells[1:] == tuple(sizes[t - 1] * sizes[t] for t in range(1, len(sizes)))
 
 
+def test_long_video_sets_up_in_one_run():
+    # video 0 of the bench's long workload: 160 frames of about six
+    # objects, whose 158 stages fit one run of stage set-up
+    w, h = 680.0, 512.0
+    cfg = SimConfig(W=1.2 * w, H=1.2 * h, w=w, h=h, N0=6, sigma=1.0, f=160, seed=0)
+    d = track(simulate(cfg).seq).diagnostics
+    assert d.stage_runs == ((1, 159),)
+
+
 def test_coincident_detections_fall_back_to_dense_rows():
     # every detection at one point: all cells of a column block tie, so
     # the next entry of a cut list cannot rule out the block's other
@@ -153,13 +170,12 @@ def test_coincident_detections_fall_back_to_dense_rows():
 
 
 def assert_cell_forms_agree(seq, sp_prev, sp_next, g_next, noise):
-    # dense (row table takes) and cells (tabf gathers) over every cell
-    (stg,) = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
-    stg.g_next = g_next
+    # dense (row table takes) and cells (table gathers) over every cell
+    run = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
     n_rows, n_cols = len(sp_prev), len(sp_next)
-    dense = stg.dense(np.arange(n_rows))
+    dense = run.dense(0, np.arange(n_rows), g_next)
     r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    cells = stg.cells(r, c).reshape(n_rows, n_cols)
+    cells = run.cells(0, r, c, g_next).reshape(n_rows, n_cols)
     assert dense.shape == (n_rows, n_cols)
     assert dense.tobytes() == cells.tobytes()
 
@@ -220,7 +236,7 @@ def test_dense_fold_in_row_chunks_equals_reference(fold_cells, rng):
     g_next = rng.normal(0.0, 5.0, size=len(sp_next))
     noise = NoiseModel(sigmas=(1.0, 0.7), lambda_event=-4.0)
     dense = mock.patch.object(
-        tripartite._Stage, "dense", autospec=True, side_effect=tripartite._Stage.dense
+        tripartite._Run, "dense", autospec=True, side_effect=tripartite._Run.dense
     )
     with dense as spy, mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells):
         assert_same_fold(seq, sp_prev, sp_next, g_next, noise, False)

@@ -1,8 +1,10 @@
 """Full and reduced candidate-space construction."""
 
+from math import comb
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from velotrack import (
@@ -15,6 +17,7 @@ from velotrack import (
     fixed_d_matchings,
     neighborhood,
 )
+from velotrack.core import _lex_order
 from velotrack.oracle import enumerate_space
 from velotrack.tripartite import reduced_space_size
 
@@ -112,6 +115,26 @@ class TestReducedSpace:
             )
             assert len(sp) == size
             assert reduced_space_size(n_a, n_b, d_star, delta) == size
+
+    def test_sizes_of_many_pairs_at_once(self, rng):
+        # random pairs, d* anywhere: infeasible counts and empty
+        # neighborhoods included, and counts whose C(n, 2) needs int64
+        for delta in range(4):
+            n_a = np.r_[rng.integers(0, 12, size=300), 40_000, 65_536]
+            n_b = np.r_[rng.integers(0, 12, size=300), 39_000, 70_000]
+            d_star = np.r_[rng.integers(-3, 15, size=300), 1_000, 65_536]
+            got = reduced_space_size(n_a, n_b, d_star, delta)
+            assert got.dtype == np.int64
+            want = [
+                sum(1 + comb(a, 2) - comb(d, 2) for d in neighborhood(ds, delta, a, b))
+                for a, b, ds in zip(n_a.tolist(), n_b.tolist(), d_star.tolist())
+            ]
+            assert got.tolist() == want
+            one = [
+                reduced_space_size(a, b, ds, delta)
+                for a, b, ds in zip(n_a.tolist(), n_b.tolist(), d_star.tolist())
+            ]
+            assert one == want and all(type(x) is int for x in one)
 
     def test_subset_of_full_space(self, rng):
         for _ in range(10):
@@ -218,3 +241,24 @@ def test_seeded_space_matches_pairwise_exchanges(rng):
                 np.testing.assert_array_equal(got.matrix, want.matrix)
                 np.testing.assert_array_equal(got.swap_info, want.swap_info)
                 assert (got.n_from, got.n_next) == (n, m)
+
+
+@settings(max_examples=300)
+@given(
+    n_b=st.integers(0, 300),
+    width=st.integers(0, 60),
+    n_rows=st.integers(0, 40),
+    n_pairs=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_order_equals_lexsort(n_b, width, n_rows, n_pairs, seed):
+    # rows of entries -1 .. n_b - 1 around one base row, so they share
+    # prefixes and repeat; the extremes of the range occur
+    rng = np.random.default_rng(seed)
+    rows = np.tile(rng.integers(-1, n_b, size=width), (n_rows, 1))
+    hit = rng.random(rows.shape) < 0.2
+    rows[hit] = rng.choice([-1, n_b - 1, (n_b - 1) // 2], size=int(hit.sum()))
+    pair = rng.integers(0, n_pairs, size=n_rows)
+    assert np.array_equal(_lex_order(rows, pair), np.lexsort((*rows.T[::-1], pair)))
+    want = np.lexsort(rows.T[::-1]) if width else np.arange(n_rows)
+    assert np.array_equal(_lex_order(rows), want)

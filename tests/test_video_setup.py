@@ -4,6 +4,8 @@ track() does each per-pair job once per video over padded arrays: the
 tie certificate of the matchings read from the batched sweep, space
 assembly, stage set-up and the sigma estimate. Each must equal, bit for
 bit, its one-pair form (in oracle.py, or here for the certificate).
+Stage set-up runs over runs of stages; folding in many small runs must
+equal folding in one.
 """
 
 import warnings
@@ -13,7 +15,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from velotrack import FrameSequence, MatchingVector, NoiseModel, estimate_sigma
+from velotrack import (
+    FrameSequence,
+    MatchingVector,
+    NoiseModel,
+    TrackerConfig,
+    estimate_sigma,
+    track,
+)
 from velotrack import assignment, tripartite
 from velotrack.oracle import (
     reference_estimate_sigma,
@@ -129,25 +138,111 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         runs = tripartite._stage_runs(counts, sizes)
         stages = {}
         for t0, t1 in runs:
-            for t, stage in zip(range(t0, t1), tripartite._stages(seq, spaces, noise, t0, t1)):
-                stages[t] = stage
+            run = tripartite._stages(seq, spaces, noise, t0, t1)
+            for k in range(t1 - t0):
+                stages[t0 + k] = (run, k)
     assert sorted(stages) == list(range(1, f - 1))
-    for t, stage in stages.items():
+    for t, (run, k) in stages.items():
+        n_mid, n_next, m = counts[t], counts[t + 1], run.nt[k] - 1
         tab = reference_stage_terms(seq, noise, t)
-        assert stage.tab.shape == tab.shape
-        assert np.array_equal(stage.tab, tab)
-        assert np.array_equal(stage.tabf, tab.reshape(-1))
-        want = reference_rowbase(spaces[t - 1], counts[t], counts[t + 1])
-        assert np.array_equal(stage.rowbase, want)
+        assert run.table(k).shape == tab.shape
+        assert np.array_equal(run.table(k), tab)
+        # predecessor rows: table rows in the padded layout of the stage's
+        # width group, which hold the reference's entries through
+        # reference_rowbase
+        rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
+        want = reference_rowbase(spaces[t - 1], m, m)[:, :n_mid] // (m + 1)
+        assert np.array_equal(rowtab, want + run.in_group[k] * (m + 1) * m)
+        got = run.tables[k].reshape(-1, m + 1)[rowtab][:, :, : n_next + 1]
+        ref = reference_rowbase(spaces[t - 1], n_mid, n_next)[:, :, None]
+        assert np.array_equal(got, tab.reshape(-1)[ref + np.arange(n_next + 1)])
+        # successor columns, through the stage's column and seed offsets
+        cols, seeds = slice(run.c_off[k], run.c_off[k + 1]), slice(run.s_off[k], run.s_off[k + 1])
         info = spaces[t].swap_info
         seed_cols = np.flatnonzero(info[:, 1] == -1)
-        assert np.array_equal(stage.seed_cols, seed_cols)
-        assert np.array_equal(seed_cols[stage.seed_pos], info[:, 0])
+        seed_pos = run.seed_pos[cols]
+        assert np.array_equal(np.flatnonzero(~run.is_swap[cols]), seed_cols)
+        assert np.array_equal(seed_cols[seed_pos], info[:, 0])
         # every column is its seed's shifted targets with i_of and j_of exchanged
-        cols = stage.seed_xc[stage.seed_pos]
-        sw = np.flatnonzero(stage.is_swap)
-        i, j = stage.i_of[sw], stage.j_of[sw]
-        cols[sw, i], cols[sw, j] = cols[sw, j], cols[sw, i]
-        assert np.array_equal(cols, spaces[t].matrix + 1)
+        xc = run.seed_xc[seeds]
+        assert not xc[:, n_mid:].any()  # the padding reads DISAPPEAR
+        col = xc[seed_pos, :n_mid]
+        sw = np.flatnonzero(run.is_swap[cols])
+        i, j = run.i_of[cols][sw], run.j_of[cols][sw]
+        col[sw, i], col[sw, j] = col[sw, j], col[sw, i]
+        assert np.array_equal(col, spaces[t].matrix + 1)
         matched = (spaces[t].matrix >= 0).sum(axis=1)
-        assert np.array_equal(stage.appear, lam * (counts[t + 1] - matched))
+        assert np.array_equal(run.appear[cols], lam * (counts[t + 1] - matched))
+        # the fold's way for the stage, from its closed-form cell counts
+        n_rows, n_cols = len(spaces[t - 1]), len(spaces[t])
+        seed_rows = int((spaces[t - 1].swap_info[:, 1] == -1).sum())
+        per_row = seed_cols.shape[0] * (2 * n_mid + 1) + n_mid
+        closed = seed_rows * n_cols + (n_rows - seed_rows) * per_row
+        assert run.exchange[k] == (
+            closed + tripartite._EXCHANGE_SETUP_CELLS < n_rows * n_cols
+        )
+
+
+def fold_in_runs(seq, spaces, noise, fold_cells):
+    """_solve_dp with _FOLD_CELLS patched, plus what each _fold_stage returned."""
+    folds = []
+    fold = tripartite._fold_stage
+
+    def record(*args, **kwargs):
+        folds.append(fold(*args, **kwargs))
+        return folds[-1]
+
+    with (
+        mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells),
+        mock.patch.object(tripartite, "_fold_stage", side_effect=record),
+    ):
+        matchings, score, cells, runs = tripartite._solve_dp(seq, spaces, noise)
+    return folds, matchings, score, cells, runs
+
+
+def assert_runs_fold_alike(seq, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # videos without chains fall back
+        res = track(seq, TrackerConfig(delta=delta))
+    d = res.diagnostics
+    noise = NoiseModel(sigmas=d.sigma.sigmas, lambda_event=d.lambda_event)
+    spaces = list(res.spaces)
+    one = fold_in_runs(seq, spaces, noise, 1 << 40)
+    many = fold_in_runs(seq, spaces, noise, 1)
+    f = len(seq)
+    assert one[4] == (((1, f - 1),) if f > 2 else ())
+    assert [t for t0, t1 in many[4][::-1] for t in range(t0, t1)] == list(range(1, f - 1))
+    assert len(one[0]) == len(many[0]) == f - 2
+    for (g1, b1, c1), (g2, b2, c2) in zip(one[0], many[0]):
+        assert g1.tobytes() == g2.tobytes()
+        assert np.array_equal(b1, b2)
+        assert c1 == c2
+    assert one[1] == many[1] == list(res.matchings)
+    assert one[2].hex() == many[2].hex() == res.score.hex()
+    assert one[3] == many[3] == d.dp_cells
+    return many[4]
+
+
+@settings(max_examples=100)
+@given(seq=videos(), delta=st.integers(0, 2))
+def test_small_runs_fold_like_one_run(seq, delta):
+    assert_runs_fold_alike(seq, delta)
+
+
+def test_small_runs_fold_like_one_run_on_edge_videos():
+    frames = (
+        [[0, 0], [1, 0]],
+        [],  # a 0-object middle frame
+        [[1, 1], [2, 2], [2, 2]],
+        [[0, 0]],
+        [[0, 0], [0, 0], [1, 1], [3, 1]],
+        [],
+        [],
+        [[2, 2], [1, 0], [0, 1], [1, 1], [2, 0]],
+        [[2, 1], [1, 1], [0, 2], [1, 2]],
+    )
+    seq = FrameSequence(tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames))
+    for delta in (0, 1, 2):
+        runs = assert_runs_fold_alike(seq, delta)
+        # every stage with an object goes alone under a bound of one cell
+        assert len(runs) == len(seq) - 2
