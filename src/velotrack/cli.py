@@ -96,6 +96,11 @@ class ExperimentConfig(JsonConfig):
         object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "deltas", tuple(int(v) for v in self.deltas))
+        # a repeated value would run its settings twice and pool them in one aggregate row
+        for name in ("N0", "sigma", "methods", "deltas"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidConfigError(f"{name} holds a repeated value: {list(values)}")
         if not self.N0 or not self.sigma:
             raise InvalidConfigError("N0 and sigma lists must be nonempty")
         if int(self.replicates) != self.replicates or self.replicates < 1:
@@ -273,6 +278,9 @@ def _tracks_to_trajectories(
 def cmd_evaluate(args) -> int:
     if not (math.isfinite(args.beta) and args.beta > 0):
         raise InvalidConfigError("--beta must be a positive finite number")
+    summary = os.path.splitext(args.output)[0] + ".json"
+    if os.path.abspath(summary) == os.path.abspath(args.output):
+        raise InvalidConfigError(f"--output {args.output!r} is also the JSON summary's path")
     pred_rows = read_tracks(args.input)
     truth_rows = read_tracks(args.truth)
     seq, pred, truth = _tracks_to_trajectories(pred_rows, truth_rows)
@@ -280,7 +288,6 @@ def cmd_evaluate(args) -> int:
     truth_m = matchings_from_trajectories(seq, truth)
     report = evaluate(seq, pred_m, truth_m, beta=args.beta)
     write_report_csv(report, args.output)
-    summary = os.path.splitext(args.output)[0] + ".json"
     write_report_json(report, summary)
     print(
         f"whole-path F{args.beta:g} = {report.whole_fbeta:.4f}, "

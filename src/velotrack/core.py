@@ -379,22 +379,31 @@ def _parse_int(s: str, what: str, ln: int) -> int:
         raise ParseError(f"bad {what} value {s!r}", ln) from None
 
 
+def _data_lines(fh, header: str):
+    """(line number, stripped text) of each nonblank line of fh; the
+    first nonblank line is skipped when it is the header."""
+    first = True
+    for ln, raw in enumerate(fh, start=1):
+        s = raw.strip()
+        if not s:
+            continue
+        if not (first and s.replace(" ", "").lower() == header):
+            yield ln, s
+        first = False
+
+
 def read_detections(path, dt: float = 1.0) -> FrameSequence:
     """Read the detection format into a FrameSequence.
 
     Rows are frame_index,x,y with 0-based non-decreasing frame indices.
-    An optional header row is accepted. A skipped frame index denotes an
-    empty frame. Raises ParseError naming the offending line otherwise.
+    An optional header row, the first nonblank line, is accepted. A
+    skipped frame index denotes an empty frame. Raises ParseError
+    naming the offending line otherwise.
     """
     by_frame: dict[int, list[tuple[float, float]]] = {}
     last = -1
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s:
-                continue
-            if ln == 1 and s.replace(" ", "").lower() == _DET_HEADER:
-                continue
+        for ln, s in _data_lines(fh, _DET_HEADER):
             parts = s.split(",")
             if len(parts) != 3:
                 raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", ln)
@@ -437,16 +446,12 @@ def read_tracks(path) -> list[list[tuple[int, float, float]]]:
     """Read a track file as per-track lists of (frame, x, y).
 
     Rows of one track must be contiguous in frame order; tracks are
-    returned sorted by their id.
+    returned sorted by their id. An optional header row, the first
+    nonblank line, is accepted.
     """
     by_id: dict[int, list[tuple[int, float, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s:
-                continue
-            if ln == 1 and s.replace(" ", "").lower() == _TRACK_HEADER:
-                continue
+        for ln, s in _data_lines(fh, _TRACK_HEADER):
             parts = s.split(",")
             if len(parts) != 4:
                 raise ParseError(f"expected 4 comma-separated fields, got {len(parts)}", ln)

@@ -331,31 +331,21 @@ def reference_fold_stage(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward DP step over every cell, g_prev(x) = max_y h_t(x, y) + g_next(y).
 
-    Stage terms are assembled per predecessor chunk from (mid, next)
-    lookup tables. Each swap column of the successor space is scored
-    from its seed column plus the terms of the two exchanged entries.
-    Returns g_prev and the first argmax successor row per predecessor
-    row; tripartite._fold_stage must return equal arrays.
+    Each predecessor chunk takes its stage terms from
+    reference_stage_terms through its mid objects' predecessors. Each
+    swap column of the successor space is scored from its seed column
+    plus the terms of the two exchanged entries. Returns g_prev and the
+    first argmax successor row per predecessor row;
+    tripartite._fold_stage must return equal arrays.
     """
-    prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
-    dt = seq.dt
-    sigma = noise.sigma_for_pair(t)
-    v_scale2 = sigma * sigma
-    p_scale2 = (dt * sigma) ** 2
-    v_const = -math.log(2.0 * math.pi * v_scale2)
-    p_const = -math.log(2.0 * math.pi * p_scale2)
-    lam = noise.lambda_event
-    n_mid, n_next = mid_f.shape[0], next_f.shape[0]
+    tab = reference_stage_terms(seq, noise, t)  # (n_prev + 1, n_mid, n_next + 1)
+    n_mid, n_next = tab.shape[1], tab.shape[2] - 1
 
     x = sp_next.matrix  # (C, n_mid)
     y = sp_prev.matrix  # (R, n_prev)
     n_rows, n_cols = y.shape[0], x.shape[0]
-    disp = next_f[None, :, :] - mid_f[:, None, :]  # (n_mid, n_next, 2)
-    v2 = disp / dt
-    q2 = np.einsum("jld,jld->jl", v2, v2)
-    pos_t = p_const - np.einsum("jld,jld->jl", disp, disp) / (2.0 * p_scale2)
     xc = x + 1  # shift targets so column 0 is the DISAPPEAR penalty
-    appear = lam * (n_next - (x >= 0).sum(axis=1))  # (C,)
+    appear = noise.lambda_event * (n_next - (x >= 0).sum(axis=1))  # (C,)
 
     info = sp_next.swap_info
     seed_cols = np.flatnonzero(info[:, 1] == -1)
@@ -377,22 +367,11 @@ def reference_fold_stage(
     for r0 in range(0, n_rows, chunk):
         yb = y[r0 : r0 + chunk]
         nb = yb.shape[0]
-        has = np.zeros((nb, n_mid), dtype=bool)
-        pred = np.zeros((nb, n_mid), dtype=np.int64)
+        # pred[b, j]: mid object j's predecessor in row b, -1 when none
+        pred = np.full((nb, n_mid), -1, dtype=np.int64)
         bi, pi = np.nonzero(yb >= 0)
-        has[bi, yb[bi, pi]] = True
         pred[bi, yb[bi, pi]] = pi
-        if prev_f.shape[0] == 0:
-            # no predecessors exist; placeholder zeros, masked out below
-            prev_pos = np.zeros((nb, n_mid, 2))
-        else:
-            prev_pos = prev_f[pred]
-        v1 = (mid_f[None, :, :] - prev_pos) / dt  # (nb, n_mid, 2)
-        q1 = np.einsum("bjd,bjd->bj", v1, v1)
-        dot = np.einsum("bjd,jld->bjl", v1, v2)
-        t_vel = v_const - (q2[None, :, :] - 2.0 * dot + q1[:, :, None]) / (2.0 * v_scale2)
-        terms = np.where(has[:, :, None], t_vel, pos_t[None, :, :])
-        full = np.concatenate([np.full((nb, n_mid, 1), lam), terms], axis=2)
+        full = tab[pred + 1, np.arange(n_mid)]  # (nb, n_mid, n_next + 1)
         seeds = np.zeros((nb, seed_cols.shape[0]))
         for j in range(n_mid):
             seeds += full[:, j, xc[seed_cols, j]]

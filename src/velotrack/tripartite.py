@@ -364,32 +364,32 @@ class _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together; stage k is t0 + k.
 
     Term tables: the stages whose widest frame holds m objects share one
-    padded table of shape (stages, m + 1, m, m + 1), and tables[k] is
-    stage k's. Its entry [in_group[k], i + 1, j, x] is mid object j's term
-    when its predecessor is previous object i and its shifted target is
-    x (0 is DISAPPEAR, lambda_event; x = l + 1 is next object l); i = -1
-    means j appeared at the mid frame (position Gaussian). table(k)
-    views the stage's own entries. Viewed as rows of nt[k] = m + 1
-    entries, row rowtab[r, j] holds mid object j's terms in predecessor
-    row r: rows enter only through each mid object's predecessor.
+    table of rows of nt[k] = m + 1 entries, tables[k]. Stage k's rows are
+    its padded table tab[i + 1, j, x] of shape (m + 1, m, m + 1), the
+    group's in_group[k]-th: mid object j's term when its predecessor is
+    previous object i and its shifted target is x (0 is DISAPPEAR,
+    lambda_event; x = l + 1 is next object l); i = -1 means j appeared
+    at the mid frame (position Gaussian). table(k) views the stage's
+    own entries. One row of zeros closes each group's table. Row
+    rowtab[r, j] holds mid object j's terms in predecessor row r, and
+    rowtab[r, n_mid[k]] is the zero row: rows enter only through each
+    mid object's predecessor.
 
     The arrays stack every stage: stage k owns rowtab rows r_off[k] ..
     r_off[k + 1] (its predecessor space), columns c_off[k] .. c_off[k +
     1] and seeds s_off[k] .. s_off[k + 1] (its successor space and that
     space's seed rows); seed_pos counts seeds within the stage. Column
-    c is its seed seed_pos[c] (shifted targets seed_xc of that
-    seed), or that seed with entries i_of[c] and j_of[c] exchanged:
-    t_old holds the seed's shifted targets of the two, and the exchange
-    swaps them.
+    c is its seed seed_pos[c] (shifted targets seed_xc of that seed),
+    or that seed with entries i_of[c] and j_of[c] exchanged.
 
-    dense scores whole rows from a table per row whose entry j * nt + x
-    is that term and whose last entry, n_mid * nt, is 0.0 (the zero
-    entry). seed_idx lists each seed's entries in j order, then the zero
-    entry; swap_idx[:, c] lists column c's two new terms and its two old
-    ones, all four the zero entry for a seed column. cells gathers the
-    same entries, cell by cell, and both forms add them in the same
+    A cell's entries are numbered j * nt + x over the n_mid + 1 rows
+    rowtab[r, :n_mid + 1], so n_mid * nt is a zero. seed_idx lists each
+    seed's entries in j order, ending at that zero (the padding target
+    0 of j = n_mid); swap_idx[:, c] lists column c's two new terms and
+    its two old ones, all four the zero for a seed column. Both forms,
+    dense and cells, read these lists and add the entries in the same
     order, so they agree bit for bit. exchange[k] is the way
-    _fold_stage folds stage k unless told otherwise.
+    _fold_stage folds stage k.
     """
 
     n_prev: list[int]
@@ -409,78 +409,64 @@ class _Run:
     is_swap: np.ndarray
     i_of: np.ndarray
     j_of: np.ndarray
-    t_old: tuple[np.ndarray, np.ndarray]
     appear: np.ndarray
-    any_swap: list[bool]
     exchange: list[bool]
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        tab = self.tables[k][self.in_group[k]]
+        nt = self.nt[k]
+        n_tab = nt * (nt - 1)
+        g0 = self.in_group[k] * n_tab
+        tab = self.tables[k][g0 : g0 + n_tab].reshape(nt, nt - 1, nt)
         return tab[: self.n_prev[k] + 1, : self.n_mid[k], : self.n_next[k] + 1]
 
     def cells(self, k: int, r, c, g_next) -> np.ndarray:
         """Values of the cells (r[q], c[q]) of stage k: h_t(r, c) + g_next[c].
 
         The sparse form, for the exchange fold's exact rescoring: it
-        gathers each cell's terms from the table itself. It reads the
-        entries dense reads, in the same order: the seed sum of column
-        c's seed; for an exchange column plus its two new terms (t_old
-        swapped) and minus its two old ones; then the appearances and
-        g_next. So a cell's value does not depend on which form scored it.
+        gathers each cell's entries from the table itself, the seed's
+        through its targets seed_xc and the four of swap_idx through
+        their (j, x), then adds the appearances and g_next as dense does.
         """
         n_mid, nt = self.n_mid[k], self.nt[k]
         tabf = self.tables[k].reshape(-1)
-        base = self.rowtab[self.r_off[k] : self.r_off[k + 1], :n_mid][r] * nt
+        base = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][r] * nt
         cg = c + self.c_off[k]
         s = self.seed_pos[cg] + self.s_off[k]
-        if n_mid:
-            terms = tabf[base + self.seed_xc[s, :n_mid]]
-            # cumsum adds in j order; + 0.0 makes it a sum started at zero
-            e = np.cumsum(terms, axis=1)[:, -1] + 0.0
-        else:
-            e = np.zeros(r.shape)
-        if self.any_swap[k]:
-            ar = np.arange(r.shape[0])
-            bi = base[ar, self.i_of[cg]]
-            bj = base[ar, self.j_of[cg]]
-            t0, t1 = self.t_old[0][cg], self.t_old[1][cg]
-            swapped = e + tabf[bi + t1] + tabf[bj + t0] - tabf[bi + t0] - tabf[bj + t1]
-            e = np.where(self.is_swap[cg], swapped, e)
+        e = np.cumsum(tabf[base + self.seed_xc[s, : n_mid + 1]], axis=1)[:, -1]
+        j, x = np.divmod(self.swap_idx[:, cg], nt)
+        d = tabf[base[np.arange(r.shape[0]), j] + x]
+        e += d[0]
+        e += d[1]
+        e -= d[2]
+        e -= d[3]
         return e + self.appear[cg] + g_next[c]
 
     def dense(self, k: int, rows, g_next) -> np.ndarray:
         """Values of every column of stage k for its predecessor rows
         `rows` (indices or a slice), shape (rows, n_cols).
 
-        The dense form: takes from the rows' term tables. rt[:, q] is row
-        q's table: rt[j * nt + x, q] is the term of mid object j and
-        shifted target x, and the last entry is 0.0. A seed column's
-        swap_idx entries all read that zero entry, which adds +-0.0 to a
-        seed sum that is never -0.0. One table entry of all the rows is
-        one contiguous array row, so each take copies one run over all
-        rows, however few rows there are; the values come out column by
-        column and are returned transposed.
+        The dense form: takes from the rows' term tables, rt[j * nt + x,
+        q] for row q. The cumsum adds a seed's terms in j order, then
+        its zero, so a seed sum is never -0.0, and the +-0.0 a seed
+        column's swap_idx entries add leaves it as it is. One table
+        entry of all the rows is one contiguous array row, so each take
+        copies one run over all rows, however few rows there are; the
+        values come out column by column and are returned transposed.
         """
         n_mid, nt = self.n_mid[k], self.nt[k]
         c0, c1 = self.c_off[k], self.c_off[k + 1]
-        rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], :n_mid][rows]
-        terms = self.tables[k].reshape(-1, nt)[rowtab]
-        n_r = terms.shape[0]
-        rt = np.empty((n_mid * nt + 1, n_r))
-        rt[:-1] = terms.reshape(n_r, n_mid * nt).T
-        rt[-1] = 0.0
-        # each seed's list ends at the zero entry: the cumsum adds its
-        # terms in j order, then + 0.0, as cells does
+        rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][rows]
+        n_r = rowtab.shape[0]
+        rt = self.tables[k][rowtab].reshape(n_r, (n_mid + 1) * nt).T.copy()
         seed_idx = self.seed_idx[self.s_off[k] : self.s_off[k + 1], : n_mid + 1]
         seed_val = np.cumsum(np.take(rt, seed_idx, axis=0), axis=1)[:, -1]
         e = np.take(seed_val, self.seed_pos[c0:c1], axis=0)
-        if self.any_swap[k]:
-            d = np.take(rt, self.swap_idx[:, c0:c1], axis=0)
-            e += d[0]
-            e += d[1]
-            e -= d[2]
-            e -= d[3]
+        d = np.take(rt, self.swap_idx[:, c0:c1], axis=0)
+        e += d[0]
+        e += d[1]
+        e -= d[2]
+        e -= d[3]
         e += self.appear[c0:c1, None]
         e += g_next[:, None]
         return e.T
@@ -491,7 +477,7 @@ class _Run:
         n_rows, n_cols = g_prev.shape[0], self.c_off[k + 1] - self.c_off[k]
         # per row: rt, the seed terms, the exchange terms and the values
         n_seed = self.s_off[k + 1] - self.s_off[k]
-        per_row = n_mid * nt + 1 + n_seed * (n_mid + 1) + 5 * n_cols
+        per_row = (n_mid + 1) * (nt + n_seed) + 5 * n_cols
         step = max(1, _FOLD_CELLS // per_row)
         for k0 in range(0, n_rows, step):
             vals = self.dense(k, slice(k0, k0 + step), g_next)
@@ -525,7 +511,7 @@ class _Run:
 
 def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> int:
     """The exchange-structured fold of _fold_stage; returns cells scored."""
-    n_mid, nt = run.n_mid[k], run.nt[k]
+    n_mid = run.n_mid[k]
     c0, c1, s0, s1 = run.c_off[k], run.c_off[k + 1], run.s_off[k], run.s_off[k + 1]
     n_cols, n_seed = c1 - c0, s1 - s0
     seed_pos, is_swap = run.seed_pos[c0:c1], run.is_swap[c0:c1]
@@ -578,7 +564,7 @@ def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> 
     m_all = sp_prev.matrix[s_all[:, None], rinfo[swap_rows, 1:]]
     gone_all = m_all < 0
     m_all = np.where(gone_all, m_all[:, ::-1], m_all)
-    tab_rows = run.tables[k].reshape(-1, nt)
+    tab_rows = run.tables[k]
     sides = np.arange(2)
     sidx = np.arange(n_seed)
     n_blk = 2 * n_seed * n_mid
@@ -673,10 +659,17 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     )
     width = np.maximum(np.maximum(n_prev, n_mid), n_next)
     in_group = np.empty(n_st, dtype=np.int64)
-    padded_of = {}
+    zero_row = np.empty(n_st, dtype=np.int64)
+    tables_of = {}
     for m in sorted(set(width.tolist())):
         g = np.flatnonzero(width == m)
         in_group[g] = np.arange(g.shape[0])
+        # the group's padded tables as rows of m + 1 entries, then a zero row
+        n_tab = g.shape[0] * (m + 1) * m
+        zero_row[g] = n_tab
+        rows = np.empty((n_tab + 1, m + 1))
+        rows[n_tab] = 0.0
+        padded = rows[:n_tab].reshape(g.shape[0], m + 1, m, m + 1)
         prev_f, mid_f, next_f = frames[:, g, :m], frames[:, g + 1, :m], frames[:, g + 2, :m]
         # dot products and squared norms are written out: x term plus y
         # term, the order in which oracle.reference_stage_terms's einsum
@@ -684,7 +677,6 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         disp = next_f[:, :, None, :] - mid_f[:, :, :, None]  # (axis, stage, mid, next)
         v2 = disp / dt
         v1 = (mid_f[:, :, None, :] - prev_f[:, :, :, None]) / dt  # (axis, stage, prev, mid)
-        padded = np.empty((g.shape[0], m + 1, m, m + 1))
         padded[:, :, :, 0] = lam
         padded[:, 0, :, 1:] = p_const[g, None, None] - (
             disp[0] * disp[0] + disp[1] * disp[1]
@@ -697,7 +689,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         vel += (v1[0] * v1[0] + v1[1] * v1[1])[..., None]
         vel /= 2.0 * v_scale2[g, None, None, None]
         np.subtract(v_const[g, None, None, None], vel, out=padded[:, 1:, :, 1:])
-        padded_of[m] = padded
+        tables_of[m] = rows
 
     # the spaces t0 - 1 .. t1 - 1: rows [off[k], off[k + 1]) are space
     # t0 - 1 + k. Only the seeds of the successor spaces are read, so
@@ -738,9 +730,8 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     i_of = np.where(is_swap, cinfo[:, 1], 0)
     j_of = np.where(is_swap, cinfo[:, 2], 0)
     t_old = (seed_xc[seed_of, i_of], seed_xc[seed_of, j_of])
-    # row table entries (_Run.dense): j * nt + x holds target x of mid
-    # object j, n_mid * nt is 0.0. A seed's padding target 0 at j = n_mid
-    # reads that zero entry, so each seed's list ends with it
+    # entry lists (_Run): a seed's padding target 0 at j = n_mid reads
+    # the zero row, so each seed's list ends with it
     nt = width + 1
     seed_idx = seed_xc + np.arange(n + 1) * np.repeat(nt, s_sizes)[:, None]
     nt_c = nt[col_stage]
@@ -755,18 +746,19 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
 
     # rows: the predecessor spaces. rowtab[r, j] starts as 1 + the
     # predecessor of mid object j in row r, 0 when none: entry i of row r
-    # goes to flat position r * (n + 1) + 1 + its target, computed in
+    # goes to flat position r * (n + 2) + 1 + its target, computed in
     # place in stacked, so DISAPPEAR entries and the padding all land in
     # column 0, which is dropped. Then it becomes the table row
-    # ((in_group * (m + 1) + i + 1) * m + j)
-    rowtab = np.zeros((n_rows, n + 1), dtype=np.int64)
+    # ((in_group * (m + 1) + i + 1) * m + j), and column n_mid the zero row
+    rowtab = np.zeros((n_rows, n + 2), dtype=np.int64)
     at = stacked[:n_rows]
-    at += np.arange(1, n_rows * (n + 1) + 1, n + 1)[:, None]
+    at += np.arange(1, n_rows * (n + 2) + 1, n + 2)[:, None]
     rowtab.reshape(-1)[at] = np.arange(1, n + 1)
     rowtab *= np.repeat(width, sizes[:-1])[:, None]
     rowtab += np.repeat(in_group * (width + 1) * width - 1, sizes[:-1])[:, None]
-    rowtab += np.arange(n + 1)
+    rowtab += np.arange(n + 2)
     rowtab = rowtab[:, 1:]
+    rowtab[np.arange(n_rows), np.repeat(n_mid, sizes[:-1])] = np.repeat(zero_row, sizes[:-1])
 
     # _fold_stage's closed form: a row seed scores C cells, any other row
     # S (2n + 1) decomposed ones plus n for its exact rescoring (S column
@@ -781,7 +773,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         n_mid=n_mid.tolist(),
         n_next=n_next.tolist(),
         nt=nt.tolist(),
-        tables=[padded_of[m] for m in width.tolist()],
+        tables=[tables_of[m] for m in width.tolist()],
         in_group=in_group.tolist(),
         r_off=off[:-1].tolist(),
         c_off=c_off.tolist(),
@@ -794,9 +786,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         is_swap=is_swap,
         i_of=i_of,
         j_of=j_of,
-        t_old=t_old,
         appear=appear,
-        any_swap=(c_sizes > s_sizes).tolist(),
         exchange=exchange.tolist(),
     )
 
@@ -824,7 +814,7 @@ def _stage_runs(counts, sizes) -> list[tuple[int, int]]:
     return runs
 
 
-def _fold_stage(run: _Run, k: int, sp_prev, g_next, exchange=None):
+def _fold_stage(run: _Run, k: int, sp_prev, g_next):
     """One backward DP step for stage k of a run, g_prev(x) = max_y h_t(x, y) + g_next(y).
 
     sp_prev is the stage's predecessor space. Returns g_prev, the first
@@ -852,17 +842,15 @@ def _fold_stage(run: _Run, k: int, sp_prev, g_next, exchange=None):
       the row's shortlist. Work per stage falls from O(R C) to
       O(R delta n).
 
-    exchange=None takes the way _stages chose, the one with fewer
-    closed-form cells; True or False forces one. Spaces whose rows are
-    all seeds, such as full spaces, always cost R C cells, so the closed
-    form folds them densely.
+    The way is run.exchange[k], which _stages sets to the one with
+    fewer closed-form cells. Spaces whose rows are all seeds, such as
+    full spaces, always cost R C cells, so the closed form folds them
+    densely.
     """
     n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
-    if exchange is None:
-        exchange = run.exchange[k]
-    if exchange:
+    if run.exchange[k]:
         margin = run.margin(k, g_next)
         if math.isfinite(margin):
             return g_prev, back, _fold_exchange(run, k, sp_prev, margin, g_next, g_prev, back)

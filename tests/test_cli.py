@@ -257,6 +257,15 @@ class TestEvaluateCommand:
         assert main(args + ["--beta", beta]) == EXIT_CONFIG
         assert not report.exists()
 
+    def test_json_output_path_exits_config(self, tmp_path):
+        # the JSON summary would overwrite the report; the inputs do not
+        # exist, so exit 3 shows that nothing was read
+        report = tmp_path / "report.json"
+        missing = str(tmp_path / "missing.csv")
+        args = ["evaluate", "--input", missing, "--truth", missing, "--output", str(report)]
+        assert main(args) == EXIT_CONFIG
+        assert not report.exists()
+
 
 class TestExitCodes:
     def test_malformed_detections(self, tmp_path):
@@ -486,6 +495,23 @@ class TestExperiment:
         grid = ExperimentConfig()
         assert grid.sim_config(15, 1.0, 0) == SimConfig()
         assert grid.tracker_config(1) == TrackerConfig()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"N0": [4, 4]},
+            {"N0": [4, 4.0]},
+            {"sigma": [1.0, 2.0, 1]},
+            {"methods": ["tri", "bmcf", "tri"]},
+            {"deltas": [1, 1]},
+        ],
+    )
+    def test_repeated_grid_value_exits_config(self, tmp_path, values):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**SIM_CFG, "N0": [4], "replicates": 1, **values}))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_grid_validation(self):
         with pytest.raises(Exception):

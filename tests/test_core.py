@@ -279,6 +279,22 @@ class TestFileFormats:
         )
         assert flat == want
 
+    def test_header_on_first_nonblank_line(self, tmp_path):
+        p = tmp_path / "det.csv"
+        p.write_text("\n  \nframe_index, x, y\n0,1.0,2.0\n\n2,3.0,4.0\n")
+        assert read_detections(p).counts == (1, 0, 1)
+        p.write_text("\nframe_index,x,y\nframe_index,x,y\n")  # a header only once
+        with pytest.raises(ParseError) as e:
+            read_detections(p)
+        assert e.value.line == 3
+        p = tmp_path / "tracks.csv"
+        p.write_text("\n\ntrack_id,frame_index,x,y\n0,0,1.0,2.0\n0,1,2.0,2.0\n")
+        assert read_tracks(p) == [[(0, 1.0, 2.0), (1, 2.0, 2.0)]]
+        p.write_text("0,0,1.0,2.0\ntrack_id,frame_index,x,y\n")
+        with pytest.raises(ParseError) as e:
+            read_tracks(p)
+        assert e.value.line == 2
+
     def test_track_gap_rejected(self, tmp_path):
         p = tmp_path / "tracks.csv"
         p.write_text("track_id,frame_index,x,y\n0,0,0.0,0.0\n0,2,1.0,1.0\n")

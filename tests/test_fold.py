@@ -30,9 +30,12 @@ def reduced(frame_a, frame_b, d_pick, delta):
 
 
 def assert_same_fold(seq, sp_prev, sp_next, g_next, noise, exchange):
+    # exchange=None keeps the way _stages chose; True or False forces one
     want = reference_fold_stage(seq, sp_prev, sp_next, g_next, noise, 1)
     run = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
-    got = tripartite._fold_stage(run, 0, sp_prev, g_next, exchange=exchange)
+    if exchange is not None:
+        run.exchange[0] = exchange
+    got = tripartite._fold_stage(run, 0, sp_prev, g_next)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     return got[2]
@@ -241,3 +244,47 @@ def test_dense_fold_in_row_chunks_equals_reference(fold_cells, rng):
     with dense as spy, mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells):
         assert_same_fold(seq, sp_prev, sp_next, g_next, noise, False)
     assert spy.call_count > 1
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # widths 5, 5, 4, 4, 6, 6: three groups of two stages, mid counts
+        # 5, 2, 4, 0, 3, 6 (the last fills the run's widest frame)
+        (3, 5, 2, 4, 0, 3, 6, 2),
+        (6, 1, 4, 4, 2, 5, 3),
+    ],
+)
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
+    frames = tuple(rng.integers(0, 4, size=(n, 2)).astype(float) for n in counts)
+    seq = FrameSequence(frames)
+    spaces = [
+        reduced(seq.frames[t], seq.frames[t + 1], int(rng.integers(0, 3)), delta)
+        for t in range(len(seq) - 1)
+    ]
+    noise = NoiseModel(
+        sigmas=tuple(0.5 + 0.25 * t for t in range(len(seq) - 1)), lambda_event=-3.0
+    )
+    run = tripartite._stages(seq, spaces, noise, 1, len(seq) - 1)
+    assert len(set(run.nt)) == 3 and max(run.in_group) == 1
+    for k in range(len(seq) - 2):
+        t = k + 1
+        sp_prev, sp_next = spaces[t - 1], spaces[t]
+        n_rows, n_cols = len(sp_prev), len(sp_next)
+        # every row's last term row is its group's zero row
+        zero = run.rowtab[run.r_off[k] : run.r_off[k + 1], run.n_mid[k]]
+        assert np.all(zero == run.tables[k].shape[0] - 1)
+        assert not run.tables[k][-1].any()
+        g_next = np.round(rng.normal(0.0, 3.0, size=n_cols))
+        dense = run.dense(k, np.arange(n_rows), g_next)
+        r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
+        cells = run.cells(k, r, c, g_next).reshape(n_rows, n_cols)
+        assert dense.tobytes() == cells.tobytes()
+        # both ways of folding, on the run's stacked layout
+        want = reference_fold_stage(seq, sp_prev, sp_next, g_next, noise, t)
+        for exchange in (True, False):
+            run.exchange[k] = exchange
+            g_prev, back, _ = tripartite._fold_stage(run, k, sp_prev, g_next)
+            assert np.array_equal(g_prev, want[0])
+            assert np.array_equal(back, want[1])

@@ -21,7 +21,9 @@ from velotrack.oracle import (
     enumerate_space,
     exhaustive_bipartite_min,
     exhaustive_chain_argmax,
+    reference_stage_terms,
 )
+from velotrack.tripartite import _triple_term_fn
 
 
 def test_enumerate_space_small_cases():
@@ -113,3 +115,41 @@ class TestExhaustiveChain:
         first = list(enumerate_space(2, 2).vectors())[0]
         assert ms[0] == first
         assert ms[0].entries == (DISAPPEAR, DISAPPEAR)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5, 3.0])
+@pytest.mark.parametrize("grid", [None, 3])
+def test_stage_terms_equal_the_term_function(dt, grid, rng):
+    # reference_fold_stage reads its terms from reference_stage_terms,
+    # whose velocity terms expand |v2 - v1|^2; check each entry against
+    # the per-object scorer, up to the rounding of the two forms
+    eps = np.finfo(np.float64).eps
+    for _ in range(10):
+        counts = rng.integers(0, 5, size=4)
+        if grid is None:
+            frames = tuple(rng.normal(0.0, 30.0, size=(n, 2)) for n in counts)
+        else:
+            frames = tuple(rng.integers(0, grid, size=(n, 2)).astype(float) for n in counts)
+        seq = FrameSequence(frames, dt=dt)
+        noise = NoiseModel(sigmas=(1.0, 0.3, 2.0), lambda_event=-5.0)
+        for t in (1, 2):
+            prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
+            tab = reference_stage_terms(seq, noise, t)
+            assert tab.shape == (len(prev_f) + 1, len(mid_f), len(next_f) + 1)
+            s2 = noise.sigma_for_pair(t) ** 2
+            for i, j in np.ndindex(tab.shape[0], tab.shape[1]):
+                # mid object j chained from previous object i - 1, or appeared
+                entries = [DISAPPEAR] * len(prev_f)
+                if i:
+                    entries[i - 1] = j
+                m_prev = MatchingVector(tuple(entries), n_next=len(mid_f))
+                term = _triple_term_fn(prev_f, mid_f, next_f, m_prev, noise, dt, t)
+                assert tab[i, j, 0] == term(j, DISAPPEAR) == noise.lambda_event
+                for k in range(len(next_f)):
+                    disp = next_f[k] - mid_f[j]
+                    if i:
+                        v1, v2, scale2 = (mid_f[j] - prev_f[i - 1]) / dt, disp / dt, s2
+                    else:
+                        v1, v2, scale2 = np.zeros(2), disp, dt * dt * s2
+                    mag = abs(math.log(2.0 * math.pi * scale2)) + (v1 @ v1 + v2 @ v2) / scale2
+                    assert abs(tab[i, j, k + 1] - term(j, k)) <= 16 * eps * mag
