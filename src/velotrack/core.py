@@ -295,7 +295,6 @@ class CandidateSpace:
     carry (own_row, -1, -1).
     """
 
-    n_from: int
     n_next: int
     matrix: np.ndarray
     swap_info: np.ndarray
@@ -312,7 +311,6 @@ class CandidateSpace:
         a = np.asarray(matrix, dtype=np.int64)
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
-        n_from = a.shape[1]
         order = _lex_order(a)
         a = a[order]  # a copy, so freezing it leaves the caller's array alone
         if (a[1:] == a[:-1]).all(axis=1).any():
@@ -327,11 +325,11 @@ class CandidateSpace:
             info[:, 0] = new_pos[info[:, 0]]
         a.flags.writeable = False
         info.flags.writeable = False
-        return cls(n_from=n_from, n_next=int(n_next), matrix=a, swap_info=info)
+        return cls(n_next=int(n_next), matrix=a, swap_info=info)
 
-    def __post_init__(self):
-        if self.matrix.shape[1] != self.n_from:
-            raise InvalidInputError("matrix width inconsistent with n_from")
+    @property
+    def n_from(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

@@ -44,10 +44,14 @@ def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
         raise InvalidInputError("precision and recall must lie in [0, 1]")
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidInputError("beta must be positive and finite")
-    den = beta * beta * precision + recall
+    b2 = beta * beta
+    if math.isinf(b2):
+        # the limit as beta grows: recall, unless precision is 0
+        return recall if precision > 0 else 0.0
+    den = b2 * precision + recall
     if den == 0.0:
         return 0.0
-    return (1.0 + beta * beta) * precision * recall / den
+    return (1.0 + b2) * precision * recall / den
 
 
 def _scores(correct: int, n_pred: int, n_truth: int, beta: float) -> tuple[float, float, float]:
@@ -192,8 +196,12 @@ def evaluate(
     """
     pairs, prefixes = _walk(seq, pred_matchings, truth_matchings)
     f = len(seq)
-    if spaces is not None and len(spaces) != f - 1:
-        raise InvalidInputError("need one candidate space per frame pair")
+    if spaces is not None:
+        if len(spaces) != f - 1:
+            raise InvalidInputError("need one candidate space per frame pair")
+        for k, sp in enumerate(spaces):
+            if sp.n_from != seq.n_objects(k) or sp.n_next != seq.n_objects(k + 1):
+                raise InvalidInputError(f"space {k} inconsistent with frame sizes")
     identities = tuple(int(p == t) for p, t in zip(pred_matchings, truth_matchings))
     wp, wr, wf = _scores(*prefixes[-1], beta)
     cov = None

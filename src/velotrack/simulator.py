@@ -47,10 +47,16 @@ class SimConfig(JsonConfig):
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.W, self.H, self.w, self.h)):
+            raise InvalidConfigError("W, H, w and h must be finite")
         if not (self.W >= self.w > 0 and self.H >= self.h > 0):
             raise InvalidConfigError("need W >= w > 0 and H >= h > 0")
         if int(self.N0) != self.N0 or self.N0 < 1:
             raise InvalidConfigError("N0 must be a positive integer")
+        # n_cells's quotient, which overflows for a large enough region
+        area = self.w * self.h
+        if not (area > 0 and math.isfinite((self.W * self.H) / area * self.N0)):
+            raise InvalidConfigError("the region's cell count is not finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidConfigError("sigma must be positive and finite")
         if int(self.f) != self.f or self.f < 2:

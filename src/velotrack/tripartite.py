@@ -318,7 +318,7 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             info.flags.writeable = False
             for r0, r1, p in zip(starts.tolist(), ends.tolist(), row_pair[starts].tolist()):
                 spaces[p] = CandidateSpace(
-                    n_from=n, n_next=int(n_b[p]), matrix=rows[r0:r1], swap_info=info[r0:r1]
+                    n_next=int(n_b[p]), matrix=rows[r0:r1], swap_info=info[r0:r1]
                 )
     return spaces
 
@@ -364,7 +364,7 @@ class _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together; stage k is t0 + k.
 
     Term tables: the stages whose widest frame holds m objects share one
-    table of rows of nt[k] = m + 1 entries, tables[k]. Stage k's rows are
+    table of rows of nt = m + 1 entries, tables[k]. Stage k's rows are
     its padded table tab[i + 1, j, x] of shape (m + 1, m, m + 1), the
     group's in_group[k]-th: mid object j's term when its predecessor is
     previous object i and its shifted target is x (0 is DISAPPEAR,
@@ -379,23 +379,24 @@ class _Run:
     r_off[k + 1] (its predecessor space), columns c_off[k] .. c_off[k +
     1] and seeds s_off[k] .. s_off[k + 1] (its successor space and that
     space's seed rows); seed_pos counts seeds within the stage. Column
-    c is its seed seed_pos[c] (shifted targets seed_xc of that seed),
-    or that seed with entries i_of[c] and j_of[c] exchanged.
+    c is its seed seed_pos[c] with entries i and j exchanged, where a
+    seed column exchanges the padding entry n_mid with itself.
 
-    A cell's entries are numbered j * nt + x over the n_mid + 1 rows
+    The entry lists are the run's only description of a column. A
+    cell's entries are numbered j * nt + x over the n_mid + 1 rows
     rowtab[r, :n_mid + 1], so n_mid * nt is a zero. seed_idx lists each
-    seed's entries in j order, ending at that zero (the padding target
-    0 of j = n_mid); swap_idx[:, c] lists column c's two new terms and
-    its two old ones, all four the zero for a seed column. Both forms,
-    dense and cells, read these lists and add the entries in the same
-    order, so they agree bit for bit. exchange[k] is the way
-    _fold_stage folds stage k.
+    seed's entries j * nt + x in j order (x its shifted target of j),
+    ending at that zero (the padding target 0 of j = n_mid);
+    swap_idx[:, c] lists column c's two new terms and its two old
+    ones, i * nt + x_j, j * nt + x_i, i * nt + x_i and j * nt + x_j,
+    all four the zero for a seed column. Both forms, dense and cells,
+    read these lists and add the entries in the same order, so they
+    agree bit for bit. exchange[k] is the way _fold_stage folds stage k.
     """
 
     n_prev: list[int]
     n_mid: list[int]
     n_next: list[int]
-    nt: list[int]
     tables: list[np.ndarray]
     in_group: list[int]
     r_off: list[int]
@@ -403,18 +404,14 @@ class _Run:
     s_off: list[int]
     rowtab: np.ndarray
     seed_pos: np.ndarray
-    seed_xc: np.ndarray
     seed_idx: np.ndarray
     swap_idx: np.ndarray
-    is_swap: np.ndarray
-    i_of: np.ndarray
-    j_of: np.ndarray
     appear: np.ndarray
     exchange: list[bool]
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        nt = self.nt[k]
+        nt = self.tables[k].shape[1]
         n_tab = nt * (nt - 1)
         g0 = self.in_group[k] * n_tab
         tab = self.tables[k][g0 : g0 + n_tab].reshape(nt, nt - 1, nt)
@@ -424,18 +421,21 @@ class _Run:
         """Values of the cells (r[q], c[q]) of stage k: h_t(r, c) + g_next[c].
 
         The sparse form, for the exchange fold's exact rescoring: it
-        gathers each cell's entries from the table itself, the seed's
-        through its targets seed_xc and the four of swap_idx through
-        their (j, x), then adds the appearances and g_next as dense does.
+        gathers each cell's entries, seed_idx's and swap_idx's, from the
+        table itself, then adds the appearances and g_next as dense does.
+        Entry e of row r is tabf[(rowtab[r, e // nt] - e // nt) * nt + e],
+        and a seed's j-th entry has e // nt = j.
         """
-        n_mid, nt = self.n_mid[k], self.nt[k]
+        n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
         tabf = self.tables[k].reshape(-1)
-        base = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][r] * nt
+        base = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][r]
+        base -= np.arange(n_mid + 1)
+        base *= nt
         cg = c + self.c_off[k]
         s = self.seed_pos[cg] + self.s_off[k]
-        e = np.cumsum(tabf[base + self.seed_xc[s, : n_mid + 1]], axis=1)[:, -1]
-        j, x = np.divmod(self.swap_idx[:, cg], nt)
-        d = tabf[base[np.arange(r.shape[0]), j] + x]
+        e = np.cumsum(tabf[base + self.seed_idx[s, : n_mid + 1]], axis=1)[:, -1]
+        idx = self.swap_idx[:, cg]
+        d = tabf[base[np.arange(r.shape[0]), idx // nt] + idx]
         e += d[0]
         e += d[1]
         e -= d[2]
@@ -454,7 +454,7 @@ class _Run:
         copies one run over all rows, however few rows there are; the
         values come out column by column and are returned transposed.
         """
-        n_mid, nt = self.n_mid[k], self.nt[k]
+        n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
         c0, c1 = self.c_off[k], self.c_off[k + 1]
         rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][rows]
         n_r = rowtab.shape[0]
@@ -473,7 +473,7 @@ class _Run:
 
     def fold_dense(self, k: int, g_next, g_prev, back) -> int:
         """First argmax over all columns of stage k for every row; returns cells scored."""
-        n_mid, nt = self.n_mid[k], self.nt[k]
+        n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
         n_rows, n_cols = g_prev.shape[0], self.c_off[k + 1] - self.c_off[k]
         # per row: rt, the seed terms, the exchange terms and the values
         n_seed = self.s_off[k + 1] - self.s_off[k]
@@ -511,12 +511,14 @@ class _Run:
 
 def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> int:
     """The exchange-structured fold of _fold_stage; returns cells scored."""
-    n_mid = run.n_mid[k]
+    n_mid, nt = run.n_mid[k], run.tables[k].shape[1]
     c0, c1, s0, s1 = run.c_off[k], run.c_off[k + 1], run.s_off[k], run.s_off[k + 1]
     n_cols, n_seed = c1 - c0, s1 - s0
-    seed_pos, is_swap = run.seed_pos[c0:c1], run.is_swap[c0:c1]
-    seed_cols, seed_xc = np.flatnonzero(~is_swap), run.seed_xc[s0:s1, :n_mid]
-    i_of, j_of = run.i_of[c0:c1], run.j_of[c0:c1]
+    # each column's exchanged entries (n_mid for a seed column) and each
+    # seed's shifted targets, read from the entry lists
+    seed_pos, (i_of, j_of) = run.seed_pos[c0:c1], run.swap_idx[2:, c0:c1] // nt
+    is_swap = i_of < n_mid
+    seed_cols, seed_xc = np.flatnonzero(~is_swap), run.seed_idx[s0:s1, :n_mid] % nt
     rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
     rinfo = sp_prev.swap_info
     seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
@@ -635,7 +637,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     padded with one scatter, the term tables of the stages of one width
     (their widest frame) are computed at once over frames padded to it,
     and the run's spaces are stacked, padded with DISAPPEAR, so rowtab
-    is one scatter of the predecessor rows and seed_xc one take of the
+    is one scatter of the predecessor rows and seed_idx one take of the
     successor seeds. Every table entry sees the float operations of
     oracle.reference_stage_terms for its stage alone. Each stage's way
     of folding (_fold_stage) is decided here from the closed-form cell
@@ -717,9 +719,8 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     s_off = seed_cum[off[1:]] - seed_cum[off[1]]
     c_sizes, s_sizes = sizes[1:], n_seeds[1:]
     col_stage = np.repeat(np.arange(n_st), c_sizes)
-    cinfo = info[off[1] :]
-    is_swap = ~is_seed[off[1] :]
-    seed_cols = np.flatnonzero(is_seed[off[1] :])
+    cinfo, col_seed = info[off[1] :], is_seed[off[1] :]
+    seed_cols = np.flatnonzero(col_seed)
     seed_xc = np.zeros((seed_cols.shape[0], n + 1), dtype=np.int64)
     seed_rows = seed_cols + off[1]  # in stacked; the last space's come last
     seed_rows[s_off[-2] :] = np.arange(n_rows, stacked.shape[0])
@@ -727,20 +728,18 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     # each column's seed, counted over the run and within its stage
     seed_of = seed_cum[off[1] + c_off[col_stage] + cinfo[:, 0]] - seed_cum[off[1]]
     seed_pos = seed_of - s_off[col_stage]
-    i_of = np.where(is_swap, cinfo[:, 1], 0)
-    j_of = np.where(is_swap, cinfo[:, 2], 0)
-    t_old = (seed_xc[seed_of, i_of], seed_xc[seed_of, j_of])
-    # entry lists (_Run): a seed's padding target 0 at j = n_mid reads
-    # the zero row, so each seed's list ends with it
+    # the exchanged entries; a seed column exchanges the padding entry
+    # n_mid with itself
+    pad = n_mid[col_stage]
+    i_of, j_of = np.where(col_seed, pad, cinfo[:, 1]), np.where(col_seed, pad, cinfo[:, 2])
+    x_i, x_j = seed_xc[seed_of, i_of], seed_xc[seed_of, j_of]
+    # entry lists (_Run): the padding target 0 at j = n_mid reads the zero
+    # row, which ends each seed's list and is all four of a seed column's
     nt = width + 1
     seed_idx = seed_xc + np.arange(n + 1) * np.repeat(nt, s_sizes)[:, None]
     nt_c = nt[col_stage]
     i_t, j_t = i_of * nt_c, j_of * nt_c
-    swap_idx = np.where(
-        is_swap,
-        np.stack([i_t + t_old[1], j_t + t_old[0], i_t + t_old[0], j_t + t_old[1]]),
-        (n_mid * nt)[col_stage],
-    )
+    swap_idx = np.stack([i_t + x_j, j_t + x_i, i_t + x_i, j_t + x_j])
     matched = (seed_xc > 0).sum(axis=1)
     appear = lam * (n_next[col_stage] - matched[seed_of])
 
@@ -772,7 +771,6 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         n_prev=n_prev.tolist(),
         n_mid=n_mid.tolist(),
         n_next=n_next.tolist(),
-        nt=nt.tolist(),
         tables=[tables_of[m] for m in width.tolist()],
         in_group=in_group.tolist(),
         r_off=off[:-1].tolist(),
@@ -780,12 +778,8 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         s_off=s_off.tolist(),
         rowtab=rowtab,
         seed_pos=seed_pos,
-        seed_xc=seed_xc,
         seed_idx=seed_idx,
         swap_idx=swap_idx,
-        is_swap=is_swap,
-        i_of=i_of,
-        j_of=j_of,
         appear=appear,
         exchange=exchange.tolist(),
     )
@@ -885,12 +879,15 @@ class _Laps:
         self._last = now
 
 
+@np.errstate(over="ignore")
 def _solve_dp(seq, spaces, noise, lap=None):
     """solve_dp, plus the cells scored per stage (stage 0: first-pair
     scores) and the stage runs in set-up order.
 
     Stages are set up a run at a time (_stage_runs), last run first, and
-    folded sequentially in t; lap, when given, is charged per layer.
+    folded sequentially in t; lap, when given, is charged per layer. A
+    sum of terms that overflows is -inf; an optimum that is not finite
+    ties every candidate, so it raises InvalidConfigError.
     """
     lap = lap or _Laps()
     f = len(seq)
@@ -921,6 +918,10 @@ def _solve_dp(seq, spaces, noise, lap=None):
     totals = h1 + g
     start = int(np.argmax(totals))
     score = float(totals[start])
+    if not math.isfinite(score):
+        raise InvalidConfigError(
+            f"the optimal chain score is {score}: lambda_event or the detections overflow it"
+        )
     idxs = [start]
     for t in range(1, n_pairs):
         idxs.append(int(backs[t - 1][idxs[-1]]))

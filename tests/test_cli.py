@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -249,6 +250,14 @@ class TestEvaluateCommand:
         assert summary["mean_pair_identity"] is None
         assert summary["mean_coverage"] is None
 
+    def test_beta_whose_square_overflows_reports_recall(self, sim_dir, tmp_path):
+        truth = str(sim_dir / "truth_tracks.csv")
+        report = str(tmp_path / "r.csv")
+        args = ["evaluate", "--input", truth, "--truth", truth, "--output", report]
+        assert main(args + ["--beta", "1e200"]) == EXIT_OK
+        summary = json.loads((tmp_path / "r.json").read_text())
+        assert summary["whole_path_fbeta"] == summary["whole_path_recall"] == 1.0
+
     @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
     def test_bad_beta_exits_config(self, sim_dir, tmp_path, beta):
         truth = str(sim_dir / "truth_tracks.csv")
@@ -329,6 +338,33 @@ class TestExitCodes:
         else:
             argv = [command, "--output", str(out)]
         assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            pytest.param("simulate", {"W": math.inf}, id="simulate-W-infinite"),
+            pytest.param("simulate", {"W": 1e308, "H": 1e308}, id="simulate-count-overflow"),
+            pytest.param("experiment", {"W": math.inf}, id="experiment-W-infinite"),
+            pytest.param("experiment", {"W": 1e308, "H": 1e308}, id="experiment-count-overflow"),
+        ],
+    )
+    def test_overflowing_region_exits_config(self, tmp_path, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))  # inf is written as Infinity
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_non_finite_optimum_exits_config(self, tmp_path):
+        det = tmp_path / "det.csv"
+        det.write_text("frame_index,x,y\n0,0,0\n0,5,5\n0,9,9\n1,0,0.5\n")
+        cfg = tmp_path / "tracker.json"
+        cfg.write_text(json.dumps({"delta": 2, "lambda_event": -1e308}))
+        out = tmp_path / "tracks.csv"
+        argv = ["track", "--input", str(det), "--output", str(out), "--config", str(cfg)]
+        with pytest.warns(UserWarning):  # no 3-frame chains for sigma
+            assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_space_cap(self, sim_dir, tmp_path):
         cfg = tmp_path / "tracker.json"

@@ -9,6 +9,7 @@ import pytest
 from velotrack import (
     DISAPPEAR,
     FrameSequence,
+    InvalidConfigError,
     InvalidInputError,
     MatchingVector,
     NoiseModel,
@@ -174,6 +175,14 @@ class TestValidation:
         nm = NoiseModel.pooled(1.0, -1.0)
         with pytest.raises(InvalidInputError):
             solve_dp(seq, [], nm)
+
+    def test_non_finite_optimum_rejected(self):
+        # every candidate's events overflow to -inf, so the argmax would
+        # tie and take (-1, -1, -1), four events where (0, -1, -1) has two
+        frames = (np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]]), np.array([[0.0, 0.5]]))
+        seq = FrameSequence(frames)
+        with pytest.warns(UserWarning), pytest.raises(InvalidConfigError, match="-inf"):
+            track(seq, TrackerConfig(delta=2, lambda_event=-1e308))
 
 
 def test_evaluation_count():

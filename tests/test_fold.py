@@ -267,7 +267,7 @@ def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
         sigmas=tuple(0.5 + 0.25 * t for t in range(len(seq) - 1)), lambda_event=-3.0
     )
     run = tripartite._stages(seq, spaces, noise, 1, len(seq) - 1)
-    assert len(set(run.nt)) == 3 and max(run.in_group) == 1
+    assert len({tab.shape[1] for tab in run.tables}) == 3 and max(run.in_group) == 1
     for k in range(len(seq) - 2):
         t = k + 1
         sp_prev, sp_next = spaces[t - 1], spaces[t]

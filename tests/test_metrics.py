@@ -16,12 +16,14 @@ from velotrack import (
     FrameSequence,
     InvalidInputError,
     MatchingVector,
+    TrackerConfig,
     assemble_trajectories,
     cumulative_path_accuracy,
     evaluate,
     f_beta,
     improvement_ratio,
     path_accuracy,
+    track,
     write_report_csv,
     write_report_json,
 )
@@ -47,6 +49,14 @@ class TestFBeta:
         for beta in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidInputError):
                 f_beta(0.5, 0.5, beta=beta)
+
+    def test_beta_whose_square_overflows_gives_the_limit(self):
+        # beta**2 is inf: F tends to recall, or 0 when precision is 0
+        assert f_beta(0.5, 0.25, beta=1e200) == 0.25
+        assert f_beta(0.0, 0.25, beta=1e200) == 0.0
+        assert f_beta(0.5, 0.0, beta=1e200) == 0.0
+        # a finite square keeps the closed form
+        assert f_beta(0.5, 0.25, beta=1e150) == (1.0 + 1e300) * 0.5 * 0.25 / (1e300 * 0.5 + 0.25)
 
     def test_beta_swap_symmetry(self):
         assert f_beta(0.3, 0.8, beta=2.0) == pytest.approx(f_beta(0.8, 0.3, beta=0.5))
@@ -157,6 +167,17 @@ class TestEvaluate:
             evaluate(seq, pred[:2], truth)
         with pytest.raises(InvalidInputError):
             evaluate(seq, pred, truth, spaces=[])
+
+    def test_spaces_must_fit_their_frame_pairs(self):
+        # frame counts (2, 1, 3): track()'s two spaces in reverse order
+        seq = FrameSequence(
+            (np.zeros((2, 2)), np.ones((1, 2)), np.arange(6.0).reshape(3, 2))
+        )
+        truth = [MatchingVector((0, DISAPPEAR), n_next=1), MatchingVector((1,), n_next=3)]
+        spaces = track(seq, TrackerConfig(delta=1, sigma_mode="fixed:1")).spaces
+        assert evaluate(seq, truth, truth, spaces=spaces).coverage is not None
+        with pytest.raises(InvalidInputError, match="space 0 inconsistent with frame sizes"):
+            evaluate(seq, truth, truth, spaces=spaces[::-1])
 
 
 class TestWriters:

@@ -56,6 +56,21 @@ class TestSimConfig:
         with pytest.raises(InvalidConfigError):
             SimConfig(sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"W": float("inf")},
+            {"W": float("inf"), "w": float("inf")},
+            {"H": float("nan")},
+            # finite sides whose cell count overflows n_cells's round()
+            {"W": 1e308, "H": 1e308},
+            {"w": 1e-200, "h": 1e-200},
+        ],
+    )
+    def test_non_finite_region_or_cell_count(self, values):
+        with pytest.raises(InvalidConfigError):
+            SimConfig(**values)
+
     def test_json_roundtrip(self, tmp_path):
         p = tmp_path / "sim.json"
         SMALL.to_json(p)

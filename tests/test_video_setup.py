@@ -143,7 +143,8 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
                 stages[t0 + k] = (run, k)
     assert sorted(stages) == list(range(1, f - 1))
     for t, (run, k) in stages.items():
-        n_mid, n_next, m = counts[t], counts[t + 1], run.nt[k] - 1
+        nt = run.tables[k].shape[1]
+        n_mid, n_next, m = counts[t], counts[t + 1], nt - 1
         tab = reference_stage_terms(seq, noise, t)
         assert run.table(k).shape == tab.shape
         assert np.array_equal(run.table(k), tab)
@@ -161,16 +162,22 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         info = spaces[t].swap_info
         seed_cols = np.flatnonzero(info[:, 1] == -1)
         seed_pos = run.seed_pos[cols]
-        assert np.array_equal(np.flatnonzero(~run.is_swap[cols]), seed_cols)
         assert np.array_equal(seed_cols[seed_pos], info[:, 0])
-        # every column is its seed's shifted targets with i_of and j_of exchanged
-        xc = run.seed_xc[seeds]
+        # a seed's entries are j * nt + its shifted target of j, in j order
+        j_at, xc = np.divmod(run.seed_idx[seeds], nt)
+        assert (j_at == np.arange(j_at.shape[1])).all()
         assert not xc[:, n_mid:].any()  # the padding reads DISAPPEAR
-        col = xc[seed_pos, :n_mid]
-        sw = np.flatnonzero(run.is_swap[cols])
-        i, j = run.i_of[cols][sw], run.j_of[cols][sw]
-        col[sw, i], col[sw, j] = col[sw, j], col[sw, i]
-        assert np.array_equal(col, spaces[t].matrix + 1)
+        # each column exchanges entries i and j of its seed: swap_info's for
+        # an exchange, the padding entry n_mid with itself for a seed
+        i, j = run.swap_idx[2:, cols] // nt
+        want_i, want_j = np.where(info[:, 1:] < 0, n_mid, info[:, 1:]).T
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        x_i, x_j = xc[seed_pos, i], xc[seed_pos, j]
+        want = [i * nt + x_j, j * nt + x_i, i * nt + x_i, j * nt + x_j]
+        assert np.array_equal(run.swap_idx[:, cols], want)
+        col, q = xc[seed_pos], np.arange(seed_pos.shape[0])
+        col[q, i], col[q, j] = col[q, j], col[q, i]
+        assert np.array_equal(col[:, :n_mid], spaces[t].matrix + 1)
         matched = (spaces[t].matrix >= 0).sum(axis=1)
         assert np.array_equal(run.appear[cols], lam * (counts[t + 1] - matched))
         # the fold's way for the stage, from its closed-form cell counts
