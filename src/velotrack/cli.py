@@ -193,6 +193,7 @@ def cmd_track(args) -> int:
             "tie_refinements": list(d.tie_refinements),
             "sweep_steps": list(d.sweep_steps),
             "dp_cells": list(d.dp_cells),
+            "pruned_rows": list(d.pruned_rows),
             "stage_runs": [list(r) for r in d.stage_runs],
             "layer_seconds": d.layer_seconds,
             "score": res.score,

@@ -44,7 +44,8 @@ class ParseError(ValueError):
 
 
 class SpaceCapError(RuntimeError):
-    """A candidate-space construction would exceed its size cap."""
+    """A construction would exceed its size cap: a candidate space, or
+    the hidden positions of a simulation."""
 
 
 class JsonConfig:

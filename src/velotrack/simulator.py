@@ -21,9 +21,14 @@ from .core import (
     InvalidConfigError,
     JsonConfig,
     MatchingVector,
+    SpaceCapError,
     TrajectorySet,
     assemble_trajectories,
 )
+
+# hidden cell positions (cells times frames) simulate may hold; each is
+# two float64s, plus a few per-frame temporaries of the cells
+_POINT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,17 @@ def reflect(x: np.ndarray, length: float) -> np.ndarray:
 
 
 def simulate(cfg: SimConfig) -> SimOutput:
-    """Run the generative model and observe it through the window."""
-    rng = np.random.default_rng(cfg.seed)
+    """Run the generative model and observe it through the window.
+
+    The hidden positions of every cell in every frame are checked
+    against a fixed cap before anything is allocated.
+    """
     n = cfg.n_cells
+    if n * cfg.f > _POINT_CAP:
+        raise SpaceCapError(
+            f"{n} cells over {cfg.f} frames are {n * cfg.f} hidden positions, cap is {_POINT_CAP}"
+        )
+    rng = np.random.default_rng(cfg.seed)
     pos = rng.uniform(0.0, 1.0, size=(n, 2)) * np.array([cfg.W, cfg.H])
     vel = np.zeros((n, 2))  # cells in the first frame are still
     hidden = [pos]

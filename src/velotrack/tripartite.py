@@ -206,9 +206,11 @@ def reduced_space_size(n_a, n_b, d_star, delta: int = 1):
     Each d in the neighborhood contributes its seed plus one vector per
     pair of entry positions, less the C(d, 2) pairs of two DISAPPEARs.
     The counts may be arrays of many pairs (int64 in, int64 out), so
-    track() checks every pair at once; plain ints give an int.
+    track() checks every pair at once; plain ints give an int. delta
+    is clipped first (_clip_delta), so the counts array stays small.
     """
     n_a, n_b, d_star = (np.asarray(x, dtype=np.int64) for x in (n_a, n_b, d_star))
+    delta = _clip_delta(delta, n_a, d_star)
     # d[s]: the s-th of the 2 delta + 1 counts around d_star, kept when feasible
     d = d_star + np.arange(-delta, delta + 1).reshape((-1,) + (1,) * d_star.ndim)
     keep = (d >= np.maximum(n_a - n_b, 0)) & (d <= n_a)
@@ -238,9 +240,19 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     return _assemble_spaces(pair, sw.rows(pair, ks), sw.n_a, sw.n_b)[0]
 
 
+def _clip_delta(delta: int, n_a, d_star) -> int:
+    """delta clipped to the farthest any feasible d lies from d*: every
+    feasible d of a pair lies in [0, n_a], so the neighborhoods stay the
+    same, and a huge delta allocates nothing and overflows no int64.
+    For a feasible d*, the clip is at most the largest n_a."""
+    far = np.maximum(np.abs(d_star), np.abs(n_a - d_star))
+    return min(int(delta), int(np.max(far, initial=0)))
+
+
 def _seed_cardinalities(n_a, n_b, d_star, delta: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair and cardinality n_a - d of every fixed-d seed, for each d in
     each pair's neighborhood, pair by pair in ascending d."""
+    delta = _clip_delta(delta, n_a, d_star)
     d_lo = np.maximum(np.maximum(n_a - n_b, 0), d_star - delta)
     d_hi = np.minimum(n_a, d_star + delta)
     counts = d_hi - d_lo + 1
@@ -394,6 +406,7 @@ class _Run:
     agree bit for bit. exchange[k] is the way _fold_stage folds stage k.
     """
 
+    t0: int
     n_prev: list[int]
     n_mid: list[int]
     n_next: list[int]
@@ -411,11 +424,9 @@ class _Run:
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        nt = self.tables[k].shape[1]
-        n_tab = nt * (nt - 1)
-        g0 = self.in_group[k] * n_tab
-        tab = self.tables[k][g0 : g0 + n_tab].reshape(nt, nt - 1, nt)
-        return tab[: self.n_prev[k] + 1, : self.n_mid[k], : self.n_next[k] + 1]
+        return _table_view(
+            self.tables[k], self.in_group[k], self.n_prev[k], self.n_mid[k], self.n_next[k]
+        )
 
     def cells(self, k: int, r, c, g_next) -> np.ndarray:
         """Values of the cells (r[q], c[q]) of stage k: h_t(r, c) + g_next[c].
@@ -442,9 +453,10 @@ class _Run:
         e -= d[3]
         return e + self.appear[cg] + g_next[c]
 
-    def dense(self, k: int, rows, g_next) -> np.ndarray:
-        """Values of every column of stage k for its predecessor rows
-        `rows` (indices or a slice), shape (rows, n_cols).
+    def dense(self, k: int, rows, g_next, cols=None) -> np.ndarray:
+        """Values of the columns `cols` (indices; all when None) of stage
+        k for its predecessor rows `rows` (indices or a slice), shape
+        (rows, cols).
 
         The dense form: takes from the rows' term tables, rt[j * nt + x,
         q] for row q. The cumsum adds a seed's terms in j order, then
@@ -456,34 +468,38 @@ class _Run:
         """
         n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
         c0, c1 = self.c_off[k], self.c_off[k + 1]
+        c, g = (slice(c0, c1), g_next) if cols is None else (cols + c0, g_next[cols])
         rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][rows]
         n_r = rowtab.shape[0]
         rt = self.tables[k][rowtab].reshape(n_r, (n_mid + 1) * nt).T.copy()
         seed_idx = self.seed_idx[self.s_off[k] : self.s_off[k + 1], : n_mid + 1]
         seed_val = np.cumsum(np.take(rt, seed_idx, axis=0), axis=1)[:, -1]
-        e = np.take(seed_val, self.seed_pos[c0:c1], axis=0)
-        d = np.take(rt, self.swap_idx[:, c0:c1], axis=0)
+        e = np.take(seed_val, self.seed_pos[c], axis=0)
+        d = np.take(rt, self.swap_idx[:, c], axis=0)
         e += d[0]
         e += d[1]
         e -= d[2]
         e -= d[3]
-        e += self.appear[c0:c1, None]
-        e += g_next[:, None]
+        e += self.appear[c, None]
+        e += g[:, None]
         return e.T
 
-    def fold_dense(self, k: int, g_next, g_prev, back) -> int:
-        """First argmax over all columns of stage k for every row; returns cells scored."""
+    def fold_dense(self, k: int, g_next, g_prev, back, rows=None, cols=None) -> int:
+        """First argmax over the columns `cols` of stage k for the rows
+        `rows` (indices; all of either when None); returns cells scored."""
         n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
-        n_rows, n_cols = g_prev.shape[0], self.c_off[k + 1] - self.c_off[k]
+        n_rows = g_prev.shape[0] if rows is None else rows.shape[0]
+        n_cols = self.c_off[k + 1] - self.c_off[k] if cols is None else cols.shape[0]
         # per row: rt, the seed terms, the exchange terms and the values
         n_seed = self.s_off[k + 1] - self.s_off[k]
         per_row = (n_mid + 1) * (nt + n_seed) + 5 * n_cols
         step = max(1, _FOLD_CELLS // per_row)
         for k0 in range(0, n_rows, step):
-            vals = self.dense(k, slice(k0, k0 + step), g_next)
+            q = slice(k0, k0 + step) if rows is None else rows[k0 : k0 + step]
+            vals = self.dense(k, q, g_next, cols)
             bp = np.argmax(vals, axis=1)
-            back[k0 : k0 + step] = bp
-            g_prev[k0 : k0 + step] = vals[np.arange(bp.shape[0]), bp]
+            back[q] = bp if cols is None else cols[bp]
+            g_prev[q] = vals[np.arange(bp.shape[0]), bp]
         return n_rows * n_cols
 
     def margin(self, k: int, g_next) -> float:
@@ -496,7 +512,8 @@ class _Run:
         cell value, B the sum of those magnitudes. A row's exact
         maximizers then lie within twice both bounds of its decomposed
         maximum. Only the stage's own table entries count, not the
-        padding of its group.
+        padding of its group, and only finite g_next values: a column
+        the prune dropped (-inf) adds no rounding.
         """
         n_mid, c0, c1 = self.n_mid[k], self.c_off[k], self.c_off[k + 1]
         if n_mid == 0 or c1 == c0:
@@ -504,22 +521,30 @@ class _Run:
         bound = (
             (n_mid + 8) * float(np.abs(self.table(k)).max())
             + float(np.abs(self.appear[c0:c1]).max())
-            + float(np.abs(g_next).max())
+            + float(np.abs(g_next).max(where=g_next > -np.inf, initial=0.0))
         )
         return 4.0 * (n_mid + 16) * np.finfo(np.float64).eps * bound
 
 
-def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> int:
-    """The exchange-structured fold of _fold_stage; returns cells scored."""
+def _exchange_pays(n_rows, n_seed_rows, n_cols, n_seed_cols, n_mid):
+    """_fold_stage's closed form, elementwise: whether the exchange way
+    scores fewer cells than the dense one.
+
+    A row seed scores all n_cols cells, any other row S (2n + 1)
+    decomposed ones plus n for its exact rescoring (S column seeds, n
+    mid objects), and the exchange way adds _EXCHANGE_SETUP_CELLS.
+    """
+    per_row = n_seed_cols * (2 * n_mid + 1) + n_mid
+    cells = n_seed_rows * n_cols + (n_rows - n_seed_rows) * per_row
+    return cells + _EXCHANGE_SETUP_CELLS < n_rows * n_cols
+
+
+def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back, bounds) -> int:
+    """The exchange-structured fold of _fold_stage, which prunes when
+    bounds are given; returns cells scored."""
     n_mid, nt = run.n_mid[k], run.tables[k].shape[1]
     c0, c1, s0, s1 = run.c_off[k], run.c_off[k + 1], run.s_off[k], run.s_off[k + 1]
     n_cols, n_seed = c1 - c0, s1 - s0
-    # each column's exchanged entries (n_mid for a seed column) and each
-    # seed's shifted targets, read from the entry lists
-    seed_pos, (i_of, j_of) = run.seed_pos[c0:c1], run.swap_idx[2:, c0:c1] // nt
-    is_swap = i_of < n_mid
-    seed_cols, seed_xc = np.flatnonzero(~is_swap), run.seed_idx[s0:s1, :n_mid] % nt
-    rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
     rinfo = sp_prev.swap_info
     seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
     swap_rows = np.flatnonzero(rinfo[:, 1] >= 0)
@@ -530,8 +555,26 @@ def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> 
     back[seed_rows] = bp
     g_prev[seed_rows] = base[np.arange(n_row_seed), bp]
     cells = base.size
+    kept = None
+    if bounds is not None:
+        kept = bounds.prune(run, k, sp_prev, seed_rows, swap_rows, g_prev[seed_rows], g_next)
+    if kept is not None:
+        # a pruned row reads as a row whose every cell is -inf
+        g_prev[swap_rows] = -np.inf
+        back[swap_rows] = 0
+        swap_rows = kept
+        live = np.flatnonzero(g_next > -np.inf)
+        if not _exchange_pays(kept.shape[0], 0, live.shape[0], n_seed, n_mid):
+            return cells + run.fold_dense(k, g_next, g_prev, back, kept, live)
     if swap_rows.shape[0] == 0:
         return cells
+
+    # each column's exchanged entries (n_mid for a seed column) and each
+    # seed's shifted targets, read from the entry lists
+    seed_pos, (i_of, j_of) = run.seed_pos[c0:c1], run.swap_idx[2:, c0:c1] // nt
+    is_swap = i_of < n_mid
+    seed_cols, seed_xc = np.flatnonzero(~is_swap), run.seed_idx[s0:s1, :n_mid] % nt
+    rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
 
     # columns of each column seed in index order, padded with the seed column
     sizes = np.bincount(seed_pos, minlength=n_seed)
@@ -629,19 +672,163 @@ def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back) -> 
     return cells
 
 
-def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
-    """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
+@dataclass(eq=False)
+class _Bounds:
+    """The prune's forward bounds over spaces 0 .. len(uf) - 1.
 
-    Besides listing the spaces' arrays, the work is a fixed number of
-    array operations per run, plus a few per width group: the frames are
-    padded with one scatter, the term tables of the stages of one width
-    (their widest frame) are computed at once over frames padded to it,
-    and the run's spaces are stacked, padded with DISAPPEAR, so rowtab
-    is one scatter of the predecessor rows and seed_idx one take of the
-    successor seeds. Every table entry sees the float operations of
-    oracle.reference_stage_terms for its stage alone. Each stage's way
-    of folding (_fold_stage) is decided here from the closed-form cell
-    counts.
+    uf[s][r] is UF, an upper bound on the score of every chain prefix
+    that ends in row r of space s: the exact first-pair score for s =
+    0, then max uf[s - 1] plus, per mid object of stage s, its best term
+    over all possible predecessors (colmax), plus r's appearances.
+    seed_prefix[s][q] is the best prefix into the q-th seed row of
+    space s through seed rows only, the score of a real prefix. A chain
+    sum through space s adds at most terms[s] roundings of values whose
+    magnitudes sum to at most scale[s]. pruned[s] counts the rows of
+    space s that _fold_stage dropped.
+    """
+
+    uf: list[np.ndarray]
+    seed_prefix: list[np.ndarray]
+    terms: list[int]
+    scale: list[float]
+    pruned: list[int]
+
+    def step(self, tab, sp_prev, sp, lam: float) -> None:
+        """Extend the bounds over stage s = len(uf), whose term table is
+        tab, from space s - 1 (sp_prev) to space s (sp)."""
+        n_mid, nt = tab.shape[1], tab.shape[2]
+        info = sp.swap_info
+        seeds = np.flatnonzero(info[:, 1] < 0)
+        x = sp.matrix[seeds] + 1  # each seed's shifted targets
+        obj = np.arange(n_mid)
+        appear = lam * (nt - 1 - (x > 0).sum(axis=1))
+        # the seeds of sp_prev as each mid object's shifted predecessor
+        prev = sp_prev.matrix[sp_prev.swap_info[:, 1] < 0]
+        pred = np.zeros((prev.shape[0], n_mid + 1), dtype=np.int64)
+        pred[np.arange(prev.shape[0])[:, None], np.where(prev < 0, n_mid, prev)] = np.arange(
+            1, prev.shape[1] + 1
+        )
+        h = tab[pred[:, None, :n_mid], obj, x[None]].sum(axis=2) + appear
+        self.seed_prefix.append((self.seed_prefix[-1][:, None] + h).max(axis=0))
+        # a row's colmax sum is its seed's plus its two exchanged entries'
+        # changes, as _Run.dense reads a row table
+        colmax = tab.max(axis=0)
+        pos = np.searchsorted(seeds, info[:, 0])
+        col = (colmax[obj, x].sum(axis=1) + appear)[pos]
+        sw = np.flatnonzero(info[:, 1] >= 0)
+        i, j = info[sw, 1], info[sw, 2]
+        x_i, x_j = x[pos[sw], i], x[pos[sw], j]
+        col[sw] += colmax[i, x_j] + colmax[j, x_i] - colmax[i, x_i] - colmax[j, x_j]
+        self.uf.append(self.uf[-1].max() + col)
+        self.terms.append(self.terms[-1] + n_mid + 16)
+        mag = (n_mid + 8) * float(np.abs(tab).max(initial=0.0)) + abs(lam) * (nt - 1)
+        self.scale.append(self.scale[-1] + mag)
+
+    def floor(self, run: _Run, k: int, g_seed, g_next) -> float | None:
+        """LB - margin for stage k, or None where it cannot be trusted.
+
+        g_seed holds the exact values of the seed rows of the stage's
+        predecessor space. LB, the best seed-only prefix into a seed row
+        plus that row's value, is a real chain's score. Each chain sum
+        through the stage adds at most terms roundings of values whose
+        magnitudes sum to at most scale, so it lies within terms * eps *
+        scale of its real value; UF + UG, LB and the fold's values of
+        the two chains _fold_stage compares are such sums, and the
+        margin, 8 times that bound, covers all their roundings.
+        """
+        t = run.t0 + k
+        n_mid = run.n_mid[k]
+        appear = run.appear[run.c_off[k] : run.c_off[k + 1]]
+        lb = float((self.seed_prefix[t - 1] + g_seed).max())
+        scale = (
+            self.scale[t - 1]
+            + (n_mid + 8) * float(np.abs(run.table(k)).max(initial=0.0))
+            + float(np.abs(appear).max())
+            + float(np.abs(g_next).max(where=g_next > -np.inf, initial=0.0))
+        )
+        margin = 8.0 * (self.terms[t - 1] + n_mid + 17) * np.finfo(np.float64).eps * scale
+        return lb - margin if math.isfinite(lb) and math.isfinite(margin) else None
+
+    @staticmethod
+    def ug(run: _Run, k: int, sp_prev, seed_rows, swap_rows, g_next) -> np.ndarray:
+        """UG of the swap rows of stage k's predecessor space sp_prev.
+
+        UG bounds a row's value: the sum of each mid object's best term
+        in its term-table row (rowmax), plus the best appearances and
+        g_next of any column. A swap row's sum is its seed's plus the
+        changes of its two moved mid objects.
+        """
+        n_mid, n_next, m = run.n_mid[k], run.n_next[k], run.tables[k].shape[1] - 1
+        # rowmax over the stage's table rows (i + 1) m + j, then a 0.0 that
+        # stands for a moved DISAPPEAR entry
+        n_tab = (m + 1) * m
+        g0 = run.in_group[k] * n_tab
+        rowmax = np.append(run.tables[k][g0 : g0 + n_tab, : n_next + 1].max(axis=1), 0.0)
+        rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid][seed_rows]
+        ug_seed = rowmax[rowtab - g0].sum(axis=1)
+        s, i, j = sp_prev.swap_info[swap_rows].T
+        ug = ug_seed[np.searchsorted(seed_rows, s)]
+        # mid object a moves from predecessor i to j, b from j to i
+        for obj, old, new in ((sp_prev.matrix[s, i], i, j), (sp_prev.matrix[s, j], j, i)):
+            ug += rowmax[np.where(obj >= 0, (new + 1) * m + obj, n_tab)]
+            ug -= rowmax[np.where(obj >= 0, (old + 1) * m + obj, n_tab)]
+        appear = run.appear[run.c_off[k] : run.c_off[k + 1]]
+        return ug + float((appear + g_next).max())
+
+    def prune(self, run: _Run, k: int, sp_prev, seed_rows, swap_rows, g_seed, g_next):
+        """The swap rows of stage k's predecessor space sp_prev whose UF +
+        UG reaches floor, so that they may lie on an optimal chain, or
+        None where the floor cannot be trusted."""
+        floor = self.floor(run, k, g_seed, g_next)
+        if floor is None:
+            return None
+        ug = self.ug(run, k, sp_prev, seed_rows, swap_rows, g_next)
+        keep = self.uf[run.t0 + k - 1][swap_rows] + ug >= floor
+        self.pruned[run.t0 + k - 1] = int(swap_rows.shape[0] - np.count_nonzero(keep))
+        return swap_rows[keep]
+
+
+def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
+    """_Bounds over spaces 0 .. t_end - 1, from the first-pair scores h1.
+
+    Stages run.t0 .. t_end - 1 read run's term tables. The stages
+    before run lie in the runs set up after it, whose tables are
+    computed here one run at a time, in order; the last of them, the
+    tables of the run set up next, is returned with the bounds for its
+    set-up (_term_tables's output; None when run is the first).
+    """
+    lam = noise.lambda_event
+    seeds = spaces[0].swap_info[:, 1] < 0
+    bounds = _Bounds(
+        uf=[h1],
+        seed_prefix=[h1[seeds]],
+        terms=[1],
+        scale=[float(np.abs(h1).max())],
+        pruned=[0] * len(spaces),
+    )
+    terms = None
+    for t0, t1 in reversed(runs):
+        if t0 >= run.t0:
+            break
+        terms = _term_tables(seq, noise, t0, t1)
+        counts, _, in_group, _, tables = terms
+        for k, t in enumerate(range(t0, t1)):
+            tab = _table_view(tables[k], in_group[k], *counts[k : k + 3].tolist())
+            bounds.step(tab, spaces[t - 1], spaces[t], lam)
+    for t in range(run.t0, t_end):
+        bounds.step(run.table(t - run.t0), spaces[t - 1], spaces[t], lam)
+    return bounds, terms
+
+
+def _term_tables(seq, noise, t0: int, t1: int):
+    """Term tables of stages t0 .. t1 - 1, as _Run holds them.
+
+    Returns the frame counts t0 - 1 .. t1, each stage's width (its
+    widest frame), its index in its width group, the group's zero row
+    and, per stage, its group's table. The frames are padded with one
+    scatter and the tables of one width computed at once over frames
+    padded to it; every table entry sees the float operations of
+    oracle.reference_stage_terms for its stage alone.
     """
     n_st = t1 - t0
     counts = np.array(seq.counts[t0 - 1 : t1 + 1], dtype=np.int64)
@@ -692,6 +879,33 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
         vel /= 2.0 * v_scale2[g, None, None, None]
         np.subtract(v_const[g, None, None, None], vel, out=padded[:, 1:, :, 1:])
         tables_of[m] = rows
+    return counts, width, in_group, zero_row, [tables_of[m] for m in width.tolist()]
+
+
+def _table_view(rows, i: int, n_prev: int, n_mid: int, n_next: int) -> np.ndarray:
+    """The i-th stage table of a width group's rows, tab[i + 1, j, x], as a view."""
+    nt = rows.shape[1]
+    n_tab = nt * (nt - 1)
+    tab = rows[i * n_tab : (i + 1) * n_tab].reshape(nt, nt - 1, nt)
+    return tab[: n_prev + 1, :n_mid, : n_next + 1]
+
+
+def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
+    """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
+
+    Besides listing the spaces' arrays, the work is a fixed number of
+    array operations per run, plus a few per width group: the term
+    tables come from _term_tables, and the run's spaces are stacked,
+    padded with DISAPPEAR, so rowtab is one scatter of the predecessor
+    rows and seed_idx one take of the successor seeds. Each stage's way
+    of folding (_fold_stage) is decided here from the closed-form cell
+    counts. terms is _term_tables's output for these stages when the
+    prune's forward bounds computed it already.
+    """
+    counts, width, in_group, zero_row, tables = terms or _term_tables(seq, noise, t0, t1)
+    n_st, n = t1 - t0, int(counts.max())
+    n_prev, n_mid, n_next = counts[:-2], counts[1:-1], counts[2:]
+    lam = noise.lambda_event
 
     # the spaces t0 - 1 .. t1 - 1: rows [off[k], off[k + 1]) are space
     # t0 - 1 + k. Only the seeds of the successor spaces are read, so
@@ -759,19 +973,13 @@ def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     rowtab = rowtab[:, 1:]
     rowtab[np.arange(n_rows), np.repeat(n_mid, sizes[:-1])] = np.repeat(zero_row, sizes[:-1])
 
-    # _fold_stage's closed form: a row seed scores C cells, any other row
-    # S (2n + 1) decomposed ones plus n for its exact rescoring (S column
-    # seeds, n mid objects), and the exchange way adds _EXCHANGE_SETUP_CELLS
-    r_sizes, r_seeds = sizes[:-1], n_seeds[:-1]
-    per_row = s_sizes * (2 * n_mid + 1) + n_mid
-    cells = r_seeds * c_sizes + (r_sizes - r_seeds) * per_row
-    exchange = cells + _EXCHANGE_SETUP_CELLS < r_sizes * c_sizes
-
+    exchange = _exchange_pays(sizes[:-1], n_seeds[:-1], c_sizes, s_sizes, n_mid)
     return _Run(
+        t0=t0,
         n_prev=n_prev.tolist(),
         n_mid=n_mid.tolist(),
         n_next=n_next.tolist(),
-        tables=[tables_of[m] for m in width.tolist()],
+        tables=tables,
         in_group=in_group.tolist(),
         r_off=off[:-1].tolist(),
         c_off=c_off.tolist(),
@@ -808,7 +1016,7 @@ def _stage_runs(counts, sizes) -> list[tuple[int, int]]:
     return runs
 
 
-def _fold_stage(run: _Run, k: int, sp_prev, g_next):
+def _fold_stage(run: _Run, k: int, sp_prev, g_next, bounds=None):
     """One backward DP step for stage k of a run, g_prev(x) = max_y h_t(x, y) + g_next(y).
 
     sp_prev is the stage's predecessor space. Returns g_prev, the first
@@ -840,6 +1048,23 @@ def _fold_stage(run: _Run, k: int, sp_prev, g_next):
     fewer closed-form cells. Spaces whose rows are all seeds, such as
     full spaces, always cost R C cells, so the closed form folds them
     densely.
+
+    Given bounds, an exchange-folded stage first prunes its
+    predecessor rows (bound-and-prune, as CarpeDiem or A* do over a
+    chain). Once the row seeds are scored, every other row r goes
+    whose bound on the best chain through it, UF(r) + UG(r), falls
+    below LB, a real chain's score, less a margin that covers the
+    rounding of the bounds and of the fold (_Bounds.prune). A pruned
+    row gets g = -inf and back pointer 0, as a row whose every cell is
+    -inf, so it drops out of the next stage's columns too. The
+    survivors fold the way the closed form picks for their count: by
+    exchange, or densely over the columns whose g_next is finite. This
+    is exact. A row on an optimal chain, tied ones included, has UF +
+    UG >= OPT >= LB up to rounding, so it stays. By backward induction
+    every row of the chain the walk returns keeps its exact value and
+    first argmax successor: that successor lies on the same chain, and
+    any other column's value can only fall. So the matchings and the
+    score are those of the unpruned fold.
     """
     n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
@@ -847,7 +1072,8 @@ def _fold_stage(run: _Run, k: int, sp_prev, g_next):
     if run.exchange[k]:
         margin = run.margin(k, g_next)
         if math.isfinite(margin):
-            return g_prev, back, _fold_exchange(run, k, sp_prev, margin, g_next, g_prev, back)
+            cells = _fold_exchange(run, k, sp_prev, margin, g_next, g_prev, back, bounds)
+            return g_prev, back, cells
     return g_prev, back, run.fold_dense(k, g_next, g_prev, back)
 
 
@@ -882,7 +1108,8 @@ class _Laps:
 @np.errstate(over="ignore")
 def _solve_dp(seq, spaces, noise, lap=None):
     """solve_dp, plus the cells scored per stage (stage 0: first-pair
-    scores) and the stage runs in set-up order.
+    scores), the stage runs in set-up order and the rows pruned per
+    space (_fold_stage).
 
     Stages are set up a run at a time (_stage_runs), last run first, and
     folded sequentially in t; lap, when given, is charged per layer. A
@@ -902,19 +1129,27 @@ def _solve_dp(seq, spaces, noise, lap=None):
             raise InvalidInputError(f"space {k} inconsistent with frame sizes")
 
     n_pairs = f - 1
+    # the walk's first-pair scores, and the prune's first forward bound
+    h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
+    lap("walk")
     g = np.zeros(len(spaces[-1]))
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)
     cells = [len(spaces[0])] + [0] * (n_pairs - 1)
     runs = _stage_runs(seq.counts, [len(sp) for sp in spaces])
+    bounds, terms = None, None
     for t0, t1 in runs:
-        run = _stages(seq, spaces, noise, t0, t1)
+        run = _stages(seq, spaces, noise, t0, t1, terms)
+        terms = None
+        if bounds is None and any(run.exchange):
+            # once per video, up to the last stage the closed form folds by exchange
+            t_end = t0 + max(k for k, ex in enumerate(run.exchange) if ex)
+            bounds, terms = _forward_bounds(seq, spaces, noise, h1, runs, run, t_end)
         lap("stage_setup")
         for t in range(t1 - 1, t0 - 1, -1):
-            g, backs[t - 1], cells[t] = _fold_stage(run, t - t0, spaces[t - 1], g)
+            g, backs[t - 1], cells[t] = _fold_stage(run, t - t0, spaces[t - 1], g, bounds)
         del run
         lap("fold")
 
-    h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
     totals = h1 + g
     start = int(np.argmax(totals))
     score = float(totals[start])
@@ -927,7 +1162,8 @@ def _solve_dp(seq, spaces, noise, lap=None):
         idxs.append(int(backs[t - 1][idxs[-1]]))
     matchings = [spaces[t].vector_at(r) for t, r in enumerate(idxs)]
     lap("walk")
-    return matchings, score, tuple(cells), tuple(runs)
+    pruned = (0,) * n_pairs if bounds is None else tuple(bounds.pruned)
+    return matchings, score, tuple(cells), tuple(runs), pruned
 
 
 def solve_dp(
@@ -943,7 +1179,7 @@ def solve_dp(
     lexicographically sorted and every stage keeps its first maximizer,
     so the walk returns the lexicographically smallest optimal sequence.
     """
-    matchings, score, _, _ = _solve_dp(seq, spaces, noise)
+    matchings, score, _, _, _ = _solve_dp(seq, spaces, noise)
     return matchings, score
 
 
@@ -1144,6 +1380,10 @@ class TrackDiagnostics:
     # the stage ranges [t0, t1) set up together ahead of the fold, in
     # set-up order (last run first); stage t scores frames t - 1, t, t + 1
     stage_runs: tuple[tuple[int, int], ...]
+    # per frame pair, the rows of its candidate space that the fold
+    # pruned as unable to reach the optimum (0 where no exchange-folded
+    # stage reads the space); pruned rows score no cells
+    pruned_rows: tuple[int, ...]
     # wall-clock seconds per layer of track(), keyed by TRACK_LAYERS;
     # left out of equality, since timings differ from run to run
     layer_seconds: dict[str, float] = field(default_factory=dict, compare=False)
@@ -1227,7 +1467,7 @@ def track(
 
     spaces = _assemble_spaces(seed_pair, seeds, n_a, n_b)
     lap("spaces")
-    matchings, score, dp_cells, stage_runs = _solve_dp(seq, spaces, noise, lap)
+    matchings, score, dp_cells, stage_runs, pruned_rows = _solve_dp(seq, spaces, noise, lap)
     trajs = assemble_trajectories(seq, matchings)
     lap("trajectories")
     sizes = tuple(len(s) for s in spaces)
@@ -1243,6 +1483,7 @@ def track(
         sweep_steps=sweep_steps,
         dp_cells=dp_cells,
         stage_runs=stage_runs,
+        pruned_rows=pruned_rows,
         layer_seconds=lap.seconds,
     )
     return TrackResult(

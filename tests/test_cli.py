@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,8 @@ class TestTrack:
         assert stages == list(range(1, SIM_CFG["f"] - 1))
         assert sum(diag["sweep_steps"]) > 0
         assert sorted(diag["layer_seconds"]) == sorted(TRACK_LAYERS)
+        # every stage of so small a video folds densely: nothing is pruned
+        assert diag["pruned_rows"] == [0] * (SIM_CFG["f"] - 1)
         assert all(s >= 0.0 for s in diag["layer_seconds"].values())
 
     def test_bipartite_method(self, sim_dir, tmp_path):
@@ -156,6 +159,21 @@ class TestTrack:
         args = ["track", "--input", str(sim_dir / "detections.csv"), "--output", str(out)]
         assert main(args + ["--dt", dt]) == EXIT_CONFIG
         assert not out.exists()
+
+
+def test_crowded_track_reports_pruned_rows(tmp_path):
+    # 40 objects in a closed view: both stages fold by exchange and keep
+    # only their seed rows
+    cfg = tmp_path / "sim.json"
+    closed = {"W": 680.0, "H": 512.0, "w": 680.0, "h": 512.0, "N0": 40, "f": 4, "seed": 0}
+    cfg.write_text(json.dumps(closed))
+    video, out = tmp_path / "video", tmp_path / "tracks.csv"
+    assert main(["simulate", "--config", str(cfg), "--output", str(video)]) == EXIT_OK
+    assert main(["track", "--input", str(video / "detections.csv"), "--output", str(out)]) == EXIT_OK
+    diag = json.loads((tmp_path / "tracks.diagnostics.json").read_text())
+    assert diag["space_sizes"] == [1562] * 3
+    assert diag["pruned_rows"] == [1560, 1560, 0]
+    assert diag["dp_cells"] == [1562, 2 * 1562, 2 * 1562]
 
 
 class TestEvaluateCommand:
@@ -416,6 +434,15 @@ class TestExitCodes:
         assert "1e+100" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_simulation_exits_runtime(self, tmp_path, capsys):
+        # 43M cells in the region over 50 frames: refused before allocating
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"W": 1e6, "H": 1e6}))
+        out = tmp_path / "v"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == EXIT_RUNTIME
+        assert "cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag(self, tmp_path):
         assert main(["simulate", "--seed", "-1", "--output", str(tmp_path / "v")]) == EXIT_CONFIG
 
@@ -426,6 +453,27 @@ class TestExitCodes:
 
 
 class TestExperiment:
+    def test_huge_delta_runs_like_a_small_one(self, tmp_path):
+        # delta is clipped before any array is sized by it; the region
+        # holds 12 cells, so a delta of 20 already reaches every count
+        grid = {**SIM_CFG, "N0": [3], "sigma": [1.0], "f": 3, "replicates": 1}
+        rows = {}
+        for deltas in ([0, 20], [0, 10**6]):
+            cfg = tmp_path / "grid.json"
+            cfg.write_text(json.dumps(grid | {"methods": ["tri"], "deltas": deltas}))
+            out = tmp_path / f"exp{deltas[1]}"
+            tracemalloc.start()
+            try:
+                code = main(["experiment", "--config", str(cfg), "--output", str(out), "--jobs", "1"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            assert peak < 8 << 20
+            with open(out / "results.csv", newline="") as fh:
+                rows[deltas[1]] = [r | {"delta": ""} for r in csv.DictReader(fh)]
+        assert rows[10**6] == rows[20]
+
     def test_tiny_grid(self, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text(

@@ -1,5 +1,7 @@
 """Synthetic-video generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from velotrack import (
     DISAPPEAR,
     InvalidConfigError,
     SimConfig,
+    SpaceCapError,
     matchings_from_trajectories,
     reflect,
     simulate,
@@ -70,6 +73,22 @@ class TestSimConfig:
     def test_non_finite_region_or_cell_count(self, values):
         with pytest.raises(InvalidConfigError):
             SimConfig(**values)
+
+    def test_oversized_simulation_refused_before_allocating(self):
+        # W = H = 1e6 with the default window holds 43M cells: over 50
+        # frames that would be 34 GB of positions
+        cfg = SimConfig(W=1e6, H=1e6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceCapError, match="cap"):
+                simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the cap counts frames too
+        with pytest.raises(SpaceCapError):
+            simulate(SimConfig(W=680.0, H=512.0, w=68.0, h=51.2, N0=1000, f=200))
 
     def test_json_roundtrip(self, tmp_path):
         p = tmp_path / "sim.json"

@@ -1,5 +1,6 @@
 """Full and reduced candidate-space construction."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from velotrack import (
     DISAPPEAR,
+    FrameSequence,
     InvalidInputError,
     MatchingVector,
     SpaceCapError,
+    TrackerConfig,
     build_reduced_space,
     full_space_size,
     fixed_d_matchings,
     neighborhood,
+    track,
 )
 from velotrack.core import _lex_order
 from velotrack.oracle import enumerate_space
@@ -135,6 +139,36 @@ class TestReducedSpace:
                 for a, b, ds in zip(n_a.tolist(), n_b.tolist(), d_star.tolist())
             ]
             assert one == want and all(type(x) is int for x in one)
+
+    def test_huge_delta_is_clipped_before_allocating(self, rng):
+        # no feasible d lies farther from d* than the frame sizes allow,
+        # so a huge delta gives the sizes of a small one, and d* outside
+        # the feasible range keeps its reach
+        n_a = np.r_[rng.integers(0, 6, size=50), 2]
+        n_b = np.r_[rng.integers(0, 6, size=50), 2]
+        d_star = np.r_[rng.integers(-8, 12, size=50), -5]
+        far = int(np.maximum(np.abs(d_star), np.abs(n_a - d_star)).max())
+        want = reduced_space_size(n_a, n_b, d_star, far)
+        for delta in (far + 1, 10**6, 10**30):
+            assert reduced_space_size(n_a, n_b, d_star, delta).tolist() == want.tolist()
+        assert reduced_space_size(2, 2, -5, 10**9) == reduced_space_size(2, 2, -5, 7) == 5
+
+    def test_huge_delta_tracks_in_little_memory(self):
+        # a 3-frame, 2-object video: delta = 10**6 used to allocate a
+        # (2 delta + 1, pairs) array before the space_cap check
+        seq = FrameSequence(tuple(np.array([[0.0, 0.0], [5.0, 5.0]]) + k for k in range(3)))
+        want = track(seq, TrackerConfig(delta=2))
+        tracemalloc.start()
+        try:
+            got = track(seq, TrackerConfig(delta=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got.diagnostics.space_sizes == want.diagnostics.space_sizes
+        assert got.matchings == want.matchings
+        sp = build_reduced_space(seq.frames[0], seq.frames[1], 0, delta=10**30)
+        assert np.array_equal(sp.matrix, want.spaces[0].matrix)
 
     def test_subset_of_full_space(self, rng):
         for _ in range(10):

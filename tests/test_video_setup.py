@@ -203,8 +203,8 @@ def fold_in_runs(seq, spaces, noise, fold_cells):
         mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells),
         mock.patch.object(tripartite, "_fold_stage", side_effect=record),
     ):
-        matchings, score, cells, runs = tripartite._solve_dp(seq, spaces, noise)
-    return folds, matchings, score, cells, runs
+        matchings, score, cells, runs, pruned = tripartite._solve_dp(seq, spaces, noise)
+    return folds, matchings, score, cells, runs, pruned
 
 
 def assert_runs_fold_alike(seq, delta):
@@ -227,6 +227,7 @@ def assert_runs_fold_alike(seq, delta):
     assert one[1] == many[1] == list(res.matchings)
     assert one[2].hex() == many[2].hex() == res.score.hex()
     assert one[3] == many[3] == d.dp_cells
+    assert one[5] == many[5] == d.pruned_rows
     return many[4]
 
 
@@ -253,3 +254,33 @@ def test_small_runs_fold_like_one_run_on_edge_videos():
         runs = assert_runs_fold_alike(seq, delta)
         # every stage with an object goes alone under a bound of one cell
         assert len(runs) == len(seq) - 2
+
+
+# every stage folds by exchange and prunes its rows, so the prune's
+# forward bounds read the term tables of runs set up after the first
+EVERY_STAGE_EXCHANGES = mock.patch.object(tripartite, "_EXCHANGE_SETUP_CELLS", -(1 << 40))
+
+
+@settings(max_examples=100)
+@given(seq=videos(), delta=st.integers(0, 2))
+def test_small_runs_prune_like_one_run(seq, delta):
+    with EVERY_STAGE_EXCHANGES:
+        assert_runs_fold_alike(seq, delta)
+
+
+def test_small_runs_prune_like_one_run_on_edge_videos():
+    frames = (
+        [[0, 0], [1, 0], [3, 3]],
+        [[1, 1], [2, 2], [2, 2], [0, 1]],
+        [],  # a 0-object middle frame
+        [[1, 1], [2, 2], [2, 2]],
+        [[0, 0], [3, 0], [1, 2]],
+        [[0, 0], [0, 0], [1, 1], [3, 1]],
+        [[2, 2], [1, 0], [0, 1], [1, 1], [2, 0]],
+        [[2, 1], [1, 1], [0, 2], [1, 2]],
+    )
+    seq = FrameSequence(tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames))
+    for delta in (0, 1, 2):
+        with EVERY_STAGE_EXCHANGES:
+            assert_runs_fold_alike(seq, delta)
+            assert any(track(seq, TrackerConfig(delta=delta)).diagnostics.pruned_rows)
