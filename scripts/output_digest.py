@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Digests of track()'s outputs on the benchmark's seed-0 videos.
+
+    python3 scripts/output_digest.py [--workload NAME ...]
+
+Tracks every seed-0 video of each workload in bench/run.py's WORKLOADS
+(long, crowded and noisy by default), simulated with its
+simulate_video, and prints one line per workload:
+
+    <workload> outputs <sha256> dp_cells <sha256>
+
+The first digest covers each video's matchings, score.hex(), sigmas,
+space sizes, stage_runs, pruned_rows and tie_refinements; the second
+its dp_cells, which a change to the fold's cell count may move while
+every output stays the same. Run it at two commits to check that a
+change keeps track()'s outputs bit for bit. The package and the bench
+are imported from the checkout this script lives in.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import run as bench  # noqa: E402  (bench/run.py imports velotrack from ROOT/src)
+
+MEASURED = ("long", "crowded", "noisy")
+
+
+def video_outputs(res) -> tuple[str, str]:
+    """The outputs of one track() result as text, then its dp_cells."""
+    d = res.diagnostics
+    outputs = [
+        "|".join(" ".join(map(str, m.entries)) for m in res.matchings),
+        res.score.hex(),
+        " ".join(s.hex() for s in d.sigma.sigmas),
+        repr(d.space_sizes),
+        repr(d.stage_runs),
+        repr(d.pruned_rows),
+        repr(d.tie_refinements),
+    ]
+    return "\n".join(outputs), repr(d.dp_cells)
+
+
+def workload_digests(name: str) -> tuple[str, str]:
+    w = bench.WORKLOADS[name]
+    outputs, cells = hashlib.sha256(), hashlib.sha256()
+    for i in range(w.videos):
+        res = bench.vt.track(bench.simulate_video(w, 0, i).seq)
+        text, dp_cells = video_outputs(res)
+        outputs.update(f"{i}\n{text}\n".encode())
+        cells.update(f"{i} {dp_cells}\n".encode())
+    return outputs.hexdigest(), cells.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "--workload", action="append", choices=sorted(bench.WORKLOADS),
+        help="a workload to digest (repeatable; default: long, crowded and noisy)",
+    )
+    args = ap.parse_args(argv)
+    for name in args.workload or MEASURED:
+        outputs, cells = workload_digests(name)
+        print(f"{name} outputs {outputs} dp_cells {cells}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -390,7 +390,9 @@ def _aggregate(rows: list[dict], grid: ExperimentConfig) -> list[dict]:
                 if delta - 1 in eval_means and eval_means[delta - 1] > 0:
                     ratio = ev_mean / eval_means[delta - 1]
                 if delta >= 1:
-                    theory = ((delta + 0.5) / (delta - 0.5)) ** 2
+                    # an exact integer division: a delta past the float
+                    # range must not overflow
+                    theory = ((2 * delta + 1) / (2 * delta - 1)) ** 2
             out.append(
                 {
                     "N0": n0,

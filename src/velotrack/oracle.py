@@ -9,8 +9,9 @@ through the other. The likelihood
 functions are shared on purpose: they are the single source of truth
 for what is being maximized. reference_solve_dp is the production DP's
 plain-Python counterpart: it scores every stage cell one at a time.
-reference_fold_stage is the dense vectorized fold that the
-exchange-structured tripartite._fold_stage must reproduce bit for bit,
+reference_fold_stage is the dense vectorized fold that
+tripartite._fold_stage must reproduce bit for bit on every row it does
+not prune (given the same g_next, pruned columns at -inf),
 reference_cumulative_path_accuracy rebuilds every prefix that
 metrics.cumulative_path_accuracy scores in one pass, and
 reference_sweep is the one-pair SSP sweep that the batched
@@ -336,7 +337,8 @@ def reference_fold_stage(
     swap column of the successor space is scored from its seed column
     plus the terms of the two exchanged entries. Returns g_prev and the
     first argmax successor row per predecessor row;
-    tripartite._fold_stage must return equal arrays.
+    tripartite._fold_stage must return equal values on the rows it
+    does not prune.
     """
     tab = reference_stage_terms(seq, noise, t)  # (n_prev + 1, n_mid, n_next + 1)
     n_mid, n_next = tab.shape[1], tab.shape[2] - 1

@@ -31,7 +31,6 @@ from .assignment import (
     BipartiteConfig,
     _gate_from_costs,
     _pair_costs,
-    _sorted_unique,
     _sweep,
 )
 from .core import (
@@ -364,11 +363,11 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
 # cells per row chunk of the fold, per run of stage set-up and per run of
 # space assembly: bounds their temporary arrays. A dense chunk counts, per
 # row, its row table, seed terms, (4, C) exchange terms and C values; the
-# chunking changes no value, as both cell forms of _Run read the same
-# entries in the same order
+# chunking changes no value, as _Run.dense scores each row on its own
 _FOLD_CELLS = 1 << 18
-# the exchange-structured fold's fixed cost, in dense cells (about 0.5 ms)
-_EXCHANGE_SETUP_CELLS = 1 << 14
+# the cells a stage must save before it prunes (_prune_pays): covers the
+# set-up of the bounds
+_PRUNE_SETUP_CELLS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -401,9 +400,9 @@ class _Run:
     ending at that zero (the padding target 0 of j = n_mid);
     swap_idx[:, c] lists column c's two new terms and its two old
     ones, i * nt + x_j, j * nt + x_i, i * nt + x_i and j * nt + x_j,
-    all four the zero for a seed column. Both forms, dense and cells,
-    read these lists and add the entries in the same order, so they
-    agree bit for bit. exchange[k] is the way _fold_stage folds stage k.
+    all four the zero for a seed column. dense reads these lists and
+    adds the entries in this order for every cell. prunes[k] says
+    whether _fold_stage prunes stage k's rows (_prune_pays).
     """
 
     t0: int
@@ -420,7 +419,7 @@ class _Run:
     seed_idx: np.ndarray
     swap_idx: np.ndarray
     appear: np.ndarray
-    exchange: list[bool]
+    prunes: list[bool]
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
@@ -428,43 +427,20 @@ class _Run:
             self.tables[k], self.in_group[k], self.n_prev[k], self.n_mid[k], self.n_next[k]
         )
 
-    def cells(self, k: int, r, c, g_next) -> np.ndarray:
-        """Values of the cells (r[q], c[q]) of stage k: h_t(r, c) + g_next[c].
-
-        The sparse form, for the exchange fold's exact rescoring: it
-        gathers each cell's entries, seed_idx's and swap_idx's, from the
-        table itself, then adds the appearances and g_next as dense does.
-        Entry e of row r is tabf[(rowtab[r, e // nt] - e // nt) * nt + e],
-        and a seed's j-th entry has e // nt = j.
-        """
-        n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
-        tabf = self.tables[k].reshape(-1)
-        base = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][r]
-        base -= np.arange(n_mid + 1)
-        base *= nt
-        cg = c + self.c_off[k]
-        s = self.seed_pos[cg] + self.s_off[k]
-        e = np.cumsum(tabf[base + self.seed_idx[s, : n_mid + 1]], axis=1)[:, -1]
-        idx = self.swap_idx[:, cg]
-        d = tabf[base[np.arange(r.shape[0]), idx // nt] + idx]
-        e += d[0]
-        e += d[1]
-        e -= d[2]
-        e -= d[3]
-        return e + self.appear[cg] + g_next[c]
-
     def dense(self, k: int, rows, g_next, cols=None) -> np.ndarray:
         """Values of the columns `cols` (indices; all when None) of stage
         k for its predecessor rows `rows` (indices or a slice), shape
         (rows, cols).
 
-        The dense form: takes from the rows' term tables, rt[j * nt + x,
-        q] for row q. The cumsum adds a seed's terms in j order, then
-        its zero, so a seed sum is never -0.0, and the +-0.0 a seed
-        column's swap_idx entries add leaves it as it is. One table
-        entry of all the rows is one contiguous array row, so each take
-        copies one run over all rows, however few rows there are; the
-        values come out column by column and are returned transposed.
+        Takes from the rows' term tables, rt[j * nt + x, q] for row q.
+        Each row is scored on its own, so its values do not depend on
+        which other rows are scored with it. The cumsum adds a seed's
+        terms in j order, then its zero, so a seed sum is never -0.0,
+        and the +-0.0 a seed column's swap_idx entries add leaves it as
+        it is. One table entry of all the rows is one contiguous array
+        row, so each take copies one run over all rows, however few rows
+        there are; the values come out column by column and are returned
+        transposed.
         """
         n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
         c0, c1 = self.c_off[k], self.c_off[k + 1]
@@ -502,174 +478,22 @@ class _Run:
             g_prev[q] = vals[np.arange(bp.shape[0]), bp]
         return n_rows * n_cols
 
-    def margin(self, k: int, g_next) -> float:
-        """Shortlist margin of stage k: covers twice the rounding error of both sums.
 
-        An exact cell value (cells or dense) and a decomposed one (base_s
-        plus two term changes) each add at most n_mid + 8 table terms, one
-        appearance term and one g_next value in at most n_mid + 16
-        roundings, so each lies within (n_mid + 16) eps B of the real
-        cell value, B the sum of those magnitudes. A row's exact
-        maximizers then lie within twice both bounds of its decomposed
-        maximum. Only the stage's own table entries count, not the
-        padding of its group, and only finite g_next values: a column
-        the prune dropped (-inf) adds no rounding.
-        """
-        n_mid, c0, c1 = self.n_mid[k], self.c_off[k], self.c_off[k + 1]
-        if n_mid == 0 or c1 == c0:
-            return 0.0
-        bound = (
-            (n_mid + 8) * float(np.abs(self.table(k)).max())
-            + float(np.abs(self.appear[c0:c1]).max())
-            + float(np.abs(g_next).max(where=g_next > -np.inf, initial=0.0))
-        )
-        return 4.0 * (n_mid + 16) * np.finfo(np.float64).eps * bound
+def _prune_pays(n_rows, n_seed_rows, n_cols, n_seed_cols, n_mid):
+    """Whether _fold_stage prunes a stage's predecessor rows, elementwise,
+    from closed-form cell counts.
 
-
-def _exchange_pays(n_rows, n_seed_rows, n_cols, n_seed_cols, n_mid):
-    """_fold_stage's closed form, elementwise: whether the exchange way
-    scores fewer cells than the dense one.
-
-    A row seed scores all n_cols cells, any other row S (2n + 1)
-    decomposed ones plus n for its exact rescoring (S column seeds, n
-    mid objects), and the exchange way adds _EXCHANGE_SETUP_CELLS.
+    The prune pays where the rows are mostly exchanges of a few seeds
+    and the columns are many. The test charges each non-seed row the S
+    (2n + 1) + n columns its exchange structure can move (S column
+    seeds, n mid objects), each seed row all n_cols, and requires that
+    total plus _PRUNE_SETUP_CELLS to stay below the stage's R C cells.
+    Small stages, and spaces whose rows are all seeds, such as full
+    spaces, fold densely with no bounds.
     """
     per_row = n_seed_cols * (2 * n_mid + 1) + n_mid
     cells = n_seed_rows * n_cols + (n_rows - n_seed_rows) * per_row
-    return cells + _EXCHANGE_SETUP_CELLS < n_rows * n_cols
-
-
-def _fold_exchange(run: _Run, k: int, sp_prev, margin, g_next, g_prev, back, bounds) -> int:
-    """The exchange-structured fold of _fold_stage, which prunes when
-    bounds are given; returns cells scored."""
-    n_mid, nt = run.n_mid[k], run.tables[k].shape[1]
-    c0, c1, s0, s1 = run.c_off[k], run.c_off[k + 1], run.s_off[k], run.s_off[k + 1]
-    n_cols, n_seed = c1 - c0, s1 - s0
-    rinfo = sp_prev.swap_info
-    seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
-    swap_rows = np.flatnonzero(rinfo[:, 1] >= 0)
-    n_row_seed = seed_rows.shape[0]
-    # a row seed's own values are exact: they are base_s
-    base = run.dense(k, seed_rows, g_next)
-    bp = np.argmax(base, axis=1)
-    back[seed_rows] = bp
-    g_prev[seed_rows] = base[np.arange(n_row_seed), bp]
-    cells = base.size
-    kept = None
-    if bounds is not None:
-        kept = bounds.prune(run, k, sp_prev, seed_rows, swap_rows, g_prev[seed_rows], g_next)
-    if kept is not None:
-        # a pruned row reads as a row whose every cell is -inf
-        g_prev[swap_rows] = -np.inf
-        back[swap_rows] = 0
-        swap_rows = kept
-        live = np.flatnonzero(g_next > -np.inf)
-        if not _exchange_pays(kept.shape[0], 0, live.shape[0], n_seed, n_mid):
-            return cells + run.fold_dense(k, g_next, g_prev, back, kept, live)
-    if swap_rows.shape[0] == 0:
-        return cells
-
-    # each column's exchanged entries (n_mid for a seed column) and each
-    # seed's shifted targets, read from the entry lists
-    seed_pos, (i_of, j_of) = run.seed_pos[c0:c1], run.swap_idx[2:, c0:c1] // nt
-    is_swap = i_of < n_mid
-    seed_cols, seed_xc = np.flatnonzero(~is_swap), run.seed_idx[s0:s1, :n_mid] % nt
-    rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
-
-    # columns of each column seed in index order, padded with the seed column
-    sizes = np.bincount(seed_pos, minlength=n_seed)
-    by_seed = np.argsort(seed_pos, kind="stable")
-    within = np.arange(n_cols) - (np.cumsum(sizes) - sizes)[seed_pos[by_seed]]
-    block = np.repeat(seed_cols[:, None], sizes.max(), axis=1)
-    block[seed_pos[by_seed], within] = by_seed
-    # cut lists, per (row seed, column seed): the first `cut` columns by
-    # (-base_s, index), their base_s (-inf past the block and in one
-    # extra slot) and exch[r, u, s, k], whether entry k exchanges object u
-    cut = min(2 * n_mid - 1, block.shape[1])
-    keys = np.where(np.arange(block.shape[1]) < sizes[:, None], -base[:, block], np.inf)
-    order = np.argsort(keys, axis=2, kind="stable")[:, :, :cut]
-    top = block[np.arange(n_seed)[:, None], order]  # (row seeds, n_seed, cut)
-    top_base = np.full(top.shape[:2] + (cut + 1,), -np.inf)
-    top_base[:, :, :cut] = -np.take_along_axis(keys, order, axis=2)
-    exch = np.zeros((n_row_seed, n_mid, n_seed, cut), dtype=bool)
-    ri, si, ki = np.nonzero(is_swap[top])
-    exch[ri, i_of[top[ri, si, ki]], si, ki] = True
-    exch[ri, j_of[top[ri, si, ki]], si, ki] = True
-    # touch[u, s, v]: column seed s with entries u and v exchanged (else s
-    # itself), where u's target is seed s's target of v
-    touch = np.repeat(seed_cols[None, :, None], n_mid, axis=0).repeat(n_mid, axis=2)
-    sw = np.flatnonzero(is_swap)
-    touch[i_of[sw], seed_pos[sw], j_of[sw]] = sw
-    touch[j_of[sw], seed_pos[sw], i_of[sw]] = sw
-    base_touch = base[:, touch]  # (row seeds, n_mid, n_seed, n_mid)
-
-    s_all = rinfo[swap_rows, 0]
-    sr_all = np.searchsorted(seed_rows, s_all)  # row seed ranks
-    # the two moved mid objects; a DISAPPEAR side stands in as the other
-    m_all = sp_prev.matrix[s_all[:, None], rinfo[swap_rows, 1:]]
-    gone_all = m_all < 0
-    m_all = np.where(gone_all, m_all[:, ::-1], m_all)
-    tab_rows = run.tables[k]
-    sides = np.arange(2)
-    sidx = np.arange(n_seed)
-    n_blk = 2 * n_seed * n_mid
-    step = max(1, _FOLD_CELLS // (n_blk + n_seed * (cut + 1)))
-    seed_terms = tab_rows[rowtab[seed_rows]]  # (row seeds, n_mid, nt)
-    for k0 in range(0, swap_rows.shape[0], step):
-        q = slice(k0, k0 + step)
-        x, m, gone, r = swap_rows[q], m_all[q], gone_all[q], sr_all[q]
-        r1 = r[:, None]
-        nb = x.shape[0]
-        ar = np.arange(nb)
-        # dc[:, side]: the change of that side's terms per target; c_at
-        # reads it at seed s's target of v, which column touch[m, s, v]
-        # gives m, and c_seed at m's own seed target
-        dc = tab_rows[rowtab[x[:, None], m]] - seed_terms[r1, m]
-        dc[gone] = 0.0
-        c_at = dc[:, :, seed_xc]  # (nb, 2, n_seed, n_mid)
-        c_seed = c_at[ar[:, None], sides, :, m]  # (nb, 2, n_seed)
-        seed_val = c_seed[:, 0] + c_seed[:, 1]
-        # touch blocks: each column keeps the other side's seed target,
-        # but for the a-b exchange itself
-        blk = base_touch[r1, m]  # (nb, 2, n_seed, n_mid)
-        blk += c_at
-        blk += c_seed[:, ::-1, :, None]
-        a, b = m[:, 0], m[:, 1]
-        blk[ar, 0, :, b] = blk[ar, 1, :, a] = (
-            base_touch[r, a, :, b] + c_at[ar, 0, :, b] + c_at[ar, 1, :, a]
-        )
-        blk[gone] = -np.inf  # a stand-in's block is the other side's
-        blk = blk.reshape(nb, n_blk)
-        # untouched columns keep both seed targets: the first entry of
-        # each cut list that exchanges neither a nor b is their best (at
-        # most 2n - 3 columns of a block touch a or b)
-        first = np.argmin(exch[r, a] | exch[r, b], axis=2)  # (nb, n_seed)
-        free = top_base[r1, sidx, first] + seed_val
-        thr = np.maximum(blk.max(axis=1), free.max(axis=1))[:, None] - margin
-        # the next base_s in the list bounds every other untouched
-        # column; a list that might hide a shortlisted one adds its block
-        ro, so = np.nonzero(top_base[r1, sidx, first + 1] + seed_val >= thr)
-        br, bk = np.divmod(np.flatnonzero(blk >= thr), n_blk)
-        side, pos = np.divmod(bk, n_seed * n_mid)
-        fr, fs = np.nonzero(free >= thr)
-        key = _sorted_unique(
-            np.concatenate([
-                x[br] * n_cols + touch.reshape(n_mid, -1)[m[br, side], pos],
-                x[fr] * n_cols + top[r[fr], fs, first[fr, fs]],
-                (x[ro, None] * n_cols + block[so]).ravel(),
-            ])
-        )
-        cells += blk.size + free.size + key.shape[0]
-        rr, c = np.divmod(key, n_cols)
-        vals = run.cells(k, rr, c, g_next)
-        # cells run by row then column: keep each row's first maximum
-        start = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
-        best = np.maximum.reduceat(vals, start)
-        hit = np.flatnonzero(vals == np.repeat(best, np.diff(np.r_[start, rr.shape[0]])))
-        win = hit[np.r_[True, rr[hit][1:] != rr[hit][:-1]]]
-        back[rr[win]] = c[win]
-        g_prev[rr[win]] = vals[win]
-    return cells
+    return cells + _PRUNE_SETUP_CELLS < n_rows * n_cols
 
 
 @dataclass(eq=False)
@@ -897,8 +721,8 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     array operations per run, plus a few per width group: the term
     tables come from _term_tables, and the run's spaces are stacked,
     padded with DISAPPEAR, so rowtab is one scatter of the predecessor
-    rows and seed_idx one take of the successor seeds. Each stage's way
-    of folding (_fold_stage) is decided here from the closed-form cell
+    rows and seed_idx one take of the successor seeds. Whether each
+    stage prunes (_fold_stage) is decided here from the closed-form cell
     counts. terms is _term_tables's output for these stages when the
     prune's forward bounds computed it already.
     """
@@ -973,7 +797,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     rowtab = rowtab[:, 1:]
     rowtab[np.arange(n_rows), np.repeat(n_mid, sizes[:-1])] = np.repeat(zero_row, sizes[:-1])
 
-    exchange = _exchange_pays(sizes[:-1], n_seeds[:-1], c_sizes, s_sizes, n_mid)
+    prunes = _prune_pays(sizes[:-1], n_seeds[:-1], c_sizes, s_sizes, n_mid)
     return _Run(
         t0=t0,
         n_prev=n_prev.tolist(),
@@ -989,7 +813,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
         seed_idx=seed_idx,
         swap_idx=swap_idx,
         appear=appear,
-        exchange=exchange.tolist(),
+        prunes=prunes.tolist(),
     )
 
 
@@ -1021,60 +845,44 @@ def _fold_stage(run: _Run, k: int, sp_prev, g_next, bounds=None):
 
     sp_prev is the stage's predecessor space. Returns g_prev, the first
     argmax successor of every predecessor row and the number of cells
-    scored. Every cell value comes from _Run.dense or _Run.cells, which
-    agree bit for bit, so both ways of folding return the same arrays:
+    scored. Every cell value comes from _Run.dense, which scores each
+    row on its own.
 
-    - dense: every cell of every row;
-    - exchange-structured, from both spaces' swap provenance. A
-      row x is its seed s with entries p and q exchanged, which moves
-      the predecessors of at most two mid objects a = s[p] and b = s[q],
-      so h(x, y) + g(y) = base_s(y) + c_a[y_a] + c_b[y_b], with base_s
-      scored densely once per row seed. Per column seed, a row scores
-      2n + 1 columns. The 2n that exchange a or b with some entry
-      (touch blocks) come from per-stage tables of base_s. Every other
-      column keeps the seed's targets of a and b, so the best of them
-      is the first entry of the seed's cut list (its columns sorted by
-      (-base_s, index), cut after 2n - 1) that exchanges neither a nor
-      b: an integer test on the list's exchanged entries, no value
-      gathers. Decomposed values only shortlist the columns within a
-      rounding margin of the row's decomposed maximum (_Run.margin);
-      the shortlist is scored exactly and its first argmax taken. The
-      list's next entry bounds every other untouched column; where that
-      bound reaches the margin, the seed's whole block of columns joins
-      the row's shortlist. Work per stage falls from O(R C) to
-      O(R delta n).
-
-    The way is run.exchange[k], which _stages sets to the one with
-    fewer closed-form cells. Spaces whose rows are all seeds, such as
-    full spaces, always cost R C cells, so the closed form folds them
-    densely.
-
-    Given bounds, an exchange-folded stage first prunes its
-    predecessor rows (bound-and-prune, as CarpeDiem or A* do over a
-    chain). Once the row seeds are scored, every other row r goes
-    whose bound on the best chain through it, UF(r) + UG(r), falls
-    below LB, a real chain's score, less a margin that covers the
-    rounding of the bounds and of the fold (_Bounds.prune). A pruned
-    row gets g = -inf and back pointer 0, as a row whose every cell is
-    -inf, so it drops out of the next stage's columns too. The
-    survivors fold the way the closed form picks for their count: by
-    exchange, or densely over the columns whose g_next is finite. This
-    is exact. A row on an optimal chain, tied ones included, has UF +
-    UG >= OPT >= LB up to rounding, so it stays. By backward induction
-    every row of the chain the walk returns keeps its exact value and
-    first argmax successor: that successor lies on the same chain, and
-    any other column's value can only fall. So the matchings and the
-    score are those of the unpruned fold.
+    A stage with run.prunes[k] set, given bounds, prunes its
+    predecessor rows first (bound-and-prune, as CarpeDiem or A* do over
+    a chain). It scores its seed rows (swap_info's rows with no
+    exchange) over every column, then drops every other row r whose
+    bound on the best chain through it, UF(r) + UG(r), falls below LB,
+    a real chain's score, less a margin that covers the rounding of the
+    bounds and of the fold (_Bounds.prune). A pruned row gets g = -inf
+    and back pointer 0, as a row whose every cell is -inf, so it drops
+    out of the next stage's columns too. The survivors fold densely
+    over the columns whose g_next is finite. This is exact. A row on
+    an optimal chain, tied ones included, has UF + UG >= OPT >= LB up
+    to rounding, so it stays. By backward induction every row of the
+    chain the walk returns keeps its exact value and first argmax
+    successor: that successor lies on the same chain, and any other
+    column's value can only fall. So the matchings and the score are
+    those of the unpruned fold. Every other stage, and a stage whose
+    floor cannot be trusted (prune returns None), scores every cell of
+    every row.
     """
     n_rows = len(sp_prev)
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
-    if run.exchange[k]:
-        margin = run.margin(k, g_next)
-        if math.isfinite(margin):
-            cells = _fold_exchange(run, k, sp_prev, margin, g_next, g_prev, back, bounds)
-            return g_prev, back, cells
-    return g_prev, back, run.fold_dense(k, g_next, g_prev, back)
+    if bounds is None or not run.prunes[k]:
+        return g_prev, back, run.fold_dense(k, g_next, g_prev, back)
+    rinfo = sp_prev.swap_info
+    seed_rows = np.flatnonzero(rinfo[:, 1] == -1)
+    swap_rows = np.flatnonzero(rinfo[:, 1] >= 0)
+    cells = run.fold_dense(k, g_next, g_prev, back, seed_rows)
+    kept = bounds.prune(run, k, sp_prev, seed_rows, swap_rows, g_prev[seed_rows], g_next)
+    if kept is None:
+        return g_prev, back, cells + run.fold_dense(k, g_next, g_prev, back, swap_rows)
+    g_prev[swap_rows] = -np.inf
+    back[swap_rows] = 0
+    live = np.flatnonzero(g_next > -np.inf)
+    return g_prev, back, cells + run.fold_dense(k, g_next, g_prev, back, kept, live)
 
 
 # the layers of track(), in order, that TrackDiagnostics.layer_seconds times
@@ -1140,9 +948,9 @@ def _solve_dp(seq, spaces, noise, lap=None):
     for t0, t1 in runs:
         run = _stages(seq, spaces, noise, t0, t1, terms)
         terms = None
-        if bounds is None and any(run.exchange):
-            # once per video, up to the last stage the closed form folds by exchange
-            t_end = t0 + max(k for k, ex in enumerate(run.exchange) if ex)
+        if bounds is None and any(run.prunes):
+            # once per video, up to the last stage that prunes
+            t_end = t0 + max(k for k, p in enumerate(run.prunes) if p)
             bounds, terms = _forward_bounds(seq, spaces, noise, h1, runs, run, t_end)
         lap("stage_setup")
         for t in range(t1 - 1, t0 - 1, -1):
@@ -1374,15 +1182,17 @@ class TrackDiagnostics:
     # settled, the free column ending each search included
     sweep_steps: tuple[int, ...]
     # per stage, the cells the DP scored: first-pair scores at stage 0,
-    # then the fold's decomposed and exact cell scores (eval_count is
-    # the closed form for a dense DP)
+    # then R C for a stage that folds every row, or, for one that
+    # prunes, its seed rows times C plus its surviving rows times the
+    # columns with a finite value (eval_count is the closed form for a
+    # dense DP)
     dp_cells: tuple[int, ...]
     # the stage ranges [t0, t1) set up together ahead of the fold, in
     # set-up order (last run first); stage t scores frames t - 1, t, t + 1
     stage_runs: tuple[tuple[int, int], ...]
     # per frame pair, the rows of its candidate space that the fold
-    # pruned as unable to reach the optimum (0 where no exchange-folded
-    # stage reads the space); pruned rows score no cells
+    # pruned as unable to reach the optimum (0 where no pruning stage
+    # reads the space); pruned rows score no cells
     pruned_rows: tuple[int, ...]
     # wall-clock seconds per layer of track(), keyed by TRACK_LAYERS;
     # left out of equality, since timings differ from run to run

@@ -162,8 +162,8 @@ class TestTrack:
 
 
 def test_crowded_track_reports_pruned_rows(tmp_path):
-    # 40 objects in a closed view: both stages fold by exchange and keep
-    # only their seed rows
+    # 40 objects in a closed view: both stages prune and keep only
+    # their seed rows
     cfg = tmp_path / "sim.json"
     closed = {"W": 680.0, "H": 512.0, "w": 680.0, "h": 512.0, "N0": 40, "f": 4, "seed": 0}
     cfg.write_text(json.dumps(closed))
@@ -455,13 +455,15 @@ class TestExitCodes:
 class TestExperiment:
     def test_huge_delta_runs_like_a_small_one(self, tmp_path):
         # delta is clipped before any array is sized by it; the region
-        # holds 12 cells, so a delta of 20 already reaches every count
+        # holds 12 cells, so a delta of 20 already reaches every count.
+        # 10**400 lies past the float range, which the aggregate's
+        # predicted ratio must not enter
         grid = {**SIM_CFG, "N0": [3], "sigma": [1.0], "f": 3, "replicates": 1}
         rows = {}
-        for deltas in ([0, 20], [0, 10**6]):
+        for deltas in ([0, 20], [0, 10**6], [0, 10**400]):
             cfg = tmp_path / "grid.json"
             cfg.write_text(json.dumps(grid | {"methods": ["tri"], "deltas": deltas}))
-            out = tmp_path / f"exp{deltas[1]}"
+            out = tmp_path / f"exp{len(rows)}"
             tracemalloc.start()
             try:
                 code = main(["experiment", "--config", str(cfg), "--output", str(out), "--jobs", "1"])
@@ -472,7 +474,7 @@ class TestExperiment:
             assert peak < 8 << 20
             with open(out / "results.csv", newline="") as fh:
                 rows[deltas[1]] = [r | {"delta": ""} for r in csv.DictReader(fh)]
-        assert rows[10**6] == rows[20]
+        assert rows[10**6] == rows[10**400] == rows[20]
 
     def test_tiny_grid(self, tmp_path):
         cfg = tmp_path / "grid.json"

@@ -1,4 +1,4 @@
-"""The exchange-structured DP fold against the dense reference fold."""
+"""The DP fold, dense and pruned, against the dense reference fold."""
 
 from unittest import mock
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_prune import fold, walked_rows
 
 from velotrack import (
     FrameSequence,
@@ -17,7 +18,7 @@ from velotrack import (
     track,
 )
 from velotrack import tripartite
-from velotrack.oracle import reference_fold_stage
+from velotrack.oracle import reference_fold_stage, reference_stage_terms
 
 # a coarse grid: coincident detections force exact ties between cells
 frame_points = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6)
@@ -29,24 +30,53 @@ def reduced(frame_a, frame_b, d_pick, delta):
     return build_reduced_space(frame_a, frame_b, lo + d_pick % (n_a - lo + 1), delta=delta)
 
 
-def assert_same_fold(seq, sp_prev, sp_next, g_next, noise, exchange):
-    # exchange=None keeps the way _stages chose; True or False forces one
+def assert_same_fold(seq, sp_prev, sp_next, g_next, noise):
+    # stage 1 with no bounds folds every row densely
     want = reference_fold_stage(seq, sp_prev, sp_next, g_next, noise, 1)
     run = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
-    if exchange is not None:
-        run.exchange[0] = exchange
     got = tripartite._fold_stage(run, 0, sp_prev, g_next)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     return got[2]
 
 
+def assert_pruned_fold_equals_reference(seq, spaces, noise):
+    """The pruned fold of every stage against reference_fold_stage;
+    returns its cells and rows pruned per stage and its g per stage."""
+    (ms, score, cells, _, pruned), stages = fold(seq, spaces, noise)
+    h1 = tripartite._pair_scores_vectorized(
+        seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt
+    )
+    g_next = g_ref = np.zeros(len(spaces[-1]))
+    backs_ref = []
+    for t in range(len(seq) - 2, 0, -1):
+        g, back = stages[t - 1]
+        # a survivor's value and first argmax over the columns that survived
+        want = reference_fold_stage(seq, spaces[t - 1], spaces[t], g_next, noise, t)
+        live = g > -np.inf
+        assert np.array_equal(g[live], want[0][live])
+        assert np.array_equal(back[live], want[1][live])
+        assert (~live).sum() == pruned[t - 1]
+        assert live[spaces[t - 1].swap_info[:, 1] < 0].all()
+        g_next = g
+        g_ref, back_ref = reference_fold_stage(seq, spaces[t - 1], spaces[t], g_ref, noise, t)
+        backs_ref.insert(0, back_ref)
+    # the walked chain is the unpruned reference's, with its score's bits
+    totals = h1 + g_ref
+    rows = [int(np.argmax(totals))]
+    for back_ref in backs_ref:
+        rows.append(int(back_ref[rows[-1]]))
+    assert walked_rows(spaces, ms) == rows
+    assert score.hex() == totals[rows[0]].hex()
+    return cells, pruned, [g for g, _ in stages]
+
+
 @settings(max_examples=300)
 @given(
-    frames=st.lists(frame_points, min_size=3, max_size=3),
-    d_picks=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    frames=st.lists(frame_points, min_size=3, max_size=4),
+    d_picks=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
     delta=st.integers(0, 2),
-    sigmas=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    sigmas=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
     lam=st.floats(-8.0, 0.0),
     dt=st.sampled_from([1.0, 0.5]),
     g_kind=st.sampled_from(["zero", "grid", "normal"]),
@@ -56,26 +86,29 @@ def test_exchange_fold_equals_reference(frames, d_picks, delta, sigmas, lam, dt,
     seq = FrameSequence(
         tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames), dt=dt
     )
-    sp_prev = reduced(seq.frames[0], seq.frames[1], d_picks[0], delta)
-    sp_next = reduced(seq.frames[1], seq.frames[2], d_picks[1], delta)
+    spaces = [
+        reduced(seq.frames[t], seq.frames[t + 1], d_picks[t], delta) for t in range(len(seq) - 1)
+    ]
+    noise = NoiseModel(sigmas=sigmas[: len(seq) - 1], lambda_event=lam)
+    assert_pruned_fold_equals_reference(seq, spaces, noise)
+    # the dense fold of stage 1 under any g_next
     rng = np.random.default_rng(seed)
+    n_cols = len(spaces[1])
     g_next = {
-        "zero": np.zeros(len(sp_next)),
-        "grid": rng.integers(0, 3, size=len(sp_next)).astype(float),
-        "normal": rng.normal(0.0, 5.0, size=len(sp_next)),
+        "zero": np.zeros(n_cols),
+        "grid": rng.integers(0, 3, size=n_cols).astype(float),
+        "normal": rng.normal(0.0, 5.0, size=n_cols),
     }[g_kind]
-    noise = NoiseModel(sigmas=sigmas, lambda_event=lam)
-    for exchange in (True, False, None):
-        assert_same_fold(seq, sp_prev, sp_next, g_next, noise, exchange)
+    assert_same_fold(seq, spaces[0], spaces[1], g_next, noise)
 
 
 def test_mid_sized_stages_equal_reference(rng):
-    # cut lists are shorter than the column blocks from n = 5 on; frames
-    # of n - 2 .. n + 2 objects put DISAPPEAR entries into the spaces
+    # frames of n - 2 .. n + 2 objects put DISAPPEAR entries into the
+    # spaces, and a fourth frame gives stage 1 the pruned values of stage 2
     for n in range(5, 15):
         for grid in (None, 3):
             for delta in (0, 1, 2):
-                counts = (n + rng.integers(-2, 3, size=3)).tolist()
+                counts = (n + rng.integers(-2, 3, size=4)).tolist()
                 if grid is None:
                     frames = tuple(rng.normal(0.0, 3.0, size=(k, 2)) for k in counts)
                 else:
@@ -83,13 +116,12 @@ def test_mid_sized_stages_equal_reference(rng):
                         rng.integers(0, grid, size=(k, 2)).astype(float) for k in counts
                     )
                 seq = FrameSequence(frames)
-                sp_prev = reduced(seq.frames[0], seq.frames[1], int(rng.integers(0, 3)), delta)
-                sp_next = reduced(seq.frames[1], seq.frames[2], int(rng.integers(0, 3)), delta)
-                g_next = rng.normal(0.0, 5.0, size=len(sp_next))
-                if grid is not None:
-                    g_next = np.round(g_next)
-                noise = NoiseModel(sigmas=(1.0, 0.7), lambda_event=-4.0)
-                assert_same_fold(seq, sp_prev, sp_next, g_next, noise, True)
+                spaces = [
+                    reduced(seq.frames[t], seq.frames[t + 1], int(rng.integers(0, 3)), delta)
+                    for t in range(3)
+                ]
+                noise = NoiseModel(sigmas=(1.0, 0.7, 0.8), lambda_event=-4.0)
+                assert_pruned_fold_equals_reference(seq, spaces, noise)
 
 
 def test_row_moving_disappear_and_mid_object_0():
@@ -102,7 +134,7 @@ def test_row_moving_disappear_and_mid_object_0():
     seed, i, j = sp_prev.swap_info[5].tolist()
     assert sp_prev.matrix[seed].tolist() == [2, -1, 0, 1] and (i, j) == (1, 2)
     noise = NoiseModel(sigmas=(1.0, 1.0), lambda_event=-4.0)
-    assert_same_fold(seq, sp_prev, sp_next, np.zeros(len(sp_next)), noise, True)
+    assert_pruned_fold_equals_reference(seq, [sp_prev, sp_next], noise)
 
 
 def test_crowded_stage_scores_o_n_cells_per_row():
@@ -111,24 +143,25 @@ def test_crowded_stage_scores_o_n_cells_per_row():
     p0 = rng.uniform(0.0, 200.0, size=(n, 2))
     v = rng.normal(0.0, 2.0, size=(n, 2))
     seq = FrameSequence(
-        tuple(p0 + k * v + rng.normal(0.0, 1.0, size=(n, 2)) for k in range(3))
+        tuple(p0 + k * v + rng.normal(0.0, 1.0, size=(n, 2)) for k in range(4))
     )
-    sp_prev = build_reduced_space(seq.frames[0], seq.frames[1], 0, delta=1)
-    sp_next = build_reduced_space(seq.frames[1], seq.frames[2], 0, delta=1)
-    g_next = rng.normal(0.0, 10.0, size=len(sp_next))
+    spaces = [build_reduced_space(seq.frames[t], seq.frames[t + 1], 0, delta=1) for t in range(3)]
     noise = NoiseModel.pooled(1.0, -6.0)
-    cells = assert_same_fold(seq, sp_prev, sp_next, g_next, noise, None)
+    # both stages prune under the closed form track() uses
+    run = tripartite._stages(seq, spaces, noise, 1, 3)
+    assert run.prunes == [True, True]
+    cells, pruned, gs = assert_pruned_fold_equals_reference(seq, spaces, noise)
 
-    n_rows, n_cols = len(sp_prev), len(sp_next)
-    seed_rows = int((sp_prev.swap_info[:, 1] == -1).sum())
-    seed_cols = int((sp_next.swap_info[:, 1] == -1).sum())
-    assert (seed_rows, seed_cols) == (2, 2)
-    # row seeds score every column; every other row scores, per column
-    # seed, the 2n exchanges touching its two moved objects plus the best
-    # column touching neither, then rescores its one shortlisted cell
-    per_row = seed_cols * (2 * n + 1) + 1
-    assert cells == seed_rows * n_cols + (n_rows - seed_rows) * per_row
-    assert cells < n_rows * n_cols // 4
+    for t in (1, 2):
+        n_rows, n_cols = len(spaces[t - 1]), len(spaces[t])
+        seed_rows = int((spaces[t - 1].swap_info[:, 1] == -1).sum())
+        assert seed_rows == 2
+        # seed rows score every column, survivors only the columns with a
+        # finite value
+        survivors = n_rows - seed_rows - pruned[t - 1]
+        live = n_cols if t == 2 else int(np.isfinite(gs[t]).sum())
+        assert cells[t] == seed_rows * n_cols + survivors * live
+        assert cells[t] < n_rows * n_cols // 4
 
 
 def test_track_reports_dp_cells(rng):
@@ -152,35 +185,40 @@ def test_long_video_sets_up_in_one_run():
 
 
 def test_coincident_detections_fall_back_to_dense_rows():
-    # every detection at one point: all cells of a column block tie, so
-    # the next entry of a cut list cannot rule out the block's other
-    # untouched columns
+    # every detection at one point: many chains tie, so few rows can be
+    # pruned, and the survivors fold densely
     n = 6
     seq = FrameSequence(tuple(np.zeros((n, 2)) for _ in range(3)))
     sp_prev = build_reduced_space(seq.frames[0], seq.frames[1], 1, delta=1)
     sp_next = build_reduced_space(seq.frames[1], seq.frames[2], 1, delta=1)
+    assert (len(sp_prev), len(sp_next)) == (47, 47)
     noise = NoiseModel.pooled(1.0, -2.0)
-    cells = assert_same_fold(seq, sp_prev, sp_next, np.zeros(len(sp_next)), noise, True)
+    assert_pruned_fold_equals_reference(seq, [sp_prev, sp_next], noise)
 
-    n_rows, n_cols = len(sp_prev), len(sp_next)
-    seed_rows = int((sp_prev.swap_info[:, 1] == -1).sum())
-    seed_cols = int((sp_next.swap_info[:, 1] == -1).sum())
-    assert (n_rows, n_cols, seed_rows, seed_cols) == (47, 47, 3, 3)
-    # each swap row adds only the one column block holding its maximum
-    # (16 columns) to its exact shortlist, not the whole row of 47
-    per_row = seed_cols * (2 * n + 1) + 16
-    assert cells == seed_rows * n_cols + (n_rows - seed_rows) * per_row
+
+def direct_cells(seq, sp_prev, sp_next, g_next, noise, t=1):
+    """Every cell of stage t, h_t(r, c) + g_next[c], as the direct sum of
+    its mid objects' terms from reference_stage_terms."""
+    tab = reference_stage_terms(seq, noise, t)
+    n_mid, n_next = tab.shape[1], tab.shape[2] - 1
+    y, x = sp_prev.matrix, sp_next.matrix
+    # pred[r, j]: 1 + the predecessor of mid object j in row r, 0 when
+    # none; DISAPPEAR entries land in the extra last column
+    pred = np.zeros((y.shape[0], n_mid + 1), dtype=np.int64)
+    pred[np.arange(y.shape[0])[:, None], y] = np.arange(1, y.shape[1] + 1)
+    terms = tab[pred[:, None, :n_mid], np.arange(n_mid), x[None] + 1]
+    appear = noise.lambda_event * (n_next - (x >= 0).sum(axis=1))
+    return terms.sum(axis=2) + appear + g_next
 
 
 def assert_cell_forms_agree(seq, sp_prev, sp_next, g_next, noise):
-    # dense (row table takes) and cells (table gathers) over every cell
+    # the dense form (a seed's sum plus two terms minus two) against
+    # each cell's direct sum, over every cell
     run = tripartite._stages(seq, [sp_prev, sp_next], noise, 1, 2)
-    n_rows, n_cols = len(sp_prev), len(sp_next)
-    dense = run.dense(0, np.arange(n_rows), g_next)
-    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    cells = run.cells(0, r, c, g_next).reshape(n_rows, n_cols)
-    assert dense.shape == (n_rows, n_cols)
-    assert dense.tobytes() == cells.tobytes()
+    dense = run.dense(0, np.arange(len(sp_prev)), g_next)
+    assert dense.shape == (len(sp_prev), len(sp_next))
+    direct = direct_cells(seq, sp_prev, sp_next, g_next, noise)
+    np.testing.assert_allclose(dense, direct, rtol=1e-12, atol=1e-10)
 
 
 @settings(max_examples=300)
@@ -242,7 +280,7 @@ def test_dense_fold_in_row_chunks_equals_reference(fold_cells, rng):
         tripartite._Run, "dense", autospec=True, side_effect=tripartite._Run.dense
     )
     with dense as spy, mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells):
-        assert_same_fold(seq, sp_prev, sp_next, g_next, noise, False)
+        assert_same_fold(seq, sp_prev, sp_next, g_next, noise)
     assert spy.call_count > 1
 
 
@@ -278,13 +316,12 @@ def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
         assert not run.tables[k][-1].any()
         g_next = np.round(rng.normal(0.0, 3.0, size=n_cols))
         dense = run.dense(k, np.arange(n_rows), g_next)
-        r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
-        cells = run.cells(k, r, c, g_next).reshape(n_rows, n_cols)
-        assert dense.tobytes() == cells.tobytes()
-        # both ways of folding, on the run's stacked layout
+        direct = direct_cells(seq, sp_prev, sp_next, g_next, noise, t)
+        np.testing.assert_allclose(dense, direct, rtol=1e-12, atol=1e-10)
+        # the dense fold, on the run's stacked layout
         want = reference_fold_stage(seq, sp_prev, sp_next, g_next, noise, t)
-        for exchange in (True, False):
-            run.exchange[k] = exchange
-            g_prev, back, _ = tripartite._fold_stage(run, k, sp_prev, g_next)
-            assert np.array_equal(g_prev, want[0])
-            assert np.array_equal(back, want[1])
+        g_prev, back, _ = tripartite._fold_stage(run, k, sp_prev, g_next)
+        assert np.array_equal(g_prev, want[0])
+        assert np.array_equal(back, want[1])
+    # the pruned fold, whose bounds read each width group's tables
+    assert_pruned_fold_equals_reference(seq, spaces, noise)

@@ -9,7 +9,8 @@ the sha256 of a tiny experiment grid's results.csv and aggregate.csv
 were recorded before evaluate() read every score from one forward walk.
 The crowded video (40 objects, closed view), whose stages take the
 exchange-structured fold, was recorded before that fold scored untouched
-columns from per-stage touch tables. The integer-grid videos, whose
+columns from per-stage touch tables; its stages now prune their rows
+and fold the survivors densely. The integer-grid videos, whose
 exact ties make the tie certificate
 fire, pin each pair's tie_refinements, the matchings and the score at
 delta 0, 1 and 2; they were recorded before the certificate's first

@@ -1,11 +1,12 @@
-"""The exact bound-and-prune of the exchange fold.
+"""The exact bound-and-prune of the DP fold.
 
-Stages that fold by exchange drop every predecessor row whose bound on
-the best chain through it, UF + UG, falls below LB less a rounding
-margin. The prune must change no output: the matchings, the score's
-bits and, on the chain the walk returns, every value and back pointer
-equal those of the unpruned fold. Small videos reach the exchange fold
-only with _EXCHANGE_SETUP_CELLS lowered, which these tests do.
+Stages that prune score their seed rows, drop every other predecessor
+row whose bound on the best chain through it, UF + UG, falls below LB
+less a rounding margin, and fold the survivors densely over the columns
+with a finite value. The prune must change no output: the matchings,
+the score's bits and, on the chain the walk returns, every value and
+back pointer equal those of the unpruned fold. Small videos prune only
+with _PRUNE_SETUP_CELLS lowered, which these tests do.
 """
 
 from contextlib import ExitStack
@@ -28,7 +29,7 @@ from velotrack import (
 from velotrack import tripartite
 from velotrack.oracle import exhaustive_chain_argmax, reference_solve_dp
 
-# every stage, and every set of surviving rows, folds by exchange
+# every stage prunes
 EVERY = -(1 << 40)
 
 
@@ -42,7 +43,7 @@ def fold(seq, spaces, noise, setup_cells=EVERY, prune=True):
         return folds[-1]
 
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(tripartite, "_EXCHANGE_SETUP_CELLS", setup_cells))
+        stack.enter_context(mock.patch.object(tripartite, "_PRUNE_SETUP_CELLS", setup_cells))
         stack.enter_context(mock.patch.object(tripartite, "_fold_stage", side_effect=record))
         if not prune:
             stack.enter_context(mock.patch.object(tripartite._Bounds, "prune", return_value=None))
@@ -104,7 +105,7 @@ def test_pruned_dp_equals_the_oracles(setup_cells, grid, rng):
         seq = video(rng, (5 + rng.integers(-1, 2, size=int(rng.integers(3, 5)))).tolist(), grid)
         spaces, noise = tracked(seq, 1)
         total += assert_prune_is_exact(seq, spaces, noise, setup_cells)
-        with mock.patch.object(tripartite, "_EXCHANGE_SETUP_CELLS", setup_cells):
+        with mock.patch.object(tripartite, "_PRUNE_SETUP_CELLS", setup_cells):
             ms, score = tripartite.solve_dp(seq, spaces, noise)
         # the oracles score with other roundings, so on the grid, where
         # chains tie exactly, they may break a tie the other way
@@ -247,8 +248,8 @@ def test_bounds_dominate_the_exact_values(counts, grid, delta, seed):
 
 def test_crowded_video_keeps_a_few_rows():
     # video 0 of the bench's crowded workload: 40 objects in a closed
-    # view over 4 frames; both exchange-folded stages keep only their
-    # seed rows, and the fold scores only their cells
+    # view over 4 frames; both stages prune and keep only their seed
+    # rows, and the fold scores only their cells
     cfg = SimConfig(W=680.0, H=512.0, w=680.0, h=512.0, N0=40, sigma=1.0, f=4, seed=0)
     seq = simulate(cfg).seq
     res = track(seq)

@@ -44,3 +44,11 @@ def test_complexity_table(tmp_path):
     lines = out.strip().splitlines()
     assert lines[-4].split() == ["delta", "evals/video", "ratio", "predicted"]
     assert [line.split()[0] for line in lines[-3:]] == ["1", "2", "3"]
+
+
+def test_output_digest_repeats():
+    out = run_script("output_digest.py", "--workload", "smoke")
+    assert run_script("output_digest.py", "--workload", "smoke") == out
+    name, outputs_tag, outputs, cells_tag, cells = out.split()
+    assert (name, outputs_tag, cells_tag) == ("smoke", "outputs", "dp_cells")
+    assert len(outputs) == len(cells) == 64 and outputs != cells

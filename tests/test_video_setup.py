@@ -180,14 +180,12 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         assert np.array_equal(col[:, :n_mid], spaces[t].matrix + 1)
         matched = (spaces[t].matrix >= 0).sum(axis=1)
         assert np.array_equal(run.appear[cols], lam * (counts[t + 1] - matched))
-        # the fold's way for the stage, from its closed-form cell counts
+        # whether the stage prunes, from its closed-form cell counts
         n_rows, n_cols = len(spaces[t - 1]), len(spaces[t])
         seed_rows = int((spaces[t - 1].swap_info[:, 1] == -1).sum())
         per_row = seed_cols.shape[0] * (2 * n_mid + 1) + n_mid
         closed = seed_rows * n_cols + (n_rows - seed_rows) * per_row
-        assert run.exchange[k] == (
-            closed + tripartite._EXCHANGE_SETUP_CELLS < n_rows * n_cols
-        )
+        assert run.prunes[k] == (closed + tripartite._PRUNE_SETUP_CELLS < n_rows * n_cols)
 
 
 def fold_in_runs(seq, spaces, noise, fold_cells):
@@ -256,15 +254,15 @@ def test_small_runs_fold_like_one_run_on_edge_videos():
         assert len(runs) == len(seq) - 2
 
 
-# every stage folds by exchange and prunes its rows, so the prune's
+# every stage prunes its rows, so the prune's
 # forward bounds read the term tables of runs set up after the first
-EVERY_STAGE_EXCHANGES = mock.patch.object(tripartite, "_EXCHANGE_SETUP_CELLS", -(1 << 40))
+EVERY_STAGE_PRUNES = mock.patch.object(tripartite, "_PRUNE_SETUP_CELLS", -(1 << 40))
 
 
 @settings(max_examples=100)
 @given(seq=videos(), delta=st.integers(0, 2))
 def test_small_runs_prune_like_one_run(seq, delta):
-    with EVERY_STAGE_EXCHANGES:
+    with EVERY_STAGE_PRUNES:
         assert_runs_fold_alike(seq, delta)
 
 
@@ -281,6 +279,6 @@ def test_small_runs_prune_like_one_run_on_edge_videos():
     )
     seq = FrameSequence(tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames))
     for delta in (0, 1, 2):
-        with EVERY_STAGE_EXCHANGES:
+        with EVERY_STAGE_PRUNES:
             assert_runs_fold_alike(seq, delta)
             assert any(track(seq, TrackerConfig(delta=delta)).diagnostics.pruned_rows)
