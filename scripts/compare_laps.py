@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""track()'s per-layer laps at this checkout against another one, in one process.
+
+    python3 scripts/compare_laps.py --parent DIR [--workload NAME ...] [--rounds N]
+
+DIR is another source checkout of velotrack, for example a git worktree
+of the parent commit. The src/velotrack packages of both checkouts are
+copied to a temporary directory under their own names and imported side
+by side. Every seed-0 video of each workload in bench/run.py's
+WORKLOADS (long, crowded and noisy by default), simulated with its
+simulate_video, is tracked once by each side untimed, which also checks
+that both return the same matchings and scores. Then each round tracks
+all the videos with one side and then the other, the first side
+alternating from round to round. Per workload, for each layer of
+TrackDiagnostics.layer_seconds and for the whole track() call, it
+prints the median ms per video on each side and the median over rounds
+of the change/parent ratio of the round's totals, with its min and max.
+
+Processes on a shared machine run at speeds that drift by tens of
+percent from one to the next; within one process, the two sides of a
+round see the same machine, so the ratios are much steadier than any
+comparison of two separate runs.
+"""
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import run as bench  # noqa: E402  (bench/run.py imports velotrack from ROOT/src)
+
+MEASURED = ("long", "crowded", "noisy")
+SIDES = ("parent", "change")
+
+
+def import_side(checkout: Path, name: str, tmp: Path):
+    """checkout's src/velotrack, imported as the package `name`."""
+    src = checkout / "src" / "velotrack"
+    if not (src / "__init__.py").is_file():
+        sys.exit(f"error: no velotrack package under {checkout / 'src'}")
+    shutil.copytree(src, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def laps(pkg, videos) -> dict[str, float]:
+    """Seconds per layer and for track() as a whole, summed over videos."""
+    total = dict.fromkeys(pkg.tripartite.TRACK_LAYERS, 0.0)
+    total["track()"] = 0.0
+    for seq in videos:
+        t = time.perf_counter()
+        res = pkg.track(seq)
+        total["track()"] += time.perf_counter() - t
+        for layer, s in res.diagnostics.layer_seconds.items():
+            total[layer] += s
+    return total
+
+
+def outputs(pkg, videos) -> list[tuple]:
+    return [
+        (tuple(m.entries for m in res.matchings), res.score.hex())
+        for res in (pkg.track(seq) for seq in videos)
+    ]
+
+
+def compare(name: str, pkgs: dict, rounds: int) -> None:
+    w = bench.WORKLOADS[name]
+    sims = [bench.simulate_video(w, 0, i).seq for i in range(w.videos)]
+    videos = {
+        side: [pkg.FrameSequence(tuple(s.frames), dt=s.dt) for s in sims]
+        for side, pkg in pkgs.items()
+    }
+    # one untimed pass per side: warms both up and checks the outputs
+    got = {side: outputs(pkg, videos[side]) for side, pkg in pkgs.items()}
+    differ = sum(a != b for a, b in zip(got["parent"], got["change"]))
+    samples = {side: [] for side in SIDES}
+    for r in range(rounds):
+        for side in SIDES[::-1] if r % 2 else SIDES:
+            samples[side].append(laps(pkgs[side], videos[side]))
+    print(
+        f"{name}: {len(sims)} videos, {rounds} rounds, "
+        f"outputs differ on {differ} videos"
+    )
+    print(f"  {'layer':<16} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  min - max")
+    for layer in samples["parent"][0]:
+        ms = {
+            side: statistics.median(s[layer] for s in samples[side]) * 1e3 / len(sims)
+            for side in SIDES
+        }
+        ratios = [
+            c[layer] / p[layer]
+            for p, c in zip(samples["parent"], samples["change"])
+            if p[layer] > 0
+        ]
+        spread = (
+            f"{statistics.median(ratios):7.3f}  {min(ratios):.3f} - {max(ratios):.3f}"
+            if ratios
+            else f"{'-':>7}"
+        )
+        print(f"  {layer:<16} {ms['parent']:10.3f} {ms['change']:10.3f} {spread}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="the checkout to compare against")
+    ap.add_argument(
+        "--workload", action="append", choices=sorted(bench.WORKLOADS),
+        help="a workload to time (repeatable; default: long, crowded and noisy)",
+    )
+    ap.add_argument("--rounds", type=int, default=10, help="timed rounds (default 10)")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        pkgs = {
+            "parent": import_side(args.parent.resolve(), "velotrack_parent", Path(tmp)),
+            "change": import_side(ROOT, "velotrack_change", Path(tmp)),
+        }
+        for name in args.workload or MEASURED:
+            compare(name, pkgs, args.rounds)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,8 @@ DISAPPEAR = -1
 # largest coordinate magnitude accepted: squared distances, velocity
 # changes and gated totals stay far from float overflow
 COORD_LIMIT = 1e100
+# most frames an input file may span: its readers keep one per frame index
+MAX_FRAMES = 1_000_000
 
 
 class InvalidInputError(ValueError):
@@ -44,8 +46,8 @@ class ParseError(ValueError):
 
 
 class SpaceCapError(RuntimeError):
-    """A construction would exceed its size cap: a candidate space, or
-    the hidden positions of a simulation."""
+    """A construction would exceed its size cap: a candidate space, the
+    hidden positions of a simulation, or the frames of an input file."""
 
 
 class JsonConfig:
@@ -391,13 +393,23 @@ def _data_lines(fh, header: str):
         first = False
 
 
+def _parse_frame(s: str, ln: int) -> int:
+    k = _parse_int(s, "frame index", ln)
+    if k < 0:
+        raise ParseError("negative frame index", ln)
+    if k >= MAX_FRAMES:
+        raise SpaceCapError(f"line {ln}: frame index {k} exceeds the cap of {MAX_FRAMES} frames")
+    return k
+
+
 def read_detections(path, dt: float = 1.0) -> FrameSequence:
     """Read the detection format into a FrameSequence.
 
     Rows are frame_index,x,y with 0-based non-decreasing frame indices.
     An optional header row, the first nonblank line, is accepted. A
     skipped frame index denotes an empty frame. Raises ParseError
-    naming the offending line otherwise.
+    naming the offending line otherwise, and SpaceCapError for a frame
+    index of MAX_FRAMES or more.
     """
     by_frame: dict[int, list[tuple[float, float]]] = {}
     last = -1
@@ -406,9 +418,7 @@ def read_detections(path, dt: float = 1.0) -> FrameSequence:
             parts = s.split(",")
             if len(parts) != 3:
                 raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", ln)
-            k = _parse_int(parts[0], "frame index", ln)
-            if k < 0:
-                raise ParseError("negative frame index", ln)
+            k = _parse_frame(parts[0], ln)
             if k < last:
                 raise ParseError("frame indices must be non-decreasing", ln)
             last = k
@@ -446,7 +456,8 @@ def read_tracks(path) -> list[list[tuple[int, float, float]]]:
 
     Rows of one track must be contiguous in frame order; tracks are
     returned sorted by their id. An optional header row, the first
-    nonblank line, is accepted.
+    nonblank line, is accepted. A frame index of MAX_FRAMES or more
+    raises SpaceCapError.
     """
     by_id: dict[int, list[tuple[int, float, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -455,9 +466,7 @@ def read_tracks(path) -> list[list[tuple[int, float, float]]]:
             if len(parts) != 4:
                 raise ParseError(f"expected 4 comma-separated fields, got {len(parts)}", ln)
             tid = _parse_int(parts[0], "track id", ln)
-            k = _parse_int(parts[1], "frame index", ln)
-            if k < 0:
-                raise ParseError("negative frame index", ln)
+            k = _parse_frame(parts[1], ln)
             x = _parse_float(parts[2], "x", ln)
             y = _parse_float(parts[3], "y", ln)
             rows = by_id.setdefault(tid, [])

@@ -365,8 +365,8 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
 # row, its row table, seed terms, (4, C) exchange terms and C values; the
 # chunking changes no value, as _Run.dense scores each row on its own
 _FOLD_CELLS = 1 << 18
-# the cells a stage must save before it prunes (_prune_pays): covers the
-# set-up of the bounds
+# the fixed cost _prune_pays adds before it lets a stage prune, kept with
+# its formula from the exchange shortlist that the prune replaced
 _PRUNE_SETUP_CELLS = 1 << 14
 
 
@@ -374,17 +374,16 @@ _PRUNE_SETUP_CELLS = 1 << 14
 class _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together; stage k is t0 + k.
 
-    Term tables: the stages whose widest frame holds m objects share one
-    table of rows of nt = m + 1 entries, tables[k]. Stage k's rows are
-    its padded table tab[i + 1, j, x] of shape (m + 1, m, m + 1), the
-    group's in_group[k]-th: mid object j's term when its predecessor is
-    previous object i and its shifted target is x (0 is DISAPPEAR,
-    lambda_event; x = l + 1 is next object l); i = -1 means j appeared
-    at the mid frame (position Gaussian). table(k) views the stage's
-    own entries. One row of zeros closes each group's table. Row
-    rowtab[r, j] holds mid object j's terms in predecessor row r, and
-    rowtab[r, n_mid[k]] is the zero row: rows enter only through each
-    mid object's predecessor.
+    Term tables: tables holds rows of nt = n + 1 entries, n the run's
+    widest frame. Stage k's rows, from row k * nt * n, are its padded
+    table tab[i + 1, j, x] of shape (n + 1, n, n + 1): mid object j's
+    term when its predecessor is previous object i and its shifted
+    target is x (0 is DISAPPEAR, lambda_event; x = l + 1 is next object
+    l); i = -1 means j appeared at the mid frame (position Gaussian).
+    table(k) views the stage's own entries; the padding is never read.
+    The last row is zeros. Row rowtab[r, j] holds mid object j's terms
+    in predecessor row r, and rowtab[r, n_mid[k]] is the zero row: rows
+    enter only through each mid object's predecessor.
 
     The arrays stack every stage: stage k owns rowtab rows r_off[k] ..
     r_off[k + 1] (its predecessor space), columns c_off[k] .. c_off[k +
@@ -409,8 +408,7 @@ class _Run:
     n_prev: list[int]
     n_mid: list[int]
     n_next: list[int]
-    tables: list[np.ndarray]
-    in_group: list[int]
+    tables: np.ndarray
     r_off: list[int]
     c_off: list[int]
     s_off: list[int]
@@ -423,9 +421,7 @@ class _Run:
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        return _table_view(
-            self.tables[k], self.in_group[k], self.n_prev[k], self.n_mid[k], self.n_next[k]
-        )
+        return _table_view(self.tables, k, self.n_prev[k], self.n_mid[k], self.n_next[k])
 
     def dense(self, k: int, rows, g_next, cols=None) -> np.ndarray:
         """Values of the columns `cols` (indices; all when None) of stage
@@ -442,12 +438,12 @@ class _Run:
         there are; the values come out column by column and are returned
         transposed.
         """
-        n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
+        n_mid, nt = self.n_mid[k], self.tables.shape[1]
         c0, c1 = self.c_off[k], self.c_off[k + 1]
         c, g = (slice(c0, c1), g_next) if cols is None else (cols + c0, g_next[cols])
         rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][rows]
         n_r = rowtab.shape[0]
-        rt = self.tables[k][rowtab].reshape(n_r, (n_mid + 1) * nt).T.copy()
+        rt = self.tables[rowtab].reshape(n_r, (n_mid + 1) * nt).T.copy()
         seed_idx = self.seed_idx[self.s_off[k] : self.s_off[k + 1], : n_mid + 1]
         seed_val = np.cumsum(np.take(rt, seed_idx, axis=0), axis=1)[:, -1]
         e = np.take(seed_val, self.seed_pos[c], axis=0)
@@ -463,7 +459,7 @@ class _Run:
     def fold_dense(self, k: int, g_next, g_prev, back, rows=None, cols=None) -> int:
         """First argmax over the columns `cols` of stage k for the rows
         `rows` (indices; all of either when None); returns cells scored."""
-        n_mid, nt = self.n_mid[k], self.tables[k].shape[1]
+        n_mid, nt = self.n_mid[k], self.tables.shape[1]
         n_rows = g_prev.shape[0] if rows is None else rows.shape[0]
         n_cols = self.c_off[k + 1] - self.c_off[k] if cols is None else cols.shape[0]
         # per row: rt, the seed terms, the exchange terms and the values
@@ -483,13 +479,14 @@ def _prune_pays(n_rows, n_seed_rows, n_cols, n_seed_cols, n_mid):
     """Whether _fold_stage prunes a stage's predecessor rows, elementwise,
     from closed-form cell counts.
 
-    The prune pays where the rows are mostly exchanges of a few seeds
-    and the columns are many. The test charges each non-seed row the S
-    (2n + 1) + n columns its exchange structure can move (S column
-    seeds, n mid objects), each seed row all n_cols, and requires that
-    total plus _PRUNE_SETUP_CELLS to stay below the stage's R C cells.
-    Small stages, and spaces whose rows are all seeds, such as full
-    spaces, fold densely with no bounds.
+    The formula is the cost model of the exchange shortlist that the
+    prune replaced, kept so that the same stages prune: each non-seed
+    row is charged the S (2n + 1) + n columns its exchange could move
+    (S column seeds, n mid objects), each seed row all n_cols, and that
+    total plus _PRUNE_SETUP_CELLS must stay below the stage's R C cells.
+    Small stages, and spaces whose rows are all seeds, fold densely with
+    no bounds. A pruning stage scores its seed rows over every column,
+    then only the rows that survive the prune, over the live columns.
     """
     per_row = n_seed_cols * (2 * n_mid + 1) + n_mid
     cells = n_seed_rows * n_cols + (n_rows - n_seed_rows) * per_row
@@ -582,12 +579,12 @@ class _Bounds:
         g_next of any column. A swap row's sum is its seed's plus the
         changes of its two moved mid objects.
         """
-        n_mid, n_next, m = run.n_mid[k], run.n_next[k], run.tables[k].shape[1] - 1
+        n_mid, n_next, m = run.n_mid[k], run.n_next[k], run.tables.shape[1] - 1
         # rowmax over the stage's table rows (i + 1) m + j, then a 0.0 that
         # stands for a moved DISAPPEAR entry
         n_tab = (m + 1) * m
-        g0 = run.in_group[k] * n_tab
-        rowmax = np.append(run.tables[k][g0 : g0 + n_tab, : n_next + 1].max(axis=1), 0.0)
+        g0 = k * n_tab
+        rowmax = np.append(run.tables[g0 : g0 + n_tab, : n_next + 1].max(axis=1), 0.0)
         rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid][seed_rows]
         ug_seed = rowmax[rowtab - g0].sum(axis=1)
         s, i, j = sp_prev.swap_info[swap_rows].T
@@ -635,9 +632,9 @@ def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
         if t0 >= run.t0:
             break
         terms = _term_tables(seq, noise, t0, t1)
-        counts, _, in_group, _, tables = terms
+        counts, tables = terms
         for k, t in enumerate(range(t0, t1)):
-            tab = _table_view(tables[k], in_group[k], *counts[k : k + 3].tolist())
+            tab = _table_view(tables, k, *counts[k : k + 3].tolist())
             bounds.step(tab, spaces[t - 1], spaces[t], lam)
     for t in range(run.t0, t_end):
         bounds.step(run.table(t - run.t0), spaces[t - 1], spaces[t], lam)
@@ -647,17 +644,16 @@ def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
 def _term_tables(seq, noise, t0: int, t1: int):
     """Term tables of stages t0 .. t1 - 1, as _Run holds them.
 
-    Returns the frame counts t0 - 1 .. t1, each stage's width (its
-    widest frame), its index in its width group, the group's zero row
-    and, per stage, its group's table. The frames are padded with one
-    scatter and the tables of one width computed at once over frames
-    padded to it; every table entry sees the float operations of
-    oracle.reference_stage_terms for its stage alone.
+    Returns the frame counts t0 - 1 .. t1 and the run's tables, with
+    zero padding. The frames are padded with one scatter, and the stages
+    of one width (their widest frame) are computed at once over frames
+    padded to it and written into their blocks; every table entry sees
+    the float operations of oracle.reference_stage_terms for its stage
+    alone.
     """
     n_st = t1 - t0
     counts = np.array(seq.counts[t0 - 1 : t1 + 1], dtype=np.int64)
     n = int(counts.max())
-    n_prev, n_mid, n_next = counts[:-2], counts[1:-1], counts[2:]
     dt, lam = seq.dt, noise.lambda_event
     sig = [noise.sigma_for_pair(t) for t in range(t0, t1)]
     v_scale2 = np.array([s * s for s in sig])
@@ -670,19 +666,11 @@ def _term_tables(seq, noise, t0: int, t1: int):
     frames.transpose(1, 2, 0)[np.arange(n) < counts[:, None]] = np.concatenate(
         seq.frames[t0 - 1 : t1 + 1]
     )
-    width = np.maximum(np.maximum(n_prev, n_mid), n_next)
-    in_group = np.empty(n_st, dtype=np.int64)
-    zero_row = np.empty(n_st, dtype=np.int64)
-    tables_of = {}
+    tables = np.zeros((n_st * (n + 1) * n + 1, n + 1))
+    blocks = tables[:-1].reshape(n_st, n + 1, n, n + 1)
+    width = np.maximum(np.maximum(counts[:-2], counts[1:-1]), counts[2:])
     for m in sorted(set(width.tolist())):
         g = np.flatnonzero(width == m)
-        in_group[g] = np.arange(g.shape[0])
-        # the group's padded tables as rows of m + 1 entries, then a zero row
-        n_tab = g.shape[0] * (m + 1) * m
-        zero_row[g] = n_tab
-        rows = np.empty((n_tab + 1, m + 1))
-        rows[n_tab] = 0.0
-        padded = rows[:n_tab].reshape(g.shape[0], m + 1, m, m + 1)
         prev_f, mid_f, next_f = frames[:, g, :m], frames[:, g + 1, :m], frames[:, g + 2, :m]
         # dot products and squared norms are written out: x term plus y
         # term, the order in which oracle.reference_stage_terms's einsum
@@ -690,8 +678,8 @@ def _term_tables(seq, noise, t0: int, t1: int):
         disp = next_f[:, :, None, :] - mid_f[:, :, :, None]  # (axis, stage, mid, next)
         v2 = disp / dt
         v1 = (mid_f[:, :, None, :] - prev_f[:, :, :, None]) / dt  # (axis, stage, prev, mid)
-        padded[:, :, :, 0] = lam
-        padded[:, 0, :, 1:] = p_const[g, None, None] - (
+        blocks[g, : m + 1, :m, 0] = lam
+        blocks[g, 0, :m, 1 : m + 1] = p_const[g, None, None] - (
             disp[0] * disp[0] + disp[1] * disp[1]
         ) / (2.0 * p_scale2[g, None, None])
         # v_const - (|v2|^2 - 2 v1.v2 + |v1|^2) / (2 v_scale2), in place
@@ -701,32 +689,31 @@ def _term_tables(seq, noise, t0: int, t1: int):
         np.subtract((v2[0] * v2[0] + v2[1] * v2[1])[:, None], vel, out=vel)
         vel += (v1[0] * v1[0] + v1[1] * v1[1])[..., None]
         vel /= 2.0 * v_scale2[g, None, None, None]
-        np.subtract(v_const[g, None, None, None], vel, out=padded[:, 1:, :, 1:])
-        tables_of[m] = rows
-    return counts, width, in_group, zero_row, [tables_of[m] for m in width.tolist()]
+        np.subtract(v_const[g, None, None, None], vel, out=vel)
+        blocks[g, 1 : m + 1, :m, 1 : m + 1] = vel
+    return counts, tables
 
 
-def _table_view(rows, i: int, n_prev: int, n_mid: int, n_next: int) -> np.ndarray:
-    """The i-th stage table of a width group's rows, tab[i + 1, j, x], as a view."""
-    nt = rows.shape[1]
+def _table_view(tables, k: int, n_prev: int, n_mid: int, n_next: int) -> np.ndarray:
+    """Stage k's table in a run's tables, tab[i + 1, j, x], as a view."""
+    nt = tables.shape[1]
     n_tab = nt * (nt - 1)
-    tab = rows[i * n_tab : (i + 1) * n_tab].reshape(nt, nt - 1, nt)
+    tab = tables[k * n_tab : (k + 1) * n_tab].reshape(nt, nt - 1, nt)
     return tab[: n_prev + 1, :n_mid, : n_next + 1]
 
 
 def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
 
-    Besides listing the spaces' arrays, the work is a fixed number of
-    array operations per run, plus a few per width group: the term
-    tables come from _term_tables, and the run's spaces are stacked,
-    padded with DISAPPEAR, so rowtab is one scatter of the predecessor
-    rows and seed_idx one take of the successor seeds. Whether each
-    stage prunes (_fold_stage) is decided here from the closed-form cell
-    counts. terms is _term_tables's output for these stages when the
-    prune's forward bounds computed it already.
+    Besides listing the spaces' arrays and _term_tables's few per width,
+    the work is a fixed number of array operations per run: the run's
+    spaces are stacked, padded with DISAPPEAR, so rowtab is one scatter
+    of the predecessor rows and seed_idx one take of the successor
+    seeds. Whether each stage prunes (_fold_stage) is decided here from
+    the closed-form cell counts. terms is _term_tables's output for
+    these stages when the prune's forward bounds computed it already.
     """
-    counts, width, in_group, zero_row, tables = terms or _term_tables(seq, noise, t0, t1)
+    counts, tables = terms or _term_tables(seq, noise, t0, t1)
     n_st, n = t1 - t0, int(counts.max())
     n_prev, n_mid, n_next = counts[:-2], counts[1:-1], counts[2:]
     lam = noise.lambda_event
@@ -773,10 +760,9 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     x_i, x_j = seed_xc[seed_of, i_of], seed_xc[seed_of, j_of]
     # entry lists (_Run): the padding target 0 at j = n_mid reads the zero
     # row, which ends each seed's list and is all four of a seed column's
-    nt = width + 1
-    seed_idx = seed_xc + np.arange(n + 1) * np.repeat(nt, s_sizes)[:, None]
-    nt_c = nt[col_stage]
-    i_t, j_t = i_of * nt_c, j_of * nt_c
+    nt = n + 1
+    seed_idx = seed_xc + np.arange(n + 1) * nt
+    i_t, j_t = i_of * nt, j_of * nt
     swap_idx = np.stack([i_t + x_j, j_t + x_i, i_t + x_i, j_t + x_j])
     matched = (seed_xc > 0).sum(axis=1)
     appear = lam * (n_next[col_stage] - matched[seed_of])
@@ -786,16 +772,16 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     # goes to flat position r * (n + 2) + 1 + its target, computed in
     # place in stacked, so DISAPPEAR entries and the padding all land in
     # column 0, which is dropped. Then it becomes the table row
-    # ((in_group * (m + 1) + i + 1) * m + j), and column n_mid the zero row
+    # ((k (n + 1) + i + 1) n + j), and column n_mid the zero row
     rowtab = np.zeros((n_rows, n + 2), dtype=np.int64)
     at = stacked[:n_rows]
     at += np.arange(1, n_rows * (n + 2) + 1, n + 2)[:, None]
     rowtab.reshape(-1)[at] = np.arange(1, n + 1)
-    rowtab *= np.repeat(width, sizes[:-1])[:, None]
-    rowtab += np.repeat(in_group * (width + 1) * width - 1, sizes[:-1])[:, None]
+    rowtab *= n
+    rowtab += np.repeat(np.arange(n_st) * (n + 1) * n - 1, sizes[:-1])[:, None]
     rowtab += np.arange(n + 2)
     rowtab = rowtab[:, 1:]
-    rowtab[np.arange(n_rows), np.repeat(n_mid, sizes[:-1])] = np.repeat(zero_row, sizes[:-1])
+    rowtab[np.arange(n_rows), np.repeat(n_mid, sizes[:-1])] = tables.shape[0] - 1
 
     prunes = _prune_pays(sizes[:-1], n_seeds[:-1], c_sizes, s_sizes, n_mid)
     return _Run(
@@ -804,7 +790,6 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
         n_mid=n_mid.tolist(),
         n_next=n_next.tolist(),
         tables=tables,
-        in_group=in_group.tolist(),
         r_off=off[:-1].tolist(),
         c_off=c_off.tolist(),
         s_off=s_off.tolist(),
@@ -1212,7 +1197,7 @@ def evaluation_count(space_sizes) -> int:
     """Number of stage-score evaluations a DP over these spaces needs:
     |S_0| first-pair scores plus |S_{t-1}|*|S_t| per later stage."""
     sizes = list(space_sizes)
-    return sizes[0] + sum(sizes[t - 1] * sizes[t] for t in range(1, len(sizes)))
+    return sum(sizes[:1]) + sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
 def track(

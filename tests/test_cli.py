@@ -443,6 +443,29 @@ class TestExitCodes:
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    def test_huge_frame_index_exits_runtime_in_little_memory(self, tmp_path, capsys, command):
+        # one entry per frame index would take terabytes: refused on reading
+        if command == "track":
+            det = tmp_path / "det.csv"
+            det.write_text("frame_index,x,y\n0,0,0\n1,1,1\n1000000000000,2,2\n")
+            argv = ["track", "--input", str(det)]
+        else:
+            tracks = tmp_path / "tracks.csv"
+            tracks.write_text("track_id,frame_index,x,y\n0,0,0,0\n0,1,1,1\n1,1000000000000,2,2\n")
+            argv = ["evaluate", "--input", str(tracks), "--truth", str(tracks)]
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_RUNTIME
+        assert peak < 1 << 20
+        assert "cap of 1000000 frames" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag(self, tmp_path):
         assert main(["simulate", "--seed", "-1", "--output", str(tmp_path / "v")]) == EXIT_CONFIG
 

@@ -187,6 +187,7 @@ class TestValidation:
 
 def test_evaluation_count():
     # |S_0| first-pair scores, then |S_{t-1}|*|S_t| per stage
+    assert evaluation_count([]) == 0
     assert evaluation_count([4]) == 4
     assert evaluation_count([4, 5, 6]) == 4 + 20 + 30
 

@@ -284,17 +284,15 @@ def test_dense_fold_in_row_chunks_equals_reference(fold_cells, rng):
     assert spy.call_count > 1
 
 
-@pytest.mark.parametrize(
-    "counts",
-    [
-        # widths 5, 5, 4, 4, 6, 6: three groups of two stages, mid counts
-        # 5, 2, 4, 0, 3, 6 (the last fills the run's widest frame)
-        (3, 5, 2, 4, 0, 3, 6, 2),
-        (6, 1, 4, 4, 2, 5, 3),
-    ],
-)
-@pytest.mark.parametrize("delta", [0, 1, 2])
-def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
+# stage widths (widest frame) 5, 5, 4, 4, 6, 6: _term_tables computes
+# three widths of two stages each; mid counts 5, 2, 4, 0, 3, 6 (the last
+# fills the run's widest frame)
+MULTI_WIDTH = [(3, 5, 2, 4, 0, 3, 6, 2), (6, 1, 4, 4, 2, 5, 3)]
+
+
+def multi_width_video(counts, delta, rng):
+    """Frames of these counts on a coarse grid, their reduced spaces
+    and a noise model with one sigma per pair."""
     frames = tuple(rng.integers(0, 4, size=(n, 2)).astype(float) for n in counts)
     seq = FrameSequence(frames)
     spaces = [
@@ -304,16 +302,26 @@ def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
     noise = NoiseModel(
         sigmas=tuple(0.5 + 0.25 * t for t in range(len(seq) - 1)), lambda_event=-3.0
     )
+    return seq, spaces, noise
+
+
+@pytest.mark.parametrize("counts", MULTI_WIDTH)
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
+    seq, spaces, noise = multi_width_video(counts, delta, rng)
     run = tripartite._stages(seq, spaces, noise, 1, len(seq) - 1)
-    assert len({tab.shape[1] for tab in run.tables}) == 3 and max(run.in_group) == 1
+    # one table for the run: a block per stage at the widest frame, then
+    # a zero row
+    n = max(counts)
+    assert run.tables.shape == ((len(seq) - 2) * (n + 1) * n + 1, n + 1)
+    assert not run.tables[-1].any()
     for k in range(len(seq) - 2):
         t = k + 1
         sp_prev, sp_next = spaces[t - 1], spaces[t]
         n_rows, n_cols = len(sp_prev), len(sp_next)
-        # every row's last term row is its group's zero row
+        # every row's last term row is the zero row
         zero = run.rowtab[run.r_off[k] : run.r_off[k + 1], run.n_mid[k]]
-        assert np.all(zero == run.tables[k].shape[0] - 1)
-        assert not run.tables[k][-1].any()
+        assert np.all(zero == run.tables.shape[0] - 1)
         g_next = np.round(rng.normal(0.0, 3.0, size=n_cols))
         dense = run.dense(k, np.arange(n_rows), g_next)
         direct = direct_cells(seq, sp_prev, sp_next, g_next, noise, t)
@@ -323,5 +331,47 @@ def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
         g_prev, back, _ = tripartite._fold_stage(run, k, sp_prev, g_next)
         assert np.array_equal(g_prev, want[0])
         assert np.array_equal(back, want[1])
-    # the pruned fold, whose bounds read each width group's tables
+    # the pruned fold, whose bounds read every stage's table
     assert_pruned_fold_equals_reference(seq, spaces, noise)
+
+
+TERM_TABLES = tripartite._term_tables
+
+
+def poisoned_term_tables(seq, noise, t0, t1):
+    """_term_tables with NaN in every cell outside each stage's own
+    table, tab[:n_prev + 1, :n_mid, :n_next + 1]; the zero row stays."""
+    counts, tables = TERM_TABLES(seq, noise, t0, t1)
+    n = tables.shape[1] - 1
+    own = np.zeros((t1 - t0, n + 1, n, n + 1), dtype=bool)
+    for k in range(t1 - t0):
+        n_prev, n_mid, n_next = counts[k : k + 3].tolist()
+        own[k, : n_prev + 1, :n_mid, : n_next + 1] = True
+    tables[:-1][~own.reshape(-1, n + 1)] = np.nan
+    return counts, tables
+
+
+@pytest.mark.parametrize("fold_cells", [tripartite._FOLD_CELLS, 1])
+@pytest.mark.parametrize("counts", MULTI_WIDTH)
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_table_padding_is_never_read(counts, delta, fold_cells, rng):
+    # NaN in the padding would reach any value that read it; with
+    # fold_cells 1 every stage is a run of its own, so the prune's
+    # forward bounds compute the tables of the runs set up later
+    seq, spaces, noise = multi_width_video(counts, delta, rng)
+    folds = {
+        "dense": lambda: tripartite._solve_dp(seq, spaces, noise),
+        "pruned": lambda: fold(seq, spaces, noise)[0],
+    }
+    with mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells):
+        for name, run_fold in folds.items():
+            ms, score, cells, runs, pruned = run_fold()
+            poison = mock.patch.object(
+                tripartite, "_term_tables", side_effect=poisoned_term_tables
+            )
+            with poison as spy:
+                got = run_fold()
+            assert spy.call_count >= len(runs)
+            assert got[0] == ms, name
+            assert got[1].hex() == score.hex(), name
+            assert got[2:] == (cells, runs, pruned), name

@@ -14,12 +14,19 @@ and fold the survivors densely. The integer-grid videos, whose
 exact ties make the tie certificate
 fire, pin each pair's tie_refinements, the matchings and the score at
 delta 0, 1 and 2; they were recorded before the certificate's first
-test moved wholly into the batched sweep.
+test moved wholly into the batched sweep. The benchmark's seed-0
+digests (scripts/output_digest.py) were recorded before the term
+tables of a stage run moved into one padded layout; a change that
+moves dp_cells by design updates them and says so.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +187,35 @@ def test_experiment_tables_are_pinned(tmp_path):
         for name in EXPERIMENT_GOLDEN
     }
     assert got == EXPERIMENT_GOLDEN
+
+
+# scripts/output_digest.py's (outputs, dp_cells) digests per workload
+BENCH_SEED0_GOLDEN = {
+    "long": (
+        "06e9aaae7f535966c902adf7bf004b2bd86dae2fea9b01f8af5140e11779b4c2",
+        "6b3b1c308017cbf734efcdc5bdcb360c18af38ce6824326e900a1a0eb5cf54a9",
+    ),
+    "crowded": (
+        "b0a612d82f5578e9df7a17516718b9a678c176560866d62d22dfdad3095f1b3d",
+        "0dbf1b3cc7f7722c4ab2ea4db43136ca36ef591de6f8ed7116b34f9396cea537",
+    ),
+    "noisy": (
+        "2f290f4611f1ba7c18363363ae554b091a932eb4a3b3f1631ae869b2e1dc4839",
+        "bcd7687df5f09cbbf045811609b9046adb58778a0334bf45eb2f3d0ece12cef9",
+    ),
+}
+
+
+def test_bench_seed0_digests():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "output_digest.py")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = {}
+    for line in proc.stdout.splitlines():
+        name, _, outputs, _, cells = line.split()
+        got[name] = (outputs, cells)
+    assert got == BENCH_SEED0_GOLDEN

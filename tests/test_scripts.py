@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from velotrack.tripartite import TRACK_LAYERS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -52,3 +54,10 @@ def test_output_digest_repeats():
     name, outputs_tag, outputs, cells_tag, cells = out.split()
     assert (name, outputs_tag, cells_tag) == ("smoke", "outputs", "dp_cells")
     assert len(outputs) == len(cells) == 64 and outputs != cells
+
+
+def test_compare_laps_against_itself():
+    out = run_script("compare_laps.py", "--parent", str(ROOT), "--workload", "smoke", "--rounds", "1")
+    lines = out.strip().splitlines()
+    assert lines[0] == "smoke: 2 videos, 1 rounds, outputs differ on 0 videos"
+    assert [line.split()[0] for line in lines[2:]] == [*TRACK_LAYERS, "track()"]
