@@ -23,15 +23,18 @@ augmenting path. _tie_possible searches for these in O(n^2); only when
 it finds one does the exact lexicographic refinement run. Ties between
 cardinalities of equal gated total are compared separately.
 
-_sweep runs the sweeps of many pairs in lockstep, one padded batch
-with a vectorized Dijkstra step, and keeps each pair's snapshots bit
-for bit as a sweep of that pair alone would (oracle.reference_sweep).
-track() sweeps all frame pairs of a video in one batch; the gated
-choice of every pair and the fixed-d seeds of every reduced space are
-then read from that one _Sweep, which shares each refinement between
-them. The certificate's first test, the smallest reduced cost off the
-matching, runs for all the matchings read in one batch per chunk, and
-_tie_possible searches the tight subgraph of those it leaves open.
+_sweep runs the sweeps of many pairs of point sets in lockstep, in
+padded chunks with a vectorized Dijkstra step, and keeps each pair's
+snapshots bit for bit as a sweep of that pair alone would
+(oracle.reference_sweep). Only the chunks compute costs, and each
+records its rows' minima, from which _Sweep.gate reads the gate.
+track() sweeps all frame pairs of a video in one batch; the gate, the
+gated choice of every pair and the fixed-d seeds of every reduced
+space are read from that one _Sweep, which shares each refinement
+between them. The certificate's first test, the smallest reduced
+cost off the matching, runs for all the matchings read in one batch
+per chunk, and _tie_possible searches the tight subgraph of those it
+leaves open.
 """
 
 from __future__ import annotations
@@ -78,9 +81,11 @@ class BipartiteConfig:
             raise InvalidConfigError("gate quantile must lie strictly between 0 and 1")
 
 
-def _cost_matrix(frame_a: np.ndarray, frame_b: np.ndarray) -> np.ndarray:
-    diff = frame_a[:, None, :] - frame_b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of broadcast points (last axis x, y): the edge costs."""
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    return dx * dx + dy * dy
 
 
 @dataclass
@@ -103,7 +108,8 @@ class _Chunk:
     """One padded chunk of a batched sweep and its snapshots.
 
     Position q holds pair order[q] of the chunk; cost[q] is its cost
-    matrix padded with +inf and tol[q] its certificate tolerance.
+    matrix padded with +inf and tol[q] its certificate tolerance;
+    row_min holds the minima of the real rows of pairs with n_b > 0.
     row_to, u and v are indexed [k - 1, q, i] after k augmentations
     (padded rows hold row_to = -2); card_cost is indexed [k - 1, q] and
     is +inf past the pair's k_stop.
@@ -112,6 +118,7 @@ class _Chunk:
     order: np.ndarray
     cost: np.ndarray
     tol: np.ndarray
+    row_min: np.ndarray
     row_to: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -119,34 +126,35 @@ class _Chunk:
     steps: np.ndarray
 
 
-def _sweep(costs: list[np.ndarray], k_stops: list[int] | None = None) -> "_Sweep":
+def _sweep(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops=None) -> "_Sweep":
     """Successive shortest augmenting paths for many pairs in lockstep.
 
-    Pair p is augmented up to cardinality k_stops[p] (default: its
-    kmax). The pairs are padded into (pairs, rows, columns) chunks of at
-    most _SWEEP_CELLS cells (a larger pair goes alone) and each chunk is
-    swept by _sweep_chunk.
+    Pair p matches the (n, 2) points a[p] to b[p] up to cardinality
+    k_stops[p] (default: its kmax). The pairs are grouped into chunks of
+    at most _SWEEP_CELLS padded (pairs, rows, columns) cells (a larger
+    pair goes alone), and _sweep_chunk computes and sweeps each chunk.
     """
     if k_stops is None:
-        k_stops = [min(c.shape) for c in costs]
+        k_stops = [min(len(x), len(y)) for x, y in zip(a, b)]
     chunks: list[tuple[int, _Chunk]] = []
     p0 = 0
-    while p0 < len(costs):
+    while p0 < len(a):
         p1 = p0 + 1
-        rows, cols = costs[p0].shape
-        while p1 < len(costs):
-            r, c = max(rows, costs[p1].shape[0]), max(cols, costs[p1].shape[1])
+        rows, cols = len(a[p0]), len(b[p0])
+        while p1 < len(a):
+            r, c = max(rows, len(a[p1])), max(cols, len(b[p1]))
             if (p1 - p0 + 1) * r * c > _SWEEP_CELLS:
                 break
             rows, cols, p1 = r, c, p1 + 1
-        chunks.append((p0, _sweep_chunk(costs[p0:p1], k_stops[p0:p1])))
+        chunks.append((p0, _sweep_chunk(a[p0:p1], b[p0:p1], k_stops[p0:p1])))
         p0 = p1
-    return _Sweep(costs, k_stops, chunks)
+    return _Sweep(a, b, k_stops, chunks)
 
 
-def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> _Chunk:
+def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _Chunk:
     """_sweep on one padded chunk of pairs.
 
+    The costs are one broadcast over points padded with one scatter.
     Padded cells cost +inf, so padded columns are never reached, and
     padded rows hold row_to = -2, never free and never matched. The
     pairs are ordered by k_stop, largest first, so the pairs augmenting
@@ -166,24 +174,28 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> _Chunk:
     near-ties on continuous data below this scale are indistinguishable
     from ties.
     """
-    n_p = len(costs)
+    n_p = len(a)
     order = np.argsort([-k for k in k_stops], kind="stable")
-    n_a = np.array([costs[p].shape[0] for p in order], dtype=np.int64)
-    n_b = np.array([costs[p].shape[1] for p in order], dtype=np.int64)
+    n_a = np.array([len(a[p]) for p in order], dtype=np.int64)
+    n_b = np.array([len(b[p]) for p in order], dtype=np.int64)
     k_stop = np.array([k_stops[p] for p in order], dtype=np.int64)
     rows, cols = int(n_a.max()), int(n_b.max())
     n_k = int(k_stop[0])
-    cost = np.full((n_p, rows, cols), np.inf)
-    for q, p in enumerate(order):
-        cost[q, : n_a[q], : n_b[q]] = costs[p]
-    real = (np.arange(rows) < n_a[:, None])[:, :, None]
-    real = real & (np.arange(cols) < n_b[:, None])[:, None, :]
-    scale = np.where(real, np.abs(cost), 0.0).max(axis=(1, 2), initial=0.0)
+    real_a = np.arange(rows) < n_a[:, None]
+    real_b = np.arange(cols) < n_b[:, None]
+    # the masks run pair by pair, so the points fill them in order
+    pa, pb = np.zeros((n_p, rows, 2)), np.zeros((n_p, cols, 2))
+    pa[real_a] = np.concatenate([a[p] for p in order])
+    pb[real_b] = np.concatenate([b[p] for p in order])
+    real = real_a[:, :, None] & real_b[:, None, :]
+    cost = np.where(real, _sq_dist(pa[:, :, None], pb[:, None]), np.inf)
+    row_min = cost.min(axis=2, initial=np.inf)[real_a & (n_b > 0)[:, None]]
+    scale = np.where(real, cost, 0.0).max(axis=(1, 2), initial=0.0)
     tol = 64.0 * np.maximum(n_a, n_b) * np.finfo(np.float64).eps * (1.0 + scale)
     cost_rows = cost.reshape(n_p * rows, cols)
     u = np.zeros((n_p, rows))
     v = np.zeros((n_p, cols))
-    row_to = np.where(np.arange(rows) < n_a[:, None], -1, -2)
+    row_to = np.where(real_a, -1, -2)
     col_to = np.full((n_p, cols), -1, dtype=np.int64)
     uf, row_tof, col_tof = u.reshape(-1), row_to.reshape(-1), col_to.reshape(-1)
     pair = np.arange(n_p)
@@ -268,7 +280,7 @@ def _sweep_chunk(costs: list[np.ndarray], k_stops: list[int]) -> _Chunk:
         # each pair has k + 1 matched rows: one row-order sum per pair
         lp, li = np.nonzero(row_to[:m] >= 0)
         snap_cost[k, :m] = cost[lp, li, row_to[lp, li]].reshape(m, k + 1).sum(axis=1)
-    return _Chunk(order, cost, tol, snap_row_to, snap_u, snap_v, snap_cost, steps)
+    return _Chunk(order, cost, tol, row_min, snap_row_to, snap_u, snap_v, snap_cost, steps)
 
 
 def _reach(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -342,15 +354,16 @@ def _tie_possible(
     return _has_cycle(adj)
 
 
-def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
-    """Lexicographically smallest min-cost matching of cardinality k.
+def _lex_fixed_k(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Lexicographically smallest min-cost matching of the points a and
+    b with cardinality k.
 
     Fixes entries row by row, preferring -1 and then ascending columns,
     keeping the first choice whose completion cost ties the row minimum.
     Each row sweeps its minimum and every candidate's completion in one
     batch.
     """
-    n_a, n_b = cost.shape
+    n_a, n_b = len(a), len(b)
     chosen = np.full(n_a, -1, dtype=np.int64)
     avail = list(range(n_b))
     kr = k
@@ -364,17 +377,15 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
         if len(cands) == 1:
             pick = 0
         else:
-            rest = range(i + 1, n_a)
-            subs = [cost[np.ix_(range(i, n_a), avail)]]
-            needs = [kr]
+            sub_b, needs = [b[avail]], [kr]
             for j in cands:
-                subs.append(cost[np.ix_(rest, [c for c in avail if c != j])])
+                sub_b.append(b[[c for c in avail if c != j]])
                 needs.append(kr if j == -1 else kr - 1)
-            sw = _sweep(subs, needs)
+            sw = _sweep([a[i:]] + [a[i + 1 :]] * len(cands), sub_b, needs)
             row_min, *completions = sw.card_cost[np.arange(len(needs)), needs].tolist()
             tol = _TIE_RTOL * (1.0 + abs(row_min))
             vals = [
-                (0.0 if j == -1 else float(cost[i, j])) + m
+                (0.0 if j == -1 else float(_sq_dist(a[i], b[j]))) + m
                 for j, m in zip(cands, completions)
             ]
             hits = [idx for idx, val in enumerate(vals) if val <= row_min + tol]
@@ -392,21 +403,20 @@ def _lex_fixed_k(cost: np.ndarray, k: int) -> np.ndarray:
 class _Sweep:
     """A batched SSP sweep of many pairs and the matchings read from it.
 
-    card_cost[p, k] is the min cost of a cardinality-k matching of pair
-    p (0 at k = 0, +inf past the pair's k_stop). rows() reads many
-    (pair, k) matchings at once and memoizes them, so the gated matching
-    and the fixed-d seeds of a pair share each tie refinement, which
-    runs where _certify fires; tie_refinements[p] counts the
-    cardinalities of pair p whose certificate fired.
+    Pair p matches the points a[p] to b[p]; card_cost[p, k] is the min
+    cost of its cardinality-k matching (0 at k = 0, +inf past its
+    k_stop). rows() reads many (pair, k) matchings at once and memoizes
+    them, so the gated matching and the fixed-d seeds of a pair share
+    each tie refinement, which runs where _certify fires;
+    tie_refinements[p] counts the cardinalities of pair p whose
+    certificate fired.
     """
 
-    def __init__(
-        self, costs: list[np.ndarray], k_stops: list[int], chunks: list[tuple[int, _Chunk]]
-    ):
-        n_p = len(costs)
-        self.costs = costs
-        self.n_a = np.array([c.shape[0] for c in costs], dtype=np.int64)
-        self.n_b = np.array([c.shape[1] for c in costs], dtype=np.int64)
+    def __init__(self, a, b, k_stops, chunks: list[tuple[int, _Chunk]]):
+        n_p = len(a)
+        self.a, self.b = a, b
+        self.n_a = np.array([len(x) for x in a], dtype=np.int64)
+        self.n_b = np.array([len(x) for x in b], dtype=np.int64)
         self.k_stop = np.array(k_stops, dtype=np.int64)
         n_k = int(self.k_stop.max(initial=0))
         self.card_cost = np.full((n_p, n_k + 1), np.inf)
@@ -426,6 +436,18 @@ class _Sweep:
         # memo of rows(): _slot[p, k] indexes _rows, -1 when not read yet
         self._slot = np.full((n_p, n_k + 1), -1, dtype=np.int64)
         self._rows = np.empty((0, int(self.n_a.max(initial=0))), dtype=np.int64)
+
+    def gate(self, cfg: BipartiteConfig) -> float:
+        """cfg's fixed gate cost, or the quantile of the row minima of
+        the pairs with both frames nonempty (1.0, with a warning, when
+        there are none)."""
+        if cfg.gate_cost is not None:
+            return float(cfg.gate_cost)
+        samples = [ch.row_min for ch in self._chunks if ch.row_min.size]
+        if not samples:
+            warnings.warn("no distance samples to set the gate cost, using 1.0")
+            return 1.0
+        return _quantile(np.concatenate(samples), cfg.gate_quantile)
 
     def state(self, p: int) -> _SweepState:
         """Pair p's snapshots, as a sweep of that pair alone returns them."""
@@ -487,7 +509,7 @@ class _Sweep:
             for i in np.flatnonzero(self._certify(p_new, k_new)):
                 p, k = int(p_new[i]), int(k_new[i])
                 self.tie_refinements[p] += 1
-                block[i, : self.n_a[p]] = _lex_fixed_k(self.costs[p], k)
+                block[i, : self.n_a[p]] = _lex_fixed_k(self.a[p], self.b[p], k)
             self._slot[p_new, k_new] = self._rows.shape[0] + np.arange(key.shape[0])
             self._rows = np.concatenate([self._rows, block])
         return self._rows[self._slot[pairs, ks]]
@@ -532,8 +554,8 @@ def fixed_d_matchings(
 
     Feeding several d values shares the sweep.
     """
-    (cost,) = _pair_costs(FrameSequence((frame_a, frame_b)))
-    n_a, n_b = cost.shape
+    seq = FrameSequence((frame_a, frame_b))
+    n_a, n_b = seq.counts
     d_list = sorted(set(int(d) for d in ds))
     lo = max(0, n_a - n_b)
     for d in d_list:
@@ -542,7 +564,7 @@ def fixed_d_matchings(
                 f"d={d} infeasible for frame sizes ({n_a}, {n_b})"
             )
     k_needed = max(n_a - d for d in d_list) if d_list else 0
-    sw = _sweep([cost], [k_needed])
+    sw = _sweep(seq.frames[:1], seq.frames[1:], [k_needed])
     return dict(zip(d_list, sw.vectors([0] * len(d_list), [n_a - d for d in d_list])))
 
 
@@ -585,22 +607,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return v[np.r_[True, v[1:] != v[:-1]]]
 
 
-def _gate_from_costs(costs: list[np.ndarray], cfg: BipartiteConfig) -> float:
-    """cfg's fixed gate cost, or the quantile of the row minima of the
-    nonempty cost matrices (1.0, with a warning, when there are none)."""
-    if cfg.gate_cost is not None:
-        return float(cfg.gate_cost)
-    samples = [c.min(axis=1) for c in costs if c.size]
-    if not samples:
-        warnings.warn("no distance samples to set the gate cost, using 1.0")
-        return 1.0
-    return _quantile(np.concatenate(samples), cfg.gate_quantile)
-
-
-def _pair_costs(seq: FrameSequence) -> list[np.ndarray]:
-    return [_cost_matrix(seq.frames[k], seq.frames[k + 1]) for k in range(len(seq) - 1)]
-
-
 def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
     """Concrete gate cost for a sequence under the given config.
 
@@ -608,7 +614,7 @@ def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
     its nearest neighbour in frame k+1 enters the pool, and the gate
     cost is the requested quantile of that pool.
     """
-    return _gate_from_costs(_pair_costs(seq), cfg)
+    return _sweep(seq.frames[:-1], seq.frames[1:], [0] * (len(seq) - 1)).gate(cfg)
 
 
 def solve_bmcf_sequence(
@@ -621,7 +627,6 @@ def solve_bmcf_sequence(
     Returns the gate cost and one matching vector per consecutive frame
     pair.
     """
-    costs = _pair_costs(seq)
-    gate = _gate_from_costs(costs, cfg or BipartiteConfig())
-    sw = _sweep(costs)
-    return gate, sw.vectors(range(len(costs)), sw.gated(gate))
+    sw = _sweep(seq.frames[:-1], seq.frames[1:])
+    gate = sw.gate(cfg or BipartiteConfig())
+    return gate, sw.vectors(range(len(seq) - 1), sw.gated(gate))

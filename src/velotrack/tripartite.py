@@ -27,12 +27,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import (
-    BipartiteConfig,
-    _gate_from_costs,
-    _pair_costs,
-    _sweep,
-)
+from .assignment import BipartiteConfig, _sweep
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -228,13 +223,13 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     """
     if int(delta) != delta or delta < 0:
         raise InvalidConfigError("delta must be a nonnegative integer")
-    (cost,) = _pair_costs(FrameSequence((frame_a, frame_b)))
-    n_a, n_b = cost.shape
+    seq = FrameSequence((frame_a, frame_b))
+    n_a, n_b = seq.counts
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
     # the sweep stops at the largest cardinality the neighborhood needs
     d_lo = neighborhood(d_star, int(delta), n_a, n_b)[0]
-    sw = _sweep([cost], [n_a - d_lo])
+    sw = _sweep(seq.frames[:1], seq.frames[1:], [n_a - d_lo])
     pair, ks = _seed_cardinalities(sw.n_a, sw.n_b, np.array([d_star]), int(delta))
     return _assemble_spaces(pair, sw.rows(pair, ks), sw.n_a, sw.n_b)[0]
 
@@ -872,8 +867,8 @@ def _fold_stage(run: _Run, k: int, sp_prev, g_next, bounds=None):
 
 # the layers of track(), in order, that TrackDiagnostics.layer_seconds times
 TRACK_LAYERS = (
-    "gate",
     "sweep",
+    "gate",
     "tie_certificate",
     "sigma",
     "spaces",
@@ -1221,11 +1216,10 @@ def track(
         raise InvalidInputError("need at least 2 frames")
     lap = _Laps()
     f = len(seq)
-    costs = _pair_costs(seq)
-    gate = _gate_from_costs(costs, BipartiteConfig(gate_quantile=cfg.gate_quantile))
-    lap("gate")
-    sw = _sweep(costs)
+    sw = _sweep(seq.frames[:-1], seq.frames[1:])
     lap("sweep")
+    gate = sw.gate(BipartiteConfig(gate_quantile=cfg.gate_quantile))
+    lap("gate")
     pairs = np.arange(f - 1)
     n_a, n_b = sw.n_a, sw.n_b
     k_star = sw.gated(gate)
@@ -1243,7 +1237,7 @@ def track(
     seeds = sw.rows(seed_pair, seed_k)
     tie_refinements = tuple(sw.tie_refinements.tolist())
     sweep_steps = tuple(sw.steps.tolist())
-    del sw, costs  # the DP needs no sweep; free the cost matrices and snapshots
+    del sw  # the DP needs no sweep; free its cost matrices and snapshots
     lap("tie_certificate")
 
     fixed = cfg.fixed_sigma()

@@ -1,6 +1,8 @@
 """Bipartite min-cost matching: exactness, gating, tie handling."""
 
 import math
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,11 +20,19 @@ from velotrack import (
     resolve_gate_cost,
     simulate,
     solve_bmcf,
+    solve_bmcf_sequence,
     track,
 )
 from velotrack import assignment, tripartite
 from velotrack.core import FrameSequence
 from velotrack.oracle import exhaustive_bipartite_min, reference_sweep
+
+
+def einsum_costs(a, b) -> np.ndarray:
+    """Squared distances between the points a and b by einsum, the
+    reference the sweep's written-out costs must equal bit for bit."""
+    diff = np.asarray(a, dtype=float)[:, None, :] - np.asarray(b, dtype=float)[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def test_config_validation():
@@ -148,6 +158,12 @@ def test_matches_oracle_on_random_instances(rng):
             assert got == want, (trial, d)
 
 
+gate_point = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+)
+
+
 class TestGateSelection:
     def test_pair_quantile(self):
         a = [(0.0, 0.0), (10.0, 0.0)]
@@ -200,6 +216,37 @@ class TestGateSelection:
         seq = FrameSequence((np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])))
         assert resolve_gate_cost(seq, cfg) == 7.5
 
+    @settings(max_examples=200)
+    @given(
+        frames=st.lists(
+            st.one_of(
+                st.just([]),
+                st.lists(gate_point, min_size=1, max_size=1),
+                st.lists(gate_point, max_size=5),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        q=st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.just(0.99)),
+    )
+    def test_gate_is_quantile_of_row_minima(self, frames, q):
+        # the sweep's row minima are the einsum cost matrices' row minima
+        # of every pair with both frames nonempty
+        seq = FrameSequence(tuple(np.array(f, dtype=float).reshape(-1, 2) for f in frames))
+        cfg = BipartiteConfig(gate_quantile=q)
+        pairs = list(zip(seq.frames, seq.frames[1:]))
+        mins = [einsum_costs(a, b).min(axis=1) for a, b in pairs if len(a) and len(b)]
+        sw = assignment._sweep(seq.frames[:-1], seq.frames[1:])
+        for read in (lambda: sw.gate(cfg), lambda: resolve_gate_cost(seq, cfg)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                gate = read()
+            assert len(caught) == (0 if mins else 1)
+            if mins:
+                assert gate.hex() == float(np.quantile(np.concatenate(mins), q)).hex()
+            else:
+                assert gate == 1.0
+
 
 def test_min_cost_among_fixed_cardinality(rng):
     # the sweep's intermediate matchings are optimal for their own size
@@ -243,7 +290,7 @@ class TestTieCertificate:
         ],
     )
     def test_crafted_ties_refine(self, a, b, d):
-        sw = assignment._sweep([assignment._cost_matrix(np.array(a), np.array(b))])
+        sw = assignment._sweep([np.array(a)], [np.array(b)])
         got = sw.vectors([0], [len(a) - d])[0]
         assert sw.tie_refinements[0] == 1
         want, _ = exhaustive_bipartite_min(a, b, d=d)
@@ -266,8 +313,7 @@ class TestTieCertificate:
         # unique optima at k = 1 and 2; a reduced cost far below -tol off
         # the matching leaves no optimal dual to certify them with
         a, b = np.array([[0.0, 0.0], [5.0, 0.0]]), np.array([[0.0, 1.0], [5.0, 2.0]])
-        cost = assignment._cost_matrix(a, b)
-        sw = assignment._sweep([cost])
+        sw = assignment._sweep([a], [b])
         pairs, ks = np.zeros(3, dtype=np.int64), np.arange(3)
         assert sw._certify(pairs, ks).tolist() == [False, False, False]
         sw._chunks[0].cost[0, 0, 1] = -1e3
@@ -277,8 +323,7 @@ class TestTieCertificate:
         for _ in range(150):
             n_a = int(rng.integers(1, 13))
             n_b = int(rng.integers(1, 13))
-            cost = assignment._cost_matrix(rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)))
-            sw = assignment._sweep([cost])
+            sw = assignment._sweep([rng.normal(size=(n_a, 2))], [rng.normal(size=(n_b, 2))])
             ks = np.arange(min(n_a, n_b) + 1)
             sw.rows(np.zeros_like(ks), ks)
             assert sw.tie_refinements[0] == 0, (n_a, n_b)
@@ -307,9 +352,9 @@ def test_track_sweeps_each_pair_once(monkeypatch):
     calls = {"sweep": [], "lex": 0}
     real_sweep, real_lex = assignment._sweep, assignment._lex_fixed_k
 
-    def sweep(costs, k_stops=None):
-        calls["sweep"].append(len(costs))
-        return real_sweep(costs, k_stops)
+    def sweep(a, b, k_stops=None):
+        calls["sweep"].append(len(a))
+        return real_sweep(a, b, k_stops)
 
     def lex(*args):
         calls["lex"] += 1
@@ -331,18 +376,20 @@ def sweep_pair(draw):
     n_a, n_b = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     if draw(st.booleans()):
         # integer grids are rich in exact ties
-        values = st.integers(0, 3).map(float)
+        coords = st.integers(0, 3).map(float)
     else:
-        values = st.floats(0.0, 100.0)
-    cells = draw(st.lists(values, min_size=n_a * n_b, max_size=n_a * n_b))
-    return np.array(cells, dtype=float).reshape(n_a, n_b), draw(st.integers(0, min(n_a, n_b)))
+        coords = st.floats(-10.0, 10.0)
+    a = draw(st.lists(coords, min_size=2 * n_a, max_size=2 * n_a))
+    b = draw(st.lists(coords, min_size=2 * n_b, max_size=2 * n_b))
+    a, b = np.array(a, dtype=float).reshape(n_a, 2), np.array(b, dtype=float).reshape(n_b, 2)
+    return a, b, draw(st.integers(0, min(n_a, n_b)))
 
 
-def assert_sweeps_equal_reference(costs, k_stops, sw):
-    assert sw.steps.shape == (len(costs),)
-    got = [sw.state(p) for p in range(len(costs))]
-    for c, k, g in zip(costs, k_stops, got):
-        want = reference_sweep(c, k)
+def assert_sweeps_equal_reference(a, b, k_stops, sw):
+    assert sw.steps.shape == (len(a),)
+    got = [sw.state(p) for p in range(len(a))]
+    for pa, pb, k, g in zip(a, b, k_stops, got):
+        want = reference_sweep(einsum_costs(pa, pb), k)
         assert len(g.row_to) == len(g.cost) == len(g.u) == len(g.v) == k
         assert g.steps == want.steps
         for t in range(k):
@@ -355,21 +402,22 @@ def assert_sweeps_equal_reference(costs, k_stops, sw):
 @settings(max_examples=300)
 @given(batch=st.lists(sweep_pair(), max_size=8), chunk_cells=st.sampled_from([1, 60, 1 << 16]))
 def test_batched_sweep_equals_reference(batch, chunk_cells):
-    costs = [c for c, _ in batch]
-    k_stops = [k for _, k in batch]
+    a, b, k_stops = [x for x, _, _ in batch], [y for _, y, _ in batch], [k for _, _, k in batch]
     # small chunk bounds split the batch, a pair larger than the bound goes alone
     with mock.patch.object(assignment, "_SWEEP_CELLS", chunk_cells):
-        got = assignment._sweep(costs, k_stops)
-    assert_sweeps_equal_reference(costs, k_stops, got)
+        got = assignment._sweep(a, b, k_stops)
+    assert_sweeps_equal_reference(a, b, k_stops, got)
 
 
 def test_batched_sweep_equals_reference_on_large_pairs(rng):
     # eight or more matched costs: numpy sums them pairwise, in blocks of eight
     shapes = rng.integers(8, 21, size=(6, 2))
-    costs = [rng.uniform(0.0, 50.0, size=(int(r), int(c))) for r, c in shapes]
-    costs.append(rng.integers(0, 3, size=(12, 10)).astype(float))
-    k_stops = [min(c.shape) for c in costs]
-    assert_sweeps_equal_reference(costs, k_stops, assignment._sweep(costs, k_stops))
+    a = [rng.uniform(0.0, 7.0, size=(int(r), 2)) for r, _ in shapes]
+    b = [rng.uniform(0.0, 7.0, size=(int(c), 2)) for _, c in shapes]
+    a.append(rng.integers(0, 3, size=(12, 2)).astype(float))
+    b.append(rng.integers(0, 3, size=(10, 2)).astype(float))
+    k_stops = [min(len(x), len(y)) for x, y in zip(a, b)]
+    assert_sweeps_equal_reference(a, b, k_stops, assignment._sweep(a, b, k_stops))
 
 
 def test_track_reports_sweep_steps():
@@ -377,9 +425,26 @@ def test_track_reports_sweep_steps():
     steps = track(seq).diagnostics.sweep_steps
     want = []
     for k in range(len(seq) - 1):
-        a, b = seq.frames[k], seq.frames[k + 1]
-        cost = assignment._cost_matrix(a, b)
+        cost = einsum_costs(seq.frames[k], seq.frames[k + 1])
         want.append(reference_sweep(cost, min(cost.shape)).steps)
     assert steps == tuple(want)
     # every augmentation settles at least the free column that ends it
     assert all(s >= min(seq.n_objects(k), seq.n_objects(k + 1)) for k, s in enumerate(steps))
+
+
+def test_sweep_memory_stays_within_chunks():
+    # 159 pairs of 6-object frames around one frame of 2,000 detections:
+    # one video-wide padded cost array would hold 159 x 2000^2 float64
+    # cells (about 5.1 GB); each chunk bounds its own cells instead
+    rng = np.random.default_rng(7)
+    frames = [rng.uniform(0.0, 300.0, size=(6, 2)) for _ in range(160)]
+    frames[80] = rng.uniform(0.0, 300.0, size=(2000, 2))
+    seq = FrameSequence(tuple(frames))
+    for run in (lambda: solve_bmcf_sequence(seq), lambda: resolve_gate_cost(seq, BipartiteConfig())):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak

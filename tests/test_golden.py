@@ -16,8 +16,10 @@ fire, pin each pair's tie_refinements, the matchings and the score at
 delta 0, 1 and 2; they were recorded before the certificate's first
 test moved wholly into the batched sweep. The benchmark's seed-0
 digests (scripts/output_digest.py) were recorded before the term
-tables of a stage run moved into one padded layout; a change that
-moves dp_cells by design updates them and says so.
+tables of a stage run moved into one padded layout, and the bipartite
+digest before the sweep computed its own cost matrices from the
+frames; a change that moves dp_cells by design updates them and says
+so.
 """
 
 import hashlib
@@ -189,19 +191,22 @@ def test_experiment_tables_are_pinned(tmp_path):
     assert got == EXPERIMENT_GOLDEN
 
 
-# scripts/output_digest.py's (outputs, dp_cells) digests per workload
+# scripts/output_digest.py's (outputs, dp_cells, bipartite) digests per workload
 BENCH_SEED0_GOLDEN = {
     "long": (
         "06e9aaae7f535966c902adf7bf004b2bd86dae2fea9b01f8af5140e11779b4c2",
         "6b3b1c308017cbf734efcdc5bdcb360c18af38ce6824326e900a1a0eb5cf54a9",
+        "24337467f92d2d69182f7b4f38070d572eae7f74f8aabdd744689176ca1fc193",
     ),
     "crowded": (
         "b0a612d82f5578e9df7a17516718b9a678c176560866d62d22dfdad3095f1b3d",
         "0dbf1b3cc7f7722c4ab2ea4db43136ca36ef591de6f8ed7116b34f9396cea537",
+        "359a7733c06db42b3a30b6c06c8dee819b30470bb163c3b57c6bc58a44d2948a",
     ),
     "noisy": (
         "2f290f4611f1ba7c18363363ae554b091a932eb4a3b3f1631ae869b2e1dc4839",
         "bcd7687df5f09cbbf045811609b9046adb58778a0334bf45eb2f3d0ece12cef9",
+        "e674751bf8716cb295db88982d36d9666eedb4fe3ea4cd537a4c3ffabc57388f",
     ),
 }
 
@@ -216,6 +221,6 @@ def test_bench_seed0_digests():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = {}
     for line in proc.stdout.splitlines():
-        name, _, outputs, _, cells = line.split()
-        got[name] = (outputs, cells)
+        name, _, outputs, _, cells, _, bipartite = line.split()
+        got[name] = (outputs, cells, bipartite)
     assert got == BENCH_SEED0_GOLDEN

@@ -51,9 +51,10 @@ def test_complexity_table(tmp_path):
 def test_output_digest_repeats():
     out = run_script("output_digest.py", "--workload", "smoke")
     assert run_script("output_digest.py", "--workload", "smoke") == out
-    name, outputs_tag, outputs, cells_tag, cells = out.split()
-    assert (name, outputs_tag, cells_tag) == ("smoke", "outputs", "dp_cells")
-    assert len(outputs) == len(cells) == 64 and outputs != cells
+    name, outputs_tag, outputs, cells_tag, cells, bipartite_tag, bipartite = out.split()
+    assert (name, outputs_tag, cells_tag, bipartite_tag) == ("smoke", "outputs", "dp_cells", "bipartite")
+    assert len(outputs) == len(cells) == len(bipartite) == 64
+    assert len({outputs, cells, bipartite}) == 3
 
 
 def test_compare_laps_against_itself():

@@ -52,6 +52,12 @@ def videos(draw):
     return FrameSequence(tuple(frames), dt=dt)
 
 
+def einsum_costs(a, b) -> np.ndarray:
+    """Squared distances between the points a and b by einsum."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def reference_certificate(cost, row_to, u, v):
     """The tie certificate of one k-matching from its sweep snapshot:
     True when it must be refined. The smallest reduced cost off the
@@ -87,8 +93,8 @@ def reference_rowbase(sp_prev, n_mid, n_next):
 )
 def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, lam):
     f = len(seq)
-    costs = assignment._pair_costs(seq)
-    sw = assignment._sweep(costs)
+    costs = [einsum_costs(a, b) for a, b in zip(seq.frames, seq.frames[1:])]
+    sw = assignment._sweep(seq.frames[:-1], seq.frames[1:])
 
     # the batched certificate fires exactly where the one-matching
     # certificate on the pair's own sweep does
@@ -106,7 +112,7 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
     # spaces around the gated d*, in runs small enough to split the video
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # videos without distance samples
-        gate = assignment._gate_from_costs(costs, assignment.BipartiteConfig())
+        gate = sw.gate(assignment.BipartiteConfig())
     k_star = sw.gated(gate)
     pair, ks = tripartite._seed_cardinalities(sw.n_a, sw.n_b, sw.n_a - k_star, delta)
     seeds = sw.rows(pair, ks)
