@@ -1,20 +1,49 @@
 #!/usr/bin/env python3
-"""Measured against predicted search-space growth.
+"""Measured against predicted search-space growth, and growth with N0.
 
 Runs the velocity model at delta 1, 2, 3 over crowded videos (N0=50)
 and prints the ratio of total stage-score evaluations between
 consecutive deltas next to the ((delta+1/2)/(delta-1/2))^2 prediction.
 The full sweep takes a few minutes per replicate.
+
+Then, for each N0 of --n0 (40, 80, ..., 200 by default), it tracks one
+closed-view video (the window is the whole region, sigma 1, f=4, seed
+0, space_cap raised) in a fresh process and prints track()'s seconds,
+its tracemalloc peak, the total rows of its candidate spaces and the
+cells its DP scored (sum of dp_cells). The peak comes from a first,
+traced call; the seconds from a second, untraced one.
 """
 
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 import tempfile
+import time
+import tracemalloc
 
+from velotrack import SimConfig, TrackerConfig, simulate, track
 from velotrack.cli import main as cli_main
+
+
+def scaling_row(n0: int) -> tuple[float, int, int, int]:
+    """track() seconds, tracemalloc peak bytes, space rows and DP cells of
+    one closed-view video of n0 objects per frame."""
+    seq = simulate(SimConfig(W=680.0, H=512.0, N0=n0, sigma=1.0, f=4, seed=0)).seq
+    cfg = TrackerConfig(space_cap=10**9)
+    tracemalloc.start()
+    try:
+        res = track(seq, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = time.perf_counter()
+    track(seq, cfg)
+    seconds = time.perf_counter() - t
+    d = res.diagnostics
+    return seconds, peak, sum(d.space_sizes), sum(d.dp_cells)
 
 
 def main() -> int:
@@ -24,7 +53,13 @@ def main() -> int:
     ap.add_argument("--frames", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    ap.add_argument(
+        "--n0", type=int, nargs="+", default=[40, 80, 120, 160, 200],
+        help="objects per frame of the scaling rows (default: 40 80 120 160 200)",
+    )
     args = ap.parse_args()
+    if min(args.n0) < 1:
+        ap.error("--n0 values must be positive")
 
     grid = {
         "N0": [50],
@@ -61,6 +96,13 @@ def main() -> int:
         print(
             f"{r['delta']:>5} {float(r['eval_count_mean']):>14.0f} {ratio:>8} {theory:>10}"
         )
+
+    # one fresh process per row, so no row inherits another's heap
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        scaling = pool.map(scaling_row, args.n0, chunksize=1)
+    print(f"{'N0':>5} {'track_s':>9} {'peak_mb':>9} {'space_rows':>11} {'dp_cells':>12}")
+    for n0, (seconds, peak, rows, cells) in zip(args.n0, scaling):
+        print(f"{n0:>5} {seconds:>9.4f} {peak / 1e6:>9.2f} {rows:>11} {cells:>12}")
     return 0
 
 

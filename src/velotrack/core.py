@@ -259,31 +259,82 @@ def matchings_from_trajectories(seq: FrameSequence, trajs: TrajectorySet) -> lis
     ]
 
 
+def _lex_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of an integer matrix packed into int64 sort keys.
+
+    Shifted to start at 0, the entries are digits in the radix of their
+    range, and as many columns as fit are packed into each key: column c
+    adds its digit times place[c] to key c // per_key. Returns the keys,
+    shape (n_keys, n_rows), place and per_key. Packing keeps the order,
+    so sorting by key 0, then key 1, ... sorts the rows by column 0,
+    then column 1, ... A row with the same entries in another order, as
+    a row with two entries exchanged, takes the same radix, so its keys
+    follow from the place values alone.
+    """
+    n_rows, width = rows.shape
+    place = np.ones(width, dtype=np.int64)
+    if not (n_rows and width):
+        return np.empty((0, n_rows), dtype=np.int64), place, max(width, 1)
+    lo = int(rows.min())
+    radix = int(rows.max()) - lo + 1
+    per_key = 1 if radix > 1 else width
+    while per_key < width and radix ** (per_key + 1) <= 1 << 63:
+        per_key += 1
+    keys = np.empty((-(-width // per_key), n_rows), dtype=np.int64)
+    for q, a in enumerate(range(0, width, per_key)):
+        b = min(width, a + per_key)
+        place[a:b] = [radix**p for p in range(b - a - 1, -1, -1)]
+        keys[q] = (rows[:, a:b] - lo) @ place[a:b]
+    return keys, place, per_key
+
+
 def _lex_order(rows: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
     """np.lexsort's order of the rows of an integer matrix: by lead when
     given, then by column 0, 1, ...
 
-    Shifted to start at 0, the entries are digits in the radix of their
-    range, and as many columns as fit are packed into each int64 key;
-    packing keeps the order and the sort stays stable, so the order is
-    np.lexsort's, from fewer keys.
+    The columns are packed into fewer int64 keys (_lex_keys); packing
+    keeps the order and the sort stays stable, so the order is
+    np.lexsort's.
     """
-    n_rows, width = rows.shape
-    keys = [] if lead is None else [lead]
-    if n_rows and width:
-        lo = int(rows.min())
-        radix = int(rows.max()) - lo + 1
-        per_key = 1 if radix > 1 else width
-        while per_key < width and radix ** (per_key + 1) <= 1 << 63:
-            per_key += 1
-        for a in range(0, width, per_key):
-            b = min(width, a + per_key)
-            digits = np.array([radix**p for p in range(b - a - 1, -1, -1)], dtype=np.int64)
-            keys.append((rows[:, a:b] - lo) @ digits)
+    keys = list(_lex_keys(rows)[0])
+    if lead is not None:
+        keys.insert(0, lead)
     if not keys:
-        return np.arange(n_rows)
+        return np.arange(rows.shape[0])
     # lexsort keys run last-to-first
     return np.lexsort(keys[::-1])
+
+
+def _check_swap_info(matrix: np.ndarray, info: np.ndarray) -> None:
+    """Raise InvalidInputError unless info, row by row, is the provenance
+    CandidateSpace documents for matrix.
+
+    A seed row r carries (r, -1, -1). Any other row carries (s, i, j)
+    with 0 <= i < j < n, s a seed row, and equals row s with entries i
+    and j exchanged, which differ. O(R n).
+    """
+    n_rows, n = matrix.shape
+    if info.shape != (n_rows, 3):
+        raise InvalidInputError(f"swap_info must have shape ({n_rows}, 3), got {info.shape}")
+    s, i, j = info.T
+    seed = i == -1
+    ok = np.where(
+        seed,
+        (s == np.arange(n_rows)) & (j == -1),
+        (0 <= i) & (i < j) & (j < n) & (0 <= s) & (s < n_rows),
+    )
+    if not ok.all():
+        raise InvalidInputError(f"swap_info row {int(np.argmin(ok))} is not a seed or an exchange")
+    sw = np.flatnonzero(~seed)
+    s, i, j = s[sw], i[sw], j[sw]
+    base = matrix[s]
+    q = np.arange(sw.shape[0])
+    base[q, i], base[q, j] = matrix[s, j], matrix[s, i]
+    bad = ~seed[s] | (base[q, i] == base[q, j]) | (base != matrix[sw]).any(axis=1)
+    if bad.any():
+        raise InvalidInputError(
+            f"swap_info row {int(sw[np.argmax(bad)])} is not its seed with two entries exchanged"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,11 +360,14 @@ class CandidateSpace:
         """Sort rows lexicographically and wrap them up.
 
         Without swap_info every row is its own seed. A repeated row raises
-        InvalidInputError.
+        InvalidInputError, and so does a swap_info that does not describe
+        the rows (_check_swap_info).
         """
         a = np.asarray(matrix, dtype=np.int64)
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
+        if swap_info is not None:
+            _check_swap_info(a, np.asarray(swap_info, dtype=np.int64))
         order = _lex_order(a)
         a = a[order]  # a copy, so freezing it leaves the caller's array alone
         if (a[1:] == a[:-1]).all(axis=1).any():

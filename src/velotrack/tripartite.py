@@ -38,7 +38,7 @@ from .core import (
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
-    _lex_order,
+    _lex_keys,
     assemble_trajectories,
 )
 
@@ -277,49 +277,63 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
     skipping exchanges of two DISAPPEAR entries (the identity), with
     rows sorted and swap_info as CandidateSpace.build gives them
     (oracle.reference_seeded_space builds one space at a time). The
-    pairs of one n_a are gathered through one exchange permutation, in
-    runs of at most _FOLD_CELLS gathered cells, and sorted together with
-    the pair as the leading key (_lex_order), then cut into spaces.
+    pairs of one n_a are assembled together, in runs of at most
+    _FOLD_CELLS row cells, counting every exchange of every seed.
+
+    Only the seeds are packed into sort keys (core._lex_keys). An
+    exchange row holds its seed's entries, so it takes the seed's radix:
+    exchanging entries i and j of seed s adds (s[j] - s[i]) place[i] to
+    key i // per_key and subtracts (s[j] - s[i]) place[j] from key j //
+    per_key. The keys, behind the pair as the leading key, give
+    np.lexsort's order of the rows, which are then written once, in
+    that order, as seed rows with two entries exchanged, and cut into
+    spaces.
     """
     spaces: list[CandidateSpace | None] = [None] * n_a.shape[0]
     width = n_a[seed_pair]
     for n in sorted(set(width.tolist())):
         idx = np.arange(n)
         iu, ju = np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), without its cost
-        n_ex = iu.shape[0]
-        # perm[e]: the entry order of exchange e; row 0 keeps the seed
-        perm = np.repeat(idx[None, :], n_ex + 1, axis=0)
-        e = np.arange(1, n_ex + 1)
-        perm[e, iu] = ju
-        perm[e, ju] = iu
-        ex_i, ex_j = np.r_[-1, iu], np.r_[-1, ju]
         g_all = np.flatnonzero(width == n)
         p_all = seed_pair[g_all]
         first = np.flatnonzero(np.r_[True, p_all[1:] != p_all[:-1]])
         n_seeds = np.diff(np.r_[first, g_all.shape[0]])
-        for c0, c1 in _cuts((n_seeds * (n_ex + 1) * max(n, 1)).tolist(), _FOLD_CELLS):
+        for c0, c1 in _cuts((n_seeds * (iu.shape[0] + 1) * max(n, 1)).tolist(), _FOLD_CELLS):
             g = g_all[first[c0] : first[c1] if c1 < first.shape[0] else g_all.shape[0]]
             s = seeds[g, :n]
-            mat = s[:, perm]
-            keep = (mat != s[:, None, :]).any(axis=2)
-            keep[:, 0] = True
-            sizes = keep.sum(axis=1)
-            rows = mat[keep]
-            row_pair = np.repeat(seed_pair[g], sizes)
-            ex = np.nonzero(keep)[1]
-            del mat, keep  # free the gathered exchanges before the sort
-            info = np.empty((rows.shape[0], 3), dtype=np.int64)
-            # seed rows numbered over the whole run until the sort
-            info[:, 0] = np.repeat(np.cumsum(sizes) - sizes, sizes)
-            info[:, 1] = ex_i[ex]
-            info[:, 2] = ex_j[ex]
-            order = _lex_order(rows, row_pair)
-            new_pos = np.empty_like(order)
-            new_pos[order] = np.arange(order.shape[0])
-            rows, info, row_pair = rows[order], info[order], row_pair[order]
+            n_s = g.shape[0]
+            # the kept exchanges: entries i and j of seed q are not both DISAPPEAR
+            q, e = np.nonzero(s[:, iu] != s[:, ju])
+            i, j = iu[e], ju[e]
+            s_i, s_j = s[q, i], s[q, j]
+            keys, place, per_key = _lex_keys(s)
+            ex_keys = keys[:, q]
+            change = s_j - s_i
+            ex = np.arange(q.shape[0])
+            ex_keys[i // per_key, ex] += change * place[i]
+            ex_keys[j // per_key, ex] -= change * place[j]
+            # rows 0 .. n_s - 1 are the seeds, then the exchanges
+            lead = seed_pair[g]
+            row_pair = np.r_[lead, lead[q]]
+            order = np.lexsort((*np.concatenate([keys, ex_keys], axis=1)[::-1], row_pair))
+            del keys, ex_keys
+            src = np.r_[np.arange(n_s), q][order]  # each sorted row's seed
+            rows = s[src]
+            is_ex = order >= n_s
+            at = np.flatnonzero(is_ex)
+            x = order[at] - n_s
+            rows[at, i[x]] = s_j[x]
+            rows[at, j[x]] = s_i[x]
+            row_pair = row_pair[order]
             starts = np.flatnonzero(np.r_[True, row_pair[1:] != row_pair[:-1]])
             ends = np.r_[starts[1:], rows.shape[0]]
-            info[:, 0] = new_pos[info[:, 0]] - np.repeat(starts, ends - starts)
+            seed_at = np.flatnonzero(~is_ex)
+            seed_pos = np.empty(n_s, dtype=np.int64)
+            seed_pos[order[seed_at]] = seed_at
+            info = np.full((rows.shape[0], 3), -1, dtype=np.int64)
+            info[:, 0] = seed_pos[src] - np.repeat(starts, ends - starts)
+            info[at, 1] = i[x]
+            info[at, 2] = j[x]
             rows.flags.writeable = False
             info.flags.writeable = False
             for r0, r1, p in zip(starts.tolist(), ends.tolist(), row_pair[starts].tolist()):
@@ -369,16 +383,20 @@ _PRUNE_SETUP_CELLS = 1 << 14
 class _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together; stage k is t0 + k.
 
-    Term tables: tables holds rows of nt = n + 1 entries, n the run's
-    widest frame. Stage k's rows, from row k * nt * n, are its padded
-    table tab[i + 1, j, x] of shape (n + 1, n, n + 1): mid object j's
-    term when its predecessor is previous object i and its shifted
-    target is x (0 is DISAPPEAR, lambda_event; x = l + 1 is next object
-    l); i = -1 means j appeared at the mid frame (position Gaussian).
-    table(k) views the stage's own entries; the padding is never read.
-    The last row is zeros. Row rowtab[r, j] holds mid object j's terms
-    in predecessor row r, and rowtab[r, n_mid[k]] is the zero row: rows
-    enter only through each mid object's predecessor.
+    counts holds the frame counts t0 - 1 .. t1, so stage k scores
+    frames of counts[k], counts[k + 1] and counts[k + 2] objects
+    (n_prev, n_mid and n_next). The term tables are laid out with the
+    run's own extent on each axis (_extents): p, the largest n_prev + 1,
+    m, the largest n_mid, and nt = tables.shape[1], the largest n_next +
+    1. Stage k's rows, from row k * p * m, are its padded table
+    tab[i + 1, j, x] of shape (p, m, nt): mid object j's term when its
+    predecessor is previous object i and its shifted target is x (0 is
+    DISAPPEAR, lambda_event; x = l + 1 is next object l); i = -1 means j
+    appeared at the mid frame (position Gaussian). table(k) views the
+    stage's own entries; the padding is never read. The last row is
+    zeros. Row rowtab[r, j] holds mid object j's terms in predecessor
+    row r, and rowtab[r, n_mid[k]] is the zero row: rows enter only
+    through each mid object's predecessor.
 
     The arrays stack every stage: stage k owns rowtab rows r_off[k] ..
     r_off[k + 1] (its predecessor space), columns c_off[k] .. c_off[k +
@@ -400,7 +418,7 @@ class _Run:
     """
 
     t0: int
-    n_prev: list[int]
+    counts: np.ndarray
     n_mid: list[int]
     n_next: list[int]
     tables: np.ndarray
@@ -416,7 +434,7 @@ class _Run:
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        return _table_view(self.tables, k, self.n_prev[k], self.n_mid[k], self.n_next[k])
+        return _table_view(self.tables, self.counts, k)
 
     def dense(self, k: int, rows, g_next, cols=None) -> np.ndarray:
         """Values of the columns `cols` (indices; all when None) of stage
@@ -574,10 +592,11 @@ class _Bounds:
         g_next of any column. A swap row's sum is its seed's plus the
         changes of its two moved mid objects.
         """
-        n_mid, n_next, m = run.n_mid[k], run.n_next[k], run.tables.shape[1] - 1
+        n_mid, n_next = run.n_mid[k], run.n_next[k]
         # rowmax over the stage's table rows (i + 1) m + j, then a 0.0 that
         # stands for a moved DISAPPEAR entry
-        n_tab = (m + 1) * m
+        p, m = _extents(run.counts)
+        n_tab = p * m
         g0 = k * n_tab
         rowmax = np.append(run.tables[g0 : g0 + n_tab, : n_next + 1].max(axis=1), 0.0)
         rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid][seed_rows]
@@ -629,11 +648,16 @@ def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
         terms = _term_tables(seq, noise, t0, t1)
         counts, tables = terms
         for k, t in enumerate(range(t0, t1)):
-            tab = _table_view(tables, k, *counts[k : k + 3].tolist())
-            bounds.step(tab, spaces[t - 1], spaces[t], lam)
+            bounds.step(_table_view(tables, counts, k), spaces[t - 1], spaces[t], lam)
     for t in range(run.t0, t_end):
         bounds.step(run.table(t - run.t0), spaces[t - 1], spaces[t], lam)
     return bounds, terms
+
+
+def _extents(counts) -> tuple[int, int]:
+    """The first two axes of a run's term-table layout (_Run), from the
+    run's frame counts: the largest n_prev + 1 and the largest n_mid."""
+    return int(counts[:-2].max()) + 1, int(counts[1:-1].max())
 
 
 def _term_tables(seq, noise, t0: int, t1: int):
@@ -641,14 +665,15 @@ def _term_tables(seq, noise, t0: int, t1: int):
 
     Returns the frame counts t0 - 1 .. t1 and the run's tables, with
     zero padding. The frames are padded with one scatter, and the stages
-    of one width (their widest frame) are computed at once over frames
-    padded to it and written into their blocks; every table entry sees
-    the float operations of oracle.reference_stage_terms for its stage
-    alone.
+    of one width (their widest frame) are computed at once, each axis
+    over frames padded to that axis's largest count in the group, and
+    written into their blocks; every table entry sees the float
+    operations of oracle.reference_stage_terms for its stage alone.
     """
     n_st = t1 - t0
     counts = np.array(seq.counts[t0 - 1 : t1 + 1], dtype=np.int64)
     n = int(counts.max())
+    p, m = _extents(counts)
     dt, lam = seq.dt, noise.lambda_event
     sig = [noise.sigma_for_pair(t) for t in range(t0, t1)]
     v_scale2 = np.array([s * s for s in sig])
@@ -661,20 +686,21 @@ def _term_tables(seq, noise, t0: int, t1: int):
     frames.transpose(1, 2, 0)[np.arange(n) < counts[:, None]] = np.concatenate(
         seq.frames[t0 - 1 : t1 + 1]
     )
-    tables = np.zeros((n_st * (n + 1) * n + 1, n + 1))
-    blocks = tables[:-1].reshape(n_st, n + 1, n, n + 1)
+    tables = np.zeros((n_st * p * m + 1, int(counts[2:].max()) + 1))
+    blocks = tables[:-1].reshape(n_st, p, m, tables.shape[1])
     width = np.maximum(np.maximum(counts[:-2], counts[1:-1]), counts[2:])
-    for m in sorted(set(width.tolist())):
-        g = np.flatnonzero(width == m)
-        prev_f, mid_f, next_f = frames[:, g, :m], frames[:, g + 1, :m], frames[:, g + 2, :m]
+    for w in sorted(set(width.tolist())):
+        g = np.flatnonzero(width == w)
+        a, b, c = (int(counts[g + d].max()) for d in range(3))
+        prev_f, mid_f, next_f = frames[:, g, :a], frames[:, g + 1, :b], frames[:, g + 2, :c]
         # dot products and squared norms are written out: x term plus y
         # term, the order in which oracle.reference_stage_terms's einsum
         # adds them, with no fused multiply-add
         disp = next_f[:, :, None, :] - mid_f[:, :, :, None]  # (axis, stage, mid, next)
         v2 = disp / dt
         v1 = (mid_f[:, :, None, :] - prev_f[:, :, :, None]) / dt  # (axis, stage, prev, mid)
-        blocks[g, : m + 1, :m, 0] = lam
-        blocks[g, 0, :m, 1 : m + 1] = p_const[g, None, None] - (
+        blocks[g, : a + 1, :b, 0] = lam
+        blocks[g, 0, :b, 1 : c + 1] = p_const[g, None, None] - (
             disp[0] * disp[0] + disp[1] * disp[1]
         ) / (2.0 * p_scale2[g, None, None])
         # v_const - (|v2|^2 - 2 v1.v2 + |v1|^2) / (2 v_scale2), in place
@@ -685,38 +711,45 @@ def _term_tables(seq, noise, t0: int, t1: int):
         vel += (v1[0] * v1[0] + v1[1] * v1[1])[..., None]
         vel /= 2.0 * v_scale2[g, None, None, None]
         np.subtract(v_const[g, None, None, None], vel, out=vel)
-        blocks[g, 1 : m + 1, :m, 1 : m + 1] = vel
+        blocks[g, 1 : a + 1, :b, 1 : c + 1] = vel
     return counts, tables
 
 
-def _table_view(tables, k: int, n_prev: int, n_mid: int, n_next: int) -> np.ndarray:
-    """Stage k's table in a run's tables, tab[i + 1, j, x], as a view."""
-    nt = tables.shape[1]
-    n_tab = nt * (nt - 1)
-    tab = tables[k * n_tab : (k + 1) * n_tab].reshape(nt, nt - 1, nt)
-    return tab[: n_prev + 1, :n_mid, : n_next + 1]
+def _table_view(tables, counts, k: int) -> np.ndarray:
+    """Stage k's table, tab[i + 1, j, x], as a view into the tables of a
+    run with frame counts counts (_term_tables)."""
+    p, m = _extents(counts)
+    tab = tables[k * p * m : (k + 1) * p * m].reshape(p, m, tables.shape[1])
+    return tab[: counts[k] + 1, : counts[k + 1], : counts[k + 2] + 1]
 
 
 def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
 
     Besides listing the spaces' arrays and _term_tables's few per width,
-    the work is a fixed number of array operations per run: the run's
-    spaces are stacked, padded with DISAPPEAR, so rowtab is one scatter
-    of the predecessor rows and seed_idx one take of the successor
-    seeds. Whether each stage prunes (_fold_stage) is decided here from
-    the closed-form cell counts. terms is _term_tables's output for
-    these stages when the prune's forward bounds computed it already.
+    the work is a fixed number of array operations per run. Only the
+    seed rows of the run's spaces are stacked, padded with DISAPPEAR,
+    from the one concatenation of their matrices: seed_idx is one take
+    of the successor seeds, and rowtab one scatter of the predecessor
+    seeds, which every predecessor row then copies from its seed with
+    its two exchanged entries' terms moved (an exchange changes the
+    predecessors of two mid objects only). Whether each stage prunes
+    (_fold_stage) is decided here from the closed-form cell counts.
+    terms is _term_tables's output for these stages when the prune's
+    forward bounds computed it already.
     """
     counts, tables = terms or _term_tables(seq, noise, t0, t1)
-    n_st, n = t1 - t0, int(counts.max())
+    n_st = t1 - t0
     n_prev, n_mid, n_next = counts[:-2], counts[1:-1], counts[2:]
+    p, m = _extents(counts)
+    nt = tables.shape[1]
     lam = noise.lambda_event
 
     # the spaces t0 - 1 .. t1 - 1: rows [off[k], off[k + 1]) are space
-    # t0 - 1 + k. Only the seeds of the successor spaces are read, so
-    # stacked holds the predecessor spaces, then the last space's seeds,
-    # padded with DISAPPEAR
+    # t0 - 1 + k, of counts[k] entries. Only their seeds are stacked: those
+    # of the predecessor spaces, then those of the last space, padded
+    # with DISAPPEAR, gathered from one concatenation of the predecessor
+    # matrices, the last space's seeds and one DISAPPEAR
     sps = spaces[t0 - 1 : t1]
     sizes = np.array([len(sp) for sp in sps], dtype=np.int64)
     off = np.r_[0, np.cumsum(sizes)]
@@ -724,12 +757,19 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     is_seed = info[:, 1] < 0
     seed_cum = np.r_[0, np.cumsum(is_seed)]
     n_seeds = np.diff(seed_cum[off])
-    n_rows = int(off[-2])
-    stacked = np.full((n_rows + int(n_seeds[-1]), n), DISAPPEAR, dtype=np.int64)
-    stacked[:n_rows][np.arange(n) < np.repeat(n_prev, sizes[:-1])[:, None]] = np.concatenate(
+    n_rows, n_pred = int(off[-2]), int(seed_cum[off[-2]])
+    flat = np.concatenate(
         [sp.matrix.reshape(-1) for sp in sps[:-1]]
+        + [sps[-1].matrix[is_seed[n_rows:]].reshape(-1), [DISAPPEAR]]
     )
-    stacked[n_rows:, : sps[-1].n_from] = sps[-1].matrix[is_seed[n_rows:]]
+    space_of = np.repeat(np.arange(n_st + 1), n_seeds)
+    row_in = np.flatnonzero(is_seed) - off[space_of]
+    row_in[n_pred:] = np.arange(n_seeds[-1])
+    n_of = counts[:-1][space_of]
+    start = np.r_[0, np.cumsum(sizes[:-1] * n_prev)][space_of] + row_in * n_of
+    # one more padding column, so that entry -1 of a seed reads DISAPPEAR
+    ent = np.arange(counts[:-1].max() + 1)
+    seeds = flat[np.where(ent < n_of[:, None], start[:, None] + ent, flat.shape[0] - 1)]
 
     # columns: the successor spaces; only their seeds are read, as
     # shifted targets seed_xc (0 is DISAPPEAR, and so is the padding,
@@ -740,11 +780,8 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     c_sizes, s_sizes = sizes[1:], n_seeds[1:]
     col_stage = np.repeat(np.arange(n_st), c_sizes)
     cinfo, col_seed = info[off[1] :], is_seed[off[1] :]
-    seed_cols = np.flatnonzero(col_seed)
-    seed_xc = np.zeros((seed_cols.shape[0], n + 1), dtype=np.int64)
-    seed_rows = seed_cols + off[1]  # in stacked; the last space's come last
-    seed_rows[s_off[-2] :] = np.arange(n_rows, stacked.shape[0])
-    np.add(stacked[seed_rows], 1, out=seed_xc[:, :n])
+    seed_xc = np.zeros((seeds.shape[0] - n_seeds[0], m + 1), dtype=np.int64)
+    np.add(seeds[n_seeds[0] :, :m], 1, out=seed_xc[:, :m])
     # each column's seed, counted over the run and within its stage
     seed_of = seed_cum[off[1] + c_off[col_stage] + cinfo[:, 0]] - seed_cum[off[1]]
     seed_pos = seed_of - s_off[col_stage]
@@ -755,33 +792,45 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     x_i, x_j = seed_xc[seed_of, i_of], seed_xc[seed_of, j_of]
     # entry lists (_Run): the padding target 0 at j = n_mid reads the zero
     # row, which ends each seed's list and is all four of a seed column's
-    nt = n + 1
-    seed_idx = seed_xc + np.arange(n + 1) * nt
+    seed_idx = seed_xc + np.arange(m + 1) * nt
     i_t, j_t = i_of * nt, j_of * nt
     swap_idx = np.stack([i_t + x_j, j_t + x_i, i_t + x_i, j_t + x_j])
     matched = (seed_xc > 0).sum(axis=1)
     appear = lam * (n_next[col_stage] - matched[seed_of])
 
-    # rows: the predecessor spaces. rowtab[r, j] starts as 1 + the
-    # predecessor of mid object j in row r, 0 when none: entry i of row r
-    # goes to flat position r * (n + 2) + 1 + its target, computed in
-    # place in stacked, so DISAPPEAR entries and the padding all land in
-    # column 0, which is dropped. Then it becomes the table row
-    # ((k (n + 1) + i + 1) n + j), and column n_mid the zero row
-    rowtab = np.zeros((n_rows, n + 2), dtype=np.int64)
-    at = stacked[:n_rows]
-    at += np.arange(1, n_rows * (n + 2) + 1, n + 2)[:, None]
-    rowtab.reshape(-1)[at] = np.arange(1, n + 1)
-    rowtab *= n
-    rowtab += np.repeat(np.arange(n_st) * (n + 1) * n - 1, sizes[:-1])[:, None]
-    rowtab += np.arange(n + 2)
+    # rows: the predecessor spaces. Column j + 1 of a seed's seed_tab[q]
+    # starts as 1 + the predecessor of mid object j in seed q, 0 when
+    # none: entry i of seed q goes to flat position q * (m + 2) + 1 + its
+    # target, so DISAPPEAR entries and the padding all land in column 0,
+    # which is dropped at the end. Then it becomes the table row ((k p +
+    # i + 1) m + j), and column n_mid + 1 the zero row
+    seed_tab = np.zeros((n_pred, m + 2), dtype=np.int64)
+    at = seeds[:n_pred] + np.arange(1, n_pred * (m + 2) + 1, m + 2)[:, None]
+    seed_tab.reshape(-1)[at] = np.arange(1, at.shape[1] + 1)
+    seed_tab *= m
+    seed_tab += np.repeat(np.arange(n_st) * p * m - 1, n_seeds[:-1])[:, None]
+    seed_tab += np.arange(m + 2)
+    seed_tab[np.arange(n_pred), np.repeat(n_mid, n_seeds[:-1]) + 1] = tables.shape[0] - 1
+    # every row copies its seed's; exchanging entries i and j moves mid
+    # object s[i] from predecessor i to j and s[j] from j to i, each a
+    # shift of (j - i) m table rows. A seed row (i = j = -1) shifts by 0,
+    # and a moved DISAPPEAR entry lands in column 0, dropped with the rest
+    rinfo = info[:n_rows]
+    row_seed = seed_cum[np.repeat(off[:-2], sizes[:-1]) + rinfo[:, 0]]
+    rowtab = seed_tab[row_seed]
+    i, j = rinfo[:, 1], rinfo[:, 2]
+    shift = (j - i) * m
+    at = row_seed * seeds.shape[1]
+    first = np.arange(1, n_rows * (m + 2) + 1, m + 2)
+    flat_tab = rowtab.reshape(-1)
+    flat_tab[first + seeds.reshape(-1)[at + i]] += shift
+    flat_tab[first + seeds.reshape(-1)[at + j]] -= shift
     rowtab = rowtab[:, 1:]
-    rowtab[np.arange(n_rows), np.repeat(n_mid, sizes[:-1])] = tables.shape[0] - 1
 
     prunes = _prune_pays(sizes[:-1], n_seeds[:-1], c_sizes, s_sizes, n_mid)
     return _Run(
         t0=t0,
-        n_prev=n_prev.tolist(),
+        counts=counts,
         n_mid=n_mid.tolist(),
         n_next=n_next.tolist(),
         tables=tables,
@@ -800,8 +849,9 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
 def _stage_runs(counts, sizes) -> list[tuple[int, int]]:
     """Stage ranges [t0, t1) for _stages, last stage first.
 
-    A run grows while its padded term tables plus its stacked space
-    cells stay within _FOLD_CELLS; a larger stage goes alone.
+    A run grows while its term tables, counted as if padded to the
+    run's widest frame on every axis, plus its spaces' cells stay within
+    _FOLD_CELLS; a larger stage goes alone.
     """
     runs = []
     t1 = len(sizes)

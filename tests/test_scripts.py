@@ -39,13 +39,23 @@ def test_desk_experiments(tmp_path):
 
 
 def test_complexity_table(tmp_path):
+    # small N0 for the scaling rows, one fresh process each
     out = run_script(
         "run_complexity_table.py",
         "--output", str(tmp_path), "--replicates", "1", "--frames", "3", "--jobs", "1",
+        "--n0", "4", "8",
     )
     lines = out.strip().splitlines()
-    assert lines[-4].split() == ["delta", "evals/video", "ratio", "predicted"]
-    assert [line.split()[0] for line in lines[-3:]] == ["1", "2", "3"]
+    assert lines[-7].split() == ["delta", "evals/video", "ratio", "predicted"]
+    assert [line.split()[0] for line in lines[-6:-3]] == ["1", "2", "3"]
+    assert lines[-3].split() == ["N0", "track_s", "peak_mb", "space_rows", "dp_cells"]
+    for line, n0 in zip(lines[-2:], (4, 8)):
+        fields = line.split()
+        assert int(fields[0]) == n0
+        assert float(fields[1]) >= 0 and float(fields[2]) > 0
+        # a closed view holds N0 objects in each of its 4 frames, so each
+        # of its 3 spaces has at least one seed and its exchanges
+        assert int(fields[3]) >= 3 * (1 + n0 * (n0 - 1) // 2) and int(fields[4]) > 0
 
 
 def test_output_digest_repeats():

@@ -277,6 +277,102 @@ def test_seeded_space_matches_pairwise_exchanges(rng):
                 assert (got.n_from, got.n_next) == (n, m)
 
 
+@st.composite
+def seeded_pairs(draw):
+    """Fixed-d seeds of one to three frame pairs, up to 40 entries over up
+    to 300 targets, so a row packs into several int64 keys of 7 or 8
+    digits and an exchange can move entries between keys. A pair's
+    seeds differ in their disappearance counts; counts near n_a give
+    seeds of many DISAPPEAR entries, and d = n_a the all-DISAPPEAR seed."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_a = draw(st.sampled_from([0, 1]) | st.integers(2, 40) | st.integers(25, 40))
+        n_b = draw(st.integers(0, 300))
+        ds = draw(st.lists(st.integers(max(0, n_a - n_b), n_a), min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            ds = sorted({*ds, n_a})
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        seeds = []
+        for d in ds:
+            entries = np.full(n_a, DISAPPEAR)
+            entries[rng.permutation(n_a)[: n_a - d]] = rng.permutation(n_b)[: n_a - d]
+            seeds.append(MatchingVector(tuple(entries.tolist()), n_next=n_b))
+        pairs.append((seeds, n_a, n_b))
+    return pairs
+
+
+@settings(max_examples=100)
+@given(pairs=seeded_pairs())
+def test_seeded_spaces_of_wide_rows_match_the_reference(pairs):
+    from unittest import mock
+
+    from velotrack import tripartite
+    from velotrack.oracle import reference_seeded_space
+
+    n_a = np.array([p[1] for p in pairs])
+    n_b = np.array([p[2] for p in pairs])
+    seed_pair = np.repeat(np.arange(len(pairs)), [len(p[0]) for p in pairs])
+    rows = np.full((seed_pair.shape[0], max(n_a.max(), 1)), DISAPPEAR)
+    for g, m in enumerate(m for p in pairs for m in p[0]):
+        rows[g, : len(m)] = m.entries
+    want = [reference_seeded_space(*p) for p in pairs]
+    for cells in (40, tripartite._FOLD_CELLS):
+        with mock.patch.object(tripartite, "_FOLD_CELLS", cells):
+            got = tripartite._assemble_spaces(seed_pair, rows, n_a, n_b)
+        for g, w, (_, n, m) in zip(got, want, pairs):
+            np.testing.assert_array_equal(g.matrix, w.matrix)
+            np.testing.assert_array_equal(g.swap_info, w.swap_info)
+            assert (g.n_from, g.n_next) == (n, m)
+
+
+def _mislabelled(info, how):
+    """A copy of a space's swap_info broken in one way."""
+    info = info.copy()
+    sw = np.flatnonzero(info[:, 1] >= 0)
+    seeds = np.flatnonzero(info[:, 1] < 0)
+    if how == "rotated":  # the exchanges' (i, j) labels rotated by one row
+        info[sw, 1:] = np.roll(info[sw, 1:], 1, axis=0)
+    elif how == "seed of another row":
+        info[seeds[0], 0] = (seeds[0] + 1) % info.shape[0]
+    elif how == "seed with an entry":
+        info[seeds[0], 2] = 0
+    elif how == "names an exchange":
+        info[sw[0], 0] = sw[1]
+    elif how == "i not below j":
+        info[sw[0], 1:] = info[sw[0], 2:0:-1]
+    elif how == "j beyond the row":
+        info[sw[0], 2] = 99
+    elif how == "wrong shape":
+        info = info[:, :2]
+    return info
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "rotated",
+        "seed of another row",
+        "seed with an entry",
+        "names an exchange",
+        "i not below j",
+        "j beyond the row",
+        "wrong shape",
+    ],
+)
+def test_build_checks_swap_info(how):
+    from velotrack.core import CandidateSpace
+
+    # space 2 of a 4-frame video of 4 points each
+    rng = np.random.default_rng(0)
+    seq = FrameSequence(tuple(rng.uniform(0.0, 10.0, size=(4, 2)) for _ in range(4)))
+    sp = track(seq).spaces[2]
+    again = CandidateSpace.build(sp.matrix, n_next=sp.n_next, swap_info=sp.swap_info)
+    np.testing.assert_array_equal(again.matrix, sp.matrix)
+    np.testing.assert_array_equal(again.swap_info, sp.swap_info)
+    with pytest.raises(InvalidInputError):
+        CandidateSpace.build(sp.matrix, n_next=sp.n_next, swap_info=_mislabelled(sp.swap_info, how))
+
+
 @settings(max_examples=300)
 @given(
     n_b=st.integers(0, 300),

@@ -150,16 +150,17 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
     assert sorted(stages) == list(range(1, f - 1))
     for t, (run, k) in stages.items():
         nt = run.tables.shape[1]
-        n_mid, n_next, m = counts[t], counts[t + 1], nt - 1
+        n_mid, n_next = counts[t], counts[t + 1]
+        p, m = tripartite._extents(run.counts)
         tab = reference_stage_terms(seq, noise, t)
         assert run.table(k).shape == tab.shape
         assert np.array_equal(run.table(k), tab)
-        # predecessor rows: table rows in the run's padded layout, stage k's
-        # block from row k (m + 1) m, which hold the reference's entries
-        # through reference_rowbase
+        # predecessor rows: table rows (i + 1) m + j in the run's padded
+        # layout, stage k's block from row k p m, which hold the
+        # reference's entries through reference_rowbase
         rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid]
-        want = reference_rowbase(spaces[t - 1], m, m)[:, :n_mid] // (m + 1)
-        assert np.array_equal(rowtab, want + k * (m + 1) * m)
+        want = reference_rowbase(spaces[t - 1], m, 0)[:, :n_mid]
+        assert np.array_equal(rowtab, want + k * p * m)
         got = run.tables[rowtab][:, :, : n_next + 1]
         ref = reference_rowbase(spaces[t - 1], n_mid, n_next)[:, :, None]
         assert np.array_equal(got, tab.reshape(-1)[ref + np.arange(n_next + 1)])
