@@ -351,9 +351,10 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
 def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
     """pair_log_likelihood_first for every row of a candidate matrix.
 
-    terms[i, k + 1] is object i's position term when sent to object k of
-    frame_b, and terms[i, 0] = 0.0 its DISAPPEAR term; each row gathers
-    its entries' terms through matrix + 1 and sums them in object order.
+    terms[i, k] is object i's position term when sent to object k of
+    frame_b, and terms[i, n_b] = 0.0 its DISAPPEAR term, which entry -1
+    reads as the last column; each row gathers its entries' terms through
+    the matrix itself and sums them in object order.
     """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
@@ -362,10 +363,10 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
     const = -math.log(2.0 * math.pi * scale2)
     disp = b[None, :, :] - a[:, None, :]
     terms = np.zeros((a.shape[0], n_b + 1))
-    terms[:, 1:] = const - np.einsum("ikd,ikd->ik", disp, disp) / (2.0 * scale2)
+    terms[:, :n_b] = const - np.einsum("ikd,ikd->ik", disp, disp) / (2.0 * scale2)
     n_dis = (matrix < 0).sum(axis=1)
     n_app = n_b - (matrix.shape[1] - n_dis)
-    rows = terms[np.arange(a.shape[0]), matrix + 1]
+    rows = terms[np.arange(a.shape[0]), matrix]
     return rows.sum(axis=1) + noise.lambda_event * (n_dis + n_app)
 
 
