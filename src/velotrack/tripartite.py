@@ -303,9 +303,10 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             s = seeds[g, :n]
             n_s = g.shape[0]
             # the kept exchanges: entries i and j of seed q are not both DISAPPEAR
-            q, e = np.nonzero(s[:, iu] != s[:, ju])
-            i, j = iu[e], ju[e]
-            s_i, s_j = s[q, i], s[q, j]
+            s_i, s_j = s[:, iu], s[:, ju]
+            keep = s_i != s_j
+            q, e = np.nonzero(keep)
+            i, j, s_i, s_j = iu[e], ju[e], s_i[keep], s_j[keep]
             keys, place, per_key = _lex_keys(s)
             ex_keys = keys[:, q]
             change = s_j - s_i
@@ -319,21 +320,21 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             del keys, ex_keys
             src = np.r_[np.arange(n_s), q][order]  # each sorted row's seed
             rows = s[src]
-            is_ex = order >= n_s
-            at = np.flatnonzero(is_ex)
+            at = np.flatnonzero(order >= n_s)
             x = order[at] - n_s
-            rows[at, i[x]] = s_j[x]
-            rows[at, j[x]] = s_i[x]
+            i, j = i[x], j[x]
+            rows[at, i] = s_j[x]
+            rows[at, j] = s_i[x]
             row_pair = row_pair[order]
             starts = np.flatnonzero(np.r_[True, row_pair[1:] != row_pair[:-1]])
             ends = np.r_[starts[1:], rows.shape[0]]
-            seed_at = np.flatnonzero(~is_ex)
+            seed_at = np.flatnonzero(order < n_s)
             seed_pos = np.empty(n_s, dtype=np.int64)
             seed_pos[order[seed_at]] = seed_at
             info = np.full((rows.shape[0], 3), -1, dtype=np.int64)
             info[:, 0] = seed_pos[src] - np.repeat(starts, ends - starts)
-            info[at, 1] = i[x]
-            info[at, 2] = j[x]
+            info[at, 1] = i
+            info[at, 2] = j
             rows.flags.writeable = False
             info.flags.writeable = False
             for r0, r1, p in zip(starts.tolist(), ends.tolist(), row_pair[starts].tolist()):
