@@ -6,7 +6,7 @@ and prints the ratio of total stage-score evaluations between
 consecutive deltas next to the ((delta+1/2)/(delta-1/2))^2 prediction.
 The full sweep takes a few minutes per replicate.
 
-Then, for each N0 of --n0 (40, 80, ..., 200 by default), it tracks one
+Then, for each N0 of SCALING_N0 (40, 80, ..., 200), it tracks one
 closed-view video (the window is the whole region, sigma 1, f=4, seed
 0, space_cap raised) in a fresh process and prints track()'s seconds,
 its tracemalloc peak, the total rows of its candidate spaces and the
@@ -26,6 +26,8 @@ import tracemalloc
 
 from velotrack import SimConfig, TrackerConfig, simulate, track
 from velotrack.cli import main as cli_main
+
+SCALING_N0 = (40, 80, 120, 160, 200)
 
 
 def scaling_row(n0: int) -> tuple[float, int, int, int]:
@@ -53,13 +55,7 @@ def main() -> int:
     ap.add_argument("--frames", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
-    ap.add_argument(
-        "--n0", type=int, nargs="+", default=[40, 80, 120, 160, 200],
-        help="objects per frame of the scaling rows (default: 40 80 120 160 200)",
-    )
     args = ap.parse_args()
-    if min(args.n0) < 1:
-        ap.error("--n0 values must be positive")
 
     grid = {
         "N0": [50],
@@ -99,9 +95,9 @@ def main() -> int:
 
     # one fresh process per row, so no row inherits another's heap
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
-        scaling = pool.map(scaling_row, args.n0, chunksize=1)
+        scaling = pool.map(scaling_row, SCALING_N0, chunksize=1)
     print(f"{'N0':>5} {'track_s':>9} {'peak_mb':>9} {'space_rows':>11} {'dp_cells':>12}")
-    for n0, (seconds, peak, rows, cells) in zip(args.n0, scaling):
+    for n0, (seconds, peak, rows, cells) in zip(SCALING_N0, scaling):
         print(f"{n0:>5} {seconds:>9.4f} {peak / 1e6:>9.2f} {rows:>11} {cells:>12}")
     return 0
 

@@ -288,18 +288,16 @@ def _lex_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return keys, place, per_key
 
 
-def _lex_order(rows: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
-    """np.lexsort's order of the rows of an integer matrix: by lead when
-    given, then by column 0, 1, ...
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """np.lexsort's order of the rows of an integer matrix: by column 0,
+    then 1, ...
 
     The columns are packed into fewer int64 keys (_lex_keys); packing
     keeps the order and the sort stays stable, so the order is
     np.lexsort's.
     """
-    keys = list(_lex_keys(rows)[0])
-    if lead is not None:
-        keys.insert(0, lead)
-    if not keys:
+    keys = _lex_keys(rows)[0]
+    if not keys.shape[0]:
         return np.arange(rows.shape[0])
     # lexsort keys run last-to-first
     return np.lexsort(keys[::-1])

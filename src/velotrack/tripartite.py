@@ -397,7 +397,7 @@ class _Run:
     appeared at the mid frame (position Gaussian). table(k) views the
     stage's own entries; the padding is never read. The last row is
     zeros. Row rowtab[r, j] holds mid object j's terms in predecessor
-    row r, and rowtab[r, n_mid[k]] is the zero row: rows enter only
+    row r, and rowtab[r, n_mid] is the zero row: rows enter only
     through each mid object's predecessor.
 
     The arrays stack every stage: stage k owns rowtab rows r_off[k] ..
@@ -420,9 +420,9 @@ class _Run:
     """
 
     t0: int
-    counts: np.ndarray
-    n_mid: list[int]
-    n_next: list[int]
+    counts: list[int]
+    p: int
+    m: int
     tables: np.ndarray
     r_off: list[int]
     c_off: list[int]
@@ -436,7 +436,7 @@ class _Run:
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        return _table_view(self.tables, self.counts, k)
+        return _table_view(self.tables, self.counts, k, self.p, self.m)
 
     def dense(self, k: int, rows, g_next, cols=None) -> np.ndarray:
         """Values of the columns `cols` (indices; all when None) of stage
@@ -453,7 +453,7 @@ class _Run:
         there are; the values come out column by column and are returned
         transposed.
         """
-        n_mid, nt = self.n_mid[k], self.tables.shape[1]
+        n_mid, nt = self.counts[k + 1], self.tables.shape[1]
         c0, c1 = self.c_off[k], self.c_off[k + 1]
         c, g = (slice(c0, c1), g_next) if cols is None else (cols + c0, g_next[cols])
         rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][rows]
@@ -474,7 +474,7 @@ class _Run:
     def fold_dense(self, k: int, g_next, g_prev, back, rows=None, cols=None) -> int:
         """First argmax over the columns `cols` of stage k for the rows
         `rows` (indices; all of either when None); returns cells scored."""
-        n_mid, nt = self.n_mid[k], self.tables.shape[1]
+        n_mid, nt = self.counts[k + 1], self.tables.shape[1]
         n_rows = g_prev.shape[0] if rows is None else rows.shape[0]
         n_cols = self.c_off[k + 1] - self.c_off[k] if cols is None else cols.shape[0]
         # per row: rt, the seed terms, the exchange terms and the values
@@ -573,7 +573,7 @@ class _Bounds:
         margin, 8 times that bound, covers all their roundings.
         """
         t = run.t0 + k
-        n_mid = run.n_mid[k]
+        n_mid = run.counts[k + 1]
         appear = run.appear[run.c_off[k] : run.c_off[k + 1]]
         lb = float((self.seed_prefix[t - 1] + g_seed).max())
         scale = (
@@ -594,11 +594,10 @@ class _Bounds:
         g_next of any column. A swap row's sum is its seed's plus the
         changes of its two moved mid objects.
         """
-        n_mid, n_next = run.n_mid[k], run.n_next[k]
+        n_mid, n_next, m = run.counts[k + 1], run.counts[k + 2], run.m
         # rowmax over the stage's table rows (i + 1) m + j, then a 0.0 that
         # stands for a moved DISAPPEAR entry
-        p, m = _extents(run.counts)
-        n_tab = p * m
+        n_tab = run.p * m
         g0 = k * n_tab
         rowmax = np.append(run.tables[g0 : g0 + n_tab, : n_next + 1].max(axis=1), 0.0)
         rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid][seed_rows]
@@ -649,8 +648,9 @@ def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
             break
         terms = _term_tables(seq, noise, t0, t1)
         counts, tables = terms
+        p, m = _extents(counts)
         for k, t in enumerate(range(t0, t1)):
-            bounds.step(_table_view(tables, counts, k), spaces[t - 1], spaces[t], lam)
+            bounds.step(_table_view(tables, counts, k, p, m), spaces[t - 1], spaces[t], lam)
     for t in range(run.t0, t_end):
         bounds.step(run.table(t - run.t0), spaces[t - 1], spaces[t], lam)
     return bounds, terms
@@ -717,10 +717,9 @@ def _term_tables(seq, noise, t0: int, t1: int):
     return counts, tables
 
 
-def _table_view(tables, counts, k: int) -> np.ndarray:
+def _table_view(tables, counts, k: int, p: int, m: int) -> np.ndarray:
     """Stage k's table, tab[i + 1, j, x], as a view into the tables of a
-    run with frame counts counts (_term_tables)."""
-    p, m = _extents(counts)
+    run with frame counts counts and extents p, m (_term_tables)."""
     tab = tables[k * p * m : (k + 1) * p * m].reshape(p, m, tables.shape[1])
     return tab[: counts[k] + 1, : counts[k + 1], : counts[k + 2] + 1]
 
@@ -832,9 +831,9 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     prunes = _prune_pays(sizes[:-1], n_seeds[:-1], c_sizes, s_sizes, n_mid)
     return _Run(
         t0=t0,
-        counts=counts,
-        n_mid=n_mid.tolist(),
-        n_next=n_next.tolist(),
+        counts=counts.tolist(),
+        p=p,
+        m=m,
         tables=tables,
         r_off=off[:-1].tolist(),
         c_off=c_off.tolist(),

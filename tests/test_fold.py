@@ -321,7 +321,7 @@ def test_cell_forms_agree_on_every_stage_of_a_run(counts, delta, rng):
         sp_prev, sp_next = spaces[t - 1], spaces[t]
         n_rows, n_cols = len(sp_prev), len(sp_next)
         # every row's last term row is the zero row
-        zero = run.rowtab[run.r_off[k] : run.r_off[k + 1], run.n_mid[k]]
+        zero = run.rowtab[run.r_off[k] : run.r_off[k + 1], run.counts[k + 1]]
         assert np.all(zero == run.tables.shape[0] - 1)
         g_next = np.round(rng.normal(0.0, 3.0, size=n_cols))
         dense = run.dense(k, np.arange(n_rows), g_next)

@@ -11,14 +11,18 @@ from velotrack.tripartite import TRACK_LAYERS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600, check=False,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_crossing_demo():
@@ -39,11 +43,15 @@ def test_desk_experiments(tmp_path):
 
 
 def test_complexity_table(tmp_path):
-    # small N0 for the scaling rows, one fresh process each
-    out = run_script(
-        "run_complexity_table.py",
+    # the script's main with small N0 for the scaling rows, one fresh
+    # process each
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import run_complexity_table as m; "
+        "m.SCALING_N0 = (4, 8); sys.argv = sys.argv[1:]; sys.exit(m.main())"
+    )
+    out = run_python(
+        "-c", code, str(ROOT / "scripts"),
         "--output", str(tmp_path), "--replicates", "1", "--frames", "3", "--jobs", "1",
-        "--n0", "4", "8",
     )
     lines = out.strip().splitlines()
     assert lines[-7].split() == ["delta", "evals/video", "ratio", "predicted"]

@@ -378,17 +378,14 @@ def test_build_checks_swap_info(how):
     n_b=st.integers(0, 300),
     width=st.integers(0, 60),
     n_rows=st.integers(0, 40),
-    n_pairs=st.integers(1, 4),
     seed=st.integers(0, 2**16),
 )
-def test_packed_order_equals_lexsort(n_b, width, n_rows, n_pairs, seed):
+def test_packed_order_equals_lexsort(n_b, width, n_rows, seed):
     # rows of entries -1 .. n_b - 1 around one base row, so they share
     # prefixes and repeat; the extremes of the range occur
     rng = np.random.default_rng(seed)
     rows = np.tile(rng.integers(-1, n_b, size=width), (n_rows, 1))
     hit = rng.random(rows.shape) < 0.2
     rows[hit] = rng.choice([-1, n_b - 1, (n_b - 1) // 2], size=int(hit.sum()))
-    pair = rng.integers(0, n_pairs, size=n_rows)
-    assert np.array_equal(_lex_order(rows, pair), np.lexsort((*rows.T[::-1], pair)))
     want = np.lexsort(rows.T[::-1]) if width else np.arange(n_rows)
     assert np.array_equal(_lex_order(rows), want)

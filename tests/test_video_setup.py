@@ -151,7 +151,7 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
     for t, (run, k) in stages.items():
         nt = run.tables.shape[1]
         n_mid, n_next = counts[t], counts[t + 1]
-        p, m = tripartite._extents(run.counts)
+        p, m = run.p, run.m
         tab = reference_stage_terms(seq, noise, t)
         assert run.table(k).shape == tab.shape
         assert np.array_equal(run.table(k), tab)
