@@ -23,11 +23,20 @@ augmenting path. _tie_possible searches for these in O(n^2); only when
 it finds one does the exact lexicographic refinement run. Ties between
 cardinalities of equal gated total are compared separately.
 
-_sweep runs the sweeps of many pairs of point sets in lockstep, in
-padded chunks with a vectorized Dijkstra step, and keeps each pair's
-snapshots bit for bit as a sweep of that pair alone would
-(oracle.reference_sweep). Only the chunks compute costs, and each
-records its rows' minima, from which _Sweep.gate reads the gate.
+_sweep runs the sweeps of many pairs of point sets in padded chunks
+and keeps each pair's snapshots bit for bit as a sweep of that pair
+alone would (oracle.reference_sweep). Most augmentations settle a free
+column in their first Dijkstra step. Until one settles a matched
+column, every v is 0 and the free rows share one potential U, so such
+an augmentation matches the free row of smallest minimum c to its
+cheapest column and adds fl(c - U) to every free row's potential.
+_one_step_prefix computes each pair's leading run of them in closed
+form, up to the first cheapest column already taken or the first tie,
+exact or after rounding, that leaves the step in doubt. Only the
+augmentations after it run as lockstep rounds of a vectorized Dijkstra
+step, over the pairs that need them. Only the chunks compute costs,
+and each records its rows' minima, from which _Sweep.gate reads the
+gate.
 track() sweeps all frame pairs of a video in one batch; the gate, the
 gated choice of every pair and the fixed-d seeds of every reduced
 space are read from that one _Sweep, which shares each refinement
@@ -107,15 +116,17 @@ class _SweepState:
 class _Chunk:
     """One padded chunk of a batched sweep and its snapshots.
 
-    Position q holds pair order[q] of the chunk; cost[q] is its cost
-    matrix padded with +inf and tol[q] its certificate tolerance;
-    row_min holds the minima of the real rows of pairs with n_b > 0.
-    row_to, u and v are indexed [k - 1, q, i] after k augmentations
-    (padded rows hold row_to = -2); card_cost is indexed [k - 1, q] and
-    is +inf past the pair's k_stop.
+    Position q holds the chunk's q-th pair; cost[q] is its cost matrix
+    padded with +inf and tol[q] its certificate tolerance; row_min
+    holds the minima of the real rows of pairs with n_b > 0. row_to, u
+    and v are indexed [k, q, i] after k augmentations, k from 0 up to
+    the pair's k_stop (padded rows hold row_to = -2 and u = 0; entries
+    past k_stop are not read); card_cost is indexed [k, q] and is +inf
+    past the pair's k_stop. one_step[q] counts the pair's leading
+    augmentations that _one_step_prefix settled without a Dijkstra
+    round.
     """
 
-    order: np.ndarray
     cost: np.ndarray
     tol: np.ndarray
     row_min: np.ndarray
@@ -124,6 +135,7 @@ class _Chunk:
     v: np.ndarray
     card_cost: np.ndarray
     steps: np.ndarray
+    one_step: np.ndarray
 
 
 def _sweep(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops=None) -> "_Sweep":
@@ -151,20 +163,99 @@ def _sweep(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops=None) -> "_
     return _Sweep(a, b, k_stops, chunks)
 
 
+def _one_step_prefix(cost, col, c_min, real_a, k_stop):
+    """Each pair's one-step prefix in closed form: its leading
+    augmentations whose first Dijkstra step settles a free column.
+
+    Until an augmentation settles a matched column, v stays 0 and every
+    free row has the same potential U, so the reduced cost of a free
+    row's cell is fl(c - U), which is monotone in c. If the cheapest
+    free-row cell (r, j) is the only cell at the smallest fl(c - U) and
+    j is free, the augmentation settles j alone: r takes j and every
+    free row, r included, gains d = fl(c - U). Row minima do not move,
+    so augmentation k matches the row of the k-th smallest minimum c_k
+    (in the stable order) to its cheapest column, and U_k = U_{k-1} +
+    fl(c_k - U_{k-1}), which rounding can leave off c_k. The prefix ends
+    at k_stop, at the first row whose cheapest column an earlier row
+    took, or at the first d that the next row's minimum or the row's own
+    second-cheapest cell ties, exactly or after rounding. Every cell of
+    a later row costs at least the next minimum, and every other cell of
+    the row at least its second-cheapest, so short of those ties the
+    step is the one described.
+
+    Returns (n_one, rank, col, pot): n_one[q] augmentations of pair q
+    settle in one step; row i is matched in augmentation rank[q, i] + 1,
+    when that is at most n_one[q], to column col[q, i] (padded rows
+    hold rank -1 and col -2); pot[q, k] is the free rows' U after k
+    augmentations, for k <= n_one[q].
+    """
+    n_p, rows, cols = cost.shape
+    n_k = int(k_stop.max())
+    pq = np.arange(n_p)[:, None]
+    # the second-cheapest cell of each row: hide the cheapest, look again
+    flat = cost.reshape(-1)
+    base = np.arange(0, flat.shape[0], cols)
+    cheapest = base + col.reshape(-1)
+    flat[cheapest] = np.inf
+    second = flat[base + cost.argmin(axis=2).reshape(-1)].reshape(n_p, rows)
+    flat[cheapest] = c_min.reshape(-1)
+    order = np.argsort(c_min, axis=1, kind="stable")
+    lead = order[:, :n_k]
+    sweeping = np.arange(n_k) < k_stop[:, None]
+    # the rows' minima in match order, and 0 where the sweep stops, so
+    # that U stays finite
+    srt = c_min[pq, order]
+    c = np.where(sweeping, srt[:, :n_k], 0.0)
+    # columns that an earlier row of the order takes first
+    j = col[pq, lead]
+    by_col = np.argsort(j, axis=1, kind="stable")
+    j_sorted = j[pq, by_col]
+    taken = np.zeros((n_p, n_k), dtype=bool)
+    taken[pq, by_col[:, 1:]] = j_sorted[:, 1:] == j_sorted[:, :-1]
+    # pot[:, k] = U_k = U_{k-1} + fl(c[:, k-1] - U_{k-1}) by fixed-point
+    # iteration from the guess U_k = c[:, k-1], exact whenever the
+    # subtraction is: each pass fixes at least one more entry, and it
+    # rarely takes more than two
+    pot = np.zeros((n_p, n_k + 1))
+    pot[:, 1:] = c
+    while True:
+        d = c - pot[:, :-1]
+        step = pot[:, :-1] + d
+        if (step == pot[:, 1:]).all():
+            break
+        pot[:, 1:] = step
+    u = pot[:, :-1]
+    ok = sweeping & ~taken
+    ok &= second[pq, lead] - u > d
+    # the next row's minimum is the smallest cell of every later row;
+    # the last row has no later one
+    w = max(min(n_k, rows - 1), 0)
+    ok[:, :w] &= srt[:, 1 : w + 1] - u[:, :w] > d[:, :w]
+    n_one = np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+    rank = np.empty_like(order)
+    rank[pq, order] = np.arange(rows)
+    return n_one, np.where(real_a, rank, -1), np.where(real_a, col, -2), pot
+
+
 def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _Chunk:
     """_sweep on one padded chunk of pairs.
 
     The costs are one broadcast over points padded with one scatter.
     Padded cells cost +inf, so padded columns are never reached, and
-    padded rows hold row_to = -2, never free and never matched. The
-    pairs are ordered by k_stop, largest first, so the pairs augmenting
-    in round k are a prefix. Each round augments them in lockstep: one
-    Dijkstra step is one argmin and one relaxation over the pairs still
-    searching, and a pair drops out of the search when it reaches a
-    free column. Every element sees the float operations of a sweep of
-    its pair alone (oracle.reference_sweep), so every snapshot is bit
-    for bit the same; the matched costs of each pair are summed in row
-    order like a single pair's. Arrays are indexed flat, pair * width +
+    padded rows hold row_to = -2, never free and never matched.
+
+    _one_step_prefix settles each pair's leading one-step augmentations,
+    and a few vector operations fill their snapshots. Round k then makes
+    augmentation k + 1 in lockstep, only for the pairs whose prefix
+    ended at or before k and whose k_stop lies beyond it (through views
+    when these pairs are consecutive), and a round runs only where some
+    pair needs it. One Dijkstra step is one argmin and one relaxation
+    over the pairs still searching, and a pair drops out of the search
+    when it reaches a free column. Every element sees the float
+    operations of a sweep of its pair alone (oracle.reference_sweep),
+    so every snapshot is bit for bit the same. After the rounds, the
+    matched costs of each pair and cardinality are summed in row order
+    like a single pair's. Arrays are indexed flat, pair * width +
     position.
 
     tol is the tie certificate's tolerance, a few n ulps of each pair's
@@ -175,56 +266,113 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
     from ties.
     """
     n_p = len(a)
-    order = np.argsort([-k for k in k_stops], kind="stable")
-    n_a = np.array([len(a[p]) for p in order], dtype=np.int64)
-    n_b = np.array([len(b[p]) for p in order], dtype=np.int64)
-    k_stop = np.array([k_stops[p] for p in order], dtype=np.int64)
-    rows, cols = int(n_a.max()), int(n_b.max())
-    n_k = int(k_stop[0])
+    n_a = np.array([len(x) for x in a], dtype=np.int64)
+    n_b = np.array([len(x) for x in b], dtype=np.int64)
+    k_stop = np.array(k_stops, dtype=np.int64)
+    # at least one column, all +inf when no pair has one, so that every
+    # row has a cheapest cell
+    rows, cols = int(n_a.max()), max(int(n_b.max()), 1)
+    n_k = int(k_stop.max())
     real_a = np.arange(rows) < n_a[:, None]
     real_b = np.arange(cols) < n_b[:, None]
     # the masks run pair by pair, so the points fill them in order
     pa, pb = np.zeros((n_p, rows, 2)), np.zeros((n_p, cols, 2))
-    pa[real_a] = np.concatenate([a[p] for p in order])
-    pb[real_b] = np.concatenate([b[p] for p in order])
+    pa[real_a] = np.concatenate(a)
+    pb[real_b] = np.concatenate(b)
     real = real_a[:, :, None] & real_b[:, None, :]
     cost = np.where(real, _sq_dist(pa[:, :, None], pb[:, None]), np.inf)
-    row_min = cost.min(axis=2, initial=np.inf)[real_a & (n_b > 0)[:, None]]
+    col = cost.argmin(axis=2)
+    c_min = cost.reshape(-1)[np.arange(0, cost.size, cols) + col.reshape(-1)].reshape(n_p, rows)
+    row_min = c_min[real_a & (n_b > 0)[:, None]]
     scale = np.where(real, cost, 0.0).max(axis=(1, 2), initial=0.0)
     tol = 64.0 * np.maximum(n_a, n_b) * np.finfo(np.float64).eps * (1.0 + scale)
-    cost_rows = cost.reshape(n_p * rows, cols)
-    u = np.zeros((n_p, rows))
-    v = np.zeros((n_p, cols))
-    row_to = np.where(real_a, -1, -2)
-    col_to = np.full((n_p, cols), -1, dtype=np.int64)
-    uf, row_tof, col_tof = u.reshape(-1), row_to.reshape(-1), col_to.reshape(-1)
+    n_one, rank, col, pot = _one_step_prefix(cost, col, c_min, real_a, k_stop)
+    # a row is matched after k one-step augmentations when rank < k,
+    # padded rows always (to -2, at u = 0); a matched row keeps the U of
+    # its own augmentation
+    ks = np.arange(n_k + 1)
+    done = rank < ks[:, None, None]
+    u_done = pot[np.arange(n_p)[:, None], np.minimum(rank + 1, n_k)]
+    snap_row_to = np.where(done, col, -1)
+    snap_u = np.where(done, u_done, pot.T[:, :, None])
+    snap_v = np.zeros((n_k + 1, n_p, cols))
+    steps = n_one.copy()
+    # the pairs with k matched rows, and those of them making
+    # augmentation k + 1 in a Dijkstra round
+    sweeping = ks[:, None] <= k_stop
+    live = sweeping[1:] & (n_one <= ks[:-1, None])
+    _dijkstra_rounds(cost, live, n_one, steps, snap_row_to, snap_u, snap_v)
+    # k matched rows in each pair still sweeping at k: one row-order sum
+    # per pair and k, from one gather per batch of k of at most
+    # _SWEEP_CELLS / 4 matched cells
+    cells = (sweeping.sum(axis=1) * ks).tolist()
+    sums = []
+    k = 1
+    while k <= n_k:
+        hi, n = k + 1, cells[k]
+        while hi <= n_k and n + cells[hi] <= _SWEEP_CELLS // 4:
+            n, hi = n + cells[hi], hi + 1
+        rt = snap_row_to[k:hi]
+        kq, q, i = np.nonzero((rt >= 0) & sweeping[k:hi, :, None])
+        matched = cost[q, i, rt[kq, q, i]]
+        o = 0
+        for kk in range(k, hi):
+            sums.append(np.add.reduce(matched[o : o + cells[kk]].reshape(-1, kk), axis=1))
+            o += cells[kk]
+        k = hi
+    card_cost = np.where(sweeping, 0.0, np.inf)
+    if sums:
+        card_cost[1:][sweeping[1:]] = np.concatenate(sums)
+    return _Chunk(cost, tol, row_min, snap_row_to, snap_u, snap_v, card_cost, steps, n_one)
+
+
+def _dijkstra_rounds(cost, live, n_one, steps, snap_row_to, snap_u, snap_v):
+    """The lockstep Dijkstra rounds of _sweep_chunk, in place.
+
+    Each pair continues from its snapshots after its n_one one-step
+    augmentations (where v is 0). Round k makes augmentation k + 1 of
+    the pairs live[k], adds each one's settled columns to steps and
+    writes its snapshots at k + 1; rounds without a live pair are
+    skipped.
+    """
+    rounds = np.flatnonzero(live.any(axis=1)).tolist()
+    if not rounds:
+        return
+    n_p, rows, cols = cost.shape
     pair = np.arange(n_p)
+    row_to, u = snap_row_to[n_one, pair], snap_u[n_one, pair]
+    v = np.zeros((n_p, cols))
+    col_to = np.full((n_p, cols), -1, dtype=np.int64)
+    mp, mi = np.nonzero(row_to >= 0)
+    col_to[mp, row_to[mp, mi]] = mi
+    cost_rows = cost.reshape(n_p * rows, cols)
+    uf, row_tof, col_tof = u.reshape(-1), row_to.reshape(-1), col_to.reshape(-1)
     pair_c, pair_r = pair * cols, pair * rows
-    steps = np.zeros(n_p, dtype=np.int64)
     # filled in per pair when its search ends
     big = np.empty((n_p, 1))
     row_dist = np.empty((n_p, rows))
     preds = np.empty((n_p, cols), dtype=np.int64)
     ends = np.empty(n_p, dtype=np.int64)
     row_distf, predsf = row_dist.reshape(-1), preds.reshape(-1)
-    snap_row_to = np.empty((n_k, n_p, rows), dtype=np.int64)
-    snap_u = np.empty((n_k, n_p, rows))
-    snap_v = np.empty((n_k, n_p, cols))
-    snap_cost = np.full((n_k, n_p), np.inf)
-    # the pairs making augmentation k + 1
-    n_live = np.count_nonzero(k_stop > np.arange(n_k)[:, None], axis=1)
-    for k in range(n_k):
-        m = int(n_live[k])
-        um, vm = u[:m], v[:m]
-        free = row_to[:m] == -1
-        row_dist[:m] = np.inf
+    for k in rounds:
+        live_at = np.flatnonzero(live[k])
+        m = live_at.shape[0]
+        # consecutive pairs are read and written through views
+        consecutive = live_at[-1] - live_at[0] == m - 1
+        sel = slice(live_at[0], live_at[0] + m) if consecutive else live_at
+        um, vm, ctm = u[sel], v[sel], col_to[sel]
+        free = row_to[sel] == -1
+        row_dist[sel] = np.inf
         # seed tentative column distances from every free row at distance 0
-        rc = np.where(free[:, :, None], cost[:m] - um[:, :, None] - vm[:, None, :], np.inf)
+        rc = cost[sel] - um[:, :, None]
+        rc -= vm[:, None, :]
+        rc[~free] = np.inf
         pred = rc.argmin(axis=1)
         dist = rc.min(axis=1)
+        del rc
         open_ = np.ones((m, cols), dtype=bool)
-        # search state of the pairs at still searching
-        at, at_c, at_r, own_c, vc = pair[:m], pair_c[:m], pair_r[:m], pair_c[:m], vm
+        # search state of the pairs still searching
+        at, at_c, at_r, own_c, vc = pair[sel], pair_c[sel], pair_r[sel], pair_c[:m], vm
         n_iter = 0
         while True:
             n_iter += 1
@@ -257,13 +405,15 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
             np.copyto(pred, i[:, None], where=better)
         # dual update keeps reduced costs nonnegative and path edges
         # tight; a settled column's distance is its matched row's
-        bm, rd = big[:m], row_dist[:m]
-        col_dist = row_distf[pair_r[:m, None] + np.maximum(col_to[:m], 0)]
+        bm, rd = big[sel], row_dist[sel]
+        col_dist = row_distf[pair_r[sel, None] + np.maximum(ctm, 0)]
         np.add(um, bm, out=um, where=free)
         np.add(um, bm - rd, out=um, where=np.isfinite(rd))
-        np.add(vm, col_dist - bm, out=vm, where=(col_to[:m] >= 0) & np.isfinite(col_dist))
+        np.add(vm, col_dist - bm, out=vm, where=(ctm >= 0) & np.isfinite(col_dist))
+        if not consecutive:
+            u[sel], v[sel] = um, vm
         # flip matched edges along the augmenting paths
-        walk, j = pair[:m], ends[:m]
+        walk, j = pair[sel], ends[sel]
         while True:
             i = predsf[walk * cols + j]
             fi = walk * rows + i
@@ -274,13 +424,9 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
             if not more.any():
                 break
             walk, j = walk[more], prev[more]
-        snap_row_to[k] = row_to
-        snap_u[k] = u
-        snap_v[k] = v
-        # each pair has k + 1 matched rows: one row-order sum per pair
-        lp, li = np.nonzero(row_to[:m] >= 0)
-        snap_cost[k, :m] = cost[lp, li, row_to[lp, li]].reshape(m, k + 1).sum(axis=1)
-    return _Chunk(order, cost, tol, row_min, snap_row_to, snap_u, snap_v, snap_cost, steps)
+        snap_row_to[k + 1, sel] = row_to[sel]
+        snap_u[k + 1, sel] = um
+        snap_v[k + 1, sel] = vm
 
 
 def _reach(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -420,19 +566,19 @@ class _Sweep:
         self.k_stop = np.array(k_stops, dtype=np.int64)
         n_k = int(self.k_stop.max(initial=0))
         self.card_cost = np.full((n_p, n_k + 1), np.inf)
-        self.card_cost[:, 0] = 0.0
         self.steps = np.zeros(n_p, dtype=np.int64)
         self.tie_refinements = np.zeros(n_p, dtype=np.int64)
         self._chunks = [ch for _, ch in chunks]
         self._chunk_of = np.empty(n_p, dtype=np.int64)
         self._pos = np.empty(n_p, dtype=np.int64)
+        self.one_step = np.zeros(n_p, dtype=np.int64)
         for c, (p0, ch) in enumerate(chunks):
-            p = p0 + ch.order
+            p = slice(p0, p0 + ch.steps.shape[0])
             self._chunk_of[p] = c
-            self._pos[p] = np.arange(p.shape[0])
-            k = ch.card_cost.shape[0]
-            self.card_cost[p, 1 : k + 1] = ch.card_cost.T
+            self._pos[p] = np.arange(ch.steps.shape[0])
+            self.card_cost[p, : ch.card_cost.shape[0]] = ch.card_cost.T
             self.steps[p] = ch.steps
+            self.one_step[p] = ch.one_step
         # memo of rows(): _slot[p, k] indexes _rows, -1 when not read yet
         self._slot = np.full((n_p, n_k + 1), -1, dtype=np.int64)
         self._rows = np.empty((0, int(self.n_a.max(initial=0))), dtype=np.int64)
@@ -454,10 +600,10 @@ class _Sweep:
         ch, q, k = self._chunks[self._chunk_of[p]], self._pos[p], self.k_stop[p]
         n_a, n_b = self.n_a[p], self.n_b[p]
         return _SweepState(
-            ch.row_to[:k, q, :n_a],
+            ch.row_to[1 : k + 1, q, :n_a],
             self.card_cost[p, 1 : k + 1],
-            ch.u[:k, q, :n_a],
-            ch.v[:k, q, :n_b],
+            ch.u[1 : k + 1, q, :n_a],
+            ch.v[1 : k + 1, q, :n_b],
             int(self.steps[p]),
         )
 
@@ -474,7 +620,7 @@ class _Sweep:
         for c, ch in enumerate(self._chunks):
             sel = np.flatnonzero((self._chunk_of[pairs] == c) & (ks > 0))
             if sel.shape[0]:
-                q, k = self._pos[pairs[sel]], ks[sel] - 1
+                q, k = self._pos[pairs[sel]], ks[sel]
                 row_to, u, v, tol = ch.row_to[k, q], ch.u[k, q], ch.v[k, q], ch.tol[q]
                 # padded cells stay +inf, matched cells are taken out
                 rc = ch.cost[q] - u[:, :, None] - v[:, None, :]
@@ -501,10 +647,10 @@ class _Sweep:
             p_new, k_new = np.divmod(key, n_k1)
             block = np.full((key.shape[0], self._rows.shape[1]), -1, dtype=np.int64)
             for c, ch in enumerate(self._chunks):
-                sel = np.flatnonzero((self._chunk_of[p_new] == c) & (k_new > 0))
+                sel = np.flatnonzero(self._chunk_of[p_new] == c)
                 if sel.shape[0]:
                     q = self._pos[p_new[sel]]
-                    block[sel, : ch.row_to.shape[2]] = ch.row_to[k_new[sel] - 1, q]
+                    block[sel, : ch.row_to.shape[2]] = ch.row_to[k_new[sel], q]
             np.maximum(block, -1, out=block)  # padded rows hold -2
             for i in np.flatnonzero(self._certify(p_new, k_new)):
                 p, k = int(p_new[i]), int(k_new[i])

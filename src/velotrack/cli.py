@@ -192,6 +192,7 @@ def cmd_track(args) -> int:
             "eval_count": d.eval_count,
             "tie_refinements": list(d.tie_refinements),
             "sweep_steps": list(d.sweep_steps),
+            "sweep_one_step": list(d.sweep_one_step),
             "dp_cells": list(d.dp_cells),
             "pruned_rows": list(d.pruned_rows),
             "stage_runs": [list(r) for r in d.stage_runs],

@@ -1212,6 +1212,9 @@ class TrackDiagnostics:
     # per frame pair, the columns its SSP sweep's Dijkstra searches
     # settled, the free column ending each search included
     sweep_steps: tuple[int, ...]
+    # per frame pair, the leading augmentations of its sweep settled in
+    # closed form, each a single step, without a Dijkstra round
+    sweep_one_step: tuple[int, ...]
     # per stage, the cells the DP scored: first-pair scores at stage 0,
     # then R C for a stage that folds every row, or, for one that
     # prunes, its seed rows times C plus its surviving rows times the
@@ -1288,6 +1291,7 @@ def track(
     seeds = sw.rows(seed_pair, seed_k)
     tie_refinements = tuple(sw.tie_refinements.tolist())
     sweep_steps = tuple(sw.steps.tolist())
+    sweep_one_step = tuple(sw.one_step.tolist())
     del sw  # the DP needs no sweep; free its cost matrices and snapshots
     lap("tie_certificate")
 
@@ -1321,6 +1325,7 @@ def track(
         bmcf_matchings=tuple(bmcf),
         tie_refinements=tie_refinements,
         sweep_steps=sweep_steps,
+        sweep_one_step=sweep_one_step,
         dp_cells=dp_cells,
         stage_runs=stage_runs,
         pruned_rows=pruned_rows,

@@ -372,13 +372,13 @@ def test_track_sweeps_each_pair_once(monkeypatch):
 
 
 @st.composite
-def sweep_pair(draw):
-    n_a, n_b = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+def sweep_pair(draw, n_max=7, span=10.0):
+    n_a, n_b = draw(st.integers(0, n_max)), draw(st.integers(0, n_max))
     if draw(st.booleans()):
         # integer grids are rich in exact ties
         coords = st.integers(0, 3).map(float)
     else:
-        coords = st.floats(-10.0, 10.0)
+        coords = st.floats(-span, span)
     a = draw(st.lists(coords, min_size=2 * n_a, max_size=2 * n_a))
     b = draw(st.lists(coords, min_size=2 * n_b, max_size=2 * n_b))
     a, b = np.array(a, dtype=float).reshape(n_a, 2), np.array(b, dtype=float).reshape(n_b, 2)
@@ -399,14 +399,29 @@ def assert_sweeps_equal_reference(a, b, k_stops, sw):
             assert g.cost[t] == want.cost[t]
 
 
-@settings(max_examples=300)
-@given(batch=st.lists(sweep_pair(), max_size=8), chunk_cells=st.sampled_from([1, 60, 1 << 16]))
-def test_batched_sweep_equals_reference(batch, chunk_cells):
+def assert_batch_equals_reference(batch, chunk_cells):
     a, b, k_stops = [x for x, _, _ in batch], [y for _, y, _ in batch], [k for _, _, k in batch]
     # small chunk bounds split the batch, a pair larger than the bound goes alone
     with mock.patch.object(assignment, "_SWEEP_CELLS", chunk_cells):
         got = assignment._sweep(a, b, k_stops)
     assert_sweeps_equal_reference(a, b, k_stops, got)
+
+
+chunk_cells = st.sampled_from([1, 60, 1 << 16])
+
+
+@settings(max_examples=300)
+@given(batch=st.lists(sweep_pair(), max_size=8), chunk_cells=chunk_cells)
+def test_batched_sweep_equals_reference(batch, chunk_cells):
+    assert_batch_equals_reference(batch, chunk_cells)
+
+
+@settings(max_examples=100)
+@given(batch=st.lists(sweep_pair(n_max=30, span=1e8), max_size=8), chunk_cells=chunk_cells)
+def test_batched_sweep_equals_reference_on_wide_pairs(batch, chunk_cells):
+    # up to 30 rows, so one-step prefixes of many augmentations, and
+    # costs up to 8e16
+    assert_batch_equals_reference(batch, chunk_cells)
 
 
 def test_batched_sweep_equals_reference_on_large_pairs(rng):
@@ -418,6 +433,107 @@ def test_batched_sweep_equals_reference_on_large_pairs(rng):
     b.append(rng.integers(0, 3, size=(10, 2)).astype(float))
     k_stops = [min(len(x), len(y)) for x, y in zip(a, b)]
     assert_sweeps_equal_reference(a, b, k_stops, assignment._sweep(a, b, k_stops))
+
+
+class TestOneStepPrefix:
+    """The closed-form prefix stops where a Dijkstra round has to take
+    over, and every snapshot stays the one-pair reference sweep's."""
+
+    @pytest.mark.parametrize(
+        "a, b, k_stop, one_step",
+        [
+            # row minima 1, 4 and 9, each in its own column
+            pytest.param(
+                [(0, 0), (50, 0), (100, 0)], [(1, 0), (52, 0), (103, 0)], 3, 3, id="separated"
+            ),
+            # the second row's cheapest column is the first row's
+            pytest.param([(0, 0), (0.5, 0)], [(0, 0), (10, 0)], 2, 1, id="taken-column"),
+            # after the first row, two rows have minimum 1
+            pytest.param(
+                [(0, 0), (20, 0), (40, 0)], [(0, 0.5), (21, 0), (39, 0)], 3, 1, id="equal-minima"
+            ),
+            # the second row's two cheapest cells both cost 1
+            pytest.param(
+                [(0, 0), (20, 0), (40, 0)],
+                [(0, 0.5), (21, 0), (19, 0), (40, 3)],
+                3,
+                1,
+                id="tied-cells",
+            ),
+            # minima 1, 2^53 + 4 and 2^53 + 6: after U = 1 both later
+            # rows round to the same reduced cost 2^53 + 4
+            pytest.param(
+                [(0, 0), (0, 1e9), (0, 2e9)],
+                [(1, 0), (94906265.62425157, 1e9), (94906265.62425159, 2e9)],
+                3,
+                1,
+                id="rounding-tie",
+            ),
+            # U after two augmentations is 89.756676 + fl(369.677529 -
+            # 89.756676) = 369.67752899999994, not the second minimum
+            pytest.param(
+                [(0, 0), (0, 100), (0, 300)],
+                [(9.474, 0), (19.227, 100), (0, 500)],
+                3,
+                3,
+                id="rounded-potential",
+            ),
+            # the prefix stops at k_stop, two below kmax
+            pytest.param(
+                [(0, 0), (50, 0), (100, 0), (150, 0)],
+                [(1, 0), (52, 0), (103, 0), (154, 0)],
+                2,
+                2,
+                id="k-stop",
+            ),
+        ],
+    )
+    def test_prefix_stops_where_the_reference_needs_a_round(self, a, b, k_stop, one_step):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        sw = assignment._sweep([a], [b], [k_stop])
+        assert sw.one_step[0] == one_step
+        assert_sweeps_equal_reference([a], [b], [k_stop], sw)
+
+    def test_rounded_potential_is_not_the_row_minimum(self):
+        a = np.array([(0, 0), (0, 100), (0, 300)], dtype=float)
+        b = np.array([(9.474, 0), (19.227, 100), (0, 500)], dtype=float)
+        u = assignment._sweep([a], [b], [2]).state(0).u[1]
+        assert einsum_costs(a, b)[1, 1] == 369.677529
+        assert u[1] == u[2] == 369.67752899999994
+
+    @pytest.mark.parametrize(
+        "n0, sigma, f", [(40, 1.0, 4), (12, 6.0, 20)], ids=["crowded", "noisy"]
+    )
+    def test_bench_videos_equal_reference(self, n0, sigma, f):
+        # the bench's closed-view workloads, seed-0 videos 0-4; crowded's
+        # prefixes run all 40 augmentations
+        longest = 0
+        for seed in range(5):
+            cfg = SimConfig(W=680.0, H=512.0, w=680.0, h=512.0, N0=n0, sigma=sigma, f=f, seed=seed)
+            seq = simulate(cfg).seq
+            a, b = seq.frames[:-1], seq.frames[1:]
+            k_stops = [min(len(x), len(y)) for x, y in zip(a, b)]
+            sw = assignment._sweep(a, b, k_stops)
+            assert_sweeps_equal_reference(a, b, k_stops, sw)
+            longest = max(longest, int(sw.one_step.max()))
+        assert longest == n0
+
+    def test_track_reports_one_step_prefix(self):
+        # pair 0 is well separated; in pair 1 the second row by minimum
+        # wants the first row's column
+        seq = FrameSequence(
+            (
+                np.array([[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]]),
+                np.array([[1.0, 0.0], [52.0, 0.0], [103.0, 0.0]]),
+                np.array([[1.5, 0.0], [300.0, 0.0], [400.0, 0.0]]),
+            )
+        )
+        assert track(seq).diagnostics.sweep_one_step == (3, 1)
+        video = simulate(SimConfig(W=360.0, H=288.0, w=300.0, h=240.0, N0=8, f=12, seed=5)).seq
+        d = track(video).diagnostics
+        kmax = [min(video.n_objects(k), video.n_objects(k + 1)) for k in range(len(video) - 1)]
+        assert all(0 <= o <= k for o, k in zip(d.sweep_one_step, kmax))
+        assert all(o <= s for o, s in zip(d.sweep_one_step, d.sweep_steps))
 
 
 def test_track_reports_sweep_steps():
@@ -448,3 +564,18 @@ def test_sweep_memory_stays_within_chunks():
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20, peak
+
+
+def test_sweep_transients_stay_bounded():
+    # three frames of 400 uniform points, two pairs of a chunk each: the
+    # tracemalloc peak read 14.39 MB before the one-step prefix, and may
+    # rise by 2 % at most
+    rng = np.random.default_rng(0)
+    seq = FrameSequence(tuple(rng.uniform(0.0, 300.0, size=(400, 2)) for _ in range(3)))
+    tracemalloc.start()
+    try:
+        solve_bmcf_sequence(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * 14.39e6, peak

@@ -78,6 +78,9 @@ class TestTrack:
         stages = [t for t0, t1 in diag["stage_runs"][::-1] for t in range(t0, t1)]
         assert stages == list(range(1, SIM_CFG["f"] - 1))
         assert sum(diag["sweep_steps"]) > 0
+        # one-step augmentations are augmentations, each a settled column
+        assert len(diag["sweep_one_step"]) == SIM_CFG["f"] - 1
+        assert all(0 <= o <= s for o, s in zip(diag["sweep_one_step"], diag["sweep_steps"]))
         assert sorted(diag["layer_seconds"]) == sorted(TRACK_LAYERS)
         # every stage of so small a video folds densely: nothing is pruned
         assert diag["pruned_rows"] == [0] * (SIM_CFG["f"] - 1)
