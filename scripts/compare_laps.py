@@ -11,15 +11,24 @@ WORKLOADS (long, crowded and noisy by default), simulated with its
 simulate_video, is tracked once by each side untimed, which also checks
 that both return the same matchings and scores. Then each round tracks
 all the videos with one side and then the other, the first side
-alternating from round to round. Per workload, for each layer of
-TrackDiagnostics.layer_seconds and for the whole track() call, it
-prints the median ms per video on each side and the median over rounds
-of the change/parent ratio of the round's totals, with its min and max.
+alternating from round to round; after each track() call it times
+evaluate(seq, res.matchings, truth, spaces=res.spaces), as the bench
+does, with the simulation's truth matchings. Per workload, for each
+layer of TrackDiagnostics.layer_seconds, for the whole track() call
+and for evaluate, it prints the median ms per video on each side and
+the median over rounds of the change/parent ratio of the round's
+totals, with its min and max.
 
 Processes on a shared machine run at speeds that drift by tens of
 percent from one to the next; within one process, the two sides of a
 round see the same machine, so the ratios are much steadier than any
-comparison of two separate runs.
+comparison of two separate runs. But the two sides also share one
+allocator: the arrays one side frees or keeps mapped change the page
+faults the other side takes, so a layer can read a few percent off
+with no change to its code. Before reading a bound as tight as x1.03
+on a layer, run a session of this checkout against a copy of itself
+(--parent a second checkout of the same commit); the spread of its
+ratios around 1 is the noise floor.
 """
 
 import argparse
@@ -50,30 +59,41 @@ def import_side(checkout: Path, name: str, tmp: Path):
 
 
 def laps(pkg, videos) -> dict[str, float]:
-    """Seconds per layer and for track() as a whole, summed over videos."""
+    """Seconds per layer, for track() as a whole and for evaluate,
+    summed over videos."""
     total = dict.fromkeys(pkg.tripartite.TRACK_LAYERS, 0.0)
-    total["track()"] = 0.0
-    for seq in videos:
+    total["track()"] = total["evaluate"] = 0.0
+    for seq, truth in videos:
         t = time.perf_counter()
         res = pkg.track(seq)
         total["track()"] += time.perf_counter() - t
         for layer, s in res.diagnostics.layer_seconds.items():
             total[layer] += s
+        t = time.perf_counter()
+        pkg.evaluate(seq, res.matchings, truth, spaces=res.spaces)
+        total["evaluate"] += time.perf_counter() - t
     return total
 
 
 def outputs(pkg, videos) -> list[tuple]:
     return [
         (tuple(m.entries for m in res.matchings), res.score.hex())
-        for res in (pkg.track(seq) for seq in videos)
+        for res in (pkg.track(seq) for seq, _ in videos)
     ]
 
 
 def compare(name: str, pkgs: dict, rounds: int) -> None:
     w = bench.WORKLOADS[name]
-    sims = [bench.simulate_video(w, 0, i).seq for i in range(w.videos)]
+    sims = [bench.simulate_video(w, 0, i) for i in range(w.videos)]
+    # each side's own types: evaluate compares matchings by class too
     videos = {
-        side: [pkg.FrameSequence(tuple(s.frames), dt=s.dt) for s in sims]
+        side: [
+            (
+                pkg.FrameSequence(tuple(s.seq.frames), dt=s.seq.dt),
+                [pkg.MatchingVector(m.entries, n_next=m.n_next) for m in s.matchings],
+            )
+            for s in sims
+        ]
         for side, pkg in pkgs.items()
     }
     # one untimed pass per side: warms both up and checks the outputs

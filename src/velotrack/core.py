@@ -303,102 +303,89 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
-def _check_swap_info(matrix: np.ndarray, info: np.ndarray) -> None:
-    """Raise InvalidInputError unless info, row by row, is the provenance
-    CandidateSpace documents for matrix.
-
-    A seed row r carries (r, -1, -1). Any other row carries (s, i, j)
-    with 0 <= i < j < n, s a seed row, and equals row s with entries i
-    and j exchanged, which differ. O(R n).
-    """
-    n_rows, n = matrix.shape
-    if info.shape != (n_rows, 3):
-        raise InvalidInputError(f"swap_info must have shape ({n_rows}, 3), got {info.shape}")
-    s, i, j = info.T
-    seed = i == -1
-    ok = np.where(
-        seed,
-        (s == np.arange(n_rows)) & (j == -1),
-        (0 <= i) & (i < j) & (j < n) & (0 <= s) & (s < n_rows),
-    )
-    if not ok.all():
-        raise InvalidInputError(f"swap_info row {int(np.argmin(ok))} is not a seed or an exchange")
-    sw = np.flatnonzero(~seed)
-    s, i, j = s[sw], i[sw], j[sw]
-    base = matrix[s]
-    q = np.arange(sw.shape[0])
-    base[q, i], base[q, j] = matrix[s, j], matrix[s, i]
-    bad = ~seed[s] | (base[q, i] == base[q, j]) | (base != matrix[sw]).any(axis=1)
-    if bad.any():
-        raise InvalidInputError(
-            f"swap_info row {int(sw[np.argmax(bad)])} is not its seed with two entries exchanged"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateSpace:
-    """Deduplicated set of matching vectors for one frame pair.
+    """Deduplicated set of matching vectors for one frame pair, stored as
+    its seeds and their exchanges.
 
-    matrix holds one vector per row (entries 0-based, -1 for DISAPPEAR),
-    rows unique and sorted lexicographically, so the first argmax hit in
-    a scan is the lexicographically smallest. swap_info records each
-    row's provenance: row (seed_row, i, j) means the vector equals
-    matrix[seed_row] with entry positions i and j exchanged; seed rows
-    carry (own_row, -1, -1).
+    seeds holds the seed vectors, one per row (entries 0-based, -1 for
+    DISAPPEAR), unique and sorted lexicographically. Row r of the space
+    is swap_info[r] = (q, i, j): seeds[q] with entry positions i < j
+    exchanged, or seeds[q] itself when i = j = -1. The rows are unique
+    and sorted lexicographically, so the first argmax hit in a scan is
+    the lexicographically smallest. A space takes O(S n + R) memory for
+    S seeds and R rows; matrix materializes the rows.
     """
 
     n_next: int
-    matrix: np.ndarray
+    seeds: np.ndarray
     swap_info: np.ndarray
 
     @classmethod
-    def build(
-        cls, matrix: np.ndarray, n_next: int, swap_info: np.ndarray | None = None
-    ) -> "CandidateSpace":
-        """Sort rows lexicographically and wrap them up.
-
-        Without swap_info every row is its own seed. A repeated row raises
-        InvalidInputError, and so does a swap_info that does not describe
-        the rows (_check_swap_info).
-        """
+    def build(cls, matrix: np.ndarray, n_next: int) -> "CandidateSpace":
+        """Sort rows lexicographically and wrap them up, each row its own
+        seed. A repeated row raises InvalidInputError."""
         a = np.asarray(matrix, dtype=np.int64)
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
-        if swap_info is not None:
-            _check_swap_info(a, np.asarray(swap_info, dtype=np.int64))
-        order = _lex_order(a)
-        a = a[order]  # a copy, so freezing it leaves the caller's array alone
+        a = a[_lex_order(a)]  # a copy, so freezing it leaves the caller's array alone
         if (a[1:] == a[:-1]).all(axis=1).any():
             raise InvalidInputError("candidate rows must be unique")
-        if swap_info is None:
-            info = np.full((order.shape[0], 3), -1, dtype=np.int64)
-            info[:, 0] = np.arange(order.shape[0])
-        else:
-            new_pos = np.empty(order.shape[0], dtype=np.int64)
-            new_pos[order] = np.arange(order.shape[0])
-            info = np.asarray(swap_info, dtype=np.int64)[order]
-            info[:, 0] = new_pos[info[:, 0]]
+        info = np.full((a.shape[0], 3), -1, dtype=np.int64)
+        info[:, 0] = np.arange(a.shape[0])
         a.flags.writeable = False
         info.flags.writeable = False
-        return cls(n_next=int(n_next), matrix=a, swap_info=info)
+        return cls(n_next=int(n_next), seeds=a, swap_info=info)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """All R rows as an (R, n) array, built afresh on each access:
+        O(R n) time and memory."""
+        s, i, j = self.swap_info.T
+        rows = self.seeds[s]
+        at = np.flatnonzero(i >= 0)
+        rows[at, i[at]] = self.seeds[s[at], j[at]]
+        rows[at, j[at]] = self.seeds[s[at], i[at]]
+        return rows
 
     @property
     def n_from(self) -> int:
-        return self.matrix.shape[1]
+        return self.seeds.shape[1]
 
     def __len__(self) -> int:
-        return self.matrix.shape[0]
+        return self.swap_info.shape[0]
 
     def __contains__(self, m: MatchingVector) -> bool:
         if len(m) != self.n_from or m.n_next != self.n_next:
             return False
-        # rows are unique and sorted lexicographically: binary search
         key = list(m.entries)
-        i = bisect_left(self.matrix, key, key=np.ndarray.tolist)
-        return i < len(self) and self.matrix[i].tolist() == key
+        if len(self) == self.seeds.shape[0]:
+            # every row is a seed, and the seeds are sorted: binary search
+            q = bisect_left(self.seeds, key, key=np.ndarray.tolist)
+            return q < len(self) and self.seeds[q].tolist() == key
+        # a space with exchanges has few seeds (one per disappearance count)
+        seeds = self.seeds.tolist()
+        if key in seeds:
+            return True
+        # otherwise a row only as a seed q with two entries i < j exchanged,
+        # which keeps q's DISAPPEAR count
+        n_dis = key.count(DISAPPEAR)
+        q_of, i_of, j_of = self.swap_info.T
+        for q, s in enumerate(seeds):
+            if s.count(DISAPPEAR) != n_dis:
+                continue
+            diff = [p for p, (a, b) in enumerate(zip(s, key)) if a != b]
+            if len(diff) == 2 and s[diff[0]] == key[diff[1]] and s[diff[1]] == key[diff[0]]:
+                if ((q_of == q) & (i_of == diff[0]) & (j_of == diff[1])).any():
+                    return True
+        return False
 
     def vector_at(self, r: int) -> MatchingVector:
-        return MatchingVector(tuple(self.matrix[r].tolist()), n_next=self.n_next)
+        q, i, j = self.swap_info[r].tolist()
+        entries = self.seeds[q].tolist()
+        if i >= 0:
+            entries[i], entries[j] = entries[j], entries[i]
+        return MatchingVector(tuple(entries), n_next=self.n_next)
 
     def vectors(self) -> Iterator[MatchingVector]:
         for r in range(len(self)):

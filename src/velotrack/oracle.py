@@ -39,6 +39,7 @@ from .core import (
     InvalidInputError,
     MatchingVector,
     SpaceCapError,
+    _lex_order,
     assemble_trajectories,
 )
 from .metrics import path_accuracy
@@ -267,6 +268,7 @@ def _stage_matrix(seq, sp_prev, sp_next, noise, t, incremental) -> np.ndarray:
     prev_f, mid_f, next_f = seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]
     dt = seq.dt
     info = sp_next.swap_info
+    seed_cols = np.flatnonzero(info[:, 1] == -1)
     nexts = list(sp_next.vectors())
     h = np.empty((len(sp_prev), len(sp_next)))
     for r, m_prev in enumerate(sp_prev.vectors()):
@@ -276,14 +278,15 @@ def _stage_matrix(seq, sp_prev, sp_next, noise, t, incremental) -> np.ndarray:
                     prev_f, mid_f, next_f, m_prev, m_next, noise, dt=dt, pair_index=t
                 )
             continue
-        for c in np.flatnonzero(info[:, 1] == -1):
+        for c in seed_cols:
             h[r, c] = triple_log_likelihood(
                 prev_f, mid_f, next_f, m_prev, nexts[c], noise, dt=dt, pair_index=t
             )
         for c in range(len(nexts)):
-            s, i, j = info[c]
+            q, i, j = info[c]
             if i == -1:
                 continue
+            s = seed_cols[q]
             h[r, c] = incremental_triple_score(
                 prev_f, mid_f, next_f, m_prev, nexts[s], h[r, s], (i, j),
                 noise, dt=dt, pair_index=t,
@@ -351,10 +354,9 @@ def reference_fold_stage(
 
     info = sp_next.swap_info
     seed_cols = np.flatnonzero(info[:, 1] == -1)
-    seed_pos = np.empty(n_cols, dtype=np.int64)
-    seed_pos[seed_cols] = np.arange(seed_cols.shape[0])
     swap_cols = np.flatnonzero(info[:, 1] >= 0)
-    s_of = info[swap_cols, 0]
+    base_of = info[swap_cols, 0]
+    s_of = seed_cols[base_of]
     i_of = info[swap_cols, 1]
     j_of = info[swap_cols, 2]
     # exchanged targets, in the swapped vector and in its seed
@@ -362,7 +364,6 @@ def reference_fold_stage(
     xj_new = xc[swap_cols, j_of]
     xi_old = xc[s_of, i_of]
     xj_old = xc[s_of, j_of]
-    base_of = seed_pos[s_of]
 
     g_prev = np.empty(n_rows)
     back = np.empty(n_rows, dtype=np.int64)
@@ -415,10 +416,12 @@ def reference_cumulative_path_accuracy(
 
 
 def reference_seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
-    """Each seed vector followed by all its single-pair entry exchanges.
+    """Each seed vector followed by all its single-pair entry exchanges,
+    sorted into one space.
 
-    One space at a time through CandidateSpace.build; exchanging two
-    DISAPPEAR entries is the identity and is skipped.
+    Exchanging two DISAPPEAR entries is the identity and is skipped.
+    The rows are sorted by core._lex_order, and each row names its
+    seed's rank among the sorted seeds.
     """
     idx = np.arange(n_a)
     iu, ju = np.nonzero(idx[:, None] < idx)
@@ -433,13 +436,14 @@ def reference_seeded_space(seeds, n_a: int, n_b: int) -> CandidateSpace:
     mat = s[:, perm]
     keep = (mat != s[:, None, :]).any(axis=2)
     keep[:, 0] = True
-    sizes = keep.sum(axis=1)
+    by_rank = _lex_order(s)
     info = np.empty(keep.shape + (3,), dtype=np.int64)
-    info[:, :, 0] = (np.cumsum(sizes) - sizes)[:, None]
+    info[by_rank, :, 0] = np.arange(len(rows))[:, None]
     info[:, 0, 1:] = -1
     info[:, 1:, 1] = iu
     info[:, 1:, 2] = ju
-    return CandidateSpace.build(mat[keep], n_next=n_b, swap_info=info[keep])
+    order = _lex_order(mat[keep])
+    return CandidateSpace(n_next=n_b, seeds=s[by_rank], swap_info=info[keep][order])
 
 
 def reference_stage_terms(seq: FrameSequence, noise: NoiseModel, t: int) -> np.ndarray:

@@ -275,7 +275,7 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
     the seeds of one pair differ in their disappearance counts. Each
     space holds its seeds and all their single-pair entry exchanges,
     skipping exchanges of two DISAPPEAR entries (the identity), with
-    rows sorted and swap_info as CandidateSpace.build gives them
+    rows sorted and swap_info as CandidateSpace documents them
     (oracle.reference_seeded_space builds one space at a time). The
     pairs of one n_a are assembled together, in runs of at most
     _FOLD_CELLS row cells, counting every exchange of every seed.
@@ -285,9 +285,9 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
     exchanging entries i and j of seed s adds (s[j] - s[i]) place[i] to
     key i // per_key and subtracts (s[j] - s[i]) place[j] from key j //
     per_key. The keys, behind the pair as the leading key, give
-    np.lexsort's order of the rows, which are then written once, in
-    that order, as seed rows with two entries exchanged, and cut into
-    spaces.
+    np.lexsort's order of the rows. No row is written: each space stores
+    its pair's seeds in that order and, per row, its seed's rank among
+    them and its two exchanged entries.
     """
     spaces: list[CandidateSpace | None] = [None] * n_a.shape[0]
     width = n_a[seed_pair]
@@ -318,28 +318,27 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             row_pair = np.r_[lead, lead[q]]
             order = np.lexsort((*np.concatenate([keys, ex_keys], axis=1)[::-1], row_pair))
             del keys, ex_keys
-            src = np.r_[np.arange(n_s), q][order]  # each sorted row's seed
-            rows = s[src]
+            # the seeds in sorted order, pair by pair as in g, whose pairs
+            # start at seeds p0; rank[q] is seed q's place in its pair
+            by_rank = order[order < n_s]
+            p0 = first[c0:c1] - first[c0]
+            rank = np.empty(n_s, dtype=np.int64)
+            rank[by_rank] = np.arange(n_s) - np.repeat(p0, n_seeds[c0:c1])
+            sorted_seeds = s[by_rank]
             at = np.flatnonzero(order >= n_s)
-            x = order[at] - n_s
-            i, j = i[x], j[x]
-            rows[at, i] = s_j[x]
-            rows[at, j] = s_i[x]
+            info = np.full((order.shape[0], 3), -1, dtype=np.int64)
+            info[:, 0] = rank[np.r_[np.arange(n_s), q][order]]  # each sorted row's seed
+            info[at, 1] = i[order[at] - n_s]
+            info[at, 2] = j[order[at] - n_s]
             row_pair = row_pair[order]
             starts = np.flatnonzero(np.r_[True, row_pair[1:] != row_pair[:-1]])
-            ends = np.r_[starts[1:], rows.shape[0]]
-            seed_at = np.flatnonzero(order < n_s)
-            seed_pos = np.empty(n_s, dtype=np.int64)
-            seed_pos[order[seed_at]] = seed_at
-            info = np.full((rows.shape[0], 3), -1, dtype=np.int64)
-            info[:, 0] = seed_pos[src] - np.repeat(starts, ends - starts)
-            info[at, 1] = i
-            info[at, 2] = j
-            rows.flags.writeable = False
+            ends = np.r_[starts[1:], order.shape[0]]
+            sorted_seeds.flags.writeable = False
             info.flags.writeable = False
-            for r0, r1, p in zip(starts.tolist(), ends.tolist(), row_pair[starts].tolist()):
+            cuts = (starts, ends, row_pair[starts], p0, p0 + n_seeds[c0:c1])
+            for r0, r1, p, q0, q1 in zip(*(x.tolist() for x in cuts)):
                 spaces[p] = CandidateSpace(
-                    n_next=int(n_b[p]), matrix=rows[r0:r1], swap_info=info[r0:r1]
+                    n_next=int(n_b[p]), seeds=sorted_seeds[q0:q1], swap_info=info[r0:r1]
                 )
     return spaces
 
@@ -349,13 +348,14 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
-    """pair_log_likelihood_first for every row of a candidate matrix.
+def _pair_scores_vectorized(frame_a, frame_b, sp, noise, dt) -> np.ndarray:
+    """pair_log_likelihood_first for every row of the candidate space sp.
 
     terms[i, k] is object i's position term when sent to object k of
     frame_b, and terms[i, n_b] = 0.0 its DISAPPEAR term, which entry -1
-    reads as the last column; each row gathers its entries' terms through
-    the matrix itself and sums them in object order.
+    reads as the last column. Each row's terms are its seed's, taken
+    whole, with its two exchanged entries' terms written over them, and
+    are summed in object order; an exchange keeps its seed's events.
     """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
@@ -365,10 +365,16 @@ def _pair_scores_vectorized(frame_a, frame_b, matrix, noise, dt) -> np.ndarray:
     disp = b[None, :, :] - a[:, None, :]
     terms = np.zeros((a.shape[0], n_b + 1))
     terms[:, :n_b] = const - np.einsum("ikd,ikd->ik", disp, disp) / (2.0 * scale2)
-    n_dis = (matrix < 0).sum(axis=1)
-    n_app = n_b - (matrix.shape[1] - n_dis)
-    rows = terms[np.arange(a.shape[0]), matrix]
-    return rows.sum(axis=1) + noise.lambda_event * (n_dis + n_app)
+    seeds = sp.seeds
+    q, i, j = sp.swap_info.T
+    rows = terms[np.arange(a.shape[0]), seeds][q]
+    at = np.flatnonzero(i >= 0)
+    q, i, j = q[at], i[at], j[at]
+    rows[at, i] = terms[i, seeds[q, j]]
+    rows[at, j] = terms[j, seeds[q, i]]
+    n_dis = (seeds < 0).sum(axis=1)
+    n_app = n_b - (seeds.shape[1] - n_dis)
+    return rows.sum(axis=1) + (noise.lambda_event * (n_dis + n_app))[sp.swap_info[:, 0]]
 
 
 # cells per row chunk of the fold, per run of stage set-up and per run of
@@ -534,12 +540,11 @@ class _Bounds:
         tab, from space s - 1 (sp_prev) to space s (sp)."""
         n_mid, nt = tab.shape[1], tab.shape[2]
         info = sp.swap_info
-        seeds = np.flatnonzero(info[:, 1] < 0)
-        x = sp.matrix[seeds] + 1  # each seed's shifted targets
+        x = sp.seeds + 1  # each seed's shifted targets
         obj = np.arange(n_mid)
         appear = lam * (nt - 1 - (x > 0).sum(axis=1))
         # the seeds of sp_prev as each mid object's shifted predecessor
-        prev = sp_prev.matrix[sp_prev.swap_info[:, 1] < 0]
+        prev = sp_prev.seeds
         pred = np.zeros((prev.shape[0], n_mid + 1), dtype=np.int64)
         pred[np.arange(prev.shape[0])[:, None], np.where(prev < 0, n_mid, prev)] = np.arange(
             1, prev.shape[1] + 1
@@ -549,11 +554,11 @@ class _Bounds:
         # a row's colmax sum is its seed's plus its two exchanged entries'
         # changes, as _Run.dense reads a row table
         colmax = tab.max(axis=0)
-        pos = np.searchsorted(seeds, info[:, 0])
-        col = (colmax[obj, x].sum(axis=1) + appear)[pos]
+        q = info[:, 0]
+        col = (colmax[obj, x].sum(axis=1) + appear)[q]
         sw = np.flatnonzero(info[:, 1] >= 0)
         i, j = info[sw, 1], info[sw, 2]
-        x_i, x_j = x[pos[sw], i], x[pos[sw], j]
+        x_i, x_j = x[q[sw], i], x[q[sw], j]
         col[sw] += colmax[i, x_j] + colmax[j, x_i] - colmax[i, x_i] - colmax[j, x_j]
         self.uf.append(self.uf[-1].max() + col)
         self.terms.append(self.terms[-1] + n_mid + 16)
@@ -602,10 +607,11 @@ class _Bounds:
         rowmax = np.append(run.tables[g0 : g0 + n_tab, : n_next + 1].max(axis=1), 0.0)
         rowtab = run.rowtab[run.r_off[k] : run.r_off[k + 1], :n_mid][seed_rows]
         ug_seed = rowmax[rowtab - g0].sum(axis=1)
-        s, i, j = sp_prev.swap_info[swap_rows].T
-        ug = ug_seed[np.searchsorted(seed_rows, s)]
+        # seed_rows are the seeds in order, so q indexes ug_seed too
+        q, i, j = sp_prev.swap_info[swap_rows].T
+        ug = ug_seed[q]
         # mid object a moves from predecessor i to j, b from j to i
-        for obj, old, new in ((sp_prev.matrix[s, i], i, j), (sp_prev.matrix[s, j], j, i)):
+        for obj, old, new in ((sp_prev.seeds[q, i], i, j), (sp_prev.seeds[q, j], j, i)):
             ug += rowmax[np.where(obj >= 0, (new + 1) * m + obj, n_tab)]
             ug -= rowmax[np.where(obj >= 0, (old + 1) * m + obj, n_tab)]
         appear = run.appear[run.c_off[k] : run.c_off[k + 1]]
@@ -728,46 +734,37 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
 
     Besides listing the spaces' arrays and _term_tables's few per width,
-    the work is a fixed number of array operations per run. Only the
-    seed rows of the run's spaces are stacked, padded with DISAPPEAR,
-    from the one concatenation of their matrices: seed_idx is one take
-    of the successor seeds, and rowtab one scatter of the predecessor
-    seeds, which every predecessor row then copies from its seed with
-    its two exchanged entries' terms moved (an exchange changes the
-    predecessors of two mid objects only). Whether each stage prunes
-    (_fold_stage) is decided here from the closed-form cell counts.
+    the work is a fixed number of array operations per run. The seeds
+    the run's spaces store are stacked, padded with DISAPPEAR: seed_idx
+    is one take of the successor seeds, and rowtab one scatter of the
+    predecessor seeds, which every predecessor row then copies from its
+    seed with its two exchanged entries' terms moved (an exchange
+    changes the predecessors of two mid objects only). Whether each
+    stage prunes (_fold_stage) is decided here from the closed-form
+    cell counts.
     terms is _term_tables's output for these stages when the prune's
     forward bounds computed it already.
     """
     counts, tables = terms or _term_tables(seq, noise, t0, t1)
     n_st = t1 - t0
-    n_prev, n_mid, n_next = counts[:-2], counts[1:-1], counts[2:]
+    n_mid, n_next = counts[1:-1], counts[2:]
     p, m = _extents(counts)
     nt = tables.shape[1]
     lam = noise.lambda_event
 
     # the spaces t0 - 1 .. t1 - 1: rows [off[k], off[k + 1]) are space
-    # t0 - 1 + k, of counts[k] entries. Only their seeds are stacked: those
-    # of the predecessor spaces, then those of the last space, padded
-    # with DISAPPEAR, gathered from one concatenation of the predecessor
-    # matrices, the last space's seeds and one DISAPPEAR
+    # t0 - 1 + k, of counts[k] entries, and its seeds are stacked seeds
+    # sd_off[k] .. sd_off[k + 1] - 1, padded with DISAPPEAR, taken from
+    # one concatenation of the spaces' seeds and one DISAPPEAR
     sps = spaces[t0 - 1 : t1]
     sizes = np.array([len(sp) for sp in sps], dtype=np.int64)
-    off = np.r_[0, np.cumsum(sizes)]
+    n_seeds = np.array([sp.seeds.shape[0] for sp in sps], dtype=np.int64)
+    off, sd_off = np.r_[0, np.cumsum(sizes)], np.r_[0, np.cumsum(n_seeds)]
     info = np.concatenate([sp.swap_info for sp in sps])
-    is_seed = info[:, 1] < 0
-    seed_cum = np.r_[0, np.cumsum(is_seed)]
-    n_seeds = np.diff(seed_cum[off])
-    n_rows, n_pred = int(off[-2]), int(seed_cum[off[-2]])
-    flat = np.concatenate(
-        [sp.matrix.reshape(-1) for sp in sps[:-1]]
-        + [sps[-1].matrix[is_seed[n_rows:]].reshape(-1), [DISAPPEAR]]
-    )
-    space_of = np.repeat(np.arange(n_st + 1), n_seeds)
-    row_in = np.flatnonzero(is_seed) - off[space_of]
-    row_in[n_pred:] = np.arange(n_seeds[-1])
-    n_of = counts[:-1][space_of]
-    start = np.r_[0, np.cumsum(sizes[:-1] * n_prev)][space_of] + row_in * n_of
+    n_rows, n_pred = int(off[-2]), int(sd_off[-2])
+    flat = np.concatenate([sp.seeds.reshape(-1) for sp in sps] + [[DISAPPEAR]])
+    n_of = np.repeat(counts[:-1], n_seeds)
+    start = np.cumsum(n_of) - n_of
     # one more padding column, so that entry -1 of a seed reads DISAPPEAR
     ent = np.arange(counts[:-1].max() + 1)
     seeds = flat[np.where(ent < n_of[:, None], start[:, None] + ent, flat.shape[0] - 1)]
@@ -777,15 +774,16 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     # with one padding column more), since an exchange keeps its seed's
     # matched set
     c_off = off[1:] - off[1]
-    s_off = seed_cum[off[1:]] - seed_cum[off[1]]
+    s_off = sd_off[1:] - sd_off[1]
     c_sizes, s_sizes = sizes[1:], n_seeds[1:]
     col_stage = np.repeat(np.arange(n_st), c_sizes)
-    cinfo, col_seed = info[off[1] :], is_seed[off[1] :]
+    cinfo = info[off[1] :]
+    col_seed = cinfo[:, 1] < 0
     seed_xc = np.zeros((seeds.shape[0] - n_seeds[0], m + 1), dtype=np.int64)
     np.add(seeds[n_seeds[0] :, :m], 1, out=seed_xc[:, :m])
-    # each column's seed, counted over the run and within its stage
-    seed_of = seed_cum[off[1] + c_off[col_stage] + cinfo[:, 0]] - seed_cum[off[1]]
-    seed_pos = seed_of - s_off[col_stage]
+    # each column's seed, counted within its stage and over the run
+    seed_pos = cinfo[:, 0]
+    seed_of = s_off[col_stage] + seed_pos
     # the exchanged entries; a seed column exchanges the padding entry
     # n_mid with itself
     pad = n_mid[col_stage]
@@ -817,7 +815,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     # shift of (j - i) m table rows. A seed row (i = j = -1) shifts by 0,
     # and a moved DISAPPEAR entry lands in column 0, dropped with the rest
     rinfo = info[:n_rows]
-    row_seed = seed_cum[np.repeat(off[:-2], sizes[:-1]) + rinfo[:, 0]]
+    row_seed = np.repeat(sd_off[:-2], sizes[:-1]) + rinfo[:, 0]
     rowtab = seed_tab[row_seed]
     i, j = rinfo[:, 1], rinfo[:, 2]
     shift = (j - i) * m
@@ -969,7 +967,7 @@ def _solve_dp(seq, spaces, noise, lap=None):
 
     n_pairs = f - 1
     # the walk's first-pair scores, and the prune's first forward bound
-    h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt)
+    h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0], noise, seq.dt)
     lap("walk")
     g = np.zeros(len(spaces[-1]))
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)

@@ -46,7 +46,7 @@ def assert_pruned_fold_equals_reference(seq, spaces, noise):
     returns its cells and rows pruned per stage and its g per stage."""
     (ms, score, cells, _, pruned), stages = fold(seq, spaces, noise)
     h1 = tripartite._pair_scores_vectorized(
-        seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt
+        seq.frames[0], seq.frames[1], spaces[0], noise, seq.dt
     )
     g_next = g_ref = np.zeros(len(spaces[-1]))
     backs_ref = []
@@ -132,8 +132,8 @@ def test_row_moving_disappear_and_mid_object_0():
     seq = FrameSequence(tuple(np.array(f, dtype=float) for f in frames))
     sp_prev = build_reduced_space(seq.frames[0], seq.frames[1], 1, delta=0)
     sp_next = build_reduced_space(seq.frames[1], seq.frames[2], 0, delta=0)
-    seed, i, j = sp_prev.swap_info[5].tolist()
-    assert sp_prev.matrix[seed].tolist() == [2, -1, 0, 1] and (i, j) == (1, 2)
+    q, i, j = sp_prev.swap_info[5].tolist()
+    assert sp_prev.seeds[q].tolist() == [2, -1, 0, 1] and (i, j) == (1, 2)
     noise = NoiseModel(sigmas=(1.0, 1.0), lambda_event=-4.0)
     assert_pruned_fold_equals_reference(seq, [sp_prev, sp_next], noise)
 

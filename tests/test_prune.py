@@ -136,7 +136,7 @@ def bounds_of(seq, spaces, noise):
     """_Bounds over every space but the last, from one run of all stages."""
     f = len(seq)
     h1 = tripartite._pair_scores_vectorized(
-        seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt
+        seq.frames[0], seq.frames[1], spaces[0], noise, seq.dt
     )
     run = tripartite._stages(seq, spaces, noise, 1, f - 1)
     bounds, _ = tripartite._forward_bounds(seq, spaces, noise, h1, [(1, f - 1)], run, f - 1)
@@ -224,7 +224,7 @@ def test_bounds_dominate_the_exact_values(counts, grid, delta, seed):
         return 1e-9 * (1.0 + np.abs(x))
 
     prefix = tripartite._pair_scores_vectorized(
-        seq.frames[0], seq.frames[1], spaces[0].matrix, noise, seq.dt
+        seq.frames[0], seq.frames[1], spaces[0], noise, seq.dt
     )
     assert np.array_equal(bounds.uf[0], prefix)
     for t in range(1, f - 1):

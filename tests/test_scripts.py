@@ -79,4 +79,4 @@ def test_compare_laps_against_itself():
     out = run_script("compare_laps.py", "--parent", str(ROOT), "--workload", "smoke", "--rounds", "1")
     lines = out.strip().splitlines()
     assert lines[0] == "smoke: 2 videos, 1 rounds, outputs differ on 0 videos"
-    assert [line.split()[0] for line in lines[2:]] == [*TRACK_LAYERS, "track()"]
+    assert [line.split()[0] for line in lines[2:]] == [*TRACK_LAYERS, "track()", "evaluate"]

@@ -13,12 +13,14 @@ from velotrack import (
     FrameSequence,
     InvalidInputError,
     MatchingVector,
+    SimConfig,
     SpaceCapError,
     TrackerConfig,
     build_reduced_space,
     full_space_size,
     fixed_d_matchings,
     neighborhood,
+    simulate,
     track,
 )
 from velotrack.core import _lex_order
@@ -170,6 +172,24 @@ class TestReducedSpace:
         sp = build_reduced_space(seq.frames[0], seq.frames[1], 0, delta=10**30)
         assert np.array_equal(sp.matrix, want.spaces[0].matrix)
 
+    def test_spaces_store_seeds_not_rows(self):
+        # the N0=120 row of scripts/run_complexity_table.py: a space holds
+        # its seeds and (seed, i, j) per row, not an (R, n) row matrix.
+        # The parent design, which stored every row, peaked at 108.3 MiB
+        # on this video; storing only the seeds read 69.7 MiB
+        seq = simulate(SimConfig(W=680.0, H=512.0, N0=120, sigma=1.0, f=4, seed=0)).seq
+        cfg = TrackerConfig(space_cap=10**9)
+        tracemalloc.start()
+        try:
+            res = track(seq, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * 108.3 * 2**20
+        for sp in res.spaces:
+            assert sp.seeds.shape[0] <= 2 * cfg.delta + 1
+            assert sp.swap_info.shape == (len(sp), 3)
+
     def test_subset_of_full_space(self, rng):
         for _ in range(10):
             n_a, n_b = (int(x) for x in rng.integers(1, 5, size=2))
@@ -192,15 +212,18 @@ class TestReducedSpace:
     def test_swap_provenance_reconstructs_rows(self, rng):
         a, b = _random_pair(rng, 4, 3)
         sp = build_reduced_space(a, b, 1, delta=1)
-        assert sp.swap_info is not None
+        rows = sp.matrix
+        seed_rows = np.flatnonzero(sp.swap_info[:, 1] == -1)
+        # the seeds are the seed rows, in row order
+        np.testing.assert_array_equal(sp.seeds, rows[seed_rows])
         for r in range(len(sp)):
-            seed_row, i, j = (int(v) for v in sp.swap_info[r])
+            q, i, j = (int(v) for v in sp.swap_info[r])
             if i == -1:
-                assert seed_row == r
+                assert seed_rows[q] == r
                 continue
-            rebuilt = sp.matrix[seed_row].copy()
+            rebuilt = sp.seeds[q].copy()
             rebuilt[i], rebuilt[j] = rebuilt[j], rebuilt[i]
-            np.testing.assert_array_equal(rebuilt, sp.matrix[r])
+            np.testing.assert_array_equal(rebuilt, rows[r])
 
     def test_single_object_space(self):
         a = np.array([[0.0, 0.0]])
@@ -219,29 +242,32 @@ class TestReducedSpace:
 
 
 def _seeded_space_by_loops(seeds, n_a, n_b):
-    """Seeds and their exchanges listed one pair of positions at a time."""
-    rows, info = [], []
-    for m in seeds:
-        seed = list(m.entries)
-        seed_row = len(rows)
-        rows.append(seed)
-        info.append((seed_row, -1, -1))
+    """Seeds and their exchanges listed one pair of positions at a time,
+    then sorted row by row; each row names its seed by the seed's place
+    among the sorted seeds."""
+    by_seed = sorted(list(m.entries) for m in seeds)
+    rows = []
+    for q, seed in enumerate(by_seed):
+        rows.append((seed, (q, -1, -1)))
         for i in range(n_a):
             for j in range(i + 1, n_a):
                 if seed[i] == DISAPPEAR and seed[j] == DISAPPEAR:
                     continue
                 vec = list(seed)
                 vec[i], vec[j] = vec[j], vec[i]
-                rows.append(vec)
-                info.append((seed_row, i, j))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n_a), np.array(info, dtype=np.int64)
+                rows.append((vec, (q, i, j)))
+    rows.sort()
+    return (
+        np.array([r for r, _ in rows], dtype=np.int64).reshape(len(rows), n_a),
+        np.array(by_seed, dtype=np.int64).reshape(len(by_seed), n_a),
+        np.array([info for _, info in rows], dtype=np.int64),
+    )
 
 
 def test_seeded_space_matches_pairwise_exchanges(rng):
     from unittest import mock
 
     from velotrack import tripartite
-    from velotrack.core import CandidateSpace
     from velotrack.oracle import reference_seeded_space
 
     pairs = []
@@ -258,8 +284,7 @@ def test_seeded_space_matches_pairwise_exchanges(rng):
             for i, t in zip(live, rng.permutation(n_b)):
                 entries[int(i)] = int(t)
             seeds.append(MatchingVector(tuple(entries), n_next=n_b))
-        mat, info = _seeded_space_by_loops(seeds, n_a, n_b)
-        pairs.append((seeds, n_a, n_b, CandidateSpace.build(mat, n_next=n_b, swap_info=info)))
+        pairs.append((seeds, n_a, n_b, _seeded_space_by_loops(seeds, n_a, n_b)))
     # all 400 pairs in one batched assembly, in runs of at most `cells`
     n_a = np.array([p[1] for p in pairs])
     n_b = np.array([p[2] for p in pairs])
@@ -270,10 +295,11 @@ def test_seeded_space_matches_pairwise_exchanges(rng):
     for cells in (40, 1 << 18):
         with mock.patch.object(tripartite, "_FOLD_CELLS", cells):
             batched = tripartite._assemble_spaces(seed_pair, rows, n_a, n_b)
-        for (seeds, n, m, want), got_batched in zip(pairs, batched):
+        for (seeds, n, m, (matrix, want_seeds, info)), got_batched in zip(pairs, batched):
             for got in (reference_seeded_space(seeds, n, m), got_batched):
-                np.testing.assert_array_equal(got.matrix, want.matrix)
-                np.testing.assert_array_equal(got.swap_info, want.swap_info)
+                np.testing.assert_array_equal(got.matrix, matrix)
+                np.testing.assert_array_equal(got.seeds, want_seeds)
+                np.testing.assert_array_equal(got.swap_info, info)
                 assert (got.n_from, got.n_next) == (n, m)
 
 
@@ -321,56 +347,58 @@ def test_seeded_spaces_of_wide_rows_match_the_reference(pairs):
             got = tripartite._assemble_spaces(seed_pair, rows, n_a, n_b)
         for g, w, (_, n, m) in zip(got, want, pairs):
             np.testing.assert_array_equal(g.matrix, w.matrix)
+            np.testing.assert_array_equal(g.seeds, w.seeds)
             np.testing.assert_array_equal(g.swap_info, w.swap_info)
             assert (g.n_from, g.n_next) == (n, m)
 
 
-def _mislabelled(info, how):
-    """A copy of a space's swap_info broken in one way."""
-    info = info.copy()
-    sw = np.flatnonzero(info[:, 1] >= 0)
-    seeds = np.flatnonzero(info[:, 1] < 0)
-    if how == "rotated":  # the exchanges' (i, j) labels rotated by one row
-        info[sw, 1:] = np.roll(info[sw, 1:], 1, axis=0)
-    elif how == "seed of another row":
-        info[seeds[0], 0] = (seeds[0] + 1) % info.shape[0]
-    elif how == "seed with an entry":
-        info[seeds[0], 2] = 0
-    elif how == "names an exchange":
-        info[sw[0], 0] = sw[1]
-    elif how == "i not below j":
-        info[sw[0], 1:] = info[sw[0], 2:0:-1]
-    elif how == "j beyond the row":
-        info[sw[0], 2] = 99
-    elif how == "wrong shape":
-        info = info[:, :2]
-    return info
-
-
-@pytest.mark.parametrize(
-    "how",
-    [
-        "rotated",
-        "seed of another row",
-        "seed with an entry",
-        "names an exchange",
-        "i not below j",
-        "j beyond the row",
-        "wrong shape",
-    ],
-)
-def test_build_checks_swap_info(how):
+@settings(max_examples=100)
+@given(pairs=seeded_pairs())
+def test_membership_reads_seeds_and_exchanges(pairs):
+    from velotrack import tripartite
     from velotrack.core import CandidateSpace
 
-    # space 2 of a 4-frame video of 4 points each
-    rng = np.random.default_rng(0)
-    seq = FrameSequence(tuple(rng.uniform(0.0, 10.0, size=(4, 2)) for _ in range(4)))
-    sp = track(seq).spaces[2]
-    again = CandidateSpace.build(sp.matrix, n_next=sp.n_next, swap_info=sp.swap_info)
-    np.testing.assert_array_equal(again.matrix, sp.matrix)
-    np.testing.assert_array_equal(again.swap_info, sp.swap_info)
-    with pytest.raises(InvalidInputError):
-        CandidateSpace.build(sp.matrix, n_next=sp.n_next, swap_info=_mislabelled(sp.swap_info, how))
+    n_a = np.array([p[1] for p in pairs])
+    n_b = np.array([p[2] for p in pairs])
+    seed_pair = np.repeat(np.arange(len(pairs)), [len(p[0]) for p in pairs])
+    rows = np.full((seed_pair.shape[0], max(n_a.max(), 1)), DISAPPEAR)
+    for g, m in enumerate(m for p in pairs for m in p[0]):
+        rows[g, : len(m)] = m.entries
+    spaces = tripartite._assemble_spaces(seed_pair, rows, n_a, n_b)
+    for sp, (seeds, n, m) in zip(spaces, pairs):
+        matrix = sp.matrix
+        for r in range(len(sp)):
+            v = sp.vector_at(r)
+            assert v.entries == tuple(matrix[r].tolist())
+            assert v in sp
+        # an exchange row left out of swap_info is not a row any more,
+        # though it is still its seed with two entries exchanged
+        ex_rows = np.flatnonzero(sp.swap_info[:, 1] >= 0)
+        if ex_rows.shape[0]:
+            r = int(ex_rows[len(ex_rows) // 2])
+            less = CandidateSpace(n_next=m, seeds=sp.seeds, swap_info=np.delete(sp.swap_info, r, 0))
+            assert sp.vector_at(r) not in less
+            assert all(less.vector_at(k) in less for k in range(len(less)))
+        # a space of the seeds alone, in which no row is an exchange
+        alone = CandidateSpace.build(sp.seeds, n_next=m)
+        for seed in seeds:
+            e = list(seed.entries)
+            assert MatchingVector(tuple(e), n_next=m + 1) not in sp
+            assert seed in alone
+            # a 3-cycle of three distinct entries keeps the disappearance
+            # count, so no seed and no exchange of any seed equals it
+            at = [i for i in range(n) if e[i] != DISAPPEAR][:2]
+            at += [i for i in range(n) if i not in at][:1]
+            if len(at) == 3:
+                rot = list(e)
+                rot[at[0]], rot[at[1]], rot[at[2]] = e[at[1]], e[at[2]], e[at[0]]
+                assert MatchingVector(tuple(rot), n_next=m) not in sp
+            # two distinct entries exchanged: a row of sp, not of alone
+            if len(at) >= 2:
+                ex = list(e)
+                ex[at[0]], ex[at[1]] = e[at[1]], e[at[0]]
+                ex = MatchingVector(tuple(ex), n_next=m)
+                assert ex in sp and ex not in alone
 
 
 @settings(max_examples=300)

@@ -125,6 +125,7 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         want = reference_seeded_space(mine, n_a, n_b)
         assert (sp.n_from, sp.n_next) == (n_a, n_b)
         np.testing.assert_array_equal(sp.matrix, want.matrix)
+        np.testing.assert_array_equal(sp.seeds, want.seeds)
         np.testing.assert_array_equal(sp.swap_info, want.swap_info)
 
     # sigma from the gated matchings
@@ -169,7 +170,8 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         info = spaces[t].swap_info
         seed_cols = np.flatnonzero(info[:, 1] == -1)
         seed_pos = run.seed_pos[cols]
-        assert np.array_equal(seed_cols[seed_pos], info[:, 0])
+        assert np.array_equal(seed_pos, info[:, 0])
+        assert np.array_equal(spaces[t].matrix[seed_cols], spaces[t].seeds)
         # a seed's entries are j * nt + its shifted target of j, in j order
         j_at, xc = np.divmod(run.seed_idx[seeds], nt)
         assert (j_at == np.arange(j_at.shape[1])).all()
