@@ -37,13 +37,13 @@ augmentations after it run as lockstep rounds of a vectorized Dijkstra
 step, over the pairs that need them. Only the chunks compute costs,
 and each records its rows' minima, from which _Sweep.gate reads the
 gate.
-track() sweeps all frame pairs of a video in one batch; the gate, the
-gated choice of every pair and the fixed-d seeds of every reduced
-space are read from that one _Sweep, which shares each refinement
-between them. The certificate's first test, the smallest reduced
-cost off the matching, runs for all the matchings read in one batch
+track() sweeps all frame pairs of a video in one batch and reads from
+that one _Sweep the gate, every pair's gated cardinality and, in one
+read, the fixed-d seeds of every reduced space, the gated matchings
+among them. The certificate's first test, the smallest reduced cost
+off the matching, runs for all the matchings of a read in one batch
 per chunk, and _tie_possible searches the tight subgraph of those it
-leaves open.
+leaves open. The sweep keeps only refined rows, each refined once.
 """
 
 from __future__ import annotations
@@ -551,9 +551,9 @@ class _Sweep:
 
     Pair p matches the points a[p] to b[p]; card_cost[p, k] is the min
     cost of its cardinality-k matching (0 at k = 0, +inf past its
-    k_stop). rows() reads many (pair, k) matchings at once and memoizes
-    them, so the gated matching and the fixed-d seeds of a pair share
-    each tie refinement, which runs where _certify fires;
+    k_stop). rows() reads many (pair, k) matchings at once, gathered
+    from the snapshots; a tie refinement runs where _certify fires, once
+    per (pair, k), whose row is kept for later reads;
     tie_refinements[p] counts the cardinalities of pair p whose
     certificate fired.
     """
@@ -579,9 +579,8 @@ class _Sweep:
             self.card_cost[p, : ch.card_cost.shape[0]] = ch.card_cost.T
             self.steps[p] = ch.steps
             self.one_step[p] = ch.one_step
-        # memo of rows(): _slot[p, k] indexes _rows, -1 when not read yet
-        self._slot = np.full((n_p, n_k + 1), -1, dtype=np.int64)
-        self._rows = np.empty((0, int(self.n_a.max(initial=0))), dtype=np.int64)
+        # rows() refines a (pair, k) once, however often it is read
+        self._refined: dict[tuple[int, int], np.ndarray] = {}
 
     def gate(self, cfg: BipartiteConfig) -> float:
         """cfg's fixed gate cost, or the quantile of the row minima of
@@ -640,33 +639,19 @@ class _Sweep:
         widest pair."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1)
         ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-        new = self._slot[pairs, ks] < 0
-        if new.any():
-            n_k1 = self._slot.shape[1]
-            key = _sorted_unique(pairs[new] * n_k1 + ks[new])
-            p_new, k_new = np.divmod(key, n_k1)
-            block = np.full((key.shape[0], self._rows.shape[1]), -1, dtype=np.int64)
-            for c, ch in enumerate(self._chunks):
-                sel = np.flatnonzero(self._chunk_of[p_new] == c)
-                if sel.shape[0]:
-                    q = self._pos[p_new[sel]]
-                    block[sel, : ch.row_to.shape[2]] = ch.row_to[k_new[sel], q]
-            np.maximum(block, -1, out=block)  # padded rows hold -2
-            for i in np.flatnonzero(self._certify(p_new, k_new)):
-                p, k = int(p_new[i]), int(k_new[i])
+        out = np.full((pairs.shape[0], int(self.n_a.max(initial=0))), -1, dtype=np.int64)
+        for c, ch in enumerate(self._chunks):
+            sel = np.flatnonzero(self._chunk_of[pairs] == c)
+            if sel.shape[0]:
+                out[sel, : ch.row_to.shape[2]] = ch.row_to[ks[sel], self._pos[pairs[sel]]]
+        np.maximum(out, -1, out=out)  # padded rows hold -2
+        for i in np.flatnonzero(self._certify(pairs, ks)):
+            p, k = int(pairs[i]), int(ks[i])
+            if (p, k) not in self._refined:
                 self.tie_refinements[p] += 1
-                block[i, : self.n_a[p]] = _lex_fixed_k(self.a[p], self.b[p], k)
-            self._slot[p_new, k_new] = self._rows.shape[0] + np.arange(key.shape[0])
-            self._rows = np.concatenate([self._rows, block])
-        return self._rows[self._slot[pairs, ks]]
-
-    def vectors(self, pairs, ks) -> list[MatchingVector]:
-        """rows() as matching vectors."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1)
-        return [
-            MatchingVector(tuple(r[:n].tolist()), n_next=m)
-            for r, n, m in zip(self.rows(pairs, ks), self.n_a[pairs], self.n_b[pairs])
-        ]
+                self._refined[p, k] = _lex_fixed_k(self.a[p], self.b[p], k)
+            out[i, : self.n_a[p]] = self._refined[p, k]
+        return out
 
     def gated(self, gate: float) -> np.ndarray:
         """Each pair's cardinality of the cheapest matching charging gate
@@ -693,6 +678,15 @@ class _Sweep:
         return k
 
 
+def _matching_vectors(rows: np.ndarray, n_a, n_b) -> list[MatchingVector]:
+    """Rows padded with -1, as _Sweep.rows reads them, as matching
+    vectors: row i keeps its first n_a[i] entries, onto n_b[i] targets."""
+    return [
+        MatchingVector(tuple(r[:n].tolist()), n_next=m)
+        for r, n, m in zip(rows, n_a.tolist(), n_b.tolist())
+    ]
+
+
 def fixed_d_matchings(
     frame_a, frame_b, ds: Iterable[int]
 ) -> dict[int, MatchingVector]:
@@ -711,7 +705,9 @@ def fixed_d_matchings(
             )
     k_needed = max(n_a - d for d in d_list) if d_list else 0
     sw = _sweep(seq.frames[:1], seq.frames[1:], [k_needed])
-    return dict(zip(d_list, sw.vectors([0] * len(d_list), [n_a - d for d in d_list])))
+    pair = np.zeros(len(d_list), dtype=np.int64)
+    rows = sw.rows(pair, [n_a - d for d in d_list])
+    return dict(zip(d_list, _matching_vectors(rows, sw.n_a[pair], sw.n_b[pair])))
 
 
 def solve_bmcf(
@@ -727,9 +723,9 @@ def solve_bmcf(
     return solve_bmcf_sequence(FrameSequence((frame_a, frame_b)), cfg)[1][0]
 
 
-# np.quantile and plain np.unique import numpy.ma on their first call in
-# a process (NumPy 2.4), which costs more than tracking a small video;
-# the two helpers below stand in for them.
+# np.quantile imports numpy.ma on its first call in a process (NumPy
+# 2.4), which costs more than tracking a small video; _quantile stands
+# in for it.
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -745,12 +741,6 @@ def _quantile(values: np.ndarray, q: float) -> float:
     t = h - lo
     d = b - a
     return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique(values) for a nonempty 1-D array without NaN."""
-    v = np.sort(values)
-    return v[np.r_[True, v[1:] != v[:-1]]]
 
 
 def resolve_gate_cost(seq: FrameSequence, cfg: BipartiteConfig) -> float:
@@ -775,4 +765,5 @@ def solve_bmcf_sequence(
     """
     sw = _sweep(seq.frames[:-1], seq.frames[1:])
     gate = sw.gate(cfg or BipartiteConfig())
-    return gate, sw.vectors(range(len(seq) - 1), sw.gated(gate))
+    rows = sw.rows(np.arange(len(seq) - 1), sw.gated(gate))
+    return gate, _matching_vectors(rows, sw.n_a, sw.n_b)

@@ -27,7 +27,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import BipartiteConfig, _sweep
+from .assignment import BipartiteConfig, _matching_vectors, _sweep
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -944,9 +944,10 @@ class _Laps:
 
 @np.errstate(over="ignore")
 def _solve_dp(seq, spaces, noise, lap=None):
-    """solve_dp, plus the cells scored per stage (stage 0: first-pair
-    scores), the stage runs in set-up order and the rows pruned per
-    space (_fold_stage).
+    """solve_dp without its input checks, since track() passes the
+    spaces it built for seq; plus the cells scored per stage (stage 0:
+    first-pair scores), the stage runs in set-up order and the rows
+    pruned per space (_fold_stage).
 
     Stages are set up a run at a time (_stage_runs), last run first, and
     folded sequentially in t; lap, when given, is charged per layer. A
@@ -954,18 +955,7 @@ def _solve_dp(seq, spaces, noise, lap=None):
     ties every candidate, so it raises InvalidConfigError.
     """
     lap = lap or _Laps()
-    f = len(seq)
-    if f < 2:
-        raise InvalidInputError("need at least 2 frames")
-    if len(spaces) != f - 1:
-        raise InvalidInputError(f"need {f - 1} candidate spaces, got {len(spaces)}")
-    for k, sp in enumerate(spaces):
-        if len(sp) == 0:
-            raise InvalidInputError(f"empty candidate space at pair {k}")
-        if sp.n_from != seq.n_objects(k) or sp.n_next != seq.n_objects(k + 1):
-            raise InvalidInputError(f"space {k} inconsistent with frame sizes")
-
-    n_pairs = f - 1
+    n_pairs = len(seq) - 1
     # the walk's first-pair scores, and the prune's first forward bound
     h1 = _pair_scores_vectorized(seq.frames[0], seq.frames[1], spaces[0], noise, seq.dt)
     lap("walk")
@@ -1016,6 +1006,16 @@ def solve_dp(
     lexicographically sorted and every stage keeps its first maximizer,
     so the walk returns the lexicographically smallest optimal sequence.
     """
+    f = len(seq)
+    if f < 2:
+        raise InvalidInputError("need at least 2 frames")
+    if len(spaces) != f - 1:
+        raise InvalidInputError(f"need {f - 1} candidate spaces, got {len(spaces)}")
+    for k, sp in enumerate(spaces):
+        if len(sp) == 0:
+            raise InvalidInputError(f"empty candidate space at pair {k}")
+        if sp.n_from != seq.n_objects(k) or sp.n_next != seq.n_objects(k + 1):
+            raise InvalidInputError(f"space {k} inconsistent with frame sizes")
     matchings, score, _, _, _ = _solve_dp(seq, spaces, noise)
     return matchings, score
 
@@ -1257,8 +1257,8 @@ def track(
     The bipartite pass fixes the gate cost and each pair's d*; its
     matchings also feed the sigma estimate (unless a fixed sigma mode
     bypasses estimation). Every job runs once per video over all frame
-    pairs: one batched sweep, from which the gated matchings and the
-    fixed-d seeds are read, one sigma pass, one space assembly, and
+    pairs: one batched sweep, one read of its fixed-d seeds (the gated
+    matchings among them), one sigma pass, one space assembly, and
     stage set-up in runs ahead of the sequential fold. Space sizes are
     checked against space_cap from their closed form before any space
     is built. The diagnostics carry one wall-clock lap per layer.
@@ -1272,7 +1272,6 @@ def track(
     lap("sweep")
     gate = sw.gate(BipartiteConfig(gate_quantile=cfg.gate_quantile))
     lap("gate")
-    pairs = np.arange(f - 1)
     n_a, n_b = sw.n_a, sw.n_b
     k_star = sw.gated(gate)
     d_star = n_a - k_star
@@ -1283,10 +1282,11 @@ def track(
         raise SpaceCapError(
             f"candidate space at pair {k} has {space_sizes[k]} vectors, cap is {cfg.space_cap}"
         )
-    bmcf_rows = sw.rows(pairs, k_star)
-    bmcf = sw.vectors(pairs, k_star)
     seed_pair, seed_k = _seed_cardinalities(n_a, n_b, d_star, cfg.delta)
     seeds = sw.rows(seed_pair, seed_k)
+    # d* lies in its own neighborhood, so each pair has one gated seed
+    bmcf_rows = seeds[seed_k == k_star[seed_pair]]
+    bmcf = _matching_vectors(bmcf_rows, n_a, n_b)
     tie_refinements = tuple(sw.tie_refinements.tolist())
     sweep_steps = tuple(sw.steps.tolist())
     sweep_one_step = tuple(sw.one_step.tolist())

@@ -291,14 +291,14 @@ class TestTieCertificate:
     )
     def test_crafted_ties_refine(self, a, b, d):
         sw = assignment._sweep([np.array(a)], [np.array(b)])
-        got = sw.vectors([0], [len(a) - d])[0]
+        got = assignment._matching_vectors(sw.rows([0], [len(a) - d]), sw.n_a, sw.n_b)[0]
         assert sw.tie_refinements[0] == 1
         want, _ = exhaustive_bipartite_min(a, b, d=d)
         assert got == want
 
     def test_track_counts_refinements_per_pair(self):
-        # pair 0 ties on which row drops; its gated pass and its d*=1 seed
-        # read the same cardinality, so the refinement runs and counts once
+        # pair 0 ties on which row drops; its gated matching is its d*=1
+        # seed, so the refinement runs and counts once
         seq = FrameSequence(
             (
                 np.array([[0.0, 0.0], [2.0, 0.0]]),
@@ -308,6 +308,16 @@ class TestTieCertificate:
         )
         res = track(seq, TrackerConfig(sigma_mode="fixed:1.0"))
         assert res.diagnostics.tie_refinements == (1, 0)
+
+    def test_gated_tie_and_a_later_read_share_a_refinement(self):
+        # at gate 0.5, k = 0 (three events) and k = 1 (either row links at
+        # cost 1, one event) both total 1.5; k = 1's certificate fires
+        a, b = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[1.0, 0.0]])
+        sw = assignment._sweep([a], [b])
+        assert sw.gated(0.5).tolist() == [0]
+        assert sw.tie_refinements[0] == 1
+        assert sw.rows([0, 0], [0, 1]).tolist() == [[-1, -1], [-1, 0]]
+        assert sw.tie_refinements[0] == 1
 
     def test_infeasible_dual_fires(self):
         # unique optima at k = 1 and 2; a reduced cost far below -tol off
@@ -548,14 +558,19 @@ def test_track_reports_sweep_steps():
     assert all(s >= min(seq.n_objects(k), seq.n_objects(k + 1)) for k, s in enumerate(steps))
 
 
+def one_large_frame_video() -> list[np.ndarray]:
+    """160 frames of 6 uniform points, frame 80 of 2,000."""
+    rng = np.random.default_rng(7)
+    frames = [rng.uniform(0.0, 300.0, size=(6, 2)) for _ in range(160)]
+    frames[80] = rng.uniform(0.0, 300.0, size=(2000, 2))
+    return frames
+
+
 def test_sweep_memory_stays_within_chunks():
     # 159 pairs of 6-object frames around one frame of 2,000 detections:
     # one video-wide padded cost array would hold 159 x 2000^2 float64
     # cells (about 5.1 GB); each chunk bounds its own cells instead
-    rng = np.random.default_rng(7)
-    frames = [rng.uniform(0.0, 300.0, size=(6, 2)) for _ in range(160)]
-    frames[80] = rng.uniform(0.0, 300.0, size=(2000, 2))
-    seq = FrameSequence(tuple(frames))
+    seq = FrameSequence(tuple(one_large_frame_video()))
     for run in (lambda: solve_bmcf_sequence(seq), lambda: resolve_gate_cost(seq, BipartiteConfig())):
         tracemalloc.start()
         try:
@@ -564,6 +579,23 @@ def test_sweep_memory_stays_within_chunks():
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20, peak
+
+
+def test_seed_read_keeps_no_rows():
+    # a read of track()'s seeds returns a block padded to the
+    # 2,000-detection frame (5.15 MB), and the sweep keeps none of it
+    # once the caller drops it
+    frames = one_large_frame_video()
+    sw = assignment._sweep(frames[:-1], frames[1:])
+    k_star = sw.gated(sw.gate(BipartiteConfig()))
+    pair, ks = tripartite._seed_cardinalities(sw.n_a, sw.n_b, sw.n_a - k_star, 1)
+    tracemalloc.start()
+    try:
+        nbytes = sw.rows(pair, ks).nbytes
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 0.1 * nbytes, (current, nbytes)
 
 
 def test_sweep_transients_stay_bounded():

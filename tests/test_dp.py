@@ -8,6 +8,7 @@ import pytest
 
 from velotrack import (
     DISAPPEAR,
+    CandidateSpace,
     FrameSequence,
     InvalidConfigError,
     InvalidInputError,
@@ -161,19 +162,26 @@ class TestValidation:
     def test_space_count_mismatch(self):
         seq = FrameSequence((np.zeros((1, 2)), np.ones((1, 2))))
         nm = NoiseModel.pooled(1.0, -1.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="need 1 candidate spaces, got 0"):
             solve_dp(seq, [], nm)
 
     def test_space_shape_mismatch(self):
         seq = FrameSequence((np.zeros((1, 2)), np.ones((2, 2))))
         nm = NoiseModel.pooled(1.0, -1.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="space 0 inconsistent with frame sizes"):
             solve_dp(seq, [enumerate_space(1, 1)], nm)
+
+    def test_empty_space_rejected(self):
+        seq = FrameSequence((np.zeros((1, 2)), np.ones((1, 2))))
+        nm = NoiseModel.pooled(1.0, -1.0)
+        empty = CandidateSpace.build(np.empty((0, 1), dtype=np.int64), 1)
+        with pytest.raises(InvalidInputError, match="empty candidate space at pair 0"):
+            solve_dp(seq, [empty], nm)
 
     def test_single_frame_rejected(self):
         seq = FrameSequence((np.zeros((1, 2)),))
         nm = NoiseModel.pooled(1.0, -1.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="need at least 2 frames"):
             solve_dp(seq, [], nm)
 
     def test_non_finite_optimum_rejected(self):

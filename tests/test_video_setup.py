@@ -128,8 +128,11 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         np.testing.assert_array_equal(sp.seeds, want.seeds)
         np.testing.assert_array_equal(sp.swap_info, want.swap_info)
 
-    # sigma from the gated matchings
-    bmcf = sw.vectors(np.arange(f - 1), k_star)
+    # sigma from the gated matchings, read as the seeds at d*
+    gated = ks == k_star[pair]
+    np.testing.assert_array_equal(pair[gated], np.arange(f - 1))
+    np.testing.assert_array_equal(seeds[gated], sw.rows(np.arange(f - 1), k_star))
+    bmcf = assignment._matching_vectors(seeds[gated], sw.n_a, sw.n_b)
     for mode in ("per-frame", "pooled"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # videos without chains fall back
