@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """track()'s per-layer laps at this checkout against another one, in one process.
 
-    python3 scripts/compare_laps.py --parent DIR [--workload NAME ...] [--rounds N]
+    python3 scripts/compare_laps.py --parent DIR [--workload NAME ...]
+        [--regime N0,SIGMA,F,REGION[,VIDEOS] ...] [--rounds N]
 
 DIR is another source checkout of velotrack, for example a git worktree
 of the parent commit. The src/velotrack packages of both checkouts are
@@ -9,7 +10,11 @@ copied to a temporary directory under their own names and imported side
 by side. Every seed-0 video of each workload in bench/run.py's
 WORKLOADS (long, crowded and noisy by default), simulated with its
 simulate_video, is tracked once by each side untimed, which also checks
-that both return the same matchings and scores. Then each round tracks
+that both return the same matchings and scores. Each --regime adds a
+simulator setting that no workload covers, as a workload of VIDEOS
+videos (default 5) of N0 objects, sigma SIGMA and F frames in a region
+REGION times the window's side (1 closes the view); with a --regime
+and no --workload, only the regimes are timed. Then each round tracks
 all the videos with one side and then the other, the first side
 alternating from round to round; after each track() call it times
 evaluate(seq, res.matchings, truth, spaces=res.spaces), as the bench
@@ -82,8 +87,27 @@ def outputs(pkg, videos) -> list[tuple]:
     ]
 
 
-def compare(name: str, pkgs: dict, rounds: int) -> None:
-    w = bench.WORKLOADS[name]
+def regime(text: str) -> tuple[str, "bench.Workload"]:
+    """A --regime argument, N0,SIGMA,F,REGION[,VIDEOS], as a named workload."""
+    fields = text.split(",")
+    if len(fields) not in (4, 5):
+        raise argparse.ArgumentTypeError(f"want N0,SIGMA,F,REGION[,VIDEOS], got {text!r}")
+    try:
+        n0, sigma, f, region = int(fields[0]), float(fields[1]), int(fields[2]), float(fields[3])
+        videos = int(fields[4]) if len(fields) == 5 else 5
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number in {text!r}") from None
+    if videos < 1:
+        raise argparse.ArgumentTypeError(f"want at least one video, got {text!r}")
+    w = bench.Workload(N0=n0, sigma=sigma, f=f, region=region, videos=videos)
+    try:
+        w.sim_config(0)
+    except bench.vt.InvalidConfigError as e:
+        raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
+    return f"N0={n0} sigma={sigma:g} f={f} region={region:g}", w
+
+
+def compare(name: str, w: "bench.Workload", pkgs: dict, rounds: int) -> None:
     sims = [bench.simulate_video(w, 0, i) for i in range(w.videos)]
     # each side's own types: evaluate compares matchings by class too
     videos = {
@@ -133,6 +157,10 @@ def main(argv=None) -> int:
         "--workload", action="append", choices=sorted(bench.WORKLOADS),
         help="a workload to time (repeatable; default: long, crowded and noisy)",
     )
+    ap.add_argument(
+        "--regime", action="append", type=regime, default=[],
+        help="a simulator setting N0,SIGMA,F,REGION[,VIDEOS] to time (repeatable)",
+    )
     ap.add_argument("--rounds", type=int, default=10, help="timed rounds (default 10)")
     args = ap.parse_args(argv)
     if args.rounds < 1:
@@ -143,8 +171,9 @@ def main(argv=None) -> int:
             "parent": import_side(args.parent.resolve(), "velotrack_parent", Path(tmp)),
             "change": import_side(ROOT, "velotrack_change", Path(tmp)),
         }
-        for name in args.workload or MEASURED:
-            compare(name, pkgs, args.rounds)
+        names = args.workload or ([] if args.regime else MEASURED)
+        for name, w in [(n, bench.WORKLOADS[n]) for n in names] + args.regime:
+            compare(name, w, pkgs, args.rounds)
     return 0
 
 

@@ -9,9 +9,10 @@ The full sweep takes a few minutes per replicate.
 Then, for each N0 of SCALING_N0 (40, 80, ..., 200), it tracks one
 closed-view video (the window is the whole region, sigma 1, f=4, seed
 0, space_cap raised) in a fresh process and prints track()'s seconds,
-its tracemalloc peak, the total rows of its candidate spaces and the
-cells its DP scored (sum of dp_cells). The peak comes from a first,
-traced call; the seconds from a second, untraced one.
+its sweep lap (TrackDiagnostics.layer_seconds["sweep"]), its
+tracemalloc peak, the total rows of its candidate spaces and the cells
+its DP scored (sum of dp_cells). The peak comes from a first, traced
+call; the seconds and the sweep lap from a second, untraced one.
 """
 
 import argparse
@@ -30,9 +31,9 @@ from velotrack.cli import main as cli_main
 SCALING_N0 = (40, 80, 120, 160, 200)
 
 
-def scaling_row(n0: int) -> tuple[float, int, int, int]:
-    """track() seconds, tracemalloc peak bytes, space rows and DP cells of
-    one closed-view video of n0 objects per frame."""
+def scaling_row(n0: int) -> tuple[float, float, int, int, int]:
+    """track() seconds, sweep seconds, tracemalloc peak bytes, space rows
+    and DP cells of one closed-view video of n0 objects per frame."""
     seq = simulate(SimConfig(W=680.0, H=512.0, N0=n0, sigma=1.0, f=4, seed=0)).seq
     cfg = TrackerConfig(space_cap=10**9)
     tracemalloc.start()
@@ -42,10 +43,10 @@ def scaling_row(n0: int) -> tuple[float, int, int, int]:
     finally:
         tracemalloc.stop()
     t = time.perf_counter()
-    track(seq, cfg)
+    sweep = track(seq, cfg).diagnostics.layer_seconds["sweep"]
     seconds = time.perf_counter() - t
     d = res.diagnostics
-    return seconds, peak, sum(d.space_sizes), sum(d.dp_cells)
+    return seconds, sweep, peak, sum(d.space_sizes), sum(d.dp_cells)
 
 
 def main() -> int:
@@ -96,9 +97,13 @@ def main() -> int:
     # one fresh process per row, so no row inherits another's heap
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         scaling = pool.map(scaling_row, SCALING_N0, chunksize=1)
-    print(f"{'N0':>5} {'track_s':>9} {'peak_mb':>9} {'space_rows':>11} {'dp_cells':>12}")
-    for n0, (seconds, peak, rows, cells) in zip(SCALING_N0, scaling):
-        print(f"{n0:>5} {seconds:>9.4f} {peak / 1e6:>9.2f} {rows:>11} {cells:>12}")
+    print(
+        f"{'N0':>5} {'track_s':>9} {'sweep_s':>9} {'peak_mb':>9} {'space_rows':>11} {'dp_cells':>12}"
+    )
+    for n0, (seconds, sweep, peak, rows, cells) in zip(SCALING_N0, scaling):
+        print(
+            f"{n0:>5} {seconds:>9.4f} {sweep:>9.4f} {peak / 1e6:>9.2f} {rows:>11} {cells:>12}"
+        )
     return 0
 
 

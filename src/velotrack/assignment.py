@@ -32,9 +32,9 @@ an augmentation matches the free row of smallest minimum c to its
 cheapest column and adds fl(c - U) to every free row's potential.
 _one_step_prefix computes each pair's leading run of them in closed
 form, up to the first cheapest column already taken or the first tie,
-exact or after rounding, that leaves the step in doubt. Only the
-augmentations after it run as lockstep rounds of a vectorized Dijkstra
-step, over the pairs that need them. Only the chunks compute costs,
+exact or after rounding, that leaves the step in doubt. Each pair
+then makes the augmentations after it on its own, with the Dijkstra
+steps of a sweep of that pair alone. Only the chunks compute costs,
 and each records its rows' minima, from which _Sweep.gate reads the
 gate.
 track() sweeps all frame pairs of a video in one batch and reads from
@@ -124,7 +124,7 @@ class _Chunk:
     past k_stop are not read); card_cost is indexed [k, q] and is +inf
     past the pair's k_stop. one_step[q] counts the pair's leading
     augmentations that _one_step_prefix settled without a Dijkstra
-    round.
+    search.
     """
 
     cost: np.ndarray
@@ -139,7 +139,7 @@ class _Chunk:
 
 
 def _sweep(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops=None) -> "_Sweep":
-    """Successive shortest augmenting paths for many pairs in lockstep.
+    """Successive shortest augmenting paths for many pairs in one batch.
 
     Pair p matches the (n, 2) points a[p] to b[p] up to cardinality
     k_stops[p] (default: its kmax). The pairs are grouped into chunks of
@@ -245,18 +245,12 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
     padded rows hold row_to = -2, never free and never matched.
 
     _one_step_prefix settles each pair's leading one-step augmentations,
-    and a few vector operations fill their snapshots. Round k then makes
-    augmentation k + 1 in lockstep, only for the pairs whose prefix
-    ended at or before k and whose k_stop lies beyond it (through views
-    when these pairs are consecutive), and a round runs only where some
-    pair needs it. One Dijkstra step is one argmin and one relaxation
-    over the pairs still searching, and a pair drops out of the search
-    when it reaches a free column. Every element sees the float
-    operations of a sweep of its pair alone (oracle.reference_sweep),
-    so every snapshot is bit for bit the same. After the rounds, the
-    matched costs of each pair and cardinality are summed in row order
-    like a single pair's. Arrays are indexed flat, pair * width +
-    position.
+    and a few vector operations fill their snapshots. _finish_pairs then
+    makes the rest of each pair whose prefix ends before its k_stop,
+    one pair at a time, with the float operations of a sweep of that
+    pair alone (oracle.reference_sweep), so every snapshot is bit for
+    bit the same. Then the matched costs of each pair and cardinality
+    are summed in row order like a single pair's.
 
     tol is the tie certificate's tolerance, a few n ulps of each pair's
     cost scale. It covers accumulated float error in the potentials and
@@ -297,11 +291,9 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
     snap_u = np.where(done, u_done, pot.T[:, :, None])
     snap_v = np.zeros((n_k + 1, n_p, cols))
     steps = n_one.copy()
-    # the pairs with k matched rows, and those of them making
-    # augmentation k + 1 in a Dijkstra round
+    _finish_pairs(cost, n_a, n_b, n_one, k_stop, steps, snap_row_to, snap_u, snap_v)
+    # the pairs with k matched rows
     sweeping = ks[:, None] <= k_stop
-    live = sweeping[1:] & (n_one <= ks[:-1, None])
-    _dijkstra_rounds(cost, live, n_one, steps, snap_row_to, snap_u, snap_v)
     # k matched rows in each pair still sweeping at k: one row-order sum
     # per pair and k, from one gather per batch of k of at most
     # _SWEEP_CELLS / 4 matched cells
@@ -326,107 +318,71 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
     return _Chunk(cost, tol, row_min, snap_row_to, snap_u, snap_v, card_cost, steps, n_one)
 
 
-def _dijkstra_rounds(cost, live, n_one, steps, snap_row_to, snap_u, snap_v):
-    """The lockstep Dijkstra rounds of _sweep_chunk, in place.
+def _finish_pairs(cost, n_a, n_b, n_one, k_stop, steps, snap_row_to, snap_u, snap_v):
+    """The augmentations of _sweep_chunk after each pair's one-step
+    prefix, one pair at a time, in place.
 
-    Each pair continues from its snapshots after its n_one one-step
-    augmentations (where v is 0). Round k makes augmentation k + 1 of
-    the pairs live[k], adds each one's settled columns to steps and
-    writes its snapshots at k + 1; rounds without a live pair are
-    skipped.
+    Pair q resumes from its snapshot after its n_one[q] one-step
+    augmentations, where v is 0, and makes the rest up to k_stop[q] with
+    the float operations of oracle.reference_sweep on its own block of
+    cost: one argmin and one relaxation per Dijkstra step. Each search
+    adds its settled columns to steps[q] and writes the snapshots at the
+    cardinality it reaches.
     """
-    rounds = np.flatnonzero(live.any(axis=1)).tolist()
-    if not rounds:
-        return
-    n_p, rows, cols = cost.shape
-    pair = np.arange(n_p)
-    row_to, u = snap_row_to[n_one, pair], snap_u[n_one, pair]
-    v = np.zeros((n_p, cols))
-    col_to = np.full((n_p, cols), -1, dtype=np.int64)
-    mp, mi = np.nonzero(row_to >= 0)
-    col_to[mp, row_to[mp, mi]] = mi
-    cost_rows = cost.reshape(n_p * rows, cols)
-    uf, row_tof, col_tof = u.reshape(-1), row_to.reshape(-1), col_to.reshape(-1)
-    pair_c, pair_r = pair * cols, pair * rows
-    # filled in per pair when its search ends
-    big = np.empty((n_p, 1))
-    row_dist = np.empty((n_p, rows))
-    preds = np.empty((n_p, cols), dtype=np.int64)
-    ends = np.empty(n_p, dtype=np.int64)
-    row_distf, predsf = row_dist.reshape(-1), preds.reshape(-1)
-    for k in rounds:
-        live_at = np.flatnonzero(live[k])
-        m = live_at.shape[0]
-        # consecutive pairs are read and written through views
-        consecutive = live_at[-1] - live_at[0] == m - 1
-        sel = slice(live_at[0], live_at[0] + m) if consecutive else live_at
-        um, vm, ctm = u[sel], v[sel], col_to[sel]
-        free = row_to[sel] == -1
-        row_dist[sel] = np.inf
-        # seed tentative column distances from every free row at distance 0
-        rc = cost[sel] - um[:, :, None]
-        rc -= vm[:, None, :]
-        rc[~free] = np.inf
-        pred = rc.argmin(axis=1)
-        dist = rc.min(axis=1)
-        del rc
-        open_ = np.ones((m, cols), dtype=bool)
-        # search state of the pairs still searching
-        at, at_c, at_r, own_c, vc = pair[sel], pair_c[sel], pair_r[sel], pair_c[:m], vm
-        n_iter = 0
-        while True:
-            n_iter += 1
-            j = dist.argmin(axis=1)
-            fj = own_c + j
-            dj = dist.reshape(-1)[fj]
-            i = col_tof[at_c + j]
-            reached = i < 0
-            if reached.any():
-                out = at[reached]
-                steps[out] += n_iter
-                big[out, 0] = dj[reached]
-                preds[out] = pred[reached]
-                ends[out] = j[reached]
-                if reached.all():
+    for q in np.flatnonzero(n_one < k_stop).tolist():
+        na, nb, k0 = int(n_a[q]), int(n_b[q]), int(n_one[q])
+        c = cost[q, :na, :nb]
+        row_to, u = snap_row_to[k0, q, :na].copy(), snap_u[k0, q, :na].copy()
+        v = np.zeros(nb)
+        col_to = np.full(nb, -1, dtype=np.int64)
+        matched = np.flatnonzero(row_to >= 0)
+        col_to[row_to[matched]] = matched
+        for k in range(k0 + 1, int(k_stop[q]) + 1):
+            free = row_to == -1
+            rows = np.flatnonzero(free)
+            # seed tentative column distances from every free row at
+            # distance 0, built (columns, free rows) so that both
+            # reductions run along the last axis without a copy
+            rc = c.T[:, rows]
+            rc -= u[rows]
+            rc -= v[:, None]
+            pred = rows[rc.argmin(axis=1)]
+            dist = rc.min(axis=1)
+            # a settled column gets v = -inf here, so it never relaxes again
+            v_open = v.copy()
+            settled, row_dist = [], []
+            while True:
+                j = int(dist.argmin())
+                i = int(col_to[j])
+                if i < 0:
                     break
-                keep = ~reached
-                at, dist, pred, open_, vc = at[keep], dist[keep], pred[keep], open_[keep], vc[keep]
-                at_c, at_r, own_c = at_c[keep], at_r[keep], own_c[: at.shape[0]]
-                j, i, dj = j[keep], i[keep], dj[keep]
-                fj = own_c + j
-            dist.reshape(-1)[fj] = np.inf
-            open_.reshape(-1)[fj] = False
-            fi = at_r + i
-            row_distf[fi] = dj  # the matched row settles with its column
-            nd = dj[:, None] + cost_rows[fi] - uf[fi][:, None] - vc
-            better = nd < dist
-            better &= open_
-            np.copyto(dist, nd, where=better)
-            np.copyto(pred, i[:, None], where=better)
-        # dual update keeps reduced costs nonnegative and path edges
-        # tight; a settled column's distance is its matched row's
-        bm, rd = big[sel], row_dist[sel]
-        col_dist = row_distf[pair_r[sel, None] + np.maximum(ctm, 0)]
-        np.add(um, bm, out=um, where=free)
-        np.add(um, bm - rd, out=um, where=np.isfinite(rd))
-        np.add(vm, col_dist - bm, out=vm, where=(ctm >= 0) & np.isfinite(col_dist))
-        if not consecutive:
-            u[sel], v[sel] = um, vm
-        # flip matched edges along the augmenting paths
-        walk, j = pair[sel], ends[sel]
-        while True:
-            i = predsf[walk * cols + j]
-            fi = walk * rows + i
-            prev = row_tof[fi]
-            row_tof[fi] = j
-            col_tof[walk * cols + j] = i
-            more = prev >= 0
-            if not more.any():
-                break
-            walk, j = walk[more], prev[more]
-        snap_row_to[k + 1, sel] = row_to[sel]
-        snap_u[k + 1, sel] = um
-        snap_v[k + 1, sel] = vm
+                # the matched row settles with its column
+                settled.append(i)
+                row_dist.append(dist[j])
+                v_open[j] = -np.inf
+                nd = dist[j] + c[i] - u[i] - v_open
+                dist[j] = np.inf
+                better = nd < dist
+                np.copyto(dist, nd, where=better)
+                np.copyto(pred, i, where=better)
+            steps[q] += len(settled) + 1
+            # dual update keeps reduced costs nonnegative and path edges
+            # tight; a settled column's distance is its matched row's
+            big = dist[j]
+            np.add(u, big, out=u, where=free)
+            if settled:
+                rd = np.array(row_dist)
+                u[settled] += big - rd
+                v[row_to[settled]] += rd - big
+            # flip matched edges along the augmenting path
+            while j >= 0:
+                i = pred[j]
+                prev = row_to[i]
+                row_to[i], col_to[j] = j, i
+                j = prev
+            snap_row_to[k, q, :na] = row_to
+            snap_u[k, q, :na] = u
+            snap_v[k, q, :nb] = v
 
 
 def _reach(adj: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .core import (
     ParseError,
     SpaceCapError,
     TrajectorySet,
+    _config_int,
     assemble_trajectories,
     matchings_from_trajectories,
     read_detections,
@@ -90,12 +91,10 @@ class ExperimentConfig(JsonConfig):
     gate_quantile: float = TrackerConfig.gate_quantile
 
     def __post_init__(self):
-        if any(int(v) != v for v in (*self.N0, *self.deltas)):
-            raise InvalidConfigError("N0 and deltas must hold integers")
-        object.__setattr__(self, "N0", tuple(int(v) for v in self.N0))
+        object.__setattr__(self, "N0", tuple(_config_int(v, "N0", 1) for v in self.N0))
         object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "deltas", tuple(int(v) for v in self.deltas))
+        object.__setattr__(self, "deltas", tuple(_config_int(v, "delta", 0) for v in self.deltas))
         # a repeated value would run its settings twice and pool them in one aggregate row
         for name in ("N0", "sigma", "methods", "deltas"):
             values = getattr(self, name)
@@ -103,16 +102,12 @@ class ExperimentConfig(JsonConfig):
                 raise InvalidConfigError(f"{name} holds a repeated value: {list(values)}")
         if not self.N0 or not self.sigma:
             raise InvalidConfigError("N0 and sigma lists must be nonempty")
-        if int(self.replicates) != self.replicates or self.replicates < 1:
-            raise InvalidConfigError("replicates must be a positive integer")
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "replicates", _config_int(self.replicates, "replicates", 1))
         bad = set(self.methods) - {"bmcf", "tri"}
         if bad or not self.methods:
             raise InvalidConfigError("methods must be a nonempty subset of {'bmcf', 'tri'}")
         if "tri" in self.methods and not self.deltas:
             raise InvalidConfigError("deltas must be nonempty when running 'tri'")
-        if any(d < 0 for d in self.deltas):
-            raise InvalidConfigError("deltas must be nonnegative")
         # build each derived config once, so bad values fail here and not in a worker
         for n0 in self.N0:
             for sig in self.sigma:

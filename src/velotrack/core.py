@@ -37,6 +37,19 @@ class InvalidConfigError(ValueError):
     """A configuration value is outside its admissible range."""
 
 
+def _config_int(value, what: str, lo: int) -> int:
+    """value as an int when it is an integer of at least lo; any other
+    value (a fraction, an infinity, nan or a non-number) raises
+    InvalidConfigError."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < lo:
+        raise InvalidConfigError(f"{what} must be an integer of at least {lo}, got {value!r}")
+    return n
+
+
 class ParseError(ValueError):
     """A malformed input file; carries the offending line number."""
 

@@ -135,9 +135,9 @@ def exhaustive_chain_argmax(
 def reference_sweep(cost: np.ndarray, k_stop: int) -> _SweepState:
     """Successive shortest augmenting paths up to cardinality k_stop.
 
-    One pair at a time with scalar Dijkstra steps; assignment._sweep
-    runs many pairs in lockstep and must return equal snapshots and
-    step counts for each.
+    One pair at a time, every augmentation by a Dijkstra search;
+    assignment._sweep settles most augmentations of many pairs in closed
+    form and must return equal snapshots and step counts for each.
     """
     n_a, n_b = cost.shape
     u = np.zeros(n_a)

@@ -23,6 +23,7 @@ from .core import (
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
+    _config_int,
     assemble_trajectories,
 )
 
@@ -56,23 +57,17 @@ class SimConfig(JsonConfig):
             raise InvalidConfigError("W, H, w and h must be finite")
         if not (self.W >= self.w > 0 and self.H >= self.h > 0):
             raise InvalidConfigError("need W >= w > 0 and H >= h > 0")
-        if int(self.N0) != self.N0 or self.N0 < 1:
-            raise InvalidConfigError("N0 must be a positive integer")
+        object.__setattr__(self, "N0", _config_int(self.N0, "N0", 1))
         # n_cells's quotient, which overflows for a large enough region
         area = self.w * self.h
         if not (area > 0 and math.isfinite((self.W * self.H) / area * self.N0)):
             raise InvalidConfigError("the region's cell count is not finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidConfigError("sigma must be positive and finite")
-        if int(self.f) != self.f or self.f < 2:
-            raise InvalidConfigError("need at least 2 frames")
+        object.__setattr__(self, "f", _config_int(self.f, "f", 2))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise InvalidConfigError("dt must be positive and finite")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InvalidConfigError("seed must be a nonnegative integer")
-        object.__setattr__(self, "N0", int(self.N0))
-        object.__setattr__(self, "f", int(self.f))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _config_int(self.seed, "seed", 0))
 
     @property
     def n_cells(self) -> int:

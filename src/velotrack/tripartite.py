@@ -38,6 +38,7 @@ from .core import (
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
+    _config_int,
     _lex_keys,
     assemble_trajectories,
 )
@@ -221,16 +222,15 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     entries is the identity and is skipped. Blocks for different d are
     disjoint because their disappearance counts differ.
     """
-    if int(delta) != delta or delta < 0:
-        raise InvalidConfigError("delta must be a nonnegative integer")
+    delta = _config_int(delta, "delta", 0)
     seq = FrameSequence((frame_a, frame_b))
     n_a, n_b = seq.counts
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
     # the sweep stops at the largest cardinality the neighborhood needs
-    d_lo = neighborhood(d_star, int(delta), n_a, n_b)[0]
+    d_lo = neighborhood(d_star, delta, n_a, n_b)[0]
     sw = _sweep(seq.frames[:1], seq.frames[1:], [n_a - d_lo])
-    pair, ks = _seed_cardinalities(sw.n_a, sw.n_b, np.array([d_star]), int(delta))
+    pair, ks = _seed_cardinalities(sw.n_a, sw.n_b, np.array([d_star]), delta)
     return _assemble_spaces(pair, sw.rows(pair, ks), sw.n_a, sw.n_b)[0]
 
 
@@ -1140,9 +1140,7 @@ class TrackerConfig(JsonConfig):
     space_cap: int = 1_000_000
 
     def __post_init__(self):
-        if int(self.delta) != self.delta or self.delta < 0:
-            raise InvalidConfigError("delta must be a nonnegative integer")
-        object.__setattr__(self, "delta", int(self.delta))
+        object.__setattr__(self, "delta", _config_int(self.delta, "delta", 0))
         fixed = self.fixed_sigma()
         if fixed is None and self.sigma_mode not in ("per-frame", "pooled"):
             raise InvalidConfigError(f"unknown sigma mode {self.sigma_mode!r}")
@@ -1160,9 +1158,7 @@ class TrackerConfig(JsonConfig):
         if not 0.0 < float(self.gate_quantile) < 1.0:
             raise InvalidConfigError("gate quantile must lie strictly between 0 and 1")
         object.__setattr__(self, "gate_quantile", float(self.gate_quantile))
-        if int(self.space_cap) != self.space_cap or self.space_cap < 1:
-            raise InvalidConfigError("space_cap must be a positive integer")
-        object.__setattr__(self, "space_cap", int(self.space_cap))
+        object.__setattr__(self, "space_cap", _config_int(self.space_cap, "space_cap", 1))
 
     def fixed_sigma(self) -> float | None:
         """The fixed sigma value, or None for estimating modes."""

@@ -18,7 +18,14 @@ from velotrack.cli import (
     ExperimentConfig,
     main,
 )
-from velotrack import SimConfig, TrackerConfig, simulate, track, write_tracks
+from velotrack import (
+    InvalidConfigError,
+    SimConfig,
+    TrackerConfig,
+    simulate,
+    track,
+    write_tracks,
+)
 from velotrack.tripartite import TRACK_LAYERS
 
 SIM_CFG = {"W": 120.0, "H": 100.0, "w": 60.0, "h": 50.0, "N0": 5, "f": 8, "seed": 2}
@@ -295,6 +302,28 @@ class TestEvaluateCommand:
         args = ["evaluate", "--input", missing, "--truth", missing, "--output", str(report)]
         assert main(args) == EXIT_CONFIG
         assert not report.exists()
+
+
+# every integer field of the configs, as (config, field, a value's form there)
+INTEGER_FIELDS = [
+    (SimConfig, "N0", lambda x: x),
+    (SimConfig, "f", lambda x: x),
+    (SimConfig, "seed", lambda x: x),
+    (TrackerConfig, "delta", lambda x: x),
+    (TrackerConfig, "space_cap", lambda x: x),
+    (ExperimentConfig, "N0", lambda x: (x,)),
+    (ExperimentConfig, "deltas", lambda x: (x,)),
+    (ExperimentConfig, "replicates", lambda x: x),
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "x", 1.5, -1])
+@pytest.mark.parametrize(
+    "cls, name, form", INTEGER_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in INTEGER_FIELDS]
+)
+def test_integer_fields_reject_non_integers(cls, name, form, bad):
+    with pytest.raises(InvalidConfigError):
+        cls(**{name: form(bad)})
 
 
 class TestExitCodes:

@@ -56,14 +56,14 @@ def test_complexity_table(tmp_path):
     lines = out.strip().splitlines()
     assert lines[-7].split() == ["delta", "evals/video", "ratio", "predicted"]
     assert [line.split()[0] for line in lines[-6:-3]] == ["1", "2", "3"]
-    assert lines[-3].split() == ["N0", "track_s", "peak_mb", "space_rows", "dp_cells"]
+    assert lines[-3].split() == ["N0", "track_s", "sweep_s", "peak_mb", "space_rows", "dp_cells"]
     for line, n0 in zip(lines[-2:], (4, 8)):
         fields = line.split()
         assert int(fields[0]) == n0
-        assert float(fields[1]) >= 0 and float(fields[2]) > 0
+        assert float(fields[1]) >= float(fields[2]) >= 0 and float(fields[3]) > 0
         # a closed view holds N0 objects in each of its 4 frames, so each
         # of its 3 spaces has at least one seed and its exchanges
-        assert int(fields[3]) >= 3 * (1 + n0 * (n0 - 1) // 2) and int(fields[4]) > 0
+        assert int(fields[4]) >= 3 * (1 + n0 * (n0 - 1) // 2) and int(fields[5]) > 0
 
 
 def test_output_digest_repeats():
@@ -76,7 +76,15 @@ def test_output_digest_repeats():
 
 
 def test_compare_laps_against_itself():
-    out = run_script("compare_laps.py", "--parent", str(ROOT), "--workload", "smoke", "--rounds", "1")
+    out = run_script(
+        "compare_laps.py", "--parent", str(ROOT), "--workload", "smoke", "--regime", "4,2,3,1,1",
+        "--rounds", "1",
+    )
     lines = out.strip().splitlines()
+    # one block per workload: a title, a header and a line per lap
+    n = len(TRACK_LAYERS) + 4
+    assert len(lines) == 2 * n
     assert lines[0] == "smoke: 2 videos, 1 rounds, outputs differ on 0 videos"
-    assert [line.split()[0] for line in lines[2:]] == [*TRACK_LAYERS, "track()", "evaluate"]
+    assert lines[n] == "N0=4 sigma=2 f=3 region=1: 1 videos, 1 rounds, outputs differ on 0 videos"
+    for block in (lines[2:n], lines[n + 2 :]):
+        assert [line.split()[0] for line in block] == [*TRACK_LAYERS, "track()", "evaluate"]
