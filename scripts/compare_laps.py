@@ -18,11 +18,12 @@ and no --workload, only the regimes are timed. Then each round tracks
 all the videos with one side and then the other, the first side
 alternating from round to round; after each track() call it times
 evaluate(seq, res.matchings, truth, spaces=res.spaces), as the bench
-does, with the simulation's truth matchings. Per workload, for each
-layer of TrackDiagnostics.layer_seconds, for the whole track() call
-and for evaluate, it prints the median ms per video on each side and
-the median over rounds of the change/parent ratio of the round's
-totals, with its min and max.
+does, with the simulation's truth matchings, and then simulate on the
+video's SimConfig. Per workload, for each layer of
+TrackDiagnostics.layer_seconds, for the whole track() call, for
+evaluate and for simulate, it prints the median ms per video on each
+side and the median over rounds of the change/parent ratio of the
+round's totals, with its min and max.
 
 Processes on a shared machine run at speeds that drift by tens of
 percent from one to the next; within one process, the two sides of a
@@ -37,6 +38,7 @@ ratios around 1 is the noise floor.
 """
 
 import argparse
+import dataclasses
 import importlib
 import shutil
 import statistics
@@ -64,11 +66,11 @@ def import_side(checkout: Path, name: str, tmp: Path):
 
 
 def laps(pkg, videos) -> dict[str, float]:
-    """Seconds per layer, for track() as a whole and for evaluate,
-    summed over videos."""
+    """Seconds per layer, for track() as a whole, for evaluate and for
+    simulate, summed over videos."""
     total = dict.fromkeys(pkg.tripartite.TRACK_LAYERS, 0.0)
-    total["track()"] = total["evaluate"] = 0.0
-    for seq, truth in videos:
+    total["track()"] = total["evaluate"] = total["simulate"] = 0.0
+    for seq, truth, cfg in videos:
         t = time.perf_counter()
         res = pkg.track(seq)
         total["track()"] += time.perf_counter() - t
@@ -77,13 +79,16 @@ def laps(pkg, videos) -> dict[str, float]:
         t = time.perf_counter()
         pkg.evaluate(seq, res.matchings, truth, spaces=res.spaces)
         total["evaluate"] += time.perf_counter() - t
+        t = time.perf_counter()
+        pkg.simulate(cfg)
+        total["simulate"] += time.perf_counter() - t
     return total
 
 
 def outputs(pkg, videos) -> list[tuple]:
     return [
         (tuple(m.entries for m in res.matchings), res.score.hex())
-        for res in (pkg.track(seq) for seq, _ in videos)
+        for res in (pkg.track(seq) for seq, _, _ in videos)
     ]
 
 
@@ -115,6 +120,7 @@ def compare(name: str, w: "bench.Workload", pkgs: dict, rounds: int) -> None:
             (
                 pkg.FrameSequence(tuple(s.seq.frames), dt=s.seq.dt),
                 [pkg.MatchingVector(m.entries, n_next=m.n_next) for m in s.matchings],
+                pkg.SimConfig(**dataclasses.asdict(s.config)),
             )
             for s in sims
         ]

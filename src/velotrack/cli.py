@@ -91,9 +91,15 @@ class ExperimentConfig(JsonConfig):
     gate_quantile: float = TrackerConfig.gate_quantile
 
     def __post_init__(self):
+        for name in ("N0", "sigma", "methods", "deltas"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise InvalidConfigError(
+                    f"{name} must be a list, got {getattr(self, name)!r}"
+                ) from None
         object.__setattr__(self, "N0", tuple(_config_int(v, "N0", 1) for v in self.N0))
         object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
-        object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "deltas", tuple(_config_int(v, "delta", 0) for v in self.deltas))
         # a repeated value would run its settings twice and pool them in one aggregate row
         for name in ("N0", "sigma", "methods", "deltas"):

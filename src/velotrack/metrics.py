@@ -42,9 +42,17 @@ def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     """Weighted harmonic mean of precision and recall; 0 when both are 0."""
     if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
         raise InvalidInputError("precision and recall must lie in [0, 1]")
+    return _f_score(precision, recall, _beta_square(beta))
+
+
+def _beta_square(beta: float) -> float:
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidInputError("beta must be positive and finite")
-    b2 = beta * beta
+    return beta * beta
+
+
+def _f_score(precision: float, recall: float, b2: float) -> float:
+    """f_beta's expression, given beta's square b2."""
     if math.isinf(b2):
         # the limit as beta grows: recall, unless precision is 0
         return recall if precision > 0 else 0.0
@@ -54,11 +62,18 @@ def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     return (1.0 + b2) * precision * recall / den
 
 
-def _scores(correct: int, n_pred: int, n_truth: int, beta: float) -> tuple[float, float, float]:
-    """Precision, recall and F score from path counts; empty sides score 0."""
-    precision = correct / n_pred if n_pred else 0.0
-    recall = correct / n_truth if n_truth else 0.0
-    return precision, recall, f_beta(precision, recall, beta)
+def _scores(
+    counts: Sequence[tuple[int, int, int]], beta: float
+) -> list[tuple[float, float, float]]:
+    """Precision, recall and F score of each (correct, predicted, true)
+    path count triple; an empty side scores 0. beta is checked once."""
+    b2 = _beta_square(beta)
+    out = []
+    for correct, n_pred, n_truth in counts:
+        precision = correct / n_pred if n_pred else 0.0
+        recall = correct / n_truth if n_truth else 0.0
+        out.append((precision, recall, _f_score(precision, recall, b2)))
+    return out
 
 
 def path_accuracy(
@@ -70,61 +85,74 @@ def path_accuracy(
     Empty sides contribute zero rates rather than errors.
     """
     correct = len(set(pred.tracks) & set(truth.tracks))
-    return _scores(correct, len(pred.tracks), len(truth.tracks), beta)
+    return _scores([(correct, len(pred.tracks), len(truth.tracks))], beta)[0]
 
 
 def _walk(
     seq: FrameSequence,
     pred_matchings: Sequence[MatchingVector],
     truth_matchings: Sequence[MatchingVector],
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """(correct, predicted, true) track counts of every pair and prefix.
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]], list[int]]:
+    """(correct, predicted, true) track counts of every pair and prefix,
+    and each pair's identity indicator.
 
-    One forward pass, O(f n). Pair k is the two-frame sub-video of
-    frames k and k + 1: its track from detection i of frame k is correct
-    iff both sides send i to the same place, and a detection of frame
-    k + 1 that neither side claims is a correct one-detection track.
-    Prefix counts run over k = 1..f frames: a predicted track is correct
-    on a prefix iff the truth track holding its first detection starts
-    at that same detection and the two first differ past the prefix.
+    One forward pass, O(f n), reading each pair's two entry tuples once.
+    Pair k is the two-frame sub-video of frames k and k + 1: its track
+    from detection i of frame k is correct iff both sides send i to the
+    same place, and a detection of frame k + 1 that neither side claims
+    is a correct one-detection track. Each side starts n_next - n +
+    (its DISAPPEAR entries) new tracks at frame k + 1. Prefix counts run
+    over k = 1..f frames: a predicted track is correct on a prefix iff
+    the truth track holding its first detection starts at that same
+    detection and the two first differ past the prefix.
     """
     f = len(seq)
     if len(pred_matchings) != f - 1 or len(truth_matchings) != f - 1:
         raise InvalidInputError("matching sequences inconsistent with the video length")
-    for k in range(f - 1):
-        for m in (pred_matchings[k], truth_matchings[k]):
-            if len(m) != seq.n_objects(k) or m.n_next != seq.n_objects(k + 1):
-                raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
-    n_pred = n_truth = correct = seq.n_objects(0)
+    counts = seq.counts
+    n_pred = n_truth = correct = counts[0]
     prefixes = [(correct, n_pred, n_truth)]
     pairs = []
-    # current objects of the predicted tracks that still equal their truth twin
-    twins = list(range(n_pred))
+    identities = []
+    # objects of frame k whose predicted track no longer equals its truth twin
+    dead: set[int] = set()
     for k in range(f - 1):
-        pred, truth = pred_matchings[k].entries, truth_matchings[k].entries
-        agree = [p == t for p, t in zip(pred, truth)]
-        nxt = []
-        for i in twins:
-            if not agree[i]:
-                correct -= 1  # they differ at frame k + 1
-            elif pred[i] != DISAPPEAR:
-                nxt.append(pred[i])
+        pm, tm = pred_matchings[k], truth_matchings[k]
+        pred, truth = pm.entries, tm.entries
+        n, n_next = counts[k], counts[k + 1]
+        if not (len(pred) == len(truth) == n and pm.n_next == tm.n_next == n_next):
+            raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
         # detections no entry claims start a track on both sides
-        claimed = [False] * seq.n_objects(k + 1)
-        for j in pred + truth:
-            if j != DISAPPEAR:
-                claimed[j] = True
-        fresh = [j for j, c in enumerate(claimed) if not c]
-        twins = nxt + fresh
-        correct += len(fresh)
-        new_pred = pred_matchings[k].n_appeared
-        new_truth = truth_matchings[k].n_appeared
+        claimed = {*pred, *truth}
+        n_fresh = n_next - len(claimed) + (DISAPPEAR in claimed)
+        if pred == truth:
+            agree = n
+            nxt = {pred[i] for i in dead}
+        else:
+            agree = 0
+            nxt = set()
+            for i, p in enumerate(pred):
+                t = truth[i]
+                if p == t:
+                    agree += 1
+                    if i in dead:
+                        nxt.add(p)
+                else:
+                    if i not in dead:
+                        correct -= 1  # they differ at frame k + 1
+                    nxt.add(p)
+                    nxt.add(t)
+        nxt.discard(DISAPPEAR)
+        dead = nxt
+        correct += n_fresh
+        new_pred = n_next - n + pred.count(DISAPPEAR)
+        new_truth = n_next - n + truth.count(DISAPPEAR)
         n_pred += new_pred
         n_truth += new_truth
-        n_k = len(pred)
-        pairs.append((sum(agree) + len(fresh), n_k + new_pred, n_k + new_truth))
+        pairs.append((agree + n_fresh, n + new_pred, n + new_truth))
         prefixes.append((correct, n_pred, n_truth))
-    return pairs, prefixes
+        identities.append(int(agree == n))
+    return pairs, prefixes, identities
 
 
 def cumulative_path_accuracy(
@@ -140,8 +168,8 @@ def cumulative_path_accuracy(
     O(f n) (see _walk); oracle.reference_cumulative_path_accuracy
     rebuilds every prefix instead.
     """
-    _, prefixes = _walk(seq, pred_matchings, truth_matchings)
-    return [_scores(*counts, beta) for counts in prefixes[1:]]
+    _, prefixes, _ = _walk(seq, pred_matchings, truth_matchings)
+    return _scores(prefixes[1:], beta)
 
 
 def improvement_ratio(f1_by_delta: Sequence[float]) -> list[float | None]:
@@ -192,29 +220,30 @@ def evaluate(
     Every path score comes from the one forward walk of _walk: pair t
     from its step started fresh at frame t, the whole video from the
     last prefix. assemble_trajectories is a bijection, so the paths are
-    identical iff every pair is.
+    identical iff every pair is, and a pair is identical iff its entries
+    all agree (_walk has checked both sides' sizes).
     """
-    pairs, prefixes = _walk(seq, pred_matchings, truth_matchings)
-    f = len(seq)
-    if spaces is not None:
-        if len(spaces) != f - 1:
-            raise InvalidInputError("need one candidate space per frame pair")
-        for k, sp in enumerate(spaces):
-            if sp.n_from != seq.n_objects(k) or sp.n_next != seq.n_objects(k + 1):
-                raise InvalidInputError(f"space {k} inconsistent with frame sizes")
-    identities = tuple(int(p == t) for p, t in zip(pred_matchings, truth_matchings))
-    wp, wr, wf = _scores(*prefixes[-1], beta)
+    pairs, prefixes, identities = _walk(seq, pred_matchings, truth_matchings)
     cov = None
     if spaces is not None:
-        cov = tuple(int(truth_matchings[t] in spaces[t]) for t in range(f - 1))
+        counts = seq.counts
+        if len(spaces) != len(counts) - 1:
+            raise InvalidInputError("need one candidate space per frame pair")
+        for k, sp in enumerate(spaces):
+            if sp.n_from != counts[k] or sp.n_next != counts[k + 1]:
+                raise InvalidInputError(f"space {k} inconsistent with frame sizes")
+        cov = tuple(int(t in sp) for t, sp in zip(truth_matchings, spaces))
+    scores = _scores(pairs + prefixes, beta)
+    cumulative = scores[len(pairs) :]
+    wp, wr, wf = cumulative[-1]
     return EvalReport(
         beta=beta,
-        pair_accuracy=tuple(_scores(*counts, beta) for counts in pairs),
+        pair_accuracy=tuple(scores[: len(pairs)]),
         whole_precision=wp,
         whole_recall=wr,
         whole_fbeta=wf,
-        cumulative=tuple(_scores(*counts, beta) for counts in prefixes[1:]),
-        pair_identity=identities,
+        cumulative=tuple(cumulative[1:]),
+        pair_identity=tuple(identities),
         path_identity=int(all(identities)),
         coverage=cov,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,8 +29,11 @@ from .core import (
 )
 
 # hidden cell positions (cells times frames) simulate may hold; each is
-# two float64s, plus a few per-frame temporaries of the cells
+# two float64s, plus a byte of the window mask and a few int64s while
+# the window's view is read
 _POINT_CAP = 10_000_000
+# the most normal draws in one block of frames, unless one frame needs more
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,13 @@ class SimConfig(JsonConfig):
         if not (self.W >= self.w > 0 and self.H >= self.h > 0):
             raise InvalidConfigError("need W >= w > 0 and H >= h > 0")
         object.__setattr__(self, "N0", _config_int(self.N0, "N0", 1))
-        # n_cells's quotient, which overflows for a large enough region
+        # n_cells's quotient, which overflows for a large enough region or N0
         area = self.w * self.h
-        if not (area > 0 and math.isfinite((self.W * self.H) / area * self.N0)):
+        try:
+            finite = area > 0 and math.isfinite((self.W * self.H) / area * self.N0)
+        except OverflowError:  # an N0 past the float range
+            finite = False
+        if not finite:
             raise InvalidConfigError("the region's cell count is not finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidConfigError("sigma must be positive and finite")
@@ -92,62 +100,83 @@ class SimOutput:
     visible_ids: tuple[np.ndarray, ...]
 
 
-def reflect(x: np.ndarray, length: float) -> np.ndarray:
+def reflect(x: np.ndarray, length: float | np.ndarray) -> np.ndarray:
     """Fold coordinates into [0, length] by mirror reflection.
 
     The fold has period 2*length, so arbitrarily large overshoot lands
-    correctly; reflect(-1, L) = 1.
+    correctly; reflect(-1, L) = 1. length may be an array that
+    broadcasts against x, one length per axis.
     """
-    y = np.mod(x, 2.0 * length)
-    return np.where(y > length, 2.0 * length - y, y)
+    period = 2.0 * length
+    y = np.mod(x, period)
+    return np.where(y > length, period - y, y)
 
 
 def simulate(cfg: SimConfig) -> SimOutput:
     """Run the generative model and observe it through the window.
 
     The hidden positions of every cell in every frame are checked
-    against a fixed cap before anything is allocated.
+    against a fixed cap before anything is allocated. They are one
+    (f, n_cells, 2) array, written frame by frame in place; the noise is
+    drawn in blocks of frames, which consumes the generator's stream
+    exactly as one draw per frame would.
     """
-    n = cfg.n_cells
-    if n * cfg.f > _POINT_CAP:
+    n, f = cfg.n_cells, cfg.f
+    if n * f > _POINT_CAP:
         raise SpaceCapError(
-            f"{n} cells over {cfg.f} frames are {n * cfg.f} hidden positions, cap is {_POINT_CAP}"
+            f"{n} cells over {f} frames are {n * f} hidden positions, cap is {_POINT_CAP}"
         )
     rng = np.random.default_rng(cfg.seed)
-    pos = rng.uniform(0.0, 1.0, size=(n, 2)) * np.array([cfg.W, cfg.H])
+    size = np.array([cfg.W, cfg.H])
+    hidden = np.empty((f, n, 2))
+    hidden[0] = rng.uniform(0.0, 1.0, size=(n, 2)) * size
     vel = np.zeros((n, 2))  # cells in the first frame are still
-    hidden = [pos]
-    for _ in range(cfg.f - 1):
-        eps = rng.normal(0.0, cfg.sigma, size=(n, 2))
-        raw = pos + (vel + eps) * cfg.dt
-        new = np.column_stack([reflect(raw[:, 0], cfg.W), reflect(raw[:, 1], cfg.H)])
-        # realized velocity, so the state stays consistent after reflection
-        vel = (new - pos) / cfg.dt
-        pos = new
-        hidden.append(pos)
+    step = np.empty((n, 2))
+    block = max(1, _DRAW_BLOCK // (2 * n))
+    for b in range(1, f, block):
+        noise = rng.normal(0.0, cfg.sigma, size=(min(block, f - b), n, 2))
+        for k, eps in enumerate(noise, b):
+            pos = hidden[k - 1]
+            # pos + (vel + eps) * dt
+            np.add(vel, eps, out=step)
+            step *= cfg.dt
+            step += pos
+            hidden[k] = reflect(step, size)
+            # realized velocity, so the state stays consistent after reflection
+            np.subtract(hidden[k], pos, out=vel)
+            vel /= cfg.dt
 
-    x0 = (cfg.W - cfg.w) / 2.0
-    y0 = (cfg.H - cfg.h) / 2.0
-    ids = []
-    for p in hidden:
-        inside = (
-            (p[:, 0] >= x0) & (p[:, 0] < x0 + cfg.w) & (p[:, 1] >= y0) & (p[:, 1] < y0 + cfg.h)
-        )
-        ids.append(np.flatnonzero(inside))
-    frames = tuple(hidden[k][ids[k]] for k in range(cfg.f))
-    seq = FrameSequence(frames, dt=cfg.dt)
-
-    matchings = []
-    for k in range(cfg.f - 1):
-        lookup = {int(c): j for j, c in enumerate(ids[k + 1])}
-        entries = tuple(lookup.get(int(c), DISAPPEAR) for c in ids[k])
-        matchings.append(MatchingVector(entries, n_next=len(ids[k + 1])))
-    trajs = assemble_trajectories(seq, matchings)
+    seq, ids, matchings = _observe(cfg, hidden)
     return SimOutput(
         config=cfg,
         seq=seq,
-        matchings=tuple(matchings),
-        trajectories=trajs,
+        matchings=matchings,
+        trajectories=assemble_trajectories(seq, matchings),
         hidden_positions=tuple(hidden),
         visible_ids=tuple(ids),
     )
+
+
+def _observe(cfg: SimConfig, hidden: np.ndarray):
+    """The window's view of the (f, n_cells, 2) hidden positions: the
+    visible sequence, each frame's visible cell ids and the true
+    matchings, all read from one mask of the cells inside the window."""
+    x0 = (cfg.W - cfg.w) / 2.0
+    y0 = (cfg.H - cfg.h) / 2.0
+    x, y = hidden[..., 0], hidden[..., 1]
+    inside = (x >= x0) & (x < x0 + cfg.w) & (y >= y0) & (y < y0 + cfg.h)
+    # frame by frame, cells ascending
+    frame, cell = np.divmod(np.flatnonzero(inside), hidden.shape[1])
+    counts = np.count_nonzero(inside, axis=1).tolist()
+    ends = list(accumulate(counts))
+    cuts = list(zip([0, *ends], ends))  # each frame's slice of frame and cell
+    visible = hidden[frame, cell]
+    seq = FrameSequence(tuple(visible[a:b] for a, b in cuts), dt=cfg.dt)
+    # each cell's index among the visible cells of its frame, or DISAPPEAR
+    target = np.where(inside, np.cumsum(inside, axis=1) - 1, DISAPPEAR)
+    m = cuts[-1][0]  # the detections of frames 0 .. f - 2
+    entries = target[frame[:m] + 1, cell[:m]].tolist()
+    matchings = tuple(
+        MatchingVector(tuple(entries[a:b]), n_next=n) for (a, b), n in zip(cuts, counts[1:])
+    )
+    return seq, [cell[a:b] for a, b in cuts], matchings

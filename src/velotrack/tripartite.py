@@ -296,8 +296,8 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
         iu, ju = np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), without its cost
         g_all = np.flatnonzero(width == n)
         p_all = seed_pair[g_all]
-        first = np.flatnonzero(np.r_[True, p_all[1:] != p_all[:-1]])
-        n_seeds = np.diff(np.r_[first, g_all.shape[0]])
+        first = np.flatnonzero(np.concatenate(([True], p_all[1:] != p_all[:-1])))
+        n_seeds = np.diff(np.append(first, g_all.shape[0]))
         for c0, c1 in _cuts((n_seeds * (iu.shape[0] + 1) * max(n, 1)).tolist(), _FOLD_CELLS):
             g = g_all[first[c0] : first[c1] if c1 < first.shape[0] else g_all.shape[0]]
             s = seeds[g, :n]
@@ -315,7 +315,7 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             ex_keys[j // per_key, ex] -= change * place[j]
             # rows 0 .. n_s - 1 are the seeds, then the exchanges
             lead = seed_pair[g]
-            row_pair = np.r_[lead, lead[q]]
+            row_pair = np.concatenate((lead, lead[q]))
             order = np.lexsort((*np.concatenate([keys, ex_keys], axis=1)[::-1], row_pair))
             del keys, ex_keys
             # the seeds in sorted order, pair by pair as in g, whose pairs
@@ -327,12 +327,12 @@ def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
             sorted_seeds = s[by_rank]
             at = np.flatnonzero(order >= n_s)
             info = np.full((order.shape[0], 3), -1, dtype=np.int64)
-            info[:, 0] = rank[np.r_[np.arange(n_s), q][order]]  # each sorted row's seed
+            info[:, 0] = rank[np.concatenate((np.arange(n_s), q))[order]]  # each sorted row's seed
             info[at, 1] = i[order[at] - n_s]
             info[at, 2] = j[order[at] - n_s]
             row_pair = row_pair[order]
-            starts = np.flatnonzero(np.r_[True, row_pair[1:] != row_pair[:-1]])
-            ends = np.r_[starts[1:], order.shape[0]]
+            starts = np.flatnonzero(np.concatenate(([True], row_pair[1:] != row_pair[:-1])))
+            ends = np.append(starts[1:], order.shape[0])
             sorted_seeds.flags.writeable = False
             info.flags.writeable = False
             cuts = (starts, ends, row_pair[starts], p0, p0 + n_seeds[c0:c1])
@@ -759,7 +759,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     sps = spaces[t0 - 1 : t1]
     sizes = np.array([len(sp) for sp in sps], dtype=np.int64)
     n_seeds = np.array([sp.seeds.shape[0] for sp in sps], dtype=np.int64)
-    off, sd_off = np.r_[0, np.cumsum(sizes)], np.r_[0, np.cumsum(n_seeds)]
+    off, sd_off = (np.concatenate(([0], np.cumsum(x))) for x in (sizes, n_seeds))
     info = np.concatenate([sp.swap_info for sp in sps])
     n_rows, n_pred = int(off[-2]), int(sd_off[-2])
     flat = np.concatenate([sp.seeds.reshape(-1) for sp in sps] + [[DISAPPEAR]])

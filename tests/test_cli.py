@@ -659,3 +659,9 @@ class TestExperiment:
             ExperimentConfig(methods=("hungarian",))
         with pytest.raises(Exception):
             ExperimentConfig(replicates=0)
+
+    @pytest.mark.parametrize("values", [{"N0": 5}, {"deltas": 1}, {"sigma": 2.0}])
+    def test_scalar_for_a_list_field_raises_config_error(self, values):
+        # the Python API, not only from_json, reports a scalar as a config error
+        with pytest.raises(InvalidConfigError, match="must be a list"):
+            ExperimentConfig(**values)

@@ -257,7 +257,8 @@ def test_evaluate_matches_rebuild_from_public_pieces(data):
     pairs = [data.draw(matching_pair(a, b)) for a, b in zip(counts, counts[1:])]
     pred = [p for p, _ in pairs]
     truth = [t for _, t in pairs]
-    beta = data.draw(st.sampled_from([1.0, 0.5, 2.0]))
+    # 1e200 squares to inf: the limit branch of the scoring
+    beta = data.draw(st.sampled_from([1.0, 0.5, 2.0, 1e200]))
     spaces = None
     if data.draw(st.booleans()):
         # each space holds the prediction and one more draw, when they differ
