@@ -57,9 +57,10 @@ import numpy as np
 
 from .core import (
     FrameSequence,
-    InvalidConfigError,
     InvalidInputError,
     MatchingVector,
+    _FRACTION,
+    _config_float,
 )
 
 # relative slack for cost-tie detection and refinement comparisons
@@ -84,10 +85,22 @@ class BipartiteConfig:
 
     def __post_init__(self):
         if self.gate_cost is not None:
-            if not self.gate_cost >= 0:
-                raise InvalidConfigError("gate cost must be nonnegative")
-        elif not 0.0 < self.gate_quantile < 1.0:
-            raise InvalidConfigError("gate quantile must lie strictly between 0 and 1")
+            _config_float(self.gate_cost, "gate_cost", ("nonnegative", lambda x: x >= 0.0))
+        else:
+            _config_float(self.gate_quantile, "gate_quantile", _FRACTION)
+
+
+def _cuts(cells, cap: int) -> list[tuple[int, int]]:
+    """Consecutive ranges of items whose cells sum to at most cap; an
+    item larger than cap goes alone."""
+    bounds, total = [0], 0
+    for i, c in enumerate(cells):
+        if total + c > cap and i > bounds[-1]:
+            bounds.append(i)
+            total = 0
+        total += c
+    bounds.append(len(cells))
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -299,19 +312,15 @@ def _sweep_chunk(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops) -> _
     # _SWEEP_CELLS / 4 matched cells
     cells = (sweeping.sum(axis=1) * ks).tolist()
     sums = []
-    k = 1
-    while k <= n_k:
-        hi, n = k + 1, cells[k]
-        while hi <= n_k and n + cells[hi] <= _SWEEP_CELLS // 4:
-            n, hi = n + cells[hi], hi + 1
-        rt = snap_row_to[k:hi]
-        kq, q, i = np.nonzero((rt >= 0) & sweeping[k:hi, :, None])
+    for c0, c1 in _cuts(cells[1:], _SWEEP_CELLS // 4):
+        k0, k1 = c0 + 1, c1 + 1
+        rt = snap_row_to[k0:k1]
+        kq, q, i = np.nonzero((rt >= 0) & sweeping[k0:k1, :, None])
         matched = cost[q, i, rt[kq, q, i]]
         o = 0
-        for kk in range(k, hi):
-            sums.append(np.add.reduce(matched[o : o + cells[kk]].reshape(-1, kk), axis=1))
-            o += cells[kk]
-        k = hi
+        for k in range(k0, k1):
+            sums.append(np.add.reduce(matched[o : o + cells[k]].reshape(-1, k), axis=1))
+            o += cells[k]
     card_cost = np.where(sweeping, 0.0, np.inf)
     if sums:
         card_cost[1:][sweeping[1:]] = np.concatenate(sums)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import statistics
 import sys
@@ -30,6 +29,7 @@ from .core import (
     ParseError,
     SpaceCapError,
     TrajectorySet,
+    _config_float,
     _config_int,
     assemble_trajectories,
     matchings_from_trajectories,
@@ -99,8 +99,11 @@ class ExperimentConfig(JsonConfig):
                     f"{name} must be a list, got {getattr(self, name)!r}"
                 ) from None
         object.__setattr__(self, "N0", tuple(_config_int(v, "N0", 1) for v in self.N0))
-        object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
+        object.__setattr__(self, "sigma", tuple(_config_float(v, "sigma") for v in self.sigma))
         object.__setattr__(self, "deltas", tuple(_config_int(v, "delta", 0) for v in self.deltas))
+        # before the set() below, which an unhashable method would break
+        if not self.methods or any(m not in ("bmcf", "tri") for m in self.methods):
+            raise InvalidConfigError("methods must be a nonempty subset of {'bmcf', 'tri'}")
         # a repeated value would run its settings twice and pool them in one aggregate row
         for name in ("N0", "sigma", "methods", "deltas"):
             values = getattr(self, name)
@@ -109,18 +112,14 @@ class ExperimentConfig(JsonConfig):
         if not self.N0 or not self.sigma:
             raise InvalidConfigError("N0 and sigma lists must be nonempty")
         object.__setattr__(self, "replicates", _config_int(self.replicates, "replicates", 1))
-        bad = set(self.methods) - {"bmcf", "tri"}
-        if bad or not self.methods:
-            raise InvalidConfigError("methods must be a nonempty subset of {'bmcf', 'tri'}")
         if "tri" in self.methods and not self.deltas:
             raise InvalidConfigError("deltas must be nonempty when running 'tri'")
         # build each derived config once, so bad values fail here and not in a worker
         for n0 in self.N0:
             for sig in self.sigma:
                 self.sim_config(n0, sig, self.seed)
-        if "tri" in self.methods:
-            for d in self.deltas:
-                self.tracker_config(d)
+        # gate_quantile serves both methods; the deltas were checked above
+        self._derive(TrackerConfig)
 
     def _derive(self, cls, **values):
         """cls from this grid's fields of the same name, overridden by values."""
@@ -154,8 +153,7 @@ def _diagnostics_path(output: str) -> str:
 
 
 def cmd_track(args) -> int:
-    if not (math.isfinite(args.dt) and args.dt > 0):
-        raise InvalidConfigError("--dt must be a positive finite number")
+    _config_float(args.dt, "--dt")
     seq = read_detections(args.input, dt=args.dt)
     cfg = TrackerConfig.from_json(args.config) if args.config else TrackerConfig()
     if args.delta is not None:
@@ -279,8 +277,7 @@ def _tracks_to_trajectories(
 
 
 def cmd_evaluate(args) -> int:
-    if not (math.isfinite(args.beta) and args.beta > 0):
-        raise InvalidConfigError("--beta must be a positive finite number")
+    _config_float(args.beta, "--beta")
     summary = os.path.splitext(args.output)[0] + ".json"
     if os.path.abspath(summary) == os.path.abspath(args.output):
         raise InvalidConfigError(f"--output {args.output!r} is also the JSON summary's path")
@@ -425,8 +422,8 @@ def _write_csv(path, columns, rows: list[dict]) -> None:
 
 
 def cmd_experiment(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise InvalidConfigError("--jobs must be a positive integer")
+    if args.jobs is not None:
+        _config_int(args.jobs, "--jobs", 1)
     grid = ExperimentConfig.from_json(args.config)
     if args.replicates is not None:
         grid = replace(grid, replicates=args.replicates)

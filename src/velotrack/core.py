@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
@@ -48,6 +47,27 @@ def _config_int(value, what: str, lo: int) -> int:
     if n is None or n != value or n < lo:
         raise InvalidConfigError(f"{what} must be an integer of at least {lo}, got {value!r}")
     return n
+
+
+# rules for _config_float: their wording, and their test of a float
+_POSITIVE = ("positive and finite", lambda x: 0.0 < x < math.inf)
+_NONPOSITIVE = ("finite and nonpositive", lambda x: -math.inf < x <= 0.0)
+_FRACTION = ("strictly between 0 and 1", lambda x: 0.0 < x < 1.0)
+
+
+def _config_float(value, what: str, rule=_POSITIVE) -> float:
+    """value as a float when it is a real number that passes rule's test;
+    any other value (a string, None, nan, a number past the float range
+    or one that breaks the rule) raises InvalidConfigError."""
+    wording, ok = rule
+    try:
+        x = math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    # every rule's test is a comparison, which nan fails
+    if not ok(x):
+        raise InvalidConfigError(f"{what} must be {wording}, got {value!r}")
+    return x
 
 
 class ParseError(ValueError):
@@ -372,11 +392,6 @@ class CandidateSpace:
         if len(m) != self.n_from or m.n_next != self.n_next:
             return False
         key = list(m.entries)
-        if len(self) == self.seeds.shape[0]:
-            # every row is a seed, and the seeds are sorted: binary search
-            q = bisect_left(self.seeds, key, key=np.ndarray.tolist)
-            return q < len(self) and self.seeds[q].tolist() == key
-        # a space with exchanges has few seeds (one per disappearance count)
         seeds = self.seeds.tolist()
         if key in seeds:
             return True

@@ -24,6 +24,7 @@ from .core import (
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
+    _config_float,
     _config_int,
     assemble_trajectories,
 )
@@ -57,10 +58,11 @@ class SimConfig(JsonConfig):
     seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.W, self.H, self.w, self.h)):
-            raise InvalidConfigError("W, H, w and h must be finite")
-        if not (self.W >= self.w > 0 and self.H >= self.h > 0):
-            raise InvalidConfigError("need W >= w > 0 and H >= h > 0")
+        # checked, not converted: metadata.json records the values as given
+        for name in ("W", "H", "w", "h", "sigma", "dt"):
+            _config_float(getattr(self, name), name)
+        if not (self.W >= self.w and self.H >= self.h):
+            raise InvalidConfigError("need W >= w and H >= h")
         object.__setattr__(self, "N0", _config_int(self.N0, "N0", 1))
         # n_cells's quotient, which overflows for a large enough region or N0
         area = self.w * self.h
@@ -70,11 +72,7 @@ class SimConfig(JsonConfig):
             finite = False
         if not finite:
             raise InvalidConfigError("the region's cell count is not finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidConfigError("sigma must be positive and finite")
         object.__setattr__(self, "f", _config_int(self.f, "f", 2))
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InvalidConfigError("dt must be positive and finite")
         object.__setattr__(self, "seed", _config_int(self.seed, "seed", 0))
 
     @property

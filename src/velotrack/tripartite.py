@@ -27,7 +27,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .assignment import BipartiteConfig, _matching_vectors, _sweep
+from .assignment import BipartiteConfig, _cuts, _matching_vectors, _sweep
 from .core import (
     DISAPPEAR,
     CandidateSpace,
@@ -38,6 +38,9 @@ from .core import (
     MatchingVector,
     SpaceCapError,
     TrajectorySet,
+    _FRACTION,
+    _NONPOSITIVE,
+    _config_float,
     _config_int,
     _lex_keys,
     assemble_trajectories,
@@ -59,18 +62,12 @@ class NoiseModel:
 
     def __post_init__(self):
         raw = self.sigmas if isinstance(self.sigmas, (tuple, list, np.ndarray)) else (self.sigmas,)
-        sig = tuple(float(s) for s in raw)
+        floor = _config_float(self.sigma_floor, "sigma_floor")
+        rule = (f"finite and not below the floor {floor}", lambda x: floor <= x < math.inf)
+        sig = tuple(_config_float(s, "sigma", rule) for s in raw)
         if not sig:
             raise InvalidConfigError("at least one sigma is required")
-        floor = float(self.sigma_floor)
-        if not math.isfinite(floor) or floor <= 0:
-            raise InvalidConfigError("sigma_floor must be positive and finite")
-        for s in sig:
-            if not math.isfinite(s) or s < floor:
-                raise InvalidConfigError(f"sigma {s} below the floor {floor}")
-        lam = float(self.lambda_event)
-        if not math.isfinite(lam) or lam > 0:
-            raise InvalidConfigError("lambda_event must be finite and nonpositive")
+        lam = _config_float(self.lambda_event, "lambda_event", _NONPOSITIVE)
         object.__setattr__(self, "sigmas", sig)
         object.__setattr__(self, "lambda_event", lam)
         object.__setattr__(self, "sigma_floor", floor)
@@ -253,19 +250,6 @@ def _seed_cardinalities(n_a, n_b, d_star, delta: int) -> tuple[np.ndarray, np.nd
     pair = np.repeat(np.arange(n_a.shape[0]), counts)
     d = d_lo[pair] + np.arange(pair.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
     return pair, n_a[pair] - d
-
-
-def _cuts(cells, cap: int) -> list[tuple[int, int]]:
-    """Consecutive ranges of items whose cells sum to at most cap; an
-    item larger than cap goes alone."""
-    bounds, total = [0], 0
-    for i, c in enumerate(cells):
-        if total + c > cap and i > bounds[-1]:
-            bounds.append(i)
-            total = 0
-        total += c
-    bounds.append(len(cells))
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
@@ -1144,20 +1128,15 @@ class TrackerConfig(JsonConfig):
         fixed = self.fixed_sigma()
         if fixed is None and self.sigma_mode not in ("per-frame", "pooled"):
             raise InvalidConfigError(f"unknown sigma mode {self.sigma_mode!r}")
-        floor = float(self.sigma_floor)
-        if not math.isfinite(floor) or floor <= 0:
-            raise InvalidConfigError("sigma_floor must be positive and finite")
+        floor = _config_float(self.sigma_floor, "sigma_floor")
         if fixed is not None and fixed < floor:
             raise InvalidConfigError(f"fixed sigma {fixed} below the floor {floor}")
         object.__setattr__(self, "sigma_floor", floor)
         if self.lambda_event != "auto":
-            lam = float(self.lambda_event)
-            if not math.isfinite(lam) or lam > 0:
-                raise InvalidConfigError("lambda_event must be 'auto' or a nonpositive float")
+            lam = _config_float(self.lambda_event, "lambda_event", _NONPOSITIVE)
             object.__setattr__(self, "lambda_event", lam)
-        if not 0.0 < float(self.gate_quantile) < 1.0:
-            raise InvalidConfigError("gate quantile must lie strictly between 0 and 1")
-        object.__setattr__(self, "gate_quantile", float(self.gate_quantile))
+        q = _config_float(self.gate_quantile, "gate_quantile", _FRACTION)
+        object.__setattr__(self, "gate_quantile", q)
         object.__setattr__(self, "space_cap", _config_int(self.space_cap, "space_cap", 1))
 
     def fixed_sigma(self) -> float | None:
@@ -1167,9 +1146,7 @@ class TrackerConfig(JsonConfig):
                 value = float(self.sigma_mode[len("fixed:") :])
             except ValueError:
                 raise InvalidConfigError(f"bad fixed sigma in {self.sigma_mode!r}") from None
-            if not math.isfinite(value) or value <= 0:
-                raise InvalidConfigError("fixed sigma must be positive and finite")
-            return value
+            return _config_float(value, "fixed sigma")
         return None
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -19,7 +20,9 @@ from velotrack.cli import (
     main,
 )
 from velotrack import (
+    BipartiteConfig,
     InvalidConfigError,
+    NoiseModel,
     SimConfig,
     TrackerConfig,
     simulate,
@@ -314,6 +317,8 @@ INTEGER_FIELDS = [
     (ExperimentConfig, "N0", lambda x: (x,)),
     (ExperimentConfig, "deltas", lambda x: (x,)),
     (ExperimentConfig, "replicates", lambda x: x),
+    (ExperimentConfig, "f", lambda x: x),
+    (ExperimentConfig, "seed", lambda x: x),
 ]
 
 
@@ -324,6 +329,68 @@ INTEGER_FIELDS = [
 def test_integer_fields_reject_non_integers(cls, name, form, bad):
     with pytest.raises(InvalidConfigError):
         cls(**{name: form(bad)})
+
+
+# every float field of the configs, as (config, field, a value's form
+# there, a number outside the field's range)
+FLOAT_FIELDS = [
+    (SimConfig, "W", lambda x: x, math.inf),
+    (SimConfig, "H", lambda x: x, -1.0),
+    (SimConfig, "w", lambda x: x, 0.0),
+    (SimConfig, "h", lambda x: x, -math.inf),
+    (SimConfig, "sigma", lambda x: x, 0.0),
+    (SimConfig, "dt", lambda x: x, math.inf),
+    (TrackerConfig, "sigma_floor", lambda x: x, 0.0),
+    (TrackerConfig, "lambda_event", lambda x: x, 0.5),
+    (TrackerConfig, "gate_quantile", lambda x: x, 1.0),
+    (NoiseModel, "sigmas", lambda x: (x,), 1e-9),
+    (NoiseModel, "lambda_event", lambda x: x, -math.inf),
+    (NoiseModel, "sigma_floor", lambda x: x, -1e-6),
+    (BipartiteConfig, "gate_cost", lambda x: x, -1.0),
+    (BipartiteConfig, "gate_quantile", lambda x: x, 0.0),
+    (ExperimentConfig, "sigma", lambda x: (x,), -1.0),
+    (ExperimentConfig, "W", lambda x: x, 0.0),
+    (ExperimentConfig, "H", lambda x: x, math.inf),
+    (ExperimentConfig, "w", lambda x: x, -1.0),
+    (ExperimentConfig, "h", lambda x: x, 0.0),
+    (ExperimentConfig, "dt", lambda x: x, -2.0),
+    (ExperimentConfig, "lambda_event", lambda x: x, math.inf),
+    (ExperimentConfig, "gate_quantile", lambda x: x, 1.5),
+]
+# the fields that are neither integers nor floats
+OTHER_FIELDS = [
+    (TrackerConfig, "sigma_mode"),
+    (ExperimentConfig, "sigma_mode"),
+    (ExperimentConfig, "methods"),
+]
+# what a constructor needs besides the field under test
+REQUIRED = {NoiseModel: {"sigmas": (1.0,), "lambda_event": -1.0}}
+
+
+# values that no float field takes, by label
+NOT_FLOATS = {"nan": math.nan, "str": "x", "numeric-str": "0.5", "None": None, "huge": 10**400}
+
+
+def _float_cases():
+    for cls, name, form, out_of_range in FLOAT_FIELDS:
+        for label, value in {**NOT_FLOATS, "out-of-range": out_of_range}.items():
+            # a gate_cost of None selects quantile mode
+            if not (name == "gate_cost" and value is None):
+                yield pytest.param(cls, name, form(value), id=f"{cls.__name__}.{name}-{label}")
+
+
+@pytest.mark.parametrize("cls, name, value", _float_cases())
+def test_float_fields_reject_non_floats(cls, name, value):
+    with pytest.raises(InvalidConfigError):
+        cls(**{**REQUIRED.get(cls, {}), name: value})
+
+
+def test_every_config_field_is_checked():
+    # a new field must join one of the lists above, so that it meets the shared checks
+    listed = {(c, n) for c, n, *_ in INTEGER_FIELDS + FLOAT_FIELDS} | set(OTHER_FIELDS)
+    configs = (SimConfig, TrackerConfig, ExperimentConfig, NoiseModel, BipartiteConfig)
+    every = {(c, f.name) for c in configs for f in dataclasses.fields(c)}
+    assert every <= listed
 
 
 class TestExitCodes:
@@ -367,6 +434,7 @@ class TestExitCodes:
             pytest.param("track", {"delta": "abc"}, id="track-delta-str"),
             pytest.param("track", {"delta": None}, id="track-delta-null"),
             pytest.param("track", {"gate_quantile": "x"}, id="track-quantile-str"),
+            pytest.param("track", {"gate_quantile": "0.5"}, id="track-quantile-numeric-str"),
             pytest.param("simulate", {"N0": "x"}, id="simulate-N0-str"),
             pytest.param("simulate", {"sigma": "a"}, id="simulate-sigma-str"),
             pytest.param("experiment", {"N0": 5}, id="experiment-N0-scalar"),
@@ -659,6 +727,9 @@ class TestExperiment:
             ExperimentConfig(methods=("hungarian",))
         with pytest.raises(Exception):
             ExperimentConfig(replicates=0)
+        # an unhashable method is checked before the repeated-value test hashes it
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(methods=(["bmcf"],))
 
     @pytest.mark.parametrize("values", [{"N0": 5}, {"deltas": 1}, {"sigma": 2.0}])
     def test_scalar_for_a_list_field_raises_config_error(self, values):
