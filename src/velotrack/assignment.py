@@ -15,13 +15,12 @@ free column has v = 0, matched columns have v <= 0, so
 (alpha_i = u_i - U, beta_j = v_j, lambda = U) is feasible and
 complementary to the matching. Every other min-cost k-matching is
 complementary to that same dual, so it uses only tight edges (zero
-reduced cost) and leaves unmatched only vertices of zero dual. Its
-symmetric difference with the sweep's matching therefore lies in the
-tight subgraph and holds an alternating cycle, an even alternating path
-from an exposed vertex to a matched zero-dual vertex, or a tight
-augmenting path. _tie_possible searches for these in O(n^2); only when
-it finds one does the exact lexicographic refinement run. Ties between
-cardinalities of equal gated total are compared separately.
+reduced cost) and leaves unmatched only vertices of zero dual, and
+every k-matching that does so costs the minimum. They differ from the
+sweep's matching by cycles of one directed graph (_exchange_graph), so
+the certificate is a cycle test, O(n^2); only when it finds one does
+_lex_walk refine the matching, row by row, on the same graph. Ties
+between cardinalities of equal gated total are compared separately.
 
 _sweep runs the sweeps of many pairs of point sets in padded chunks
 and keeps each pair's snapshots bit for bit as a sweep of that pair
@@ -42,8 +41,8 @@ that one _Sweep the gate, every pair's gated cardinality and, in one
 read, the fixed-d seeds of every reduced space, the gated matchings
 among them. The certificate's first test, the smallest reduced cost
 off the matching, runs for all the matchings of a read in one batch
-per chunk, and _tie_possible searches the tight subgraph of those it
-leaves open. The sweep keeps only refined rows, each refined once.
+per chunk, and the cycle test decides those it leaves open. The sweep
+keeps only refined rows, each refined once from its snapshot.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .core import (
     _config_float,
 )
 
-# relative slack for cost-tie detection and refinement comparisons
+# relative slack for ties between the gated totals of two cardinalities
 _TIE_RTOL = 1e-9
 # padded cells per chunk of the batched sweep: bounds its temporary arrays
 _SWEEP_CELLS = 1 << 16
@@ -173,7 +172,7 @@ def _sweep(a: Sequence[np.ndarray], b: Sequence[np.ndarray], k_stops=None) -> "_
             rows, cols, p1 = r, c, p1 + 1
         chunks.append((p0, _sweep_chunk(a[p0:p1], b[p0:p1], k_stops[p0:p1])))
         p0 = p1
-    return _Sweep(a, b, k_stops, chunks)
+    return _Sweep([len(x) for x in a], [len(y) for y in b], k_stops, chunks)
 
 
 def _one_step_prefix(cost, col, c_min, real_a, k_stop):
@@ -394,16 +393,6 @@ def _finish_pairs(cost, n_a, n_b, n_one, k_stop, steps, snap_row_to, snap_u, sna
             snap_v[k, q, :nb] = v
 
 
-def _reach(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Rows reachable from start (included) along the row graph adj."""
-    reach = start.copy()
-    frontier = start
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~reach
-        reach |= frontier
-    return reach
-
-
 def _has_cycle(adj: np.ndarray) -> bool:
     """True when the directed graph adj has a cycle (Kahn's peeling)."""
     alive = np.ones(adj.shape[0], dtype=bool)
@@ -416,118 +405,118 @@ def _has_cycle(adj: np.ndarray) -> bool:
         indeg -= adj[drop].sum(axis=0)
 
 
-def _tie_possible(
-    tight: np.ndarray, row_to: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float
-) -> bool:
-    """True unless the tight subgraph certifies the k-matching unique.
+def _exposable(row_to: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float):
+    """The rows and columns a min-cost k-matching may leave unmatched,
+    from the sweep's potentials after k augmentations: rows with
+    u >= U - tol, U the free rows' potential, and columns with v >= -tol."""
+    top = u[row_to == -1].min(initial=np.inf)
+    return u >= top - tol, v >= -tol
 
-    tight marks the non-matching edges whose reduced cost is within tol
-    of zero; (u, v) are the potentials of the sweep after k
-    augmentations. With U the common potential of the free rows,
-    (alpha = u - U, beta = v, lambda = U) is an optimal dual of the
-    fixed-k LP, and any other min-cost k-matching M' is complementary to
-    it: M' uses only tight edges and leaves unmatched only rows with
-    u_i = U and columns with v_j = 0. Each component of M' xor M is then, in the tight subgraph,
-    - an alternating cycle,
-    - an even alternating path from an exposed row (column) to a matched
-      row with u = U (a matched column with v = 0), or
-    - an augmenting or a reducing path; the two come in pairs, and
-      only the augmenting one is searched for, which fires
-      conservatively (the last augmentation is usually reducible).
-    Alternating paths are walks in the row graph i -> col_to[j] over the
-    tight non-matching edges (i, j), so all three checks are
-    reachability or cycle tests on an n_a x n_a graph, O(n^2).
+
+def _exchange_graph(tight, row_to, row_exp, col_exp) -> np.ndarray:
+    """The exchange graph of the k-matching row_to (-1 for a free row,
+    -2 for one that takes no part): its rows, then D (an exposed row)
+    and E (a free column), with row_exp and col_exp from _exposable. An
+    arc x -> y means x can take what y holds:
+    - row r -> matched row r' when (r, row_to[r']) is tight;
+    - a matched row of row_exp -> D, and D -> every free row;
+    - a row with a tight edge to a free column -> E, and E -> every
+      matched row whose column is in col_exp.
+    Turning the matching along a cycle, each row taking what the next
+    holds, gives another min-cost k-matching, and every other one
+    differs from it by such cycles.
     """
-    matched = row_to >= 0
-    m_rows = np.flatnonzero(matched)
+    n = row_to.shape[0]
+    m_rows = np.flatnonzero(row_to >= 0)
     m_cols = row_to[m_rows]
-    col_free = np.ones(tight.shape[1], dtype=bool)
-    col_free[m_cols] = False
-    adj = np.zeros((tight.shape[0], tight.shape[0]), dtype=bool)
-    adj[:, m_rows] = tight[:, m_cols]
-    to_free_col = tight[:, col_free].any(axis=1)
-    free = ~matched
-    if free.any():
-        # paths from exposed rows run forward: r -> col_to[j] for tight (r, j)
-        from_free_row = _reach(adj, free)
-        if to_free_col[from_free_row].any():
-            return True
-        top = float(u[free].min())
-        if (u[from_free_row & matched] >= top - tol).any():
-            return True
-    # paths from exposed columns enter a matched row i, leave by its column
-    # row_to[i] and continue to rows with a tight edge into it: backward
-    from_free_col = _reach(adj.T, to_free_col & matched)
-    zero_col = np.zeros(tight.shape[0], dtype=bool)
-    zero_col[m_rows] = v[m_cols] >= -tol
-    if (from_free_col & zero_col).any():
-        return True
-    return _has_cycle(adj)
+    adj = np.zeros((n + 2, n + 2), dtype=bool)
+    adj[:n, m_rows] = tight[:, m_cols]
+    free_row = row_to == -1
+    if free_row.any():
+        adj[m_rows, n] = row_exp[m_rows]
+        adj[n, :n] = free_row
+    free_col = np.ones(tight.shape[1], dtype=bool)
+    free_col[m_cols] = False
+    if free_col.any():
+        adj[:n, n + 1] = tight[:, free_col].any(axis=1)
+        adj[n + 1, m_rows] = col_exp[m_cols]
+    return adj
 
 
-def _lex_fixed_k(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Lexicographically smallest min-cost matching of the points a and
-    b with cardinality k.
+def _lex_walk(tight, row_to, row_exp, col_exp) -> np.ndarray:
+    """The lexicographically smallest min-cost k-matching, refined from
+    the sweep's own (row_to) on its exchange graph (_exchange_graph).
 
-    Fixes entries row by row, preferring -1 and then ascending columns,
-    keeping the first choice whose completion cost ties the row minimum.
-    Each row sweeps its minimum and every candidate's completion in one
-    batch.
+    Fixes the rows in order. Row i's options are -1, when i is in
+    row_exp, then its tight columns in ascending order; an option's
+    holder is D for -1, E for a free column and otherwise the row that
+    holds the column. Row i takes the first option whose holder reaches
+    i in the graph of the rows not yet fixed, the matching turns along
+    that cycle, and row i leaves the graph with its column. One graph
+    and one search, O(n_a (n_a + n_b)), per row whose first option is
+    not the one it holds.
     """
-    n_a, n_b = len(a), len(b)
-    chosen = np.full(n_a, -1, dtype=np.int64)
-    avail = list(range(n_b))
-    kr = k
-    for i in range(n_a):
-        rows_after = n_a - i - 1
-        cands: list[int] = []
-        if rows_after >= kr:
-            cands.append(-1)
-        if kr >= 1:
-            cands.extend(avail)
-        if len(cands) == 1:
-            pick = 0
-        else:
-            sub_b, needs = [b[avail]], [kr]
-            for j in cands:
-                sub_b.append(b[[c for c in avail if c != j]])
-                needs.append(kr if j == -1 else kr - 1)
-            sw = _sweep([a[i:]] + [a[i + 1 :]] * len(cands), sub_b, needs)
-            row_min, *completions = sw.card_cost[np.arange(len(needs)), needs].tolist()
-            tol = _TIE_RTOL * (1.0 + abs(row_min))
-            vals = [
-                (0.0 if j == -1 else float(_sq_dist(a[i], b[j]))) + m
-                for j, m in zip(cands, completions)
-            ]
-            hits = [idx for idx, val in enumerate(vals) if val <= row_min + tol]
-            # Summation-order drift can push every candidate past the
-            # tolerance; fall back to the minimum then.
-            pick = hits[0] if hits else int(np.argmin(vals))
-        j = cands[pick]
-        chosen[i] = j
-        if j != -1:
-            avail.remove(j)
-            kr -= 1
-    return chosen
+    n = row_to.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    row_to, tight = row_to.copy(), tight.copy()
+    m = np.flatnonzero(row_to >= 0)
+    tight[m, row_to[m]] = True
+    for i in range(n):
+        opts = [-1] * bool(row_exp[i]) + np.flatnonzero(tight[i]).tolist()
+        if opts[0] != row_to[i]:
+            # one breadth-first search toward i along reversed arcs: nxt[x]
+            # is the node after x on a shortest path from x to i
+            adj = _exchange_graph(tight, row_to, row_exp, col_exp)
+            nxt = np.full(n + 2, -1, dtype=np.int64)
+            nxt[i], frontier = i, np.array([i])
+            while frontier.shape[0]:
+                into = adj[:, frontier] & (nxt < 0)[:, None]
+                new = np.flatnonzero(into.any(axis=1))
+                nxt[new] = frontier[into[new].argmax(axis=1)]
+                frontier = new
+            held = np.full(tight.shape[1], -1, dtype=np.int64)
+            m = np.flatnonzero(row_to >= 0)
+            held[row_to[m]] = m
+            for o in opts:
+                h = n if o == -1 else n + 1 if held[o] < 0 else int(held[o])
+                if nxt[h] >= 0:
+                    break
+            # turn along the cycle, each row taking what the next holds
+            # before it changes; D and E hold nothing of their own
+            x = h
+            while x != i:
+                y = int(nxt[x])
+                if x < n:
+                    free = tight[x] & (held < 0)
+                    row_to[x] = row_to[y] if y < n else -1 if y == n else free.argmax()
+                x = y
+            row_to[i] = o
+        # row i keeps its choice: it leaves the graph, and no other row
+        # may take its column
+        out[i] = row_to[i]
+        if out[i] >= 0:
+            tight[:, out[i]] = False
+        tight[i] = False
+        row_to[i] = -2
+    return out
 
 
 class _Sweep:
     """A batched SSP sweep of many pairs and the matchings read from it.
 
-    Pair p matches the points a[p] to b[p]; card_cost[p, k] is the min
+    Pair p matches n_a[p] points to n_b[p]; card_cost[p, k] is the min
     cost of its cardinality-k matching (0 at k = 0, +inf past its
     k_stop). rows() reads many (pair, k) matchings at once, gathered
-    from the snapshots; a tie refinement runs where _certify fires, once
-    per (pair, k), whose row is kept for later reads;
+    from the snapshots; where _certify fires, _lex_walk refines the
+    snapshot once per (pair, k), whose row is kept for later reads;
     tie_refinements[p] counts the cardinalities of pair p whose
     certificate fired.
     """
 
-    def __init__(self, a, b, k_stops, chunks: list[tuple[int, _Chunk]]):
-        n_p = len(a)
-        self.a, self.b = a, b
-        self.n_a = np.array([len(x) for x in a], dtype=np.int64)
-        self.n_b = np.array([len(x) for x in b], dtype=np.int64)
+    def __init__(self, n_a, n_b, k_stops, chunks: list[tuple[int, _Chunk]]):
+        n_p = len(n_a)
+        self.n_a = np.array(n_a, dtype=np.int64)
+        self.n_b = np.array(n_b, dtype=np.int64)
         self.k_stop = np.array(k_stops, dtype=np.int64)
         n_k = int(self.k_stop.max(initial=0))
         self.card_cost = np.full((n_p, n_k + 1), np.inf)
@@ -577,8 +566,8 @@ class _Sweep:
 
         A matching whose smallest reduced cost off the matching clears
         the pair's tolerance is unique; one below -tol fires, its dual
-        being infeasible; any other goes to _tie_possible on its tight
-        subgraph. k = 0 never fires (nothing to test).
+        being infeasible; any other fires when its exchange graph has a
+        cycle. k = 0 never fires (nothing to test).
         """
         out = np.zeros(pairs.shape, dtype=bool)
         for c, ch in enumerate(self._chunks):
@@ -594,8 +583,10 @@ class _Sweep:
                 out[sel] = rc_min < -tol
                 for s in np.flatnonzero(np.abs(rc_min) <= tol):
                     n_a, n_b, t = self.n_a[pairs[sel[s]]], self.n_b[pairs[sel[s]]], tol[s]
-                    tight = rc[s, :n_a, :n_b] <= t
-                    out[sel[s]] = _tie_possible(tight, row_to[s, :n_a], u[s, :n_a], v[s, :n_b], t)
+                    r_t = row_to[s, :n_a]
+                    exposable = _exposable(r_t, u[s, :n_a], v[s, :n_b], t)
+                    adj = _exchange_graph(rc[s, :n_a, :n_b] <= t, r_t, *exposable)
+                    out[sel[s]] = _has_cycle(adj)
         return out
 
     def rows(self, pairs, ks) -> np.ndarray:
@@ -614,7 +605,11 @@ class _Sweep:
             p, k = int(pairs[i]), int(ks[i])
             if (p, k) not in self._refined:
                 self.tie_refinements[p] += 1
-                self._refined[p, k] = _lex_fixed_k(self.a[p], self.b[p], k)
+                ch, q = self._chunks[self._chunk_of[p]], self._pos[p]
+                n_a, n_b, tol = self.n_a[p], self.n_b[p], ch.tol[q]
+                row_to, u, v = ch.row_to[k, q, :n_a], ch.u[k, q, :n_a], ch.v[k, q, :n_b]
+                tight = ch.cost[q, :n_a, :n_b] - u[:, None] - v <= tol
+                self._refined[p, k] = _lex_walk(tight, row_to, *_exposable(row_to, u, v, tol))
             out[i, : self.n_a[p]] = self._refined[p, k]
         return out
 

@@ -322,7 +322,7 @@ def _result_row(base: dict, report, eval_count: int) -> dict:
 
 def _experiment_job(job):
     """One (setting, replicate): simulate once, run every method on it."""
-    setting_index, replicate, sim_cfg, grid = job
+    replicate, sim_cfg, grid = job
     sim = simulate(sim_cfg)
     truth = list(sim.matchings)
     base = {
@@ -350,7 +350,7 @@ def _experiment_job(job):
             run = base | {"method": method, "delta": delta}
             rows.append(_result_row(run, report, eval_count))
             times.append(run | {"wall_seconds": wall})
-    return (setting_index, replicate), rows, times
+    return rows, times
 
 
 def _aggregate(rows: list[dict], grid: ExperimentConfig) -> list[dict]:
@@ -432,29 +432,21 @@ def cmd_experiment(args) -> int:
     os.makedirs(args.output, exist_ok=True)
 
     settings = [(n0, s) for n0 in grid.N0 for s in grid.sigma]
-    jobs = []
-    for si, (n0, sig) in enumerate(settings):
-        for rep in range(grid.replicates):
-            sim_cfg = grid.sim_config(n0, sig, grid.seed + 1000003 * si + rep)
-            jobs.append((si, rep, sim_cfg, grid))
+    jobs = [
+        (rep, grid.sim_config(n0, sig, grid.seed + 1000003 * si + rep), grid)
+        for si, (n0, sig) in enumerate(settings)
+        for rep in range(grid.replicates)
+    ]
 
+    # both maps return the results in job order: by setting, then replicate
     workers = min(len(jobs), args.jobs or (os.cpu_count() or 1))
-    collected: dict[tuple[int, int], tuple[list[dict], list[dict]]] = {}
     if workers <= 1:
-        for job in jobs:
-            key, rows, times = _experiment_job(job)
-            collected[key] = (rows, times)
+        results = list(map(_experiment_job, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, rows, times in pool.map(_experiment_job, jobs):
-                collected[key] = (rows, times)
-
-    all_rows: list[dict] = []
-    all_times: list[dict] = []
-    for key in sorted(collected):
-        rows, times = collected[key]
-        all_rows.extend(rows)
-        all_times.extend(times)
+            results = list(pool.map(_experiment_job, jobs))
+    all_rows = [row for rows, _ in results for row in rows]
+    all_times = [t for _, times in results for t in times]
 
     _write_csv(os.path.join(args.output, "results.csv"), RESULT_COLUMNS, all_rows)
     _write_csv(

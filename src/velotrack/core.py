@@ -36,6 +36,14 @@ class InvalidConfigError(ValueError):
     """A configuration value is outside its admissible range."""
 
 
+def _shown(value) -> str:
+    """repr(value), or the size of an int too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of about {value.bit_length() * math.log10(2):.0f} digits"
+
+
 def _config_int(value, what: str, lo: int) -> int:
     """value as an int when it is an integer of at least lo; any other
     value (a fraction, an infinity, nan or a non-number) raises
@@ -45,7 +53,7 @@ def _config_int(value, what: str, lo: int) -> int:
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value or n < lo:
-        raise InvalidConfigError(f"{what} must be an integer of at least {lo}, got {value!r}")
+        raise InvalidConfigError(f"{what} must be an integer of at least {lo}, got {_shown(value)}")
     return n
 
 
@@ -66,7 +74,7 @@ def _config_float(value, what: str, rule=_POSITIVE) -> float:
         x = math.nan
     # every rule's test is a comparison, which nan fails
     if not ok(x):
-        raise InvalidConfigError(f"{what} must be {wording}, got {value!r}")
+        raise InvalidConfigError(f"{what} must be {wording}, got {_shown(value)}")
     return x
 
 
@@ -281,9 +289,12 @@ def assemble_trajectories(
 
 
 def matchings_from_trajectories(seq: FrameSequence, trajs: TrajectorySet) -> list[MatchingVector]:
-    """Inverse of assemble_trajectories for a complete trajectory set."""
+    """Inverse of assemble_trajectories for a complete trajectory set of seq's detections."""
     entries = [[DISAPPEAR] * seq.n_objects(k) for k in range(len(seq) - 1)]
     for tr in trajs.tracks:
+        for f, i in tr:
+            if not (0 <= f < len(seq) and 0 <= i < seq.n_objects(f)):
+                raise InvalidInputError(f"detection {(f, i)} is not in the sequence")
         for (f0, i0), (_, i1) in zip(tr, tr[1:]):
             entries[f0][i0] = i1
     return [

@@ -339,13 +339,25 @@ class TestTieCertificate:
             assert sw.tie_refinements[0] == 0, (n_a, n_b)
 
 
-grid_frame = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6)
+@st.composite
+def grid_frame(draw):
+    """Up to six points of a 4 x 4 integer grid: drawn at random, or a
+    whole 1 x 1 to 2 x 3 lattice, then sometimes exact duplicates."""
+    if draw(st.booleans()):
+        w, h, dx, dy = (draw(st.integers(lo, hi)) for lo, hi in ((1, 2), (1, 3), (0, 1), (0, 1)))
+        pts = [(x + dx, y + dy) for x in range(w) for y in range(h)]
+    else:
+        pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    return pts[:6]
 
 
 @settings(max_examples=150)
-@given(a=grid_frame, b=grid_frame)
+@given(a=grid_frame(), b=grid_frame())
 def test_grid_ties_match_oracle(a, b):
-    # integer grids are rich in exact ties of every structure
+    # integer grids, lattices and duplicate points are rich in exact
+    # ties of every structure
     a = np.array(a, dtype=float).reshape(-1, 2)
     b = np.array(b, dtype=float).reshape(-1, 2)
     for T in (0.5, 1.0, 2.0, math.inf):
@@ -359,25 +371,25 @@ def test_grid_ties_match_oracle(a, b):
 
 def test_track_sweeps_each_pair_once(monkeypatch):
     seq = simulate(SimConfig(W=300.0, H=240.0, w=300.0, h=240.0, N0=8, f=6, seed=3)).seq
-    calls = {"sweep": [], "lex": 0}
-    real_sweep, real_lex = assignment._sweep, assignment._lex_fixed_k
+    calls = {"sweep": [], "walk": 0}
+    real_sweep, real_walk = assignment._sweep, assignment._lex_walk
 
     def sweep(a, b, k_stops=None):
         calls["sweep"].append(len(a))
         return real_sweep(a, b, k_stops)
 
-    def lex(*args):
-        calls["lex"] += 1
-        return real_lex(*args)
+    def walk(*args):
+        calls["walk"] += 1
+        return real_walk(*args)
 
     # track() calls the sweep through tripartite; any other sweep would
     # go through assignment
     monkeypatch.setattr(tripartite, "_sweep", sweep)
     monkeypatch.setattr(assignment, "_sweep", sweep)
-    monkeypatch.setattr(assignment, "_lex_fixed_k", lex)
+    monkeypatch.setattr(assignment, "_lex_walk", walk)
     res = track(seq)
     # one batched sweep covers all f - 1 frame pairs
-    assert calls == {"sweep": [len(seq) - 1], "lex": 0}
+    assert calls == {"sweep": [len(seq) - 1], "walk": 0}
     assert res.diagnostics.tie_refinements == (0,) * (len(seq) - 1)
 
 

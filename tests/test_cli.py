@@ -322,7 +322,10 @@ INTEGER_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "x", 1.5, -1])
+# -10**5000 has too many digits for repr
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, "x", 1.5, -1, pytest.param(-(10**5000), id="huge")]
+)
 @pytest.mark.parametrize(
     "cls, name, form", INTEGER_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in INTEGER_FIELDS]
 )
@@ -368,7 +371,11 @@ REQUIRED = {NoiseModel: {"sigmas": (1.0,), "lambda_event": -1.0}}
 
 
 # values that no float field takes, by label
-NOT_FLOATS = {"nan": math.nan, "str": "x", "numeric-str": "0.5", "None": None, "huge": 10**400}
+NOT_FLOATS = {
+    "nan": math.nan, "str": "x", "numeric-str": "0.5", "None": None, "huge": 10**400,
+    # too many digits for repr
+    "huger": 10**5000,
+}
 
 
 def _float_cases():

@@ -134,6 +134,16 @@ class TestTrajectories:
             trajs = assemble_trajectories(s, ms)
             assert matchings_from_trajectories(s, trajs) == ms
 
+    @pytest.mark.parametrize(
+        "track",
+        [((0, 0), (1, 0), (2, 0)), ((0, 5), (1, 0)), ((3, 0), (4, 0)), ((0, -1), (1, 0)), ((5, 0),)],
+        ids=["past-last-frame", "past-last-object", "frames-beyond", "negative-object", "lone-beyond"],
+    )
+    def test_track_outside_the_sequence(self, track):
+        s = seq_of([(0, 0)], [(1, 1)])
+        with pytest.raises(InvalidInputError, match="detection"):
+            matchings_from_trajectories(s, TrajectorySet((track,)))
+
     def test_wrong_matching_count(self):
         s = seq_of([(0, 0)], [(1, 1)])
         with pytest.raises(InvalidInputError):

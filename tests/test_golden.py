@@ -14,8 +14,10 @@ and fold the survivors densely. The integer-grid videos, whose
 exact ties make the tie certificate
 fire, pin each pair's tie_refinements, the matchings and the score at
 delta 0, 1 and 2; they were recorded before the certificate's first
-test moved wholly into the batched sweep. The benchmark's seed-0
-digests (scripts/output_digest.py) were recorded before the term
+test moved wholly into the batched sweep. Three integer-lattice videos,
+refined on every pair, pin the same outputs; they were recorded before
+the refinement walked the certificate's exchange graph. The benchmark's
+seed-0 digests (scripts/output_digest.py) were recorded before the term
 tables of a stage run moved into one padded layout, and the bipartite
 digest before the sweep computed its own cost matrices from the
 frames; a change that moves dp_cells by design updates them and says
@@ -27,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -130,6 +133,36 @@ def test_tie_certificate_output_is_pinned(seed, delta):
         res = track(_grid_video(seed), TrackerConfig(delta=delta))
     got = (res.diagnostics.tie_refinements, _digest(res.matchings), res.score.hex())
     assert got == CERTIFICATE_GOLDEN[seed, delta]
+
+
+def _lattice_video(side, shift):
+    """Four frames of the side x side integer lattice, each one shifted
+    by shift from the last."""
+    pts = np.array([(x, y) for x in range(side) for y in range(side)], dtype=float)
+    return FrameSequence(tuple(pts + np.multiply(shift, k) for k in range(4)))
+
+
+# (side, shift): (matchings digest, score.hex(), tie_refinements)
+LATTICE_GOLDEN = {
+    (5, (1, 0)): ('ebffe31d681e0d82', '-0x1.a6016b2be77fcp+43', (2, 2, 2)),
+    (8, (1, 0)): ('539f5ee9d0257fa4', '-0x1.5d3ef796a3cb4p+44', (2, 2, 2)),
+    (6, (0, 0)): ('e43ab7ee2e80856a', '-0x1.8777c2bbbd2acp+8', (35, 35, 35)),
+}
+
+
+@pytest.mark.parametrize("side,shift", sorted(LATTICE_GOLDEN))
+def test_lattice_output_is_pinned(side, shift):
+    seq = _lattice_video(side, shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # identical frames hold no 3-frame chain for sigma
+        t = time.perf_counter()
+        res = track(seq)
+        wall = time.perf_counter() - t
+    got = (_digest(res.matchings), res.score.hex(), res.diagnostics.tie_refinements)
+    assert got == LATTICE_GOLDEN[side, shift]
+    # a generous bound: the 8 x 8 video took 13.5 s on a 2-core machine
+    # when each refinement re-solved one sub-problem per candidate column
+    assert wall < 3.0
 
 
 def _series_digest(series) -> str:

@@ -62,7 +62,7 @@ def reference_certificate(cost, row_to, u, v):
     """The tie certificate of one k-matching from its sweep snapshot:
     True when it must be refined. The smallest reduced cost off the
     matching clears it above the tolerance and fires below -tol;
-    otherwise the tight-subgraph search decides."""
+    otherwise it fires when the exchange graph has a cycle."""
     n = max(cost.shape)
     tol = 64.0 * n * np.finfo(np.float64).eps * (1.0 + float(np.abs(cost).max()))
     rc = cost - u[:, None] - v[None, :]
@@ -71,7 +71,10 @@ def reference_certificate(cost, row_to, u, v):
     rc_min = float(rc.min())
     if rc_min > tol:
         return False
-    return rc_min < -tol or assignment._tie_possible(rc <= tol, row_to, u, v, tol)
+    if rc_min < -tol:
+        return True
+    exposable = assignment._exposable(row_to, u, v, tol)
+    return assignment._has_cycle(assignment._exchange_graph(rc <= tol, row_to, *exposable))
 
 
 def reference_rowbase(sp_prev, n_mid, n_next):
