@@ -60,6 +60,7 @@ from .core import (
     MatchingVector,
     _FRACTION,
     _config_float,
+    _config_int,
 )
 
 # relative slack for ties between the gated totals of two cardinalities
@@ -656,7 +657,7 @@ def fixed_d_matchings(
     """
     seq = FrameSequence((frame_a, frame_b))
     n_a, n_b = seq.counts
-    d_list = sorted(set(int(d) for d in ds))
+    d_list = sorted(set(_config_int(d, "d", 0) for d in ds))
     lo = max(0, n_a - n_b)
     for d in d_list:
         if not lo <= d <= n_a:

@@ -368,10 +368,19 @@ class CandidateSpace:
     @classmethod
     def build(cls, matrix: np.ndarray, n_next: int) -> "CandidateSpace":
         """Sort rows lexicographically and wrap them up, each row its own
-        seed. A repeated row raises InvalidInputError."""
+        seed. A repeated row, or one that is no matching vector onto
+        n_next targets, raises InvalidInputError."""
         a = np.asarray(matrix, dtype=np.int64)
+        n_next = int(n_next)
         if a.ndim != 2:
             raise InvalidInputError("candidate matrix must be 2D")
+        if n_next < 0:
+            raise InvalidInputError("n_next must be nonnegative")
+        if ((a < DISAPPEAR) | (a >= n_next)).any():
+            raise InvalidInputError(f"candidate entries must lie in [-1, {n_next})")
+        s = np.sort(a, axis=1)
+        if ((s[:, 1:] == s[:, :-1]) & (s[:, 1:] != DISAPPEAR)).any():
+            raise InvalidInputError("a candidate row claims one target twice")
         a = a[_lex_order(a)]  # a copy, so freezing it leaves the caller's array alone
         if (a[1:] == a[:-1]).all(axis=1).any():
             raise InvalidInputError("candidate rows must be unique")
@@ -379,7 +388,7 @@ class CandidateSpace:
         info[:, 0] = np.arange(a.shape[0])
         a.flags.writeable = False
         info.flags.writeable = False
-        return cls(n_next=int(n_next), seeds=a, swap_info=info)
+        return cls(n_next=n_next, seeds=a, swap_info=info)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -192,24 +192,6 @@ def neighborhood(d_star: int, delta: int, n_a: int, n_b: int) -> range:
     return range(lo, hi + 1)
 
 
-def reduced_space_size(n_a, n_b, d_star, delta: int = 1):
-    """Closed-form size of build_reduced_space's output, elementwise.
-
-    Each d in the neighborhood contributes its seed plus one vector per
-    pair of entry positions, less the C(d, 2) pairs of two DISAPPEARs.
-    The counts may be arrays of many pairs (int64 in, int64 out), so
-    track() checks every pair at once; plain ints give an int. delta
-    is clipped first (_clip_delta), so the counts array stays small.
-    """
-    n_a, n_b, d_star = (np.asarray(x, dtype=np.int64) for x in (n_a, n_b, d_star))
-    delta = _clip_delta(delta, n_a, d_star)
-    # d[s]: the s-th of the 2 delta + 1 counts around d_star, kept when feasible
-    d = d_star + np.arange(-delta, delta + 1).reshape((-1,) + (1,) * d_star.ndim)
-    keep = (d >= np.maximum(n_a - n_b, 0)) & (d <= n_a)
-    size = (keep * (1 + n_a * (n_a - 1) // 2 - d * (d - 1) // 2)).sum(axis=0)
-    return size if size.ndim else int(size)
-
-
 def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> CandidateSpace:
     """Candidate space around the fixed-d bipartite optima.
 
@@ -220,36 +202,40 @@ def build_reduced_space(frame_a, frame_b, d_star: int, delta: int = 1) -> Candid
     disjoint because their disappearance counts differ.
     """
     delta = _config_int(delta, "delta", 0)
+    d_star = _config_int(d_star, "d_star", 0)
     seq = FrameSequence((frame_a, frame_b))
     n_a, n_b = seq.counts
     if not max(0, n_a - n_b) <= d_star <= n_a:
         raise InvalidInputError(f"d*={d_star} infeasible for frame sizes ({n_a}, {n_b})")
-    # the sweep stops at the largest cardinality the neighborhood needs
-    d_lo = neighborhood(d_star, delta, n_a, n_b)[0]
-    sw = _sweep(seq.frames[:1], seq.frames[1:], [n_a - d_lo])
-    pair, ks = _seed_cardinalities(sw.n_a, sw.n_b, np.array([d_star]), delta)
+    pair, ks, _ = _seed_cardinalities(*(np.array([x]) for x in (n_a, n_b, d_star)), delta)
+    # the sweep stops at the largest cardinality the window needs
+    sw = _sweep(seq.frames[:1], seq.frames[1:], [int(ks.max())])
     return _assemble_spaces(pair, sw.rows(pair, ks), sw.n_a, sw.n_b)[0]
 
 
-def _clip_delta(delta: int, n_a, d_star) -> int:
-    """delta clipped to the farthest any feasible d lies from d*: every
-    feasible d of a pair lies in [0, n_a], so the neighborhoods stay the
-    same, and a huge delta allocates nothing and overflows no int64.
-    For a feasible d*, the clip is at most the largest n_a."""
+def _seed_cardinalities(n_a, n_b, d_star, delta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair's d-window: the pair and cardinality n_a - d of every
+    fixed-d seed, for each feasible d within delta of d*, pair by pair in
+    ascending d, and each pair's space size (int64), summed over its
+    seeds: the seed plus one vector per pair of entry positions, less
+    the C(d, 2) pairs of two DISAPPEARs.
+
+    Every feasible d lies in [0, n_a], so delta is first clipped to the
+    farthest such d from d*: the windows stay the same, and a huge delta
+    allocates nothing and overflows no int64. A pair whose window is
+    empty gets no seeds and size 0.
+    """
     far = np.maximum(np.abs(d_star), np.abs(n_a - d_star))
-    return min(int(delta), int(np.max(far, initial=0)))
-
-
-def _seed_cardinalities(n_a, n_b, d_star, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair and cardinality n_a - d of every fixed-d seed, for each d in
-    each pair's neighborhood, pair by pair in ascending d."""
-    delta = _clip_delta(delta, n_a, d_star)
+    delta = min(int(delta), int(np.max(far, initial=0)))
     d_lo = np.maximum(np.maximum(n_a - n_b, 0), d_star - delta)
     d_hi = np.minimum(n_a, d_star + delta)
-    counts = d_hi - d_lo + 1
+    counts = np.maximum(d_hi - d_lo + 1, 0)
     pair = np.repeat(np.arange(n_a.shape[0]), counts)
     d = d_lo[pair] + np.arange(pair.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-    return pair, n_a[pair] - d
+    n = n_a[pair]
+    sizes = np.zeros(n_a.shape[0], dtype=np.int64)
+    np.add.at(sizes, pair, 1 + n * (n - 1) // 2 - d * (d - 1) // 2)
+    return pair, n - d, sizes
 
 
 def _assemble_spaces(seed_pair, seeds, n_a, n_b) -> list[CandidateSpace]:
@@ -1073,15 +1059,14 @@ def _sigma_from_rows(
     pred = np.full(pts.shape[0], -1, dtype=np.int64)
     pred[dst] = src
     chained = pred[src] >= 0
-    k, j = kk[chained], jj[chained]
+    k = kk[chained]
     prev, mid, nxt = pred[src[chained]], src[chained], dst[chained]
-    sq = np.zeros(rows.shape)
     # an overflow shows as an infinite sigma, which track() rejects
     with np.errstate(over="ignore"):
         dv = (pts[nxt] - pts[mid]) / seq.dt - (pts[mid] - pts[prev]) / seq.dt
-        sq[k, j] = np.vecdot(dv, dv)
-    # cumsum adds in object order; the padding adds exact zeros
-    ss = np.cumsum(sq, axis=1)[:, -1] if rows.shape[1] else np.zeros(f - 1)
+        # bincount adds its weights in input order from zero: stage by
+        # stage, in object order
+        ss = np.bincount(k, weights=np.vecdot(dv, dv), minlength=f - 1)
     cnt = np.bincount(k, minlength=f - 1)
     total_cnt = int(cnt.sum())
     used_fallback = total_cnt == 0
@@ -1248,14 +1233,13 @@ def track(
     n_a, n_b = sw.n_a, sw.n_b
     k_star = sw.gated(gate)
     d_star = n_a - k_star
-    space_sizes = reduced_space_size(n_a, n_b, d_star, cfg.delta)
+    seed_pair, seed_k, space_sizes = _seed_cardinalities(n_a, n_b, d_star, cfg.delta)
     over = np.flatnonzero(space_sizes > cfg.space_cap)
     if over.shape[0]:
         k = int(over[0])
         raise SpaceCapError(
             f"candidate space at pair {k} has {space_sizes[k]} vectors, cap is {cfg.space_cap}"
         )
-    seed_pair, seed_k = _seed_cardinalities(n_a, n_b, d_star, cfg.delta)
     seeds = sw.rows(seed_pair, seed_k)
     # d* lies in its own neighborhood, so each pair has one gated seed
     bmcf_rows = seeds[seed_k == k_star[seed_pair]]

@@ -600,7 +600,7 @@ def test_seed_read_keeps_no_rows():
     frames = one_large_frame_video()
     sw = assignment._sweep(frames[:-1], frames[1:])
     k_star = sw.gated(sw.gate(BipartiteConfig()))
-    pair, ks = tripartite._seed_cardinalities(sw.n_a, sw.n_b, sw.n_a - k_star, 1)
+    pair, ks, _ = tripartite._seed_cardinalities(sw.n_a, sw.n_b, sw.n_a - k_star, 1)
     tracemalloc.start()
     try:
         nbytes = sw.rows(pair, ks).nbytes

@@ -191,6 +191,24 @@ class TestCandidateSpace:
         with pytest.raises(InvalidInputError, match="unique"):
             CandidateSpace.build(np.empty((2, 0), dtype=np.int64), n_next=2)
 
+    @pytest.mark.parametrize(
+        "rows, n_next",
+        [
+            ([[5]], 2),  # a target past n_next
+            ([[2, -1]], 2),
+            ([[-2]], 2),  # below DISAPPEAR
+            ([[0, 0]], 2),  # one target claimed twice
+            ([[-1, 1], [1, -1], [1, 1]], 2),
+            ([[-1]], -1),  # a negative target count
+        ],
+    )
+    def test_rows_must_be_matching_vectors(self, rows, n_next):
+        with pytest.raises(InvalidInputError):
+            CandidateSpace.build(np.array(rows), n_next=n_next)
+        # only repeated DISAPPEARs may share a value
+        sp = CandidateSpace.build(np.array([[-1, -1, 0], [1, -1, -1]]), n_next=2)
+        assert len(sp) == 2
+
     def test_membership(self):
         sp = CandidateSpace.build(np.array([[0, 1], [1, 0]]), n_next=2)
         m = MatchingVector((1, 0), n_next=2)

@@ -1,5 +1,6 @@
 """Full and reduced candidate-space construction."""
 
+import math
 import tracemalloc
 from math import comb
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from velotrack import (
     DISAPPEAR,
     FrameSequence,
+    InvalidConfigError,
     InvalidInputError,
     MatchingVector,
     SimConfig,
@@ -25,7 +27,7 @@ from velotrack import (
 )
 from velotrack.core import _lex_order
 from velotrack.oracle import enumerate_space
-from velotrack.tripartite import reduced_space_size
+from velotrack.tripartite import _seed_cardinalities
 
 
 class TestFullSpace:
@@ -83,6 +85,15 @@ class TestReducedSpace:
         with pytest.raises(InvalidInputError):
             build_reduced_space(a, b, 0)  # at least one object must disappear
 
+    @pytest.mark.parametrize("d", [1.5, "1", math.nan, math.inf, -1])
+    def test_disappearance_counts_are_integers(self, d):
+        a = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        b = [(0.0, 1.0), (1.0, 1.0)]
+        with pytest.raises(InvalidConfigError):
+            fixed_d_matchings(a, b, [d])
+        with pytest.raises(InvalidConfigError):
+            build_reduced_space(a, b, d)
+
     def test_contains_fixed_d_optima(self, rng):
         for _ in range(20):
             n_a, n_b = (int(x) for x in rng.integers(1, 5, size=2))
@@ -120,7 +131,8 @@ class TestReducedSpace:
                 for d in neighborhood(d_star, delta, n_a, n_b)
             )
             assert len(sp) == size
-            assert reduced_space_size(n_a, n_b, d_star, delta) == size
+            got = _seed_cardinalities(np.array([n_a]), np.array([n_b]), np.array([d_star]), delta)
+            assert got[2].tolist() == [size]
 
     def test_sizes_of_many_pairs_at_once(self, rng):
         # random pairs, d* anywhere: infeasible counts and empty
@@ -129,31 +141,54 @@ class TestReducedSpace:
             n_a = np.r_[rng.integers(0, 12, size=300), 40_000, 65_536]
             n_b = np.r_[rng.integers(0, 12, size=300), 39_000, 70_000]
             d_star = np.r_[rng.integers(-3, 15, size=300), 1_000, 65_536]
-            got = reduced_space_size(n_a, n_b, d_star, delta)
+            pair, ks, got = _seed_cardinalities(n_a, n_b, d_star, delta)
             assert got.dtype == np.int64
+            args = list(zip(n_a.tolist(), n_b.tolist(), d_star.tolist()))
             want = [
                 sum(1 + comb(a, 2) - comb(d, 2) for d in neighborhood(ds, delta, a, b))
-                for a, b, ds in zip(n_a.tolist(), n_b.tolist(), d_star.tolist())
+                for a, b, ds in args
             ]
             assert got.tolist() == want
-            one = [
-                reduced_space_size(a, b, ds, delta)
-                for a, b, ds in zip(n_a.tolist(), n_b.tolist(), d_star.tolist())
+            # the seeds: each pair's window in ascending d, as cardinalities
+            seeds = [
+                (p, a - d)
+                for p, (a, b, ds) in enumerate(args)
+                for d in neighborhood(ds, delta, a, b)
             ]
-            assert one == want and all(type(x) is int for x in one)
+            assert list(zip(pair.tolist(), ks.tolist())) == seeds
 
     def test_huge_delta_is_clipped_before_allocating(self, rng):
         # no feasible d lies farther from d* than the frame sizes allow,
-        # so a huge delta gives the sizes of a small one, and d* outside
-        # the feasible range keeps its reach
+        # so a huge delta gives the seeds and sizes of a small one, and
+        # d* outside the feasible range keeps its reach
         n_a = np.r_[rng.integers(0, 6, size=50), 2]
         n_b = np.r_[rng.integers(0, 6, size=50), 2]
         d_star = np.r_[rng.integers(-8, 12, size=50), -5]
         far = int(np.maximum(np.abs(d_star), np.abs(n_a - d_star)).max())
-        want = reduced_space_size(n_a, n_b, d_star, far)
+        want = _seed_cardinalities(n_a, n_b, d_star, far)
         for delta in (far + 1, 10**6, 10**30):
-            assert reduced_space_size(n_a, n_b, d_star, delta).tolist() == want.tolist()
-        assert reduced_space_size(2, 2, -5, 10**9) == reduced_space_size(2, 2, -5, 7) == 5
+            got = _seed_cardinalities(n_a, n_b, d_star, delta)
+            assert all(x.tolist() == y.tolist() for x, y in zip(got, want))
+        two, far_off = np.array([2]), np.array([-5])
+        assert _seed_cardinalities(two, two, far_off, 10**9)[2].tolist() == [5]
+        assert _seed_cardinalities(two, two, far_off, 7)[2].tolist() == [5]
+
+    def test_window_of_a_huge_delta_takes_little_memory(self):
+        # 2,000 pairs of 5 points, one frame of 1,000 points, delta =
+        # 10**6: the seed list grows with the feasible counts only (a
+        # (2 delta' + 1) x pairs grid of the counts peaked at 95.5 MiB)
+        counts = np.full(2001, 5)
+        counts[1000] = 1000
+        n_a, n_b = counts[:-1], counts[1:]
+        tracemalloc.start()
+        try:
+            pair, ks, sizes = _seed_cardinalities(n_a, n_b, np.zeros(2000, np.int64), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert pair.shape[0] == 6 * 2000
+        assert sizes[1000] == sum(1 + comb(1000, 2) - comb(d, 2) for d in range(995, 1001))
 
     def test_huge_delta_tracks_in_little_memory(self):
         # a 3-frame, 2-object video: delta = 10**6 used to allocate a

@@ -117,7 +117,7 @@ def test_video_setup_equals_per_pair_references(seq, delta, small_runs, sigma, l
         warnings.simplefilter("ignore")  # videos without distance samples
         gate = sw.gate(assignment.BipartiteConfig())
     k_star = sw.gated(gate)
-    pair, ks = tripartite._seed_cardinalities(sw.n_a, sw.n_b, sw.n_a - k_star, delta)
+    pair, ks, _ = tripartite._seed_cardinalities(sw.n_a, sw.n_b, sw.n_a - k_star, delta)
     seeds = sw.rows(pair, ks)
     cells = 40 if small_runs else tripartite._FOLD_CELLS
     with mock.patch.object(tripartite, "_FOLD_CELLS", cells):
