@@ -10,10 +10,11 @@ copied to a temporary directory under their own names and imported side
 by side. Every seed-0 video of each workload in bench/run.py's
 WORKLOADS (long, crowded and noisy by default), simulated with its
 simulate_video, is tracked once by each side untimed, which also checks
-that both return the same matchings and scores. Each --regime adds a
-simulator setting that no workload covers, as a workload of VIDEOS
-videos (default 5) of N0 objects, sigma SIGMA and F frames in a region
-REGION times the window's side (1 closes the view); with a --regime
+that both return the same matchings, scores, trajectories and gated
+bipartite matchings. Each --regime adds a simulator setting that no
+workload covers, as a workload of VIDEOS videos (default 5) of N0
+objects, sigma SIGMA and F frames in a region REGION times the
+window's side (1 closes the view); with a --regime
 and no --workload, only the regimes are timed. Then each round tracks
 all the videos with one side and then the other, the first side
 alternating from round to round; after each track() call it times
@@ -86,8 +87,16 @@ def laps(pkg, videos) -> dict[str, float]:
 
 
 def outputs(pkg, videos) -> list[tuple]:
+    """Per video, what track() returns that both sides must agree on: the
+    matchings, the score's hex, the trajectories' tracks and the gated
+    bipartite matchings of the diagnostics."""
     return [
-        (tuple(m.entries for m in res.matchings), res.score.hex())
+        (
+            tuple(m.entries for m in res.matchings),
+            res.score.hex(),
+            res.trajectories.tracks,
+            tuple(m.entries for m in res.diagnostics.bmcf_matchings),
+        )
         for res in (pkg.track(seq) for seq, _, _ in videos)
     ]
 

@@ -641,10 +641,12 @@ class _Sweep:
 
 def _matching_vectors(rows: np.ndarray, n_a, n_b) -> list[MatchingVector]:
     """Rows padded with -1, as _Sweep.rows reads them, as matching
-    vectors: row i keeps its first n_a[i] entries, onto n_b[i] targets."""
+    vectors: row i keeps its first n_a[i] entries, onto n_b[i] targets.
+    A sweep's matchings are valid by construction, so they skip
+    MatchingVector's checks."""
     return [
-        MatchingVector(tuple(r[:n].tolist()), n_next=m)
-        for r, n, m in zip(rows, n_a.tolist(), n_b.tolist())
+        MatchingVector._trusted(tuple(r[:n]), m)
+        for r, n, m in zip(rows.tolist(), n_a.tolist(), n_b.tolist())
     ]
 
 

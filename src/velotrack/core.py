@@ -152,6 +152,15 @@ class MatchingVector:
                 raise InvalidInputError(f"target {e} claimed by two objects")
             seen.add(e)
 
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...], n_next: int) -> "MatchingVector":
+        """A vector of plain ints the package built from validated rows,
+        without __post_init__'s checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "n_next", n_next)
+        return m
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -245,6 +254,14 @@ class TrajectorySet:
         canon.sort()
         object.__setattr__(self, "tracks", tuple(canon))
 
+    @classmethod
+    def _trusted(cls, tracks: tuple[tuple[tuple[int, int], ...], ...]) -> "TrajectorySet":
+        """A set of canonical, sorted tracks of plain ints that the package
+        built from validated matchings, without __post_init__'s checks."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "tracks", tracks)
+        return ts
+
     def __len__(self) -> int:
         return len(self.tracks)
 
@@ -260,32 +277,33 @@ def assemble_trajectories(
 
     A track starts at every frame-0 object and at every later object no
     entry claims; it ends at a DISAPPEAR entry or at the last frame.
-    Every detection ends up in exactly one track.
+    Every detection ends up in exactly one track: the sizes are checked
+    here, and a MatchingVector's targets are distinct, so the tracks
+    need none of TrajectorySet's checks.
     """
     if len(matchings) != len(seq) - 1:
         raise InvalidInputError(
             f"need {len(seq) - 1} matching vectors for {len(seq)} frames, got {len(matchings)}"
         )
+    counts = seq.counts
     for k, m in enumerate(matchings):
-        if len(m) != seq.n_objects(k) or m.n_next != seq.n_objects(k + 1):
+        if len(m) != counts[k] or m.n_next != counts[k + 1]:
             raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
     done: list[list[tuple[int, int]]] = []
-    active = {i: [(0, i)] for i in range(seq.n_objects(0))}
-    for k, m in enumerate(matchings):
-        nxt: dict[int, list[tuple[int, int]]] = {}
-        for i, tr in active.items():
-            j = m.entries[i]
+    # active[i] is the track that holds object i of the frame reached
+    active = [[(0, i)] for i in range(counts[0])]
+    for k, m in enumerate(matchings, start=1):
+        nxt: list = [None] * counts[k]
+        for tr, j in zip(active, m.entries):
             if j == DISAPPEAR:
                 done.append(tr)
             else:
-                tr.append((k + 1, j))
+                tr.append((k, j))
                 nxt[j] = tr
-        for j in range(seq.n_objects(k + 1)):
-            if j not in nxt:
-                nxt[j] = [(k + 1, j)]
-        active = nxt
-    done.extend(active.values())
-    return TrajectorySet(tuple(tuple(t) for t in done))
+        active = [tr or [(k, j)] for j, tr in enumerate(nxt)]
+    done += active
+    done.sort()
+    return TrajectorySet._trusted(tuple(map(tuple, done)))
 
 
 def matchings_from_trajectories(seq: FrameSequence, trajs: TrajectorySet) -> list[MatchingVector]:
@@ -409,9 +427,11 @@ class CandidateSpace:
         return self.swap_info.shape[0]
 
     def __contains__(self, m: MatchingVector) -> bool:
-        if len(m) != self.n_from or m.n_next != self.n_next:
-            return False
-        key = list(m.entries)
+        return len(m) == self.n_from and m.n_next == self.n_next and self._holds(m.entries)
+
+    def _holds(self, entries: tuple[int, ...]) -> bool:
+        """Whether entries, of the space's sizes, is one of its rows."""
+        key = list(entries)
         seeds = self.seeds.tolist()
         if key in seeds:
             return True
@@ -433,7 +453,7 @@ class CandidateSpace:
         entries = self.seeds[q].tolist()
         if i >= 0:
             entries[i], entries[j] = entries[j], entries[i]
-        return MatchingVector(tuple(entries), n_next=self.n_next)
+        return MatchingVector._trusted(tuple(entries), self.n_next)
 
     def vectors(self) -> Iterator[MatchingVector]:
         for r in range(len(self)):

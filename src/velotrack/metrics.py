@@ -122,13 +122,18 @@ def _walk(
         n, n_next = counts[k], counts[k + 1]
         if not (len(pred) == len(truth) == n and pm.n_next == tm.n_next == n_next):
             raise InvalidInputError(f"matching {k} inconsistent with frame sizes")
-        # detections no entry claims start a track on both sides
-        claimed = {*pred, *truth}
-        n_fresh = n_next - len(claimed) + (DISAPPEAR in claimed)
+        new_pred = n_next - n + pred.count(DISAPPEAR)
         if pred == truth:
             agree = n
+            # the targets are distinct, so the detections no side claims
+            # are the new tracks of either side
+            n_fresh = new_truth = new_pred
             nxt = {pred[i] for i in dead}
         else:
+            # detections no entry claims start a track on both sides
+            claimed = {*pred, *truth}
+            n_fresh = n_next - len(claimed) + (DISAPPEAR in claimed)
+            new_truth = n_next - n + truth.count(DISAPPEAR)
             agree = 0
             nxt = set()
             for i, p in enumerate(pred):
@@ -145,8 +150,6 @@ def _walk(
         nxt.discard(DISAPPEAR)
         dead = nxt
         correct += n_fresh
-        new_pred = n_next - n + pred.count(DISAPPEAR)
-        new_truth = n_next - n + truth.count(DISAPPEAR)
         n_pred += new_pred
         n_truth += new_truth
         pairs.append((agree + n_fresh, n + new_pred, n + new_truth))
@@ -229,10 +232,13 @@ def evaluate(
         counts = seq.counts
         if len(spaces) != len(counts) - 1:
             raise InvalidInputError("need one candidate space per frame pair")
-        for k, sp in enumerate(spaces):
+        cov = []
+        # _walk has checked the truth's sizes, so _holds needs no size check
+        for k, (tm, sp) in enumerate(zip(truth_matchings, spaces)):
             if sp.n_from != counts[k] or sp.n_next != counts[k + 1]:
                 raise InvalidInputError(f"space {k} inconsistent with frame sizes")
-        cov = tuple(int(t in sp) for t, sp in zip(truth_matchings, spaces))
+            cov.append(int(sp._holds(tm.entries)))
+        cov = tuple(cov)
     scores = _scores(pairs + prefixes, beta)
     cumulative = scores[len(pairs) :]
     wp, wr, wf = cumulative[-1]

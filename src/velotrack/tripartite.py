@@ -436,9 +436,9 @@ class _Run:
         n_r = rowtab.shape[0]
         rt = self.tables[rowtab].reshape(n_r, (n_mid + 1) * nt).T.copy()
         seed_idx = self.seed_idx[self.s_off[k] : self.s_off[k + 1], : n_mid + 1]
-        seed_val = np.cumsum(np.take(rt, seed_idx, axis=0), axis=1)[:, -1]
-        e = np.take(seed_val, self.seed_pos[c], axis=0)
-        d = np.take(rt, self.swap_idx[:, c], axis=0)
+        seed_val = rt.take(seed_idx, axis=0).cumsum(axis=1)[:, -1]
+        e = seed_val.take(self.seed_pos[c], axis=0)
+        d = rt.take(self.swap_idx[:, c], axis=0)
         e += d[0]
         e += d[1]
         e -= d[2]
@@ -460,7 +460,7 @@ class _Run:
         for k0 in range(0, n_rows, step):
             q = slice(k0, k0 + step) if rows is None else rows[k0 : k0 + step]
             vals = self.dense(k, q, g_next, cols)
-            bp = np.argmax(vals, axis=1)
+            bp = vals.argmax(axis=1)
             back[q] = bp if cols is None else cols[bp]
             g_prev[q] = vals[np.arange(bp.shape[0]), bp]
         return n_rows * n_cols

@@ -149,6 +149,16 @@ class TestTrajectories:
         with pytest.raises(InvalidInputError):
             assemble_trajectories(s, [])
 
+    @pytest.mark.parametrize(
+        "m",
+        [MatchingVector((0, DISAPPEAR), n_next=1), MatchingVector((0,), n_next=2)],
+        ids=["too-many-entries", "too-many-targets"],
+    )
+    def test_matching_of_the_wrong_size(self, m):
+        s = seq_of([(0, 0)], [(1, 1)])
+        with pytest.raises(InvalidInputError, match="inconsistent with frame sizes"):
+            assemble_trajectories(s, [m])
+
     def test_track_validation(self):
         with pytest.raises(InvalidInputError):
             TrajectorySet((((0, 0), (2, 0)),))  # skipped frame
