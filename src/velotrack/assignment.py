@@ -41,7 +41,8 @@ that one _Sweep the gate, every pair's gated cardinality and, in one
 read, the fixed-d seeds of every reduced space, the gated matchings
 among them. The certificate's first test, the smallest reduced cost
 off the matching, runs for all the matchings of a read in one batch
-per chunk, and the cycle test decides those it leaves open. The sweep
+per chunk; the cycle test decides those it leaves open, their exchange
+graphs stacked per row count and peeled together (_cyclic). The sweep
 keeps only refined rows, each refined once from its snapshot.
 """
 
@@ -394,31 +395,23 @@ def _finish_pairs(cost, n_a, n_b, n_one, k_stop, steps, snap_row_to, snap_u, sna
             snap_v[k, q, :nb] = v
 
 
-def _has_cycle(adj: np.ndarray) -> bool:
-    """True when the directed graph adj has a cycle (Kahn's peeling)."""
-    alive = np.ones(adj.shape[0], dtype=bool)
-    indeg = adj.sum(axis=0)
-    while True:
-        drop = alive & (indeg == 0)
-        if not drop.any():
-            return bool(alive.any())
-        alive &= ~drop
-        indeg -= adj[drop].sum(axis=0)
-
-
-def _exposable(row_to: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float):
+def _exposable(row_to: np.ndarray, u: np.ndarray, v: np.ndarray, tol):
     """The rows and columns a min-cost k-matching may leave unmatched,
     from the sweep's potentials after k augmentations: rows with
-    u >= U - tol, U the free rows' potential, and columns with v >= -tol."""
-    top = u[row_to == -1].min(initial=np.inf)
+    u >= U - tol, U the free rows' potential, and columns with v >= -tol.
+    Matchings batched over the leading axes take tol with a last axis."""
+    top = np.where(row_to == -1, u, np.inf).min(axis=-1, keepdims=True)
     return u >= top - tol, v >= -tol
 
 
 def _exchange_graph(tight, row_to, row_exp, col_exp) -> np.ndarray:
-    """The exchange graph of the k-matching row_to (-1 for a free row,
-    -2 for one that takes no part): its rows, then D (an exposed row)
-    and E (a free column), with row_exp and col_exp from _exposable. An
-    arc x -> y means x can take what y holds:
+    """The exchange graphs of a batch of k-matchings, (B, n + 2, n + 2).
+
+    Matching b is row_to[b] (-1 for a free row, -2 for one that takes
+    no part) and tight[b] its tight edges, none on padded columns or on
+    rows of -2. Its nodes are its rows, then D (an exposed row) and E (a
+    free column), with row_exp and col_exp from _exposable. An arc
+    x -> y means x can take what y holds:
     - row r -> matched row r' when (r, row_to[r']) is tight;
     - a matched row of row_exp -> D, and D -> every free row;
     - a row with a tight edge to a free column -> E, and E -> every
@@ -427,21 +420,33 @@ def _exchange_graph(tight, row_to, row_exp, col_exp) -> np.ndarray:
     holds, gives another min-cost k-matching, and every other one
     differs from it by such cycles.
     """
-    n = row_to.shape[0]
-    m_rows = np.flatnonzero(row_to >= 0)
-    m_cols = row_to[m_rows]
-    adj = np.zeros((n + 2, n + 2), dtype=bool)
-    adj[:n, m_rows] = tight[:, m_cols]
-    free_row = row_to == -1
-    if free_row.any():
-        adj[m_rows, n] = row_exp[m_rows]
-        adj[n, :n] = free_row
-    free_col = np.ones(tight.shape[1], dtype=bool)
-    free_col[m_cols] = False
-    if free_col.any():
-        adj[:n, n + 1] = tight[:, free_col].any(axis=1)
-        adj[n + 1, m_rows] = col_exp[m_cols]
+    n_g, n, m = tight.shape
+    gm, rm = np.nonzero(row_to >= 0)
+    cm = row_to[gm, rm]
+    free_col = np.ones((n_g, m), dtype=bool)
+    free_col[gm, cm] = False
+    adj = np.zeros((n_g, n + 2, n + 2), dtype=bool)
+    adj[gm, :n, rm] = tight[gm, :, cm]
+    adj[gm, rm, n] = row_exp[gm, rm]
+    adj[:, n, :n] = row_to == -1
+    adj[:, :n, n + 1] = (tight & free_col[:, None]).any(axis=2)
+    adj[gm, n + 1, rm] = col_exp[gm, cm]
     return adj
+
+
+def _cyclic(adj: np.ndarray) -> np.ndarray:
+    """Which of the directed graphs adj[b] have a cycle, by Kahn's
+    peeling of all at once. Each round drops the nodes whose in-degree
+    has reached 0, marking them -1, and reads each dropped node's arcs
+    once; a graph has a cycle when some node was never dropped."""
+    indeg = adj.sum(axis=1)
+    g, x = np.nonzero(indeg == 0)
+    while g.shape[0]:
+        indeg[g, x] = -1
+        arc, y = np.nonzero(adj[g, x])
+        np.subtract.at(indeg, (g[arc], y), 1)
+        g, x = np.nonzero(indeg == 0)
+    return (indeg > 0).any(axis=1)
 
 
 def _lex_walk(tight, row_to, row_exp, col_exp) -> np.ndarray:
@@ -467,7 +472,7 @@ def _lex_walk(tight, row_to, row_exp, col_exp) -> np.ndarray:
         if opts[0] != row_to[i]:
             # one breadth-first search toward i along reversed arcs: nxt[x]
             # is the node after x on a shortest path from x to i
-            adj = _exchange_graph(tight, row_to, row_exp, col_exp)
+            adj = _exchange_graph(tight[None], row_to[None], row_exp[None], col_exp[None])[0]
             nxt = np.full(n + 2, -1, dtype=np.int64)
             nxt[i], frontier = i, np.array([i])
             while frontier.shape[0]:
@@ -567,8 +572,8 @@ class _Sweep:
 
         A matching whose smallest reduced cost off the matching clears
         the pair's tolerance is unique; one below -tol fires, its dual
-        being infeasible; any other fires when its exchange graph has a
-        cycle. k = 0 never fires (nothing to test).
+        being infeasible; the others fire where their exchange graph has
+        a cycle. k = 0 never fires (nothing to test).
         """
         out = np.zeros(pairs.shape, dtype=bool)
         for c, ch in enumerate(self._chunks):
@@ -577,17 +582,23 @@ class _Sweep:
                 q, k = self._pos[pairs[sel]], ks[sel]
                 row_to, u, v, tol = ch.row_to[k, q], ch.u[k, q], ch.v[k, q], ch.tol[q]
                 # padded cells stay +inf, matched cells are taken out
-                rc = ch.cost[q] - u[:, :, None] - v[:, None, :]
+                rc = ch.cost[q]
+                rc -= u[:, :, None]
+                rc -= v[:, None, :]
                 i, r = np.nonzero(row_to >= 0)
                 rc[i, r, row_to[i, r]] = np.inf
                 rc_min = rc.min(axis=(1, 2), initial=np.inf)
                 out[sel] = rc_min < -tol
-                for s in np.flatnonzero(np.abs(rc_min) <= tol):
-                    n_a, n_b, t = self.n_a[pairs[sel[s]]], self.n_b[pairs[sel[s]]], tol[s]
-                    r_t = row_to[s, :n_a]
-                    exposable = _exposable(r_t, u[s, :n_a], v[s, :n_b], t)
-                    adj = _exchange_graph(rc[s, :n_a, :n_b] <= t, r_t, *exposable)
-                    out[sel[s]] = _has_cycle(adj)
+                # the reads left open, one batch per row count: a graph
+                # padded to a larger pair's rows would cost their square
+                s = np.flatnonzero(np.abs(rc_min) <= tol)
+                n_a, n_b = self.n_a[pairs[sel]], self.n_b[pairs[sel]]
+                for n in sorted(set(n_a[s].tolist())):
+                    t = s[n_a[s] == n]
+                    m = int(n_b[t].max())
+                    tight = (rc[:, :n, :m] <= tol[:, None, None])[t]
+                    exposable = _exposable(row_to[t, :n], u[t, :n], v[t, :m], tol[t, None])
+                    out[sel[t]] = _cyclic(_exchange_graph(tight, row_to[t, :n], *exposable))
         return out
 
     def rows(self, pairs, ks) -> np.ndarray:

@@ -13,9 +13,10 @@ reference_fold_stage is the dense vectorized fold that
 tripartite._fold_stage must reproduce bit for bit on every row it does
 not prune (given the same g_next, pruned columns at -inf),
 reference_cumulative_path_accuracy rebuilds every prefix that
-metrics.cumulative_path_accuracy scores in one pass, and
-reference_sweep is the one-pair SSP sweep that the batched
-assignment._sweep must reproduce bit for bit. track() does its per-pair
+metrics.cumulative_path_accuracy scores in one pass, reference_sweep is
+the one-pair SSP sweep that the batched assignment._sweep must
+reproduce bit for bit, and reference_certificate the one-matching tie
+certificate that _Sweep._certify batches. track() does its per-pair
 set-up once per video; reference_seeded_space, reference_stage_terms
 and reference_estimate_sigma are the one-pair, one-stage and
 one-object-at-a-time forms that tripartite._assemble_spaces,
@@ -25,6 +26,7 @@ bit.
 
 from __future__ import annotations
 
+import graphlib
 import math
 import warnings
 from itertools import combinations, permutations, product
@@ -188,6 +190,33 @@ def reference_sweep(cost: np.ndarray, k_stop: int) -> _SweepState:
         out.u.append(u.copy())
         out.v.append(v.copy())
     return out
+
+
+def reference_certificate(cost: np.ndarray, row_to, u, v) -> bool:
+    """The tie certificate of the k-matching row_to (-1 for a free row)
+    from its sweep snapshot, in plain Python: True when it must be
+    refined. The smallest reduced cost off the matching decides past the
+    sweep's tol, and within it a cycle of the graph that
+    assignment._exchange_graph defines, found by graphlib's search."""
+    n_a, n_b = cost.shape
+    cost, row_to, u, v = cost.tolist(), row_to.tolist(), u.tolist(), v.tolist()
+    tol = 64.0 * max(n_a, n_b) * np.finfo(np.float64).eps * (1.0 + max(map(max, cost)))
+    off = [[(j, c - u[i] - v[j]) for j, c in enumerate(row) if j != row_to[i]] for i, row in enumerate(cost)]
+    rc_min = min((x for row in off for _, x in row), default=math.inf)
+    if abs(rc_min) > tol:
+        return rc_min < -tol
+    holder = {j: i for i, j in enumerate(row_to) if j >= 0}
+    free = [i for i in range(n_a) if row_to[i] == -1]
+    top = min((u[i] for i in free), default=math.inf)
+    arcs = {i: [holder.get(j, "E") for j, x in row if x <= tol] for i, row in enumerate(off)}
+    arcs["D"], arcs["E"] = free, [i for j, i in holder.items() if len(holder) < n_b and v[j] >= -tol]
+    for i in holder.values():
+        arcs[i] += ["D"] if free and u[i] >= top - tol else []
+    try:
+        graphlib.TopologicalSorter(arcs).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
 
 
 def exhaustive_bipartite_min(

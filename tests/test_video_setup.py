@@ -3,7 +3,7 @@
 track() does each per-pair job once per video over padded arrays: the
 tie certificate of the matchings read from the batched sweep, space
 assembly, stage set-up and the sigma estimate. Each must equal, bit for
-bit, its one-pair form (in oracle.py, or here for the certificate).
+bit, its one-pair form in oracle.py.
 Stage set-up runs over runs of stages; folding in many small runs must
 equal folding in one.
 """
@@ -25,6 +25,7 @@ from velotrack import (
 )
 from velotrack import assignment, tripartite
 from velotrack.oracle import (
+    reference_certificate,
     reference_estimate_sigma,
     reference_seeded_space,
     reference_stage_terms,
@@ -56,25 +57,6 @@ def einsum_costs(a, b) -> np.ndarray:
     """Squared distances between the points a and b by einsum."""
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def reference_certificate(cost, row_to, u, v):
-    """The tie certificate of one k-matching from its sweep snapshot:
-    True when it must be refined. The smallest reduced cost off the
-    matching clears it above the tolerance and fires below -tol;
-    otherwise it fires when the exchange graph has a cycle."""
-    n = max(cost.shape)
-    tol = 64.0 * n * np.finfo(np.float64).eps * (1.0 + float(np.abs(cost).max()))
-    rc = cost - u[:, None] - v[None, :]
-    m = np.flatnonzero(row_to >= 0)
-    rc[m, row_to[m]] = np.inf
-    rc_min = float(rc.min())
-    if rc_min > tol:
-        return False
-    if rc_min < -tol:
-        return True
-    exposable = assignment._exposable(row_to, u, v, tol)
-    return assignment._has_cycle(assignment._exchange_graph(rc <= tol, row_to, *exposable))
 
 
 def reference_rowbase(sp_prev, n_mid, n_next):
