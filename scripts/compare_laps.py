@@ -11,7 +11,8 @@ by side. Every seed-0 video of each workload in bench/run.py's
 WORKLOADS (long, crowded and noisy by default), simulated with its
 simulate_video, is tracked once by each side untimed, which also checks
 that both return the same matchings, scores, trajectories and gated
-bipartite matchings. Each --regime adds a simulator setting that no
+bipartite matchings, and the same work counters (COUNTERS) in the
+diagnostics. Each --regime adds a simulator setting that no
 workload covers, as a workload of VIDEOS videos (default 5) of N0
 objects, sigma SIGMA and F frames in a region REGION times the
 window's side (1 closes the view); with a --regime
@@ -55,6 +56,16 @@ import run as bench  # noqa: E402  (bench/run.py imports velotrack from ROOT/src
 
 MEASURED = ("long", "crowded", "noisy")
 SIDES = ("parent", "change")
+# the diagnostics' deterministic work counts, which a change that keeps
+# the work the same keeps bit for bit
+COUNTERS = (
+    "dp_cells",
+    "pruned_rows",
+    "stage_runs",
+    "sweep_steps",
+    "sweep_one_step",
+    "tie_refinements",
+)
 
 
 def import_side(checkout: Path, name: str, tmp: Path):
@@ -86,16 +97,20 @@ def laps(pkg, videos) -> dict[str, float]:
     return total
 
 
-def outputs(pkg, videos) -> list[tuple]:
-    """Per video, what track() returns that both sides must agree on: the
-    matchings, the score's hex, the trajectories' tracks and the gated
-    bipartite matchings of the diagnostics."""
+def outputs(pkg, videos) -> list[tuple[tuple, tuple]]:
+    """Per video, what track() returns that both sides must agree on: its
+    outputs (the matchings, the score's hex, the trajectories' tracks and
+    the gated bipartite matchings of the diagnostics), then its work
+    counters."""
     return [
         (
-            tuple(m.entries for m in res.matchings),
-            res.score.hex(),
-            res.trajectories.tracks,
-            tuple(m.entries for m in res.diagnostics.bmcf_matchings),
+            (
+                tuple(m.entries for m in res.matchings),
+                res.score.hex(),
+                res.trajectories.tracks,
+                tuple(m.entries for m in res.diagnostics.bmcf_matchings),
+            ),
+            tuple(getattr(res.diagnostics, c) for c in COUNTERS),
         )
         for res in (pkg.track(seq) for seq, _, _ in videos)
     ]
@@ -137,14 +152,16 @@ def compare(name: str, w: "bench.Workload", pkgs: dict, rounds: int) -> None:
     }
     # one untimed pass per side: warms both up and checks the outputs
     got = {side: outputs(pkg, videos[side]) for side, pkg in pkgs.items()}
-    differ = sum(a != b for a, b in zip(got["parent"], got["change"]))
+    pairs = list(zip(got["parent"], got["change"]))
+    differ = sum(a[0] != b[0] for a, b in pairs)
+    work = sum(a[1] != b[1] for a, b in pairs)
     samples = {side: [] for side in SIDES}
     for r in range(rounds):
         for side in SIDES[::-1] if r % 2 else SIDES:
             samples[side].append(laps(pkgs[side], videos[side]))
     print(
         f"{name}: {len(sims)} videos, {rounds} rounds, "
-        f"outputs differ on {differ} videos"
+        f"outputs differ on {differ} videos, work counters differ on {work} videos"
     )
     print(f"  {'layer':<16} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  min - max")
     for layer in samples["parent"][0]:

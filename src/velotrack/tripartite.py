@@ -390,7 +390,7 @@ class _Run:
     ending at that zero (the padding target 0 of j = n_mid);
     swap_idx[:, c] lists column c's two new terms and its two old
     ones, i * nt + x_j, j * nt + x_i, i * nt + x_i and j * nt + x_j,
-    all four the zero for a seed column. dense reads these lists and
+    all four the zero for a seed column. cells reads these lists and
     adds the entries in this order for every cell. prunes[k] says
     whether _fold_stage prunes stage k's rows (_prune_pays).
     """
@@ -412,29 +412,32 @@ class _Run:
 
     def table(self, k: int) -> np.ndarray:
         """Stage k's own term table, tab[i + 1, j, x], as a view."""
-        return _table_view(self.tables, self.counts, k, self.p, self.m)
+        p, m, nt = self.p, self.m, self.tables.shape[1]
+        tab = self.tables[k * p * m : (k + 1) * p * m].reshape(p, m, nt)
+        return tab[: self.counts[k] + 1, : self.counts[k + 1], : self.counts[k + 2] + 1]
 
     def dense(self, k: int, rows, g_next, cols=None) -> np.ndarray:
-        """Values of the columns `cols` (indices; all when None) of stage
-        k for its predecessor rows `rows` (indices or a slice), shape
-        (rows, cols).
-
-        Takes from the rows' term tables, rt[j * nt + x, q] for row q.
-        Each row is scored on its own, so its values do not depend on
-        which other rows are scored with it. The cumsum adds a seed's
-        terms in j order, then its zero, so a seed sum is never -0.0,
-        and the +-0.0 a seed column's swap_idx entries add leaves it as
-        it is. One table entry of all the rows is one contiguous array
-        row, so each take copies one run over all rows, however few rows
-        there are; the values come out column by column and are returned
-        transposed.
-        """
+        """cells for stage k's predecessor rows `rows` (indices or a slice)
+        over their term tables, transposed to shape (rows, cols). One
+        table entry of all the rows is one contiguous array row, so each
+        take copies one run over all rows, however few rows there are."""
         n_mid, nt = self.counts[k + 1], self.tables.shape[1]
-        c0, c1 = self.c_off[k], self.c_off[k + 1]
-        c, g = (slice(c0, c1), g_next) if cols is None else (cols + c0, g_next[cols])
         rowtab = self.rowtab[self.r_off[k] : self.r_off[k + 1], : n_mid + 1][rows]
         n_r = rowtab.shape[0]
         rt = self.tables[rowtab].reshape(n_r, (n_mid + 1) * nt).T.copy()
+        return self.cells(k, rt, g_next, cols).T
+
+    def cells(self, k: int, rt, g_next, cols=None) -> np.ndarray:
+        """Values of the columns `cols` (indices; all when None) of stage
+        k, shape (cols, rows), for rows whose entries j * nt + x are
+        rt[j * nt + x, q]. Each row is scored on its own, so its values
+        do not depend on which other rows are scored with it. The cumsum
+        adds a seed's terms in j order, then its zero, so a seed sum is
+        never -0.0, and the +-0.0 a seed column's swap_idx entries add
+        leaves it as it is."""
+        n_mid = self.counts[k + 1]
+        c0, c1 = self.c_off[k], self.c_off[k + 1]
+        c, g = (slice(c0, c1), g_next) if cols is None else (cols + c0, g_next[cols])
         seed_idx = self.seed_idx[self.s_off[k] : self.s_off[k + 1], : n_mid + 1]
         seed_val = rt.take(seed_idx, axis=0).cumsum(axis=1)[:, -1]
         e = seed_val.take(self.seed_pos[c], axis=0)
@@ -445,7 +448,7 @@ class _Run:
         e -= d[3]
         e += self.appear[c, None]
         e += g[:, None]
-        return e.T
+        return e
 
     def fold_dense(self, k: int, g_next, g_prev, back, rows=None, cols=None) -> int:
         """First argmax over the columns `cols` of stage k for the rows
@@ -493,7 +496,8 @@ class _Bounds:
     0, then max uf[s - 1] plus, per mid object of stage s, its best term
     over all possible predecessors (colmax), plus r's appearances.
     seed_prefix[s][q] is the best prefix into the q-th seed row of
-    space s through seed rows only, the score of a real prefix. A chain
+    space s through seed rows only, the score of a real prefix. Both
+    are _Run.cells of stage s: of its seed rows, and of colmax. A chain
     sum through space s adds at most terms[s] roundings of values whose
     magnitudes sum to at most scale[s]. pruned[s] counts the rows of
     space s that _fold_stage dropped.
@@ -505,34 +509,22 @@ class _Bounds:
     scale: list[float]
     pruned: list[int]
 
-    def step(self, tab, sp_prev, sp, lam: float) -> None:
-        """Extend the bounds over stage s = len(uf), whose term table is
-        tab, from space s - 1 (sp_prev) to space s (sp)."""
-        n_mid, nt = tab.shape[1], tab.shape[2]
-        info = sp.swap_info
-        x = sp.seeds + 1  # each seed's shifted targets
-        obj = np.arange(n_mid)
-        appear = lam * (nt - 1 - (x > 0).sum(axis=1))
-        # the seeds of sp_prev as each mid object's shifted predecessor
-        prev = sp_prev.seeds
-        pred = np.zeros((prev.shape[0], n_mid + 1), dtype=np.int64)
-        pred[np.arange(prev.shape[0])[:, None], np.where(prev < 0, n_mid, prev)] = np.arange(
-            1, prev.shape[1] + 1
-        )
-        h = tab[pred[:, None, :n_mid], obj, x[None]].sum(axis=2) + appear
+    def step(self, run: _Run, k: int, sp_prev, sp, lam: float) -> None:
+        """Extend the bounds over stage s = len(uf), stage k of run, from
+        space s - 1 (sp_prev) to space s (sp)."""
+        n_mid, n_next, nt = run.counts[k + 1], run.counts[k + 2], run.tables.shape[1]
+        tab, zeros = run.table(k), np.zeros(len(sp))
+        # seed rows come in seed order, as seed_prefix[s - 1] holds them
+        seed_rows, seed_cols = (np.flatnonzero(x.swap_info[:, 1] < 0) for x in (sp_prev, sp))
+        h = run.dense(k, seed_rows, zeros, seed_cols)
         self.seed_prefix.append((self.seed_prefix[-1][:, None] + h).max(axis=0))
-        # a row's colmax sum is its seed's plus its two exchanged entries'
-        # changes, as _Run.dense reads a row table
-        colmax = tab.max(axis=0)
-        q = info[:, 0]
-        col = (colmax[obj, x].sum(axis=1) + appear)[q]
-        sw = np.flatnonzero(info[:, 1] >= 0)
-        i, j = info[sw, 1], info[sw, 2]
-        x_i, x_j = x[q[sw], i], x[q[sw], j]
-        col[sw] += colmax[i, x_j] + colmax[j, x_i] - colmax[i, x_i] - colmax[j, x_j]
+        # one entry table of colmax; its last row holds the zero entry
+        colmax = np.zeros((n_mid + 1, nt))
+        colmax[:n_mid, : n_next + 1] = tab.max(axis=0)
+        col = run.cells(k, colmax.reshape(-1, 1), zeros)[:, 0]
         self.uf.append(self.uf[-1].max() + col)
         self.terms.append(self.terms[-1] + n_mid + 16)
-        mag = (n_mid + 8) * float(np.abs(tab).max(initial=0.0)) + abs(lam) * (nt - 1)
+        mag = (n_mid + 8) * float(np.abs(tab).max(initial=0.0)) + abs(lam) * n_next
         self.scale.append(self.scale[-1] + mag)
 
     def floor(self, run: _Run, k: int, g_seed, g_next) -> float | None:
@@ -603,11 +595,11 @@ class _Bounds:
 def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
     """_Bounds over spaces 0 .. t_end - 1, from the first-pair scores h1.
 
-    Stages run.t0 .. t_end - 1 read run's term tables. The stages
-    before run lie in the runs set up after it, whose tables are
-    computed here one run at a time, in order; the last of them, the
-    tables of the run set up next, is returned with the bounds for its
-    set-up (_term_tables's output; None when run is the first).
+    Each stage steps through its own _Run: stages run.t0 .. t_end - 1
+    through run, and the stages before run through the runs set up
+    after it, which _stages sets up here once more, in time order. The
+    last of them, the run set up next, is returned with the bounds for
+    the fold to take as it is (None when run is the first).
     """
     lam = noise.lambda_event
     seeds = spaces[0].swap_info[:, 1] < 0
@@ -618,18 +610,16 @@ def _forward_bounds(seq, spaces, noise, h1, runs, run: _Run, t_end: int):
         scale=[float(np.abs(h1).max())],
         pruned=[0] * len(spaces),
     )
-    terms = None
+    ahead = None
     for t0, t1 in reversed(runs):
         if t0 >= run.t0:
             break
-        terms = _term_tables(seq, noise, t0, t1)
-        counts, tables = terms
-        p, m = _extents(counts)
-        for k, t in enumerate(range(t0, t1)):
-            bounds.step(_table_view(tables, counts, k, p, m), spaces[t - 1], spaces[t], lam)
+        ahead = _stages(seq, spaces, noise, t0, t1)
+        for t in range(t0, t1):
+            bounds.step(ahead, t - t0, spaces[t - 1], spaces[t], lam)
     for t in range(run.t0, t_end):
-        bounds.step(run.table(t - run.t0), spaces[t - 1], spaces[t], lam)
-    return bounds, terms
+        bounds.step(run, t - run.t0, spaces[t - 1], spaces[t], lam)
+    return bounds, ahead
 
 
 def _extents(counts) -> tuple[int, int]:
@@ -693,14 +683,7 @@ def _term_tables(seq, noise, t0: int, t1: int):
     return counts, tables
 
 
-def _table_view(tables, counts, k: int, p: int, m: int) -> np.ndarray:
-    """Stage k's table, tab[i + 1, j, x], as a view into the tables of a
-    run with frame counts counts and extents p, m (_term_tables)."""
-    tab = tables[k * p * m : (k + 1) * p * m].reshape(p, m, tables.shape[1])
-    return tab[: counts[k] + 1, : counts[k + 1], : counts[k + 2] + 1]
-
-
-def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
+def _stages(seq, spaces, noise, t0: int, t1: int) -> _Run:
     """Stages t0 .. t1 - 1 of the fold, set up together in one _Run.
 
     Besides listing the spaces' arrays and _term_tables's few per width,
@@ -711,11 +694,10 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     seed with its two exchanged entries' terms moved (an exchange
     changes the predecessors of two mid objects only). Whether each
     stage prunes (_fold_stage) is decided here from the closed-form
-    cell counts.
-    terms is _term_tables's output for these stages when the prune's
-    forward bounds computed it already.
+    cell counts. _forward_bounds sets up the runs before the first
+    pruning run once more, and hands the last of them on to the fold.
     """
-    counts, tables = terms or _term_tables(seq, noise, t0, t1)
+    counts, tables = _term_tables(seq, noise, t0, t1)
     n_st = t1 - t0
     n_mid, n_next = counts[1:-1], counts[2:]
     p, m = _extents(counts)
@@ -786,7 +768,7 @@ def _stages(seq, spaces, noise, t0: int, t1: int, terms=None) -> _Run:
     # and a moved DISAPPEAR entry lands in column 0, dropped with the rest
     rinfo = info[:n_rows]
     row_seed = np.repeat(sd_off[:-2], sizes[:-1]) + rinfo[:, 0]
-    rowtab = seed_tab[row_seed]
+    rowtab = seed_tab.take(row_seed, axis=0)
     i, j = rinfo[:, 1], rinfo[:, 2]
     shift = (j - i) * m
     at = row_seed * seeds.shape[1]
@@ -933,14 +915,14 @@ def _solve_dp(seq, spaces, noise, lap=None):
     backs: list[np.ndarray | None] = [None] * (n_pairs - 1)
     cells = [len(spaces[0])] + [0] * (n_pairs - 1)
     runs = _stage_runs(seq.counts, [len(sp) for sp in spaces])
-    bounds, terms = None, None
+    bounds, ahead = None, None
     for t0, t1 in runs:
-        run = _stages(seq, spaces, noise, t0, t1, terms)
-        terms = None
+        run = ahead or _stages(seq, spaces, noise, t0, t1)
+        ahead = None
         if bounds is None and any(run.prunes):
             # once per video, up to the last stage that prunes
             t_end = t0 + max(k for k, p in enumerate(run.prunes) if p)
-            bounds, terms = _forward_bounds(seq, spaces, noise, h1, runs, run, t_end)
+            bounds, ahead = _forward_bounds(seq, spaces, noise, h1, runs, run, t_end)
         lap("stage_setup")
         for t in range(t1 - 1, t0 - 1, -1):
             g, backs[t - 1], cells[t] = _fold_stage(run, t - t0, spaces[t - 1], g, bounds)

@@ -143,6 +143,47 @@ def bounds_of(seq, spaces, noise):
     return bounds
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.lists(st.integers(3, 7), min_size=4, max_size=7),
+    grid=st.sampled_from([None, 3]),
+    delta=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_one_stage_runs_change_nothing(counts, grid, delta, seed):
+    # with _FOLD_CELLS 1 every stage is a run of its own, so the forward
+    # bounds set up every run before the pruning one and hand the last of
+    # them on to the fold; outputs, work counters and bounds keep their bits
+    seq = video(np.random.default_rng(seed), counts, grid)
+    spaces, noise = tracked(seq, delta)
+    f = len(seq)
+
+    def solve(fold_cells):
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(tripartite, "_FOLD_CELLS", fold_cells))
+            stack.enter_context(mock.patch.object(tripartite, "_PRUNE_SETUP_CELLS", EVERY))
+            ms, score, cells, runs, pruned = tripartite._solve_dp(seq, spaces, noise)
+        return (ms, score.hex(), pruned, cells), runs
+
+    one, runs = solve(tripartite._FOLD_CELLS)
+    many, one_stage_runs = solve(1)
+    assert runs == ((1, f - 1),)
+    assert one_stage_runs == tuple((t, t + 1) for t in range(f - 2, 0, -1))
+    assert many == one
+
+    h1 = tripartite._pair_scores_vectorized(
+        seq.frames[0], seq.frames[1], spaces[0], noise, seq.dt
+    )
+    last = tripartite._stages(seq, spaces, noise, f - 2, f - 1)
+    bounds, _ = tripartite._forward_bounds(seq, spaces, noise, h1, one_stage_runs, last, f - 1)
+    want = bounds_of(seq, spaces, noise)
+    for name in ("uf", "seed_prefix"):
+        got, exp = getattr(bounds, name), getattr(want, name)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in exp], name
+    assert bounds.terms == want.terms
+    assert [x.hex() for x in bounds.scale] == [x.hex() for x in want.scale]
+
+
 # LB equals the optimum. Every detection at one point: every chain that
 # matches every object ties with the seeds' chain. On the grid, found by
 # search: a tied row's UF + UG rounds below LB, so only the

@@ -84,8 +84,13 @@ def test_compare_laps_against_itself():
     # one block per workload: a title, a header and a line per lap
     n = len(TRACK_LAYERS) + 5
     assert len(lines) == 2 * n
-    assert lines[0] == "smoke: 2 videos, 1 rounds, outputs differ on 0 videos"
-    assert lines[n] == "N0=4 sigma=2 f=3 region=1: 1 videos, 1 rounds, outputs differ on 0 videos"
+    assert lines[0] == (
+        "smoke: 2 videos, 1 rounds, outputs differ on 0 videos, work counters differ on 0 videos"
+    )
+    assert lines[n] == (
+        "N0=4 sigma=2 f=3 region=1: 1 videos, 1 rounds, outputs differ on 0 videos, "
+        "work counters differ on 0 videos"
+    )
     for block in (lines[2:n], lines[n + 2 :]):
         laps = [line.split()[0] for line in block]
         assert laps == [*TRACK_LAYERS, "track()", "evaluate", "simulate"]
